@@ -16,18 +16,11 @@ import numpy as np
 
 from . import reduced
 from .errors import DegenerateSystemError
-from .model import FIXED_POINTS, ModelParams, momentum_map
+from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from .numerics import minimize_golden
-from .singularity import discriminant_E, n_ff
+from .singularity import n_ff
 
 WIDTH_TOL = 1e-12
-
-
-def _ns_frame(params: ModelParams) -> ModelParams:
-    """Parameters with R > 1 via the sphere-swap symmetry when needed."""
-    if params.R > 1.0:
-        return params
-    return ModelParams(params.r2, params.r1, params.s1, 1.0 - params.s2)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ class Polygon:
     ``vertices`` runs counterclockwise from the left corner: bottom chain
     left to right, then top chain right to left.  ``cuts`` records the cut
     direction at each focus-focus level in ``ff_l`` (empty ``ff_l`` for
-    systems of toric type, whose shape is still reported through ``cuts``).
+    systems of toric type, whose quadrant-rule shape is given by ``cuts``).
     """
 
     vertices: tuple
@@ -192,68 +185,28 @@ def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
                                  "Duistermaat-Heckman profile")
 
 
-def _toric_type_cuts(params: ModelParams, grid_n: int = 257):
-    """Effective cut shape for a system of toric type (no focus-focus points).
-
-    The positive-discriminant region of the (s1, s2) square splits into
-    connected components; the component containing (0,0) or (1,1) yields the
-    (+1,-1) shape and the one containing (1,0) or (0,1) the (-1,+1) shape.
-    Membership is decided by flood fill on a grid.
-    """
-    s = np.linspace(0.0, 1.0, grid_n)
-    s1g, s2g = np.meshgrid(s, s, indexing="ij")
-    r1, r2 = params.r1, params.r2
-    e = (r2 ** 2 * (1 - 2 * s1g) ** 2 * (s2g - 1) ** 2
-         + r1 ** 2 * (1 - 2 * s1g) ** 2 * s2g ** 2
-         - 2 * r1 * r2 * (8 * (s1g - 1) ** 2 * s1g ** 2 + s2g
-                          - 12 * (s1g - 1) * s1g * s2g
-                          + (7 + 12 * (s1g - 1) * s1g) * s2g ** 2
-                          - 16 * s2g ** 3 + 8 * s2g ** 4))
-    mask = e > 0
-    i = int(round(params.s1 * (grid_n - 1)))
-    j = int(round(params.s2 * (grid_n - 1)))
-    if not mask[i, j]:
-        raise DegenerateSystemError(
-            "parameters too close to the discriminant-zero boundary for the "
-            "component rule")
-    comp = np.zeros_like(mask)
-    comp[i, j] = True
-    while True:
-        grown = comp.copy()
-        grown[1:, :] |= comp[:-1, :]
-        grown[:-1, :] |= comp[1:, :]
-        grown[:, 1:] |= comp[:, :-1]
-        grown[:, :-1] |= comp[:, 1:]
-        grown &= mask
-        if (grown == comp).all():
-            break
-        comp = grown
-    plus_minus = comp[0, 0] or comp[-1, -1]
-    minus_plus = comp[-1, 0] or comp[0, -1]
-    if plus_minus == minus_plus:
-        raise AssertionError(
-            f"component rule is ambiguous at (s1, s2) = "
-            f"({params.s1}, {params.s2})")
-    return (1, -1) if plus_minus else (-1, 1)
-
-
 def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     """Canonical polygon representative for the given cut directions.
 
     With two focus-focus points, each of the four sign choices gives a
     distinct representative.  For systems of toric type the image itself is
-    a polygon; ``cuts`` is ignored and the shape follows the connected
-    component of the parameter square that (s1, s2) lies in.
+    a polygon and ``cuts`` is ignored: in the R > 1 frame its shape is
+    (+1, -1) when (s1 - 1/2)(s2 - R/(R+1)) > 0 and (-1, +1) otherwise.
+    The rule is exact because E < 0 on both case lines, so no component of
+    the toric region E > 0 leaves its quadrant:
+
+        E(s1 = 1/2)     = -r1 r2 (4 s2^2 - 4 s2 - 1)^2 <= -r1 r2,
+        E(s2 = R/(R+1)) = -16 r1 r2 ((R+1)^2 s1 (s1 - 1) - R)^2 / (R+1)^4 < 0.
     """
-    work = _ns_frame(params)
+    work = ns_frame(params)
     R = work.R
     nff = n_ff(work)  # raises on the degenerate band
     if nff == 2:
         if tuple(cuts) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValueError(f"cuts must be signs, got {cuts!r}")
         return _build_polygon(tuple(cuts), reduced.ff_levels(R), R)
-    eff = _toric_type_cuts(work)
-    return _build_polygon(eff, (), R)
+    same_side = (work.s1 - 0.5) * (work.s2 - R / (R + 1.0)) > 0
+    return _build_polygon((1, -1) if same_side else (-1, 1), (), R)
 
 
 def act_shear(poly: Polygon, k: int) -> Polygon:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import cartography, height, singularity
 from .errors import DegenerateSystemError, SemitoricError
-from .model import ModelParams
+from .model import ModelParams, ns_frame
 
 JSON_SCHEMA = "semitoric-invariants/1"
 
@@ -92,7 +90,7 @@ def cmd_height(args) -> int:
     if args.method == "closed":
         inv = height.height_closed(params)
     elif args.method == "quadrature":
-        work = height._ns_frame(params)
+        work = ns_frame(params)
         h1 = height.height_oracle("NS", work)
         inv = height.HeightInvariant(h1, 2.0 - h1, height.case_id(work),
                                      "quadrature")
@@ -132,7 +130,7 @@ def cmd_polygon(args) -> int:
     params = _params_from(args)
     cuts = _parse_cuts(args.cuts)
     poly = cartography.polygon_representative(params, cuts)
-    work = cartography._ns_frame(params)
+    work = ns_frame(params)
     r1, R = work.r1, work.R
 
     def unscale(v):
@@ -207,16 +205,7 @@ def cmd_sweep(args) -> int:
     s2s = np.linspace(args.s2_start, args.s2_stop, args.s2_count)
     cells = [(float(a), float(b)) for a in s1s for b in s2s]
 
-    def work(cell):
-        return _sweep_cell(args.quantity, args.R1, args.R2, *cell)
-
-    if args.parallel:
-        threads = int(os.environ.get("SEMITORIC_THREADS",
-                                     os.cpu_count() or 1))
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            rows = list(pool.map(work, cells))
-    else:
-        rows = [work(c) for c in cells]
+    rows = [_sweep_cell(args.quantity, args.R1, args.R2, *c) for c in cells]
     header = {"E": "s1,s2,E,flag",
               "nff": "s1,s2,n_ff,flag",
               "height": "s1,s2,h1,h2,flag"}[args.quantity]
@@ -270,15 +259,39 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s2-start", type=float, default=0.0)
     sp.add_argument("--s2-stop", type=float, default=1.0)
     sp.add_argument("--s2-count", type=int, default=51)
-    sp.add_argument("--parallel", action="store_true")
+    sp.add_argument("--parallel", action="store_true",
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sweep)
     return parser
 
 
+def _split_cuts(argv):
+    """Take '--cuts X' and '--cuts=X' out of argv: (rest, last X or None).
+
+    argparse reads a value starting with '-' as an option and drops a value
+    of '--', so cut strings such as '-+' and '--' must not reach it.
+    """
+    rest, cuts = [], None
+    args = iter(argv)
+    for arg in args:
+        if arg.startswith("--cuts="):
+            cuts = arg[len("--cuts="):]
+        elif arg == "--cuts" and (value := next(args, None)) is not None:
+            cuts = value
+        else:
+            rest.append(arg)
+    return rest, cuts
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cuts = None
+    if argv[:1] == ["polygon"]:
+        argv, cuts = _split_cuts(argv)
+    args = build_parser().parse_args(argv)
+    if cuts is not None:
+        args.cuts = cuts
     try:
         return args.func(args)
     except DegenerateSystemError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import reduced
 from .errors import BranchSelectionError, DegenerateSystemError
-from .model import ModelParams
+from .model import ModelParams, ns_frame
 from .numerics import QuadratureSettings, find_root_bisect, integrate
 from .singularity import discriminant_E
 
@@ -237,21 +237,10 @@ def _require_focus_focus(params: ModelParams) -> float:
     return e
 
 
-def _ns_frame(params: ModelParams) -> ModelParams:
-    """Parameters with R > 1, via the sphere-swap symmetry when needed.
-
-    The swap is a semitoric isomorphism, so the height multiset is
-    unchanged; label attribution for R < 1 follows the swapped frame.
-    """
-    if params.R > 1.0:
-        return params
-    return ModelParams(params.r2, params.r1, params.s1, 1.0 - params.s2)
-
-
 def height_closed(params: ModelParams) -> HeightInvariant:
     """Height invariant from the closed form."""
     e = _require_focus_focus(params)
-    work = _ns_frame(params)
+    work = ns_frame(params)
     case = case_id(work)
     ill = -ILL_CONDITIONED_BAND < e < 0
     if case == "III":
@@ -352,7 +341,7 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
 def height_both(params: ModelParams, tol: float = 1e-9) -> HeightInvariant:
     """Closed form and oracle together, with their discrepancy recorded."""
     closed = height_closed(params)
-    work = _ns_frame(params)
+    work = ns_frame(params)
     h1_q = height_oracle("NS", work, tol)
     h2_q = height_oracle("SN", work, tol)
     disc = max(abs(closed.h1 - h1_q), abs(closed.h2 - h2_q))

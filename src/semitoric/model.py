@@ -52,6 +52,17 @@ class ModelParams:
         return self.s1 + self.s2 - self.s1 ** 2 - self.s2 ** 2
 
 
+def ns_frame(params: ModelParams) -> ModelParams:
+    """Parameters with R > 1, via the sphere-swap symmetry when needed.
+
+    The swap is a semitoric isomorphism, so the height multiset is
+    unchanged; label attribution for R < 1 follows the swapped frame.
+    """
+    if params.R > 1.0:
+        return params
+    return ModelParams(params.r2, params.r1, params.s1, 1.0 - params.s2)
+
+
 @dataclass(frozen=True)
 class TParams:
     t1: float

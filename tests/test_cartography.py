@@ -1,16 +1,54 @@
 """Momentum-map image envelope and polygon representatives."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from semitoric.cartography import (ImageBoundary, Polygon, act_flip_cut,
                                    act_shear, image_boundary,
                                    polygon_representative)
-from semitoric.model import FIXED_POINTS, ModelParams, momentum_map
+from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from semitoric.reduced import dh_function
+from semitoric.singularity import discriminant_E
 
 
 FF_PARAMS = ModelParams(1.0, 2.0, 0.5, 0.5)
+
+
+def flood_fill_cuts(params, grid_n=257):
+    """Reference toric shape by flood fill of the E > 0 region on a grid.
+
+    The component holding (s1, s2) (R > 1 frame) gives (+1, -1) when it
+    reaches the corner (0, 0) or (1, 1) and (-1, +1) when it reaches (1, 0)
+    or (0, 1).  Returns None when the nearest grid node is not toric or the
+    component reaches corners of both kinds or of neither.
+    """
+    s = np.linspace(0.0, 1.0, grid_n)
+    s1g, s2g = np.meshgrid(s, s, indexing="ij")
+    mask = discriminant_E(SimpleNamespace(r1=params.r1, r2=params.r2,
+                                          s1=s1g, s2=s2g)) > 0
+    i = int(round(params.s1 * (grid_n - 1)))
+    j = int(round(params.s2 * (grid_n - 1)))
+    if not mask[i, j]:
+        return None
+    comp = np.zeros_like(mask)
+    comp[i, j] = True
+    while True:
+        grown = comp.copy()
+        grown[1:, :] |= comp[:-1, :]
+        grown[:-1, :] |= comp[1:, :]
+        grown[:, 1:] |= comp[:, :-1]
+        grown[:, :-1] |= comp[:, 1:]
+        grown &= mask
+        if (grown == comp).all():
+            break
+        comp = grown
+    plus_minus = comp[0, 0] or comp[-1, -1]
+    minus_plus = comp[-1, 0] or comp[0, -1]
+    if plus_minus == minus_plus:
+        return None
+    return (1, -1) if plus_minus else (-1, 1)
 
 
 class TestPolygonVertices:
@@ -49,11 +87,55 @@ class TestPolygonVertices:
 
 class TestToricType:
     def test_component_shapes(self):
-        # Corners of the parameter square, sorted by connected component.
+        # Corners of the parameter square, sorted by quadrant.
         assert polygon_representative(ModelParams(1, 2, 0.0, 0.0)).cuts == (1, -1)
         assert polygon_representative(ModelParams(1, 2, 1.0, 1.0)).cuts == (1, -1)
         assert polygon_representative(ModelParams(1, 2, 1.0, 0.0)).cuts == (-1, 1)
         assert polygon_representative(ModelParams(1, 2, 0.0, 1.0)).cuts == (-1, 1)
+        # Inputs the grid flood fill could not resolve: its start node was
+        # not toric, or R/(R+1) fell between its last two nodes.  R < 1
+        # goes through the sphere swap, which maps s2 to 1 - s2.
+        for p, cuts in ((ModelParams(1, 3.787787062180371, 0.1005520736579415,
+                                     0.2373229032453258), (1, -1)),
+                        (ModelParams(1, 1e3, 0.05, 0.1), (1, -1)),
+                        (ModelParams(1, 1e6, 0.0, 0.0), (1, -1)),
+                        (ModelParams(2, 1, 0.05, 0.05), (-1, 1))):
+            assert discriminant_E(p) > 0
+            poly = polygon_representative(p)
+            assert poly.cuts == cuts
+            assert poly.ff_l == ()
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 1.01), (1.0, 2.0), (1.0, 37.0),
+                                        (1.0, 1e3), (2.0, 1.0), (5.0, 0.5),
+                                        (1e3, 1.0)])
+    def test_discriminant_negative_on_case_lines(self, r1, r2):
+        # The factorisations that make the quadrant rule exact.
+        R = r2 / r1
+        for s in np.linspace(0.0, 1.0, 11):
+            s = float(s)
+            e = discriminant_E(ModelParams(r1, r2, 0.5, s))
+            assert e == pytest.approx(
+                -r1 * r2 * (4 * s * s - 4 * s - 1) ** 2, rel=1e-12)
+            assert e <= -r1 * r2
+            e = discriminant_E(ModelParams(r1, r2, s, R / (R + 1)))
+            assert e == pytest.approx(
+                -16 * r1 * r2 * ((R + 1) ** 2 * s * (s - 1) - R) ** 2
+                / (R + 1) ** 4, rel=1e-12)
+            assert e < 0
+
+    def test_quadrant_rule_matches_flood_fill(self):
+        rng = np.random.default_rng(20200629)
+        compared = 0
+        while compared < 60:
+            p = ModelParams(1.0, float(rng.uniform(1.01, 10.0)),
+                            float(rng.uniform()), float(rng.uniform()))
+            if discriminant_E(p) <= 0:
+                continue
+            ref = flood_fill_cuts(ns_frame(p))
+            if ref is None:
+                continue
+            assert polygon_representative(p).cuts == ref, p
+            compared += 1
 
     def test_no_cut_levels(self):
         poly = polygon_representative(ModelParams(1, 2, 0.0, 0.0))

@@ -84,6 +84,17 @@ class TestPolygon:
         assert code == 0
         assert payload["cuts"] == [-1, 1]
 
+    @pytest.mark.parametrize("cuts, shape", [("-+", "(-1, 1)"),
+                                             ("--", "(-1, -1)")],
+                             ids=["minus-plus", "minus-minus"])
+    def test_cut_values_starting_with_dash(self, capsys, cuts, shape):
+        code, joined, _ = run(capsys, ["polygon", f"--cuts={cuts}"] + FF)
+        assert code == 0
+        assert f"# cuts = {shape}," in joined
+        code, spaced, _ = run(capsys, ["polygon", "--cuts", cuts] + FF)
+        assert code == 0
+        assert spaced == joined
+
     def test_bad_cut_string(self, capsys):
         code, _, err = run(capsys, ["polygon", "--cuts", "xx"] + FF)
         assert code == 2
