@@ -6,25 +6,27 @@ numerical oracle.
 
 from .cartography import (ImageBoundary, Polygon, act_flip_cut, act_shear,
                           image_boundary, polygon_representative)
-from .errors import (BranchSelectionError, DegenerateSystemError,
-                     NonconvergenceError, SemitoricError)
+from .errors import (BranchSelectionError, ConsistencyError,
+                     DegenerateSystemError, NonconvergenceError,
+                     SemitoricError)
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
                      gamma_B, gamma_coefficients, height_both, height_closed,
                      height_oracle, integral_NA, integral_NB)
 from .model import (FIXED_POINTS, ModelParams, MomentumValue, PhasePoint,
                     apply_symmetry, momentum_map, poisson_bracket)
 from .reduced import (DHFunction, dh_function, ff_levels, physical_interval,
-                      reduced_A, reduced_B, roots_P0)
+                      chart, reduced_A, reduced_B, roots_P0)
 from .singularity import (SemitoricVerdict, SingularityReport,
                           check_semitoric, classify_fixed_points,
                           discriminant_E, n_ff, rank1_margin)
 
 __all__ = [
-    "BranchSelectionError", "DegenerateSystemError", "DHFunction",
-    "FIXED_POINTS", "HeightInvariant", "ImageBoundary", "ModelParams",
-    "MomentumValue", "NonconvergenceError", "PhasePoint", "Polygon",
+    "BranchSelectionError", "ConsistencyError", "DegenerateSystemError",
+    "DHFunction", "FIXED_POINTS", "HeightInvariant", "ImageBoundary",
+    "ModelParams", "MomentumValue", "NonconvergenceError", "PhasePoint",
+    "Polygon",
     "SemitoricError", "SemitoricVerdict", "SingularityReport",
-    "act_flip_cut", "act_shear", "apply_symmetry", "case_id",
+    "act_flip_cut", "act_shear", "apply_symmetry", "case_id", "chart",
     "check_semitoric", "classify_fixed_points", "closed_form_F",
     "dh_function", "discriminant_E", "ff_levels", "gamma_A", "gamma_B",
     "gamma_coefficients", "height_both", "height_closed", "height_oracle",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reduced
-from .errors import DegenerateSystemError
+from .errors import ConsistencyError, DegenerateSystemError
 from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from .numerics import minimize_golden
 from .singularity import n_ff
@@ -40,17 +40,18 @@ class ImageBoundary:
 def _envelope_at(l: float, params: ModelParams):
     """(h_min, h_max) over the reduced fiber at scaled level l."""
     lo, hi = reduced.physical_interval("NS", l, params.R)
+    a_of, b_of = reduced.chart("NS", l, params)
     if hi - lo < 1e-12:
-        a = reduced.reduced_A("NS", l, lo, params)
+        a = a_of(lo)
         return a, a
 
     def lower(p2):
-        b = max(0.0, reduced.reduced_B("NS", l, p2, params))
-        return reduced.reduced_A("NS", l, p2, params) - np.sqrt(b)
+        b = max(0.0, b_of(p2))
+        return a_of(p2) - np.sqrt(b)
 
     def upper_neg(p2):
-        b = max(0.0, reduced.reduced_B("NS", l, p2, params))
-        return -(reduced.reduced_A("NS", l, p2, params) + np.sqrt(b))
+        b = max(0.0, b_of(p2))
+        return -(a_of(p2) + np.sqrt(b))
 
     h_min = minimize_golden(lower, lo, hi).fx
     h_max = -minimize_golden(upper_neg, lo, hi).fx
@@ -173,16 +174,16 @@ def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
                   for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:])]
         for s in slopes:
             if abs(s - round(s)) > 1e-9:
-                raise AssertionError(f"non-integer edge slope {s}")
+                raise ConsistencyError(f"non-integer edge slope {s}")
         # Bottom slopes non-decreasing, top slopes non-increasing: convexity.
         for s0, s1 in zip(slopes[:-1], slopes[1:]):
             if sense * (s1 - s0) < -1e-9:
-                raise AssertionError("polygon is not convex")
+                raise ConsistencyError("polygon is not convex")
     lo, hi = poly.domain
     for l in np.linspace(lo, hi, 41):
         if abs(poly.width(float(l)) - dh.rho(float(l))) > WIDTH_TOL:
-            raise AssertionError("polygon width disagrees with the "
-                                 "Duistermaat-Heckman profile")
+            raise ConsistencyError("polygon width disagrees with the "
+                                   "Duistermaat-Heckman profile")
 
 
 def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:

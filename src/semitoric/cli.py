@@ -2,8 +2,10 @@
 and parameter sweeps as CSV/JSON plot data.
 
 Exit codes: 0 success, 2 invalid arguments, 3 mathematical degeneracy,
-4 I/O failure.  CSV output uses shortest round-trip float formatting and LF
-line endings, so identical arguments produce byte-identical files.
+4 I/O failure, 5 internal consistency check failed (a self-check of the
+computation did not hold, so no result is printed).  CSV output uses
+shortest round-trip float formatting and LF line endings, so identical
+arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import cartography, height, singularity
-from .errors import DegenerateSystemError, SemitoricError
+from .errors import ConsistencyError, DegenerateSystemError, SemitoricError
 from .model import ModelParams, ns_frame
 
 JSON_SCHEMA = "semitoric-invariants/1"
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
+EXIT_INCONSISTENT = 5
 
 
 def _fmt(x) -> str:
@@ -297,6 +300,9 @@ def main(argv=None) -> int:
     except DegenerateSystemError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ConsistencyError as exc:
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except (ValueError, SemitoricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

@@ -19,3 +19,7 @@ class NonconvergenceError(SemitoricError):
 
 class BranchSelectionError(SemitoricError):
     """The two closed-form evaluation paths disagree beyond tolerance."""
+
+
+class ConsistencyError(SemitoricError):
+    """An internal self-check failed; the result it guards is not returned."""

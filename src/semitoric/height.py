@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reduced
-from .errors import BranchSelectionError, DegenerateSystemError
+from .errors import (BranchSelectionError, ConsistencyError,
+                     DegenerateSystemError)
 from .model import ModelParams, ns_frame
 from .numerics import QuadratureSettings, find_root_bisect, integrate
 from .singularity import discriminant_E
@@ -278,11 +279,7 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     # (verified against ambient Monte Carlo sampling in the test suite).
     orient = 1.0 if label == "NS" else -1.0
 
-    def a_of(p2):
-        return reduced.reduced_A(label, 0.0, p2, params)
-
-    def b_of(p2):
-        return reduced.reduced_B(label, 0.0, p2, params)
+    a_of, b_of = reduced.chart(label, 0.0, params)
 
     def p_of(p2):
         d = crit - a_of(p2)
@@ -296,12 +293,11 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     tails = np.array([10.0 ** -k for k in range(3, 13)]) * span
     grid = np.unique(np.concatenate([
         np.linspace(lo, hi, 513)[1:-1], lo + tails, hi - tails]))
-    signs = np.sign([p_of(x) for x in grid])
+    signs = np.sign(p_of(grid))
     cuts = [lo]
-    for i in range(len(grid) - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            cuts.append(find_root_bisect(p_of, float(grid[i]),
-                                         float(grid[i + 1]), 1e-14))
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+        cuts.append(find_root_bisect(p_of, float(grid[i]),
+                                     float(grid[i + 1]), 1e-14))
     cuts.append(hi)
 
     max_excess = 0.0
@@ -332,7 +328,7 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
             const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
             area += const * (b - a)
     if max_excess > 1e-8:
-        raise AssertionError(
+        raise ConsistencyError(
             f"arccos argument exceeded [-1, 1] by {max_excess:.3e}: "
             f"sign error, not roundoff")
     return area / (2.0 * math.pi)

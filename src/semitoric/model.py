@@ -34,6 +34,8 @@ class ModelParams:
     s2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
+            raise ValueError("r1 and r2 must be finite")
         if self.r1 <= 0 or self.r2 <= 0:
             raise ValueError("r1 and r2 must be positive")
         if self.r1 == self.r2:

@@ -112,8 +112,20 @@ def integrate(f, a, b, settings: QuadratureSettings | None = None):
         n_splits += 1
 
 
+# Bisection and golden section also stop once no float lies strictly
+# between the bracket ends: an absolute ``tol`` below the float spacing
+# there (1e-14 past |x| = 16, 1e-10 past |x| = 2**19) can never be met.
+# The step cap is a last guard; it exceeds the ~3000 golden steps (~2100
+# halvings) that shrink the widest finite bracket to adjacent floats.
+_MAX_STEPS = 4000
+
+
 def find_root_bisect(f, a, b, tol=1e-13):
-    """Bisection root of ``f`` on a bracketing interval ``[a, b]``."""
+    """Bisection root of ``f`` on a bracketing interval ``[a, b]``.
+
+    Stops when the bracket is narrower than ``tol`` or cannot be split any
+    further in floating point.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -121,8 +133,12 @@ def find_root_bisect(f, a, b, tol=1e-13):
         return b
     if fa * fb > 0:
         raise ValueError("f(a) and f(b) must have opposite signs")
-    while b - a > tol:
+    for _ in range(_MAX_STEPS):
+        if not b - a > tol:
+            break
         m = 0.5 * (a + b)
+        if m == a or m == b:  # adjacent floats: tol is below their spacing
+            break
         fm = f(m)
         if fm == 0.0:
             return m
@@ -141,7 +157,10 @@ def _golden_local(f, a, b, tol):
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    for _ in range(_MAX_STEPS):
+        xm = 0.5 * (a + b)
+        if not b - a > tol or xm == a or xm == b:
+            break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)

@@ -7,6 +7,13 @@ splits as A_l(p2) + sqrt(B_l(p2)) cos(q2); B >= 0 defines the physical
 region.  The SN model uses the reflected coordinates (q2 -> -q2,
 p2 -> 2R - p2), so both labels share the convention that the physical
 interval starts at p2 = 0.
+
+``chart(label, l, params)`` is the one place where A_l and B_l are written
+down.  It computes the p2-independent coefficients of a level once and
+returns A_l and B_l as functions of p2 that take a float or a NumPy array;
+an array is evaluated with the same operations in the same order as a
+float, so both give the same bits.  ``reduced_A`` and ``reduced_B`` are
+scalar conveniences over it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .errors import ConsistencyError
 from .model import ModelParams
 
 LABELS = ("NS", "SN")
@@ -26,25 +34,46 @@ def _check_label(label: str):
         raise ValueError(f"label must be 'NS' or 'SN', got {label!r}")
 
 
-def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:
-    """Polynomial part A_l(p2) of the reduced Hamiltonian."""
+def chart(label: str, l: float, params: ModelParams):
+    """The reduced chart at level offset ``l`` as a pair of functions (A, B).
+
+    A(p2) is the polynomial part A_l(p2) of the reduced Hamiltonian and
+    B(p2) the radicand B_l(p2), non-negative exactly on the physical region.
+    Both accept a float or an array of p2 values.
+    """
     _check_label(label)
     R, s1, s2 = params.R, params.s1, params.s2
+    c = params.coupling
+    ka = (1.0 / R) * (1 - 2 * s1)
+    slope = s2 - R + R * s2
     if label == "NS":
-        return (1.0 / R) * (1 - 2 * s1) * (
-            R * (1 + l - 2 * s2 - l * s2) + p2 * (s2 - R + R * s2))
-    return (1.0 / R) * (1 - 2 * s1) * (
-        R * (-1 + l + 2 * s2 - l * s2) + p2 * (s2 - R + R * s2))
+        base = R * (1 + l - 2 * s2 - l * s2)
+        m = l
+    else:
+        # p2 - (-l) is p2 + l to the last bit, so SN shares B's expression.
+        base = R * (-1 + l + 2 * s2 - l * s2)
+        m = -l
+    kb = 4 * c * c / R ** 2
+    two_r = 2 * R
+
+    def A(p2):
+        return ka * (base + p2 * slope)
+
+    def B(p2):
+        # Left to right, as written: folding m + 2 would change the bits.
+        return kb * p2 * (p2 - m) * (p2 - two_r) * (p2 - m - 2)
+
+    return A, B
+
+
+def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:
+    """Polynomial part A_l(p2) of the reduced Hamiltonian."""
+    return chart(label, l, params)[0](p2)
 
 
 def reduced_B(label: str, l: float, p2: float, params: ModelParams) -> float:
     """Radicand B_l(p2); non-negative exactly on the physical region."""
-    _check_label(label)
-    R = params.R
-    c = params.coupling
-    if label == "NS":
-        return (4 * c * c / R ** 2) * p2 * (p2 - l) * (p2 - 2 * R) * (p2 - l - 2)
-    return (4 * c * c / R ** 2) * p2 * (p2 + l) * (p2 - 2 * R) * (p2 + l - 2)
+    return chart(label, l, params)[1](p2)
 
 
 def critical_h(label: str, params: ModelParams) -> float:
@@ -77,11 +106,11 @@ def poly_P(label: str, l: float, h: float, p2: float,
     The offset sign is + for NS and - for SN, so that the singularity sits
     at (l, h) = (0, 0) in both charts.
     """
-    _check_label(label)
+    A, B = chart(label, l, params)
     off = critical_h("NS", params)  # (1-2s1)(1-2s2)
     sign = 1.0 if label == "NS" else -1.0
-    d = h + sign * off - reduced_A(label, l, p2, params)
-    return reduced_B(label, l, p2, params) - d * d
+    d = h + sign * off - A(p2)
+    return B(p2) - d * d
 
 
 def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
@@ -141,7 +170,7 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     closed = np.sort(np.array([0.0, 0.0, z3, z4]))
     if np.max(np.abs(numeric.real - closed)) > 1e-9 or \
             np.max(np.abs(numeric.imag)) > 1e-9:
-        raise AssertionError(
+        raise ConsistencyError(
             f"closed-form roots {closed} disagree with quartic solver {numeric}")
     return QuarticRoots(0.0, 0.0, z3, z4, all_real=True)
 
@@ -193,7 +222,7 @@ def dh_function(R: float) -> DHFunction:
     for l in np.linspace(-2.0, 2.0 * R, 33):
         lo, hi = physical_interval("NS", float(l), R)
         if abs(dh.rho(float(l)) - (hi - lo)) > 1e-12:
-            raise AssertionError("DH profile disagrees with interval length")
+            raise ConsistencyError("DH profile disagrees with interval length")
     return dh
 
 

@@ -5,6 +5,8 @@ Acceptance tests register a one-line PASS/FAIL verdict through
 each criterion is visible even under output capture.
 """
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,16 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def time_limit():
+    """``time_limit(seconds)`` arms SIGALRM: a test still running after
+    ``seconds`` fails with TimeoutError instead of hanging the suite."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("time limit exceeded")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitoric.cartography import (ImageBoundary, Polygon, act_flip_cut,
-                                   act_shear, image_boundary,
+from semitoric.cartography import (ImageBoundary, Polygon, _assert_polygon,
+                                   act_flip_cut, act_shear, image_boundary,
                                    polygon_representative)
+from semitoric.errors import ConsistencyError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from semitoric.reduced import dh_function
 from semitoric.singularity import discriminant_E
@@ -83,6 +84,16 @@ class TestPolygonVertices:
     def test_rejects_bad_cuts(self):
         with pytest.raises(ValueError):
             polygon_representative(FF_PARAMS, (0, 1))
+
+    def test_self_check_rejects_non_convex_polygon(self):
+        # Bottom slopes 1 then 0 bend the wrong way; widths match rho.
+        dh = dh_function(2.0)
+        bottom = ((-2.0, 0.0), (0.0, 2.0), (4.0, 2.0))
+        top = tuple((l, y + dh.rho(l)) for l, y in bottom)
+        poly = Polygon(bottom + tuple(reversed(top[1:-1])), (1, 1),
+                       (0.0, 2.0), bottom, top)
+        with pytest.raises(ConsistencyError, match="not convex"):
+            _assert_polygon(poly, dh)
 
 
 class TestToricType:
@@ -209,6 +220,13 @@ class TestImageBoundary:
         bnd = image_boundary(ModelParams(1, 2, 0.0, 0.0), n=16)
         assert bnd.ff_values == ()
         assert len(bnd.corner_values) == 4
+
+    def test_large_ratio_returns(self, time_limit):
+        # Near p2 = 2e6 the float spacing exceeds the golden-section tol.
+        time_limit(10)
+        bnd = image_boundary(ModelParams(1, 1e6, 0, 0.5), 16)
+        assert len(bnd.samples) == 17
+        assert all(h_min <= h_max for _, h_min, h_max in bnd.samples)
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):

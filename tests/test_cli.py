@@ -41,6 +41,13 @@ class TestClassify:
         assert code == 3
         assert "degenerate" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_radius_message(self, capsys, value):
+        code, _, err = run(capsys, ["classify", f"--R1={value}", "--R2", "2",
+                                    "--s1", "0.3", "--s2", "0.4"])
+        assert code == 2
+        assert err == "error: r1 and r2 must be finite\n"
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run(capsys, ["classify"] + BASE
                            + ["--s1", "2.0", "--s2", "0.5"])
@@ -63,6 +70,16 @@ class TestHeight:
         code, out, _ = run(capsys, args)
         assert code == 0
         assert "h1 = 1.0" in out and "h2 = 1.0" in out
+
+    def test_failed_self_check_exit_code(self, capsys):
+        # E is about -9.5e-6 here, inside the zone where the oracle's sign
+        # scan misses an arccos zone and its overshoot check fires.
+        code, out, err = run(capsys, ["height"] + BASE + [
+            "--s1", "0.02", "--s2", "0.8929379052866228"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("internal consistency check failed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_no_focus_focus_is_degenerate_exit(self, capsys):
         code, _, err = run(capsys, ["height"] + BASE

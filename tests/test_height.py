@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from semitoric import reduced
 from semitoric.errors import BranchSelectionError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
                               gamma_B, gamma_coefficients, height_both,
                               height_closed, height_oracle, integral_NA,
                               integral_NB)
-from semitoric.model import ModelParams
-from semitoric.numerics import QuadratureSettings, integrate
+from semitoric.model import ModelParams, ns_frame
+from semitoric.numerics import (QuadratureSettings, find_root_bisect,
+                                integrate)
 from semitoric.singularity import discriminant_E
 
 
@@ -25,6 +27,57 @@ def _quad_NB(alpha, beta, gamma, delta):
                          * math.sqrt(alpha * p * p + beta * p + gamma))
     val, _ = integrate(f, 0.0, z3, settings)
     return val
+
+
+def scalar_scan_oracle(label, params, tol=1e-9):
+    """Reference copy of ``height_oracle`` with the per-point scalar sign
+    scan it used before the scan became one array evaluation."""
+    lo, hi = reduced.physical_interval(label, 0.0, params.R)
+    crit = reduced.critical_h(label, params)
+    orient = 1.0 if label == "NS" else -1.0
+
+    def a_of(p2):
+        return reduced.reduced_A(label, 0.0, p2, params)
+
+    def b_of(p2):
+        return reduced.reduced_B(label, 0.0, p2, params)
+
+    def p_of(p2):
+        d = crit - a_of(p2)
+        return b_of(p2) - d * d
+
+    span = hi - lo
+    tails = np.array([10.0 ** -k for k in range(3, 13)]) * span
+    grid = np.unique(np.concatenate([
+        np.linspace(lo, hi, 513)[1:-1], lo + tails, hi - tails]))
+    signs = np.sign([p_of(x) for x in grid])
+    cuts = [lo]
+    for i in range(len(grid) - 1):
+        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
+            cuts.append(find_root_bisect(p_of, float(grid[i]),
+                                         float(grid[i + 1]), 1e-14))
+    cuts.append(hi)
+
+    def width(p2):
+        b = b_of(p2)
+        d = orient * (a_of(p2) - crit)
+        if b <= 0.0:
+            return 2.0 * math.pi if d < 0 else 0.0
+        return 2.0 * math.acos(max(-1.0, min(1.0, d / math.sqrt(b))))
+
+    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
+                                  endpoint_mode="both")
+    area = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a < 1e-14:
+            continue
+        mid = 0.5 * (a + b)
+        if p_of(mid) > 0.0:
+            area += integrate(width, a, b, settings)[0]
+        else:
+            const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
+            area += const * (b - a)
+    return area / (2.0 * math.pi)
 
 
 class TestGammaPolynomials:
@@ -154,6 +207,24 @@ class TestHeightValues:
         a = height_oracle("NS", ModelParams(1, 2, 0.25, 0.25))
         b = height_oracle("SN", ModelParams(1, 2, 0.75, 0.25))
         assert abs(a - b) < 1e-9
+
+    def test_oracle_matches_scalar_scan_reference(self):
+        # Seeded focus-focus points in both frames, away from the known
+        # defect zones: -E <= 1e-2 r1 r2, where the scan misses narrow
+        # arccos zones, and the case-III crossing of the closed form.
+        rng = np.random.default_rng(35)
+        frames = {"R > 1": 0, "R < 1": 0}
+        while min(frames.values()) < 30:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            p = ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
+            w = ns_frame(p)
+            case_iii_factor = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
+            if (discriminant_E(p) >= -1e-2 * p.r1 * p.r2
+                    or abs(case_iii_factor) <= 1e-3):
+                continue
+            frames["R > 1" if R > 1 else "R < 1"] += 1
+            for label in ("NS", "SN"):
+                assert height_oracle(label, p) == scalar_scan_oracle(label, p)
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

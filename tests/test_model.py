@@ -25,6 +25,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(0.0, 1.0, 0.3, 0.4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_radii(self, bad):
+        with pytest.raises(ValueError, match="r1 and r2 must be finite"):
+            ModelParams(bad, 1.0, 0.3, 0.4)
+        with pytest.raises(ValueError, match="r1 and r2 must be finite"):
+            ModelParams(1.0, bad, 0.3, 0.4)
+
     def test_rejects_couplings_outside_unit_interval(self):
         with pytest.raises(ValueError):
             ModelParams(1.0, 2.0, -0.1, 0.4)

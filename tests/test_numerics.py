@@ -67,6 +67,14 @@ class TestBisect:
                      for t in (1e-3, 1e-6, 1e-9, 1e-12)]
         assert all(a >= b for a, b in zip(residuals[:-1], residuals[1:]))
 
+    def test_tol_below_float_spacing(self, time_limit):
+        # Near 2e6 adjacent floats are 2.3e-10 apart, far above tol.  f is
+        # zero at no float (x - 2e6 is a multiple of 2**-32, 0.1 is not),
+        # so only the bracket can stop the search.
+        time_limit(10)
+        x = find_root_bisect(lambda x: (x - 2e6) - 0.1, 2e6, 2e6 + 1.0, 1e-14)
+        assert abs(x - (2e6 + 0.1)) <= math.ulp(2e6)
+
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
@@ -77,6 +85,11 @@ class TestGolden:
         res = minimize_golden(lambda x: (x - 1.0) ** 2, 0.0, 3.0)
         assert abs(res.x - 1.0) < 1e-8
         assert res.unimodal
+
+    def test_tol_below_float_spacing(self, time_limit):
+        time_limit(10)
+        res = minimize_golden(lambda x: (x - 2e6 - 0.3) ** 2, 2e6, 2e6 + 1.0)
+        assert abs(res.x - (2e6 + 0.3)) < 1e-6
 
     def test_monotone_hits_endpoint(self):
         res = minimize_golden(lambda x: x, 0.0, 1.0)

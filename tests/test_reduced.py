@@ -49,6 +49,61 @@ class TestReducedModel:
             reduced.physical_interval("SN", 3.0, params.R)
 
 
+def literal_A(label, l, p2, params):
+    """A_l(p2) exactly as written before the chart evaluator existed."""
+    R, s1, s2 = params.R, params.s1, params.s2
+    if label == "NS":
+        return (1.0 / R) * (1 - 2 * s1) * (
+            R * (1 + l - 2 * s2 - l * s2) + p2 * (s2 - R + R * s2))
+    return (1.0 / R) * (1 - 2 * s1) * (
+        R * (-1 + l + 2 * s2 - l * s2) + p2 * (s2 - R + R * s2))
+
+
+def literal_B(label, l, p2, params):
+    """B_l(p2) exactly as written before the chart evaluator existed."""
+    R = params.R
+    c = params.coupling
+    if label == "NS":
+        return (4 * c * c / R ** 2) * p2 * (p2 - l) * (p2 - 2 * R) * (p2 - l - 2)
+    return (4 * c * c / R ** 2) * p2 * (p2 + l) * (p2 - 2 * R) * (p2 + l - 2)
+
+
+def chart_cases():
+    """(label, l, params, p2 grid): both labels, R on both sides of 1."""
+    rng = np.random.default_rng(41)
+    for R in (0.2, 0.7, 1.3, 2.0, 5.5):
+        for s1, s2 in [(0.3, 0.6), (0.5, 0.5), (0.0, 1.0),
+                       tuple(rng.uniform(0, 1, 2))]:
+            params = ModelParams(1.0, R, float(s1), float(s2))
+            grid = np.concatenate([np.linspace(-0.5, 2 * R + 2.5, 41),
+                                   rng.uniform(-1.0, 2 * R + 3.0, 24),
+                                   [0.0, -0.0, 2 * R]])
+            for label in reduced.LABELS:
+                for l in (-2.0, -0.5, 0.0, 0.3, 2 * R - 2, 2 * R):
+                    yield label, l, params, grid
+
+
+class TestChart:
+    def test_matches_literal_formulas(self):
+        for label, l, params, grid in chart_cases():
+            A, B = reduced.chart(label, l, params)
+            for p2 in map(float, grid):
+                assert A(p2) == literal_A(label, l, p2, params)
+                assert B(p2) == literal_B(label, l, p2, params)
+                assert reduced.reduced_A(label, l, p2, params) == A(p2)
+                assert reduced.reduced_B(label, l, p2, params) == B(p2)
+
+    def test_array_equals_elementwise_scalar(self):
+        for label, l, params, grid in chart_cases():
+            for f in reduced.chart(label, l, params):
+                scalar = np.array([f(float(x)) for x in grid])
+                assert f(grid).tobytes() == scalar.tobytes()
+
+    def test_rejects_unknown_label(self, params):
+        with pytest.raises(ValueError):
+            reduced.chart("XX", 0.0, params)
+
+
 class TestQuarticP0:
     def test_coefficients_match_direct_evaluation(self, params):
         coeffs = reduced.p0_coefficients("NS", params)

@@ -1,0 +1,151 @@
+"""Digest the output of a fixed list of ``semitoric`` CLI invocations.
+
+Each invocation runs in-process through ``semitoric.cli.main``.  For each
+one the script prints the exit code, the sha256 of stdout + stderr (plus
+the bytes of any ``--out`` file) and the arguments; the last line is the
+sha256 of all lines before it.  Run it on two checkouts and diff the
+printouts to show that a change leaves the CLI output byte-identical:
+
+    python tools/cli_digest.py                  # this checkout's src/
+    python tools/cli_digest.py OTHER/src        # another checkout
+
+The list covers every README example, ``height`` with all three methods,
+``image``, ``polygon`` with all four cuts and at the toric corners,
+``classify --json``, small sweeps and error exits, on inputs with R > 1 and
+R < 1, plus seeded random focus-focus points.  Standard library and NumPy
+only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20261018
+N_RANDOM = 8
+
+README_EXAMPLES = [
+    "classify --R1 1 --R2 2 --s1 0.5 --s2 0.5",
+    "height --R1 1 --R2 2 --s1 0.25 --s2 0.25 --method both --json",
+    "polygon --R1 1 --R2 2 --s1 0.5 --s2 0.5 --cuts +-",
+    "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 64 --out image.csv",
+    "sweep --R1 1 --R2 2 --quantity height --s1-count 51 --s2-count 51",
+]
+
+# (R1, R2, s1, s2): focus-focus points in both frames, toric type, the
+# degenerate root of E, a failed oracle self-check (E ~ -9.5e-6), and a
+# non-finite radius.
+FF_POINTS = [(1, 2, 0.25, 0.25), (1, 2, 0.3, 0.55), (1, 3, 0.75, 0.8),
+             (2, 1, 0.3, 0.4), (3, 1, 0.6, 0.2)]
+TORIC_POINTS = [(1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 1, 0), (1, 2, 1, 1),
+                (2, 1, 0, 0), (2, 1, 1, 1), (1, 1e6, 0, 0)]
+EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
+               (1, 2, 0.02, 0.8929379052866228), ("nan", 2, 0.3, 0.4)]
+
+
+def flags(point) -> str:
+    r1, r2, s1, s2 = point
+    return f"--R1={r1} --R2={r2} --s1={s1} --s2={s2}"
+
+
+def random_ff_points(rng):
+    """Seeded focus-focus points with R log-uniform on [1/8, 8]."""
+    from semitoric.model import ModelParams
+    from semitoric.singularity import discriminant_E
+
+    points = []
+    while len(points) < N_RANDOM:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        s1, s2 = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+        if discriminant_E(ModelParams(1.0, R, s1, s2)) < -1e-2 * R:
+            points.append((1.0, R, s1, s2))
+    return points
+
+
+def invocations():
+    out = list(README_EXAMPLES)
+    points = FF_POINTS + random_ff_points(np.random.default_rng(SEED))
+    for p in points + TORIC_POINTS + EDGE_POINTS:
+        out.append(f"classify {flags(p)}")
+        out.append(f"classify --json {flags(p)}")
+    for p in points + EDGE_POINTS:
+        for method in ("closed", "quadrature", "both"):
+            out.append(f"height --method {method} {flags(p)}")
+            out.append(f"height --method {method} --json {flags(p)}")
+    for p in FF_POINTS:
+        for cuts in ("++", "+-", "-+", "--"):
+            out.append(f"polygon --cuts={cuts} {flags(p)}")
+        out.append(f"polygon --cuts=-+ --json {flags(p)}")
+    for p in TORIC_POINTS:
+        out.append(f"polygon {flags(p)}")
+        out.append(f"polygon --json {flags(p)}")
+    for p in FF_POINTS[:1] + FF_POINTS[3:4] + TORIC_POINTS[:1]:
+        out.append(f"image --samples 16 {flags(p)}")
+        out.append(f"image --samples 64 {flags(p)} --out image.csv")
+    for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
+        for q in ("nff", "E", "height"):
+            out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
+        out.append(f"sweep {r} --quantity height --s1-start 0.2 "
+                   f"--s1-stop 0.4 --s2-count 9 --s1-count 9 --parallel")
+    out += ["classify --R1 1 --R2 2 --s1 2.0 --s2 0.5",
+            "polygon --R1 1 --R2 2 --s1 0.5 --s2 0.5 --cuts xx",
+            "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 4",
+            "sweep --R1 1 --R2 2 --quantity E --s1-count 1"]
+    return out
+
+
+def run_one(main, command: str, workdir: Path):
+    """(exit code, sha256 hex) of one in-process CLI run."""
+    argv = command.split()
+    out_file = None
+    if "--out" in argv:
+        k = argv.index("--out") + 1
+        out_file = workdir / argv[k]
+        out_file.unlink(missing_ok=True)
+        argv[k] = str(out_file)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+        except Exception as exc:  # an uncaught error is output too
+            print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    digest = hashlib.sha256()
+    digest.update(stdout.getvalue().encode())
+    digest.update(stderr.getvalue().encode())
+    if out_file is not None and out_file.exists():
+        digest.update(out_file.read_bytes())
+    return code, digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    here = Path(__file__).resolve().parents[1]
+    src = Path(argv[0]) if argv else here / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from semitoric.cli import main as cli_main
+
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in invocations():
+            code, hexdigest = run_one(cli_main, command, Path(tmp))
+            lines.append(f"{code} {hexdigest} {command}")
+    for line in lines:
+        print(line)
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"total {total} ({len(lines)} invocations)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
