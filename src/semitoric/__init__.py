@@ -12,8 +12,9 @@ from .errors import (BranchSelectionError, ConsistencyError,
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
                      gamma_B, gamma_coefficients, height_both, height_closed,
                      height_oracle, integral_NA, integral_NB)
-from .model import (FIXED_POINTS, ModelParams, MomentumValue, PhasePoint,
-                    apply_symmetry, momentum_map, poisson_bracket)
+from .model import (FIXED_POINTS, ModelParams, MomentumValue, ParamGrid,
+                    PhasePoint, apply_symmetry, momentum_map,
+                    poisson_bracket)
 from .reduced import (DHFunction, dh_function, ff_levels, physical_interval,
                       chart, reduced_A, reduced_B, roots_P0)
 from .singularity import (SemitoricVerdict, SingularityReport,
@@ -23,7 +24,8 @@ from .singularity import (SemitoricVerdict, SingularityReport,
 __all__ = [
     "BranchSelectionError", "ConsistencyError", "DegenerateSystemError",
     "DHFunction", "FIXED_POINTS", "HeightInvariant", "ImageBoundary",
-    "ModelParams", "MomentumValue", "NonconvergenceError", "PhasePoint",
+    "ModelParams", "MomentumValue", "NonconvergenceError", "ParamGrid",
+    "PhasePoint",
     "Polygon",
     "SemitoricError", "SemitoricVerdict", "SingularityReport",
     "act_flip_cut", "act_shear", "apply_symmetry", "case_id", "chart",

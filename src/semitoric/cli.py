@@ -11,6 +11,8 @@ arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import cartography, height, singularity
 from .errors import ConsistencyError, DegenerateSystemError, SemitoricError
-from .model import ModelParams, ns_frame
+from .model import ModelParams, ParamGrid, ns_frame
 
 JSON_SCHEMA = "semitoric-invariants/1"
 
@@ -94,9 +96,9 @@ def cmd_height(args) -> int:
         inv = height.height_closed(params)
     elif args.method == "quadrature":
         work = ns_frame(params)
-        h1 = height.height_oracle("NS", work)
-        inv = height.HeightInvariant(h1, 2.0 - h1, height.case_id(work),
-                                     "quadrature")
+        inv = height.HeightInvariant(height.height_oracle("NS", work),
+                                     height.height_oracle("SN", work),
+                                     height.case_id(work), "quadrature")
     else:
         inv = height.height_both(params)
     if args.json:
@@ -176,24 +178,35 @@ def cmd_image(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(quantity, r1, r2, s1, s2):
-    params = ModelParams(r1, r2, s1, s2)
-    e = singularity.discriminant_E(params)
+def _sweep_fields(quantity, grid: ParamGrid) -> list[str]:
+    """The CSV fields after s1,s2 of every cell, in row order.
+
+    The whole grid is evaluated with a few array calls; every value is
+    bit-identical to the ModelParams call on its cell, and if some cell's
+    height raises, the first such cell in row order raises here.
+    """
+    with np.errstate(all="ignore"):
+        e = singularity.discriminant_E(grid)
+    e_list = e.ravel().tolist()
     if quantity == "E":
-        return [_fmt(s1), _fmt(s2), _fmt(e), ""]
-    try:
-        nff = singularity.n_ff(params)
-    except DegenerateSystemError:
-        if quantity == "nff":
-            return [_fmt(s1), _fmt(s2), "", "degenerate"]
-        return [_fmt(s1), _fmt(s2), "", "", "degenerate"]
+        return [f"{v!r}," for v in e_list]
+    degenerate = singularity.is_degenerate(e, grid).ravel().tolist()
     if quantity == "nff":
-        return [_fmt(s1), _fmt(s2), str(nff), ""]
-    if nff == 0:
-        return [_fmt(s1), _fmt(s2), "", "", "no-focus-focus"]
-    inv = height.height_closed(params)
-    flag = "ill-conditioned" if inv.ill_conditioned else ""
-    return [_fmt(s1), _fmt(s2), _fmt(inv.h1), _fmt(inv.h2), flag]
+        return [",degenerate" if d else ("2," if v < 0 else "0,")
+                for d, v in zip(degenerate, e_list)]
+    inv = height.height_closed(grid)
+    fields = []
+    for d, v, h1, h2, ill in zip(degenerate, e_list, inv.h1.ravel().tolist(),
+                                 inv.h2.ravel().tolist(),
+                                 inv.ill_conditioned.ravel().tolist()):
+        if d:
+            fields.append(",,degenerate")
+        elif v < 0:
+            fields.append(f"{h1!r},{h2!r},"
+                          + ("ill-conditioned" if ill else ""))
+        else:
+            fields.append(",,no-focus-focus")
+    return fields
 
 
 def cmd_sweep(args) -> int:
@@ -206,17 +219,19 @@ def cmd_sweep(args) -> int:
             raise ValueError("axis ranges must be increasing within [0, 1]")
     s1s = np.linspace(args.s1_start, args.s1_stop, args.s1_count)
     s2s = np.linspace(args.s2_start, args.s2_stop, args.s2_count)
-    cells = [(float(a), float(b)) for a in s1s for b in s2s]
-
-    rows = [_sweep_cell(args.quantity, args.R1, args.R2, *c) for c in cells]
+    fields = _sweep_fields(args.quantity,
+                           ParamGrid(args.R1, args.R2, s1s, s2s))
+    cells = itertools.product([_fmt(a) for a in s1s.tolist()],
+                              [_fmt(b) for b in s2s.tolist()])
     header = {"E": "s1,s2,E,flag",
               "nff": "s1,s2,n_ff,flag",
               "height": "s1,s2,h1,h2,flag"}[args.quantity]
-    lines = [header] + [",".join(r) for r in rows]
+    lines = [header] + [f"{a},{b},{f}" for (a, b), f in zip(cells, fields)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semitoric",
@@ -269,29 +284,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_cuts(argv):
-    """Take '--cuts X' and '--cuts=X' out of argv: (rest, last X or None).
+# The flags of build_parser() that take a value, except --cuts.
+_VALUE_FLAGS = frozenset({
+    "--R1", "--R2", "--s1", "--s2", "--method", "--out", "--samples",
+    "--quantity", "--s1-start", "--s1-stop", "--s1-count", "--s2-start",
+    "--s2-stop", "--s2-count"})
 
-    argparse reads a value starting with '-' as an option and drops a value
-    of '--', so cut strings such as '-+' and '--' must not reach it.
+
+def _prepare_argv(argv):
+    """argv for argparse, and the last polygon ``--cuts`` value (or None).
+
+    argparse reads a value that starts with '-' and is not a plain number
+    as an option, so ``--R2 -inf`` or ``--R2 -1e3`` would fail with
+    "expected one argument": such a flag and its value are joined as
+    ``--FLAG=VALUE``.  argparse also drops a value of '--', so for
+    ``polygon``, '--cuts X' and '--cuts=X' are taken out of argv and X is
+    returned.
     """
+    polygon = argv[:1] == ["polygon"]
     rest, cuts = [], None
     args = iter(argv)
     for arg in args:
-        if arg.startswith("--cuts="):
+        if polygon and arg.startswith("--cuts="):
             cuts = arg[len("--cuts="):]
-        elif arg == "--cuts" and (value := next(args, None)) is not None:
+        elif (polygon and arg == "--cuts"
+              and (value := next(args, None)) is not None):
             cuts = value
+        elif (rest and rest[-1] in _VALUE_FLAGS and arg.startswith("-")
+              and not arg.startswith("--")):
+            rest[-1] += "=" + arg
         else:
             rest.append(arg)
     return rest, cuts
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    cuts = None
-    if argv[:1] == ["polygon"]:
-        argv, cuts = _split_cuts(argv)
+    argv, cuts = _prepare_argv(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
     if cuts is not None:
         args.cuts = cuts

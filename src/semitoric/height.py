@@ -9,27 +9,83 @@ to 1e-8 or a branch-selection error is raised.
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
 adaptive quadrature of the angular width 2*arccos((A - H_crit)/sqrt(B)).
+
+Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_gamma_D``,
+``_quadratic_coeffs``, ``_v_coeffs``, ``integral_NA``, ``integral_NB`` and
+``closed_form_F`` take floats or NumPy arrays (broadcast together);
+``case_id`` and ``height_closed`` take a ModelParams or a ``ParamGrid``.
+Each formula is written once.  On floats it runs plain float arithmetic and
+the ``math`` module, so the scalar API costs what it did.  On arrays the
+results are bit-identical to the float calls cell by cell, under one rule:
+``**``, log and atan go through the C library one element at a time
+(``**`` through ``numerics.LibmArray``, log and atan over ``.tolist()``),
+because NumPy's vector loops differ from Python's ``**`` and ``math`` in
+the last bit on some inputs (200 000 doubles, AVX-512 host, NumPy 2.4.6:
+``np.power(a, 3)`` 5475, ``a ** 2`` about 200, ``np.log`` 532 to 715,
+``np.arctan`` 125 to 434 mismatches; ``np.sqrt`` none).  Pass LibmArray
+operands (a ParamGrid's axes are) to get those bits.
+
+Errors on arrays.  A check that raises on floats does not stop an array
+call: the failing element becomes NaN, and so does any element where a
+value the float path divides by, or takes the log or atan of, is not
+finite (the float path may raise there).  ``height_closed`` on a ParamGrid
+re-runs those cells through the float path in row order, so the first one
+that fails raises the same exception, with the same message, as a loop
+over the cells would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import reduced
 from .errors import (BranchSelectionError, ConsistencyError,
                      DegenerateSystemError)
-from .model import ModelParams, ns_frame
-from .numerics import QuadratureSettings, find_root_bisect, integrate
-from .singularity import discriminant_E
+from .model import ModelParams, ParamGrid, ns_frame
+from .numerics import (QuadratureSettings, find_root_bisect, integrate,
+                       libm_array)
+from .singularity import discriminant_E, is_degenerate
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
 # and the oracle sit on a genuine conditioning cliff there.
 ILL_CONDITIONED_BAND = 1e-6
 CASE_III_BAND = 1e-12
 CROSS_CHECK_TOL = 1e-8
+
+
+def _libm_log(x):
+    """``math.log`` per element; NaN where it would raise (x <= 0) or x is
+    NaN."""
+    return libm_array([math.log(v) if v > 0.0 else math.nan
+                       for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _libm_atan(x):
+    """``math.atan`` per element; NaN where x is not finite (an infinite
+    argument may come from a division by zero, which raises on floats)."""
+    return libm_array([math.atan(v) if -math.inf < v < math.inf else math.nan
+                       for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+# The elementary functions of the closed form, for float and array inputs.
+_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, atan=math.atan,
+                              max=max)
+_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=_libm_log, atan=_libm_atan,
+                              max=np.maximum)
+
+
+def _nan_where(fails, value, *also):
+    """``value`` with NaN where a check failed or where ``value`` or one of
+    ``also`` is not finite: the array elements only the float path can
+    decide."""
+    bad = fails | ~np.isfinite(value)
+    for x in also:
+        bad = bad | ~np.isfinite(x)
+    return np.where(bad, np.nan, value)
 
 
 def gamma_A(s1: float, s2: float, R: float) -> float:
@@ -109,45 +165,73 @@ def gamma_coefficients(params: ModelParams) -> GammaCoeffs:
     return GammaCoeffs(ga, gb, _gamma_C(s1, s2, R, sq), _gamma_D(s1, s2, R, sq))
 
 
-def integral_NA(alpha: float, beta: float, gamma: float) -> float:
+def integral_NA(alpha, beta, gamma):
     """Closed form of int_0^x+ dx / sqrt(alpha x^2 + beta x + gamma), where
     x+ is the smaller root of the radicand."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     disc = beta * beta - 4 * alpha * gamma
-    if disc < 0:
+    floats = not isinstance(disc, np.ndarray)
+    xm = _FLOAT_MATH if floats else _ARRAY_MATH
+    bad_alpha = alpha <= 0
+    if floats and bad_alpha:
+        raise ValueError("alpha must be positive")
+    bad_disc = disc < 0
+    if floats and bad_disc:
         raise ValueError("beta^2 - 4 alpha gamma must be non-negative")
-    if alpha * gamma < 0:
+    bad_product = alpha * gamma < 0
+    if floats and bad_product:
         raise ValueError("alpha * gamma must be non-negative")
-    arg = -math.sqrt(disc) / (beta + 2 * math.sqrt(alpha * gamma))
-    if arg <= 0:
+    arg = -xm.sqrt(disc) / (beta + 2 * xm.sqrt(alpha * gamma))
+    bad_arg = arg <= 0
+    if floats and bad_arg:
         raise ValueError(f"log argument {arg:.3e} not positive")
-    return math.log(arg) / math.sqrt(alpha)
+    value = xm.log(arg) / xm.sqrt(alpha)
+    if floats:
+        return value
+    return _nan_where(bad_alpha | bad_disc | bad_product | bad_arg, value)
 
 
-def integral_NB(alpha: float, beta: float, gamma: float, delta: float) -> float:
+def integral_NB(alpha, beta, gamma, delta):
     """Closed form of int_0^x+ dx / ((delta - x) sqrt(alpha x^2+beta x+gamma)).
 
     Uses the arctan branch when its radicand is positive, otherwise the
     equivalent log branch.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     disc = beta * beta - 4 * alpha * gamma
-    if disc < 0:
+    floats = not isinstance(disc, np.ndarray)
+    xm = _FLOAT_MATH if floats else _ARRAY_MATH
+    bad_alpha = alpha <= 0
+    if floats and bad_alpha:
+        raise ValueError("alpha must be positive")
+    bad_disc = disc < 0
+    if floats and bad_disc:
         raise ValueError("beta^2 - 4 alpha gamma must be non-negative")
-    upper = (-beta - math.sqrt(disc)) / (2 * alpha)
-    if 0.0 <= delta <= upper:
+    upper = (-beta - xm.sqrt(disc)) / (2 * alpha)
+    bad_delta = (0.0 <= delta) & (delta <= upper)
+    if floats and bad_delta:
         raise ValueError("delta must lie outside the integration interval")
     w = gamma + delta * (beta + alpha * delta)
-    if -w > 0:
-        num = 2 * gamma + delta * (beta + math.sqrt(disc))
-        den = 2 * math.sqrt(-gamma * w)
-        return 2.0 / math.sqrt(-w) * math.atan(num / den)
-    if w <= 0:
+    # w == 0 exactly when neither -w > 0 (arctan) nor w > 0 (log) holds.
+    bad_w = w == 0
+    if floats and bad_w:
         raise ValueError("degenerate radicand in N_B")
-    num = -2 * gamma - beta * delta + 2 * math.sqrt(gamma * gamma + gamma * delta * (beta + alpha * delta))
-    return math.log(num / (delta * math.sqrt(disc))) / math.sqrt(w)
+    branch = (alpha, beta, gamma, delta, disc, w, xm)
+    if floats:
+        return _nb_atan(*branch) if -w > 0 else _nb_log(*branch)
+    return _nan_where(bad_alpha | bad_disc | bad_delta | bad_w,
+                      np.where(-w > 0, _nb_atan(*branch), _nb_log(*branch)))
+
+
+def _nb_atan(alpha, beta, gamma, delta, disc, w, xm):
+    num = 2 * gamma + delta * (beta + xm.sqrt(disc))
+    den = 2 * xm.sqrt(-gamma * w)
+    return 2.0 / xm.sqrt(-w) * xm.atan(num / den)
+
+
+def _nb_log(alpha, beta, gamma, delta, disc, w, xm):
+    num = (-2 * gamma - beta * delta
+           + 2 * xm.sqrt(gamma * gamma
+                         + gamma * delta * (beta + alpha * delta)))
+    return xm.log(num / (delta * xm.sqrt(disc))) / xm.sqrt(w)
 
 
 def _quadratic_coeffs(s1, s2, R):
@@ -164,7 +248,7 @@ def _v_coeffs(s1, s2, R):
     return v1, v2, v3
 
 
-def closed_form_F(s1: float, s2: float, R: float) -> float:
+def closed_form_F(s1, s2, R):
     """The elementary-function expression whose value determines h1.
 
     Primary path: twice the partial-fraction decomposition
@@ -174,45 +258,59 @@ def closed_form_F(s1: float, s2: float, R: float) -> float:
     single-branch arctan form valid on the whole focus-focus region, so it
     is not double-evaluated.)
     """
-    ga = gamma_A(s1, s2, R)
-    if ga <= 0:
+    alpha, beta, ga = _quadratic_coeffs(s1, s2, R)
+    floats = not isinstance(ga, np.ndarray)
+    xm = _FLOAT_MATH if floats else _ARRAY_MATH
+    bad_ga = ga <= 0
+    if floats and bad_ga:
         raise ValueError(f"gamma_A = {ga:.3e} <= 0: outside the focus-focus "
                          f"regime")
     denom_factor = (2 * s1 - 1) * (R * (s2 - 1) + s2)
-    if denom_factor == 0.0:
+    bad_denom = denom_factor == 0.0
+    if floats and bad_denom:
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
-    alpha, beta, gamma = _quadratic_coeffs(s1, s2, R)
     v1, v2, v3 = _v_coeffs(s1, s2, R)
-    t_log = 2.0 * v1 * integral_NA(alpha, beta, gamma)
-    t_mid = 2.0 * v2 * integral_NB(alpha, beta, gamma, 2.0)
-    t_far = 2.0 * v3 * integral_NB(alpha, beta, gamma, 2.0 * R)
+    t_log = 2.0 * v1 * integral_NA(alpha, beta, ga)
+    t_mid = 2.0 * v2 * integral_NB(alpha, beta, ga, 2.0)
+    t_far = 2.0 * v3 * integral_NB(alpha, beta, ga, 2.0 * R)
     f_primary = t_log + t_mid + t_far
 
     gb = gamma_B(s1, s2, R)
-    if gb < 0:
+    bad_gb = gb < 0
+    if floats and bad_gb:
         raise ValueError(f"gamma_B = {gb:.3e} < 0")
-    sq_gb, sq_ga = math.sqrt(gb), math.sqrt(ga)
+    sq_gb, sq_ga = xm.sqrt(gb), xm.sqrt(ga)
     gd = _gamma_D(s1, s2, R, sq_gb)
     m = s1 ** 2 - s1 + s2 ** 2 - s2
     t_log_check = (denom_factor / m
-                   * math.log(-sq_gb / (2 * (R + 1) * m + sq_ga)))
-    t_far_check = 4.0 * R * math.atan(gd / (sq_ga * denom_factor))
-    scale = max(1.0, abs(f_primary))
-    if abs(t_log - t_log_check) > CROSS_CHECK_TOL * scale or \
-            abs(t_far - t_far_check) > CROSS_CHECK_TOL * scale:
+                   * xm.log(-sq_gb / (2 * (R + 1) * m + sq_ga)))
+    t_far_check = 4.0 * R * xm.atan(gd / (sq_ga * denom_factor))
+    scale = xm.max(1.0, abs(f_primary))
+    disagree = ((abs(t_log - t_log_check) > CROSS_CHECK_TOL * scale)
+                | (abs(t_far - t_far_check) > CROSS_CHECK_TOL * scale))
+    if floats and disagree:
         raise BranchSelectionError(
             f"closed-form paths disagree: ({t_log!r}, {t_far!r}) vs "
             f"({t_log_check!r}, {t_far_check!r}) at (s1, s2, R) = "
             f"({s1}, {s2}, {R})")
-    return f_primary
+    if floats:
+        return f_primary
+    return _nan_where(bad_ga | bad_denom | bad_gb | disagree, f_primary,
+                      t_log_check, t_far_check)
 
 
-def case_id(params: ModelParams) -> str:
-    """Case label I..V from the signs of s1 - 1/2 and s2 - R/(R+1)."""
+def case_id(params: ModelParams | ParamGrid):
+    """Case label I..V from the signs of s1 - 1/2 and s2 - R/(R+1); for a
+    ParamGrid, an array of labels over the grid."""
     R = params.R
     a = params.s1 - 0.5
     b = params.s2 - R / (R + 1)
+    if isinstance(params, ParamGrid):
+        labels = np.where(a < 0, np.where(b < 0, "I", "II"),
+                          np.where(b < 0, "IV", "V"))
+        return np.where((abs(a) <= CASE_III_BAND) | (abs(b) <= CASE_III_BAND),
+                        "III", labels)
     if abs(a) <= CASE_III_BAND or abs(b) <= CASE_III_BAND:
         return "III"
     if a < 0:
@@ -232,18 +330,30 @@ class HeightInvariant:
 
 def _require_focus_focus(params: ModelParams) -> float:
     e = discriminant_E(params)
-    if e >= 0 or abs(e) <= 1e-10 * params.r1 * params.r2:
+    if e >= 0 or is_degenerate(e, params):
         raise DegenerateSystemError(
             f"E = {e:.6e} >= 0: no focus-focus points, height undefined")
     return e
 
 
-def height_closed(params: ModelParams) -> HeightInvariant:
-    """Height invariant from the closed form."""
+def _ill_conditioned(e):
+    return (-ILL_CONDITIONED_BAND < e) & (e < 0)
+
+
+def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
+    """Height invariant from the closed form.
+
+    On a ParamGrid the fields are arrays over the grid (case_ns holds the
+    labels), h1 and h2 are NaN in the cells without focus-focus points, and
+    the first cell in row order whose float call raises makes this call
+    raise the same exception.
+    """
+    if isinstance(params, ParamGrid):
+        return _height_closed_grid(params)
     e = _require_focus_focus(params)
     work = ns_frame(params)
     case = case_id(work)
-    ill = -ILL_CONDITIONED_BAND < e < 0
+    ill = _ill_conditioned(e)
     if case == "III":
         return HeightInvariant(1.0, 1.0, case, "closed-form", ill)
     # Canonicalize to s1 < 1/2 through the exact mirror identity
@@ -258,6 +368,36 @@ def height_closed(params: ModelParams) -> HeightInvariant:
     else:  # II, IV
         h1 = -f / (2.0 * math.pi)
     return HeightInvariant(h1, 2.0 - h1, case, "closed-form", ill)
+
+
+def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
+    """``height_closed`` in every cell of a grid with a few array calls."""
+    with np.errstate(all="ignore"):
+        e = discriminant_E(grid)
+        work = ns_frame(grid)
+        case = case_id(work)
+        mirrored = work.s1 > 0.5
+        try:
+            f = closed_form_F(
+                libm_array(np.where(mirrored, 1.0 - work.s1, work.s1)),
+                work.s2, work.R)
+        except OverflowError:
+            # R ** 2 overflows: the float path raises OverflowError in every
+            # cell that reaches F (none in case III or without focus-focus
+            # points), and the re-run below raises it for the first one.
+            f = np.full(case.shape, np.nan)
+        f = np.where(mirrored, -f, f)
+        h1 = np.where((case == "I") | (case == "V"),
+                      2.0 - f / (2.0 * math.pi), -f / (2.0 * math.pi))
+        h1 = np.where(case == "III", 1.0, h1)
+        ff = (e < 0) & ~is_degenerate(e, grid)
+    for i, j in np.argwhere(ff & ~np.isfinite(h1)):
+        cell = ModelParams(grid.r1, grid.r2, float(grid.s1[i, 0]),
+                           float(grid.s2[0, j]))
+        h1[i, j] = height_closed(cell).h1
+    h1 = np.where(ff, h1, np.nan)
+    return HeightInvariant(h1, 2.0 - h1, case, "closed-form",
+                           _ill_conditioned(e))
 
 
 def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:

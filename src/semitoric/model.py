@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import libm_array
+
 SPHERE_TOL = 1e-9  # input validation tolerance for |n_i| = 1
 FD_STEP = 1e-6     # central-difference step for default gradients
 
@@ -34,12 +36,7 @@ class ModelParams:
     s2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
-            raise ValueError("r1 and r2 must be finite")
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ValueError("r1 and r2 must be positive")
-        if self.r1 == self.r2:
-            raise ValueError("r1 == r2 (non-simple case) is excluded")
+        _check_radii(self.r1, self.r2)
         if not (0.0 <= self.s1 <= 1.0 and 0.0 <= self.s2 <= 1.0):
             raise ValueError("s1 and s2 must lie in [0, 1]")
 
@@ -54,15 +51,57 @@ class ModelParams:
         return self.s1 + self.s2 - self.s1 ** 2 - self.s2 ** 2
 
 
-def ns_frame(params: ModelParams) -> ModelParams:
+def _check_radii(r1, r2):
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError("r1 and r2 must be finite")
+    if r1 <= 0 or r2 <= 0:
+        raise ValueError("r1 and r2 must be positive")
+    if r1 == r2:
+        raise ValueError("r1 == r2 (non-simple case) is excluded")
+
+
+@dataclass(frozen=True)
+class ParamGrid:
+    """System parameters on an (s1, s2) grid, for the array closed forms.
+
+    One pair of radii; ``s1`` is held as an (n1, 1) column and ``s2`` as a
+    (1, n2) row, both as ``LibmArray``.  Formulas written for ModelParams
+    then broadcast to the n1 x n2 grid, with cell (i, j) at (s1[i], s2[j]),
+    evaluate every single-variable term once per axis value, and give the
+    same bits in each cell as on the ModelParams of that cell.  The radii
+    and the axis values are validated once, with ModelParams' messages.
+    """
+
+    r1: float
+    r2: float
+    s1: np.ndarray
+    s2: np.ndarray
+
+    def __post_init__(self):
+        _check_radii(self.r1, self.r2)
+        s1 = libm_array(self.s1).reshape(-1, 1)
+        s2 = libm_array(self.s2).reshape(1, -1)
+        if not all(((0.0 <= s) & (s <= 1.0)).all() for s in (s1, s2)):
+            raise ValueError("s1 and s2 must lie in [0, 1]")
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
+
+    @property
+    def R(self) -> float:
+        """Radius ratio r2/r1."""
+        return self.r2 / self.r1
+
+
+def ns_frame(params):
     """Parameters with R > 1, via the sphere-swap symmetry when needed.
 
     The swap is a semitoric isomorphism, so the height multiset is
     unchanged; label attribution for R < 1 follows the swapped frame.
+    Takes and returns a ModelParams or a ParamGrid.
     """
     if params.R > 1.0:
         return params
-    return ModelParams(params.r2, params.r1, params.s1, 1.0 - params.s2)
+    return type(params)(params.r2, params.r1, params.s1, 1.0 - params.s2)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ The four rank-0 singularities are the products of poles NN, NS, SN, SS.
 NN and SS are always elliptic-elliptic.  NS and SN are focus-focus exactly
 when E < 0 and elliptic-elliptic when E > 0; on E = 0 they are degenerate
 and the system fails to be semitoric.
+
+``discriminant_E`` and ``is_degenerate`` also take a ``ParamGrid`` (one
+pair of radii, s1 as a column and s2 as a row) and then return arrays over
+its grid, bit-identical cell by cell to the ModelParams calls: the formula
+is written once, and ``**`` on the grid's ``LibmArray`` axes rounds as
+Python's float ``**`` does (see ``numerics.LibmArray``).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError
-from .model import ModelParams
+from .model import ModelParams, ParamGrid
 
 # |E| below DEGENERACY_BAND * r1 * r2 is treated as degenerate.
 DEGENERACY_BAND = 1e-10
@@ -22,7 +28,7 @@ DEGENERACY_BAND = 1e-10
 POINT_IDS = ("NN", "NS", "SN", "SS")
 
 
-def discriminant_E(params: ModelParams) -> float:
+def discriminant_E(params: ModelParams | ParamGrid) -> float | np.ndarray:
     """Discriminant deciding the type of the NS and SN singularities."""
     r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
     return (r2 ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
@@ -33,7 +39,9 @@ def discriminant_E(params: ModelParams) -> float:
                              - 16 * s2 ** 3 + 8 * s2 ** 4))
 
 
-def _is_degenerate(e: float, params: ModelParams) -> bool:
+def is_degenerate(e, params: ModelParams | ParamGrid):
+    """Whether E (a float, or an array over a ParamGrid) lies inside the
+    degeneracy band |E| <= DEGENERACY_BAND * r1 * r2."""
     return abs(e) <= DEGENERACY_BAND * params.r1 * params.r2
 
 
@@ -70,8 +78,8 @@ def classify_fixed_points(params: ModelParams) -> list[SingularityReport]:
             if s1 == 0.5:
                 d_sign = int(np.sign(-_aux_quartic(params.s2)))
             else:
-                d_sign = 0 if _is_degenerate(e, params) else int(np.sign(e))
-            if _is_degenerate(e, params):
+                d_sign = 0 if is_degenerate(e, params) else int(np.sign(e))
+            if is_degenerate(e, params):
                 kind = "degenerate"
             elif e < 0:
                 kind = "focus-focus"
@@ -84,7 +92,7 @@ def classify_fixed_points(params: ModelParams) -> list[SingularityReport]:
 def n_ff(params: ModelParams) -> int:
     """Number of focus-focus points: 0 if E > 0, 2 if E < 0."""
     e = discriminant_E(params)
-    if _is_degenerate(e, params):
+    if is_degenerate(e, params):
         raise DegenerateSystemError(
             f"E = {e:.3e} inside the degeneracy band; system is not semitoric")
     return 2 if e < 0 else 0

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import json
 
 import pytest
 
+from semitoric import cli
 from semitoric.cli import main
+from semitoric.height import height_oracle
+from semitoric.model import ModelParams
 
 BASE = ["--R1", "1", "--R2", "2"]
 FF = BASE + ["--s1", "0.5", "--s2", "0.5"]
@@ -80,6 +84,23 @@ class TestHeight:
         assert out == ""
         assert err.startswith("internal consistency check failed: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_quadrature_runs_both_oracles(self, capsys):
+        # h2 comes from the SN oracle, whose self-check fails at the point
+        # of test_failed_self_check_exit_code.
+        code, out, err = run(capsys, ["height", "--method", "quadrature"]
+                             + BASE + ["--s1", "0.02",
+                                       "--s2", "0.8929379052866228"])
+        assert code == 5 and out == ""
+        assert err.startswith("internal consistency check failed: ")
+        code, out, _ = run(capsys, ["height", "--method", "quadrature",
+                                    "--json"] + BASE
+                           + ["--s1", "0.25", "--s2", "0.25"])
+        payload = json.loads(out)
+        p = ModelParams(1, 2, 0.25, 0.25)
+        assert code == 0 and payload["method"] == "quadrature"
+        assert (payload["h1"], payload["h2"]) == (height_oracle("NS", p),
+                                                  height_oracle("SN", p))
 
     def test_no_focus_focus_is_degenerate_exit(self, capsys):
         code, _, err = run(capsys, ["height"] + BASE
@@ -172,3 +193,35 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep"] + BASE
                            + ["--quantity", "E", "--s1-count", "1"])
         assert code == 2
+
+
+class TestArguments:
+    @pytest.mark.parametrize("value, error", [
+        ("-inf", "r1 and r2 must be finite"),
+        ("-nan", "r1 and r2 must be finite"),
+        ("-1e3", "r1 and r2 must be positive")])
+    def test_negative_non_numeric_values(self, capsys, value, error):
+        # argparse alone reads these as options ("expected one argument").
+        for argv in (["classify", "--s1", "0.3", "--s2", "0.4"],
+                     ["height", "--method", "closed", "--s1", "0.3",
+                      "--s2", "0.4"],
+                     ["sweep", "--quantity", "E"]):
+            code, out, err = run(capsys, argv + ["--R1", "1", "--R2", value])
+            assert (code, out, err) == (2, "", f"error: {error}\n")
+            assert run(capsys, argv + ["--R1", "1", f"--R2={value}"]) == (
+                code, out, err)
+
+    def test_negative_coupling_value(self, capsys):
+        code, _, err = run(capsys, ["classify"] + BASE
+                           + ["--s1", "-1e-3", "--s2", "0.4"])
+        assert (code, err) == (2, "error: s1 and s2 must lie in [0, 1]\n")
+
+    def test_value_flags_match_parser(self):
+        commands = next(a.choices for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for sp in commands.values() for a in sp._actions
+                 if a.nargs is None for flag in a.option_strings}
+        assert flags - {"--cuts"} == cli._VALUE_FLAGS
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

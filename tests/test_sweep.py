@@ -1,0 +1,294 @@
+"""Array closed forms and the array ``sweep``: every value equals the float
+call on its cell bit for bit, and the CLI output equals the per-cell loop's
+byte for byte, failures included."""
+
+import contextlib
+import io
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from semitoric import cli, height, singularity
+from semitoric.errors import (ConsistencyError, DegenerateSystemError,
+                              SemitoricError)
+from semitoric.model import ModelParams, ParamGrid
+from semitoric.numerics import find_root_bisect
+
+
+def _old_sweep_cell(quantity, r1, r2, s1, s2):
+    """Reference: the per-cell evaluation ``sweep`` used before the array
+    path, one ModelParams and scalar calls per cell."""
+    fmt = cli._fmt
+    params = ModelParams(r1, r2, s1, s2)
+    e = singularity.discriminant_E(params)
+    if quantity == "E":
+        return [fmt(s1), fmt(s2), fmt(e), ""]
+    try:
+        nff = singularity.n_ff(params)
+    except DegenerateSystemError:
+        if quantity == "nff":
+            return [fmt(s1), fmt(s2), "", "degenerate"]
+        return [fmt(s1), fmt(s2), "", "", "degenerate"]
+    if quantity == "nff":
+        return [fmt(s1), fmt(s2), str(nff), ""]
+    if nff == 0:
+        return [fmt(s1), fmt(s2), "", "", "no-focus-focus"]
+    inv = height.height_closed(params)
+    flag = "ill-conditioned" if inv.ill_conditioned else ""
+    return [fmt(s1), fmt(s2), fmt(inv.h1), fmt(inv.h2), flag]
+
+
+def reference_sweep(argv):
+    """(exit code, stdout, stderr) of the per-cell sweep loop, with the
+    error mapping of ``cli.main``."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        for count in (args.s1_count, args.s2_count):
+            if count < 2:
+                raise ValueError("axis counts must be >= 2")
+        for lo, hi in ((args.s1_start, args.s1_stop),
+                       (args.s2_start, args.s2_stop)):
+            if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0 and lo < hi):
+                raise ValueError(
+                    "axis ranges must be increasing within [0, 1]")
+        s1s = np.linspace(args.s1_start, args.s1_stop, args.s1_count)
+        s2s = np.linspace(args.s2_start, args.s2_stop, args.s2_count)
+        rows = [_old_sweep_cell(args.quantity, args.R1, args.R2,
+                                float(a), float(b))
+                for a in s1s for b in s2s]
+    except DegenerateSystemError as exc:
+        return cli.EXIT_DEGENERATE, "", f"degenerate: {exc}\n"
+    except ConsistencyError as exc:
+        return (cli.EXIT_INCONSISTENT, "",
+                f"internal consistency check failed: {exc}\n")
+    except (ValueError, SemitoricError) as exc:
+        return cli.EXIT_BAD_ARGS, "", f"error: {exc}\n"
+    header = {"E": "s1,s2,E,flag", "nff": "s1,s2,n_ff,flag",
+              "height": "s1,s2,h1,h2,flag"}[args.quantity]
+    return 0, "\n".join([header] + [",".join(r) for r in rows]) + "\n", ""
+
+
+def array_sweep(argv):
+    """(exit code, stdout, stderr) of ``cli.main``; fails on any warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep_argv(R, quantity, s1_window, s2_window, shape=(41, 41)):
+    return ["sweep", "--R1", "1.0", "--R2", repr(R), "--quantity", quantity,
+            "--s1-start", repr(s1_window[0]), "--s1-stop", repr(s1_window[1]),
+            "--s1-count", str(shape[0]),
+            "--s2-start", repr(s2_window[0]), "--s2-stop", repr(s2_window[1]),
+            "--s2-count", str(shape[1])]
+
+
+def _window(rng):
+    width = float(rng.uniform(0.05, 1.0))
+    start = float(rng.uniform(0.0, 1.0 - width))
+    return start, min(1.0, start + width)
+
+
+def _ill_conditioned_s1():
+    """An s1 with E = -5e-7 at (r1, r2, s2) = (1, 2, 0.1)."""
+    return find_root_bisect(
+        lambda s1: singularity.discriminant_E(ModelParams(1, 2, s1, 0.1))
+        + 5e-7, 0.05, 0.25, tol=1e-15)
+
+
+# The first failing cell raises BranchSelectionError (exit 2).
+FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
+                 "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
+                 "--s1-count 41 --s2-start 0.22477811335400982 "
+                 "--s2-stop 0.6138689802117288 --s2-count 41").split()
+
+
+class TestSweepMatchesCellLoop:
+    @pytest.mark.parametrize("quantity", ["height", "nff", "E"])
+    @pytest.mark.parametrize("R", [0.35, 2.5])
+    def test_seeded_windows(self, quantity, R):
+        rng = np.random.default_rng(41 + int(R * 10))
+        for shape in [(41, 41), (41, 41), (7, 5), (2, 41), (41, 2)]:
+            argv = sweep_argv(R, quantity, _window(rng), _window(rng), shape)
+            assert array_sweep(argv) == reference_sweep(argv), argv
+
+    @pytest.mark.parametrize("R", [1 / 3, 0.8, 2.0, 7.0])
+    def test_case_iii_lines(self, R):
+        # s1 = 1/2 is a grid value and s2 = R/(R+1) starts the s2 axis.
+        argv = sweep_argv(R, "height", (0.0, 1.0), (R / (R + 1), 1.0))
+        code, out, _ = array_sweep(argv)
+        assert (code, out, "") == reference_sweep(argv)
+        rows = out.splitlines()[1:]
+        assert any(r.startswith(f"0.5,{R / (R + 1)!r},") for r in rows)
+
+    @pytest.mark.parametrize("quantity", ["height", "nff"])
+    def test_degenerate_cells(self, quantity):
+        # E = 0 to machine precision at the first cell.
+        argv = sweep_argv(2.0, quantity, (0.14453829383418643, 0.6),
+                          (0.1, 0.9), (7, 5))
+        code, out, err = array_sweep(argv)
+        assert (code, out, err) == reference_sweep(argv)
+        assert out.splitlines()[1].endswith(",degenerate")
+
+    def test_ill_conditioned_cells(self):
+        argv = sweep_argv(2.0, "height", (_ill_conditioned_s1(), 0.4),
+                          (0.1, 0.5), (5, 7))
+        code, out, err = array_sweep(argv)
+        assert (code, out, err) == reference_sweep(argv)
+        assert out.splitlines()[1].endswith(",ill-conditioned")
+
+    def test_failing_sweep(self):
+        code, out, err = array_sweep(FAILING_SWEEP)
+        assert (code, out, err) == reference_sweep(FAILING_SWEEP)
+        assert code == 2 and out == ""
+        assert err.startswith("error: closed-form paths disagree: ")
+
+    def test_power_of_R_overflows(self):
+        # R ** 2 overflows, but every focus-focus cell is in case III, so
+        # the float path never reaches it and the sweep succeeds.
+        argv = ["sweep", "--R1", "1e-170", "--R2", "1", "--quantity",
+                "height", "--s1-count", "3", "--s2-count", "3"]
+        code, out, err = array_sweep(argv)
+        assert (code, out, err) == reference_sweep(argv)
+        assert code == 0 and "1.0,1.0," in out
+
+    @pytest.mark.parametrize("r1, message", [
+        ("1e3", "error: r1 == r2 (non-simple case) is excluded\n"),
+        ("-1", "error: r1 and r2 must be positive\n"),
+        ("nan", "error: r1 and r2 must be finite\n")])
+    def test_invalid_radii(self, r1, message):
+        argv = ["sweep", f"--R1={r1}", "--R2", "1e3", "--quantity", "E"]
+        assert array_sweep(argv) == (2, "", message) == reference_sweep(argv)
+
+
+def _grid(R, seed, shape=(23, 19)):
+    rng = np.random.default_rng(seed)
+    return ParamGrid(1.0, R, np.sort(rng.uniform(0, 1, shape[0])),
+                     np.sort(rng.uniform(0, 1, shape[1])))
+
+
+def _cells(grid):
+    for i, s1 in enumerate(grid.s1[:, 0].tolist()):
+        for j, s2 in enumerate(grid.s2[0].tolist()):
+            yield i, j, s1, s2
+
+
+def _same(array_value, float_call):
+    """The array element equals the float call bit for bit, or is NaN where
+    the float call raises."""
+    try:
+        expected = float_call()
+    except (ValueError, ArithmeticError, SemitoricError):
+        return math.isnan(array_value)
+    return (np.float64(array_value).tobytes()
+            == np.float64(expected).tobytes())
+
+
+GRIDS = [(0.4, 1), (3.0, 2), (1.05, 3), (0.125, 4), (8.0, 5)]
+
+
+class TestArrayFormulasMatchFloats:
+    @pytest.mark.parametrize("R, seed", GRIDS)
+    def test_polynomials(self, R, seed):
+        grid = _grid(R, seed)
+        e = singularity.discriminant_E(grid)
+        ga = height.gamma_A(grid.s1, grid.s2, R)
+        gb = height.gamma_B(grid.s1, grid.s2, R)
+        sq = np.sqrt(np.abs(gb))
+        gd = height._gamma_D(grid.s1, grid.s2, R, sq)
+        quad = np.broadcast_arrays(*height._quadratic_coeffs(grid.s1,
+                                                             grid.s2, R))
+        v = np.broadcast_arrays(*height._v_coeffs(grid.s1, grid.s2, R))
+        for i, j, s1, s2 in _cells(grid):
+            cell = ModelParams(1.0, R, s1, s2)
+            assert _same(e[i, j], lambda: singularity.discriminant_E(cell))
+            assert _same(ga[i, j], lambda: height.gamma_A(s1, s2, R))
+            assert _same(gb[i, j], lambda: height.gamma_B(s1, s2, R))
+            assert _same(gd[i, j], lambda: height._gamma_D(
+                s1, s2, R, math.sqrt(abs(height.gamma_B(s1, s2, R)))))
+            for k in range(3):
+                assert _same(quad[k][i, j], lambda: height._quadratic_coeffs(
+                    s1, s2, R)[k])
+                assert _same(v[k][i, j],
+                             lambda: height._v_coeffs(s1, s2, R)[k])
+
+    @pytest.mark.parametrize("R, seed", GRIDS)
+    def test_integrals_and_F(self, R, seed):
+        grid = _grid(max(R, 1 / R), seed)
+        R = grid.R
+        # closed_form_F takes N_B at delta = 2 and 2R, always on its arctan
+        # branch here; delta < 0 or beyond the larger root takes the log one.
+        deltas = (-0.5, 2.0, 2.0 * R, 1e3)
+        with np.errstate(all="ignore"):
+            alpha, beta, gamma = height._quadratic_coeffs(grid.s1, grid.s2, R)
+            na = height.integral_NA(alpha, beta, gamma)
+            nb = {d: height.integral_NB(alpha, beta, gamma, d) for d in deltas}
+            f = height.closed_form_F(grid.s1, grid.s2, R)
+        branches = set()
+        for d in deltas:
+            w = gamma + d * (beta + alpha * d)
+            branches.update(np.sign(w[np.isfinite(nb[d])]).tolist())
+        assert branches == {-1.0, 1.0}
+        assert np.isfinite(f).sum() > 20
+        for i, j, s1, s2 in _cells(grid):
+            a, b, g = height._quadratic_coeffs(s1, s2, R)
+            assert _same(na[i, j], lambda: height.integral_NA(a, b, g))
+            for d, values in nb.items():
+                assert _same(values[i, j],
+                             lambda: height.integral_NB(a, b, g, d))
+            assert _same(f[i, j], lambda: height.closed_form_F(s1, s2, R))
+
+    @pytest.mark.parametrize("R, seed", GRIDS)
+    def test_case_and_height(self, R, seed):
+        grid = _grid(R, seed)
+        cases = height.case_id(grid)
+        inv = height.height_closed(grid)
+        for i, j, s1, s2 in _cells(grid):
+            cell = ModelParams(1.0, R, s1, s2)
+            assert cases[i, j] == height.case_id(cell)
+            try:
+                want = height.height_closed(cell)
+            except DegenerateSystemError:
+                assert math.isnan(inv.h1[i, j]) and math.isnan(inv.h2[i, j])
+                continue
+            assert (inv.h1[i, j], inv.h2[i, j]) == (want.h1, want.h2)
+            assert inv.ill_conditioned[i, j] == want.ill_conditioned
+            assert inv.case_ns[i, j] == want.case_ns
+
+    def test_single_column_grid(self):
+        s1 = np.linspace(0.0, 1.0, 41)
+        grid = ParamGrid(1.0, 2.0, s1, [0.3])
+        assert grid.s1.shape == (41, 1) and grid.s2.shape == (1, 1)
+        inv = height.height_closed(grid)
+        assert inv.h1.shape == (41, 1)
+        for i, a in enumerate(s1.tolist()):
+            cell = ModelParams(1.0, 2.0, a, 0.3)
+            if singularity.discriminant_E(cell) < 0:
+                assert inv.h1[i, 0] == height.height_closed(cell).h1
+
+    def test_first_failing_cell_raises(self):
+        # 5e-8 off s2 = R/(R+1), s1 = 0.4 fails with a ValueError and
+        # s1 = 0.25 with a BranchSelectionError; the first in row order wins.
+        R = 2.0
+        s2_bad = R / (R + 1.0) - 5e-8
+        grid = ParamGrid(1.0, R, [0.2, 0.4, 0.25], [0.5, s2_bad])
+        with pytest.raises(ValueError) as want:
+            height.height_closed(ModelParams(1.0, R, 0.4, s2_bad))
+        with pytest.raises(ValueError) as got:
+            height.height_closed(grid)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        grid = ParamGrid(1.0, R, [0.2, 0.25, 0.4], [0.5, s2_bad])
+        with pytest.raises(height.BranchSelectionError):
+            height.height_closed(grid)
+
+    def test_grid_validation(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            ParamGrid(1.0, 2.0, [0.2, 1.5], [0.5])
+        with pytest.raises(ValueError, match="must be finite"):
+            ParamGrid(1.0, math.inf, [0.2], [0.5])

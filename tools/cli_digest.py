@@ -11,7 +11,9 @@ printouts to show that a change leaves the CLI output byte-identical:
 
 The list covers every README example, ``height`` with all three methods,
 ``image``, ``polygon`` with all four cuts and at the toric corners,
-``classify --json``, small sweeps and error exits, on inputs with R > 1 and
+``classify --json``, small sweeps, seeded 41 x 41 sweeps of every quantity,
+a sweep that fails in one cell, negative values written as separate
+arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
 R < 1, plus seeded random focus-focus points.  Standard library and NumPy
 only.
 """
@@ -48,6 +50,11 @@ TORIC_POINTS = [(1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 1, 0), (1, 2, 1, 1),
                 (2, 1, 0, 0), (2, 1, 1, 1), (1, 1e6, 0, 0)]
 EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
                (1, 2, 0.02, 0.8929379052866228), ("nan", 2, 0.3, 0.4)]
+# Its first failing cell raises BranchSelectionError (exit 2).
+FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
+                 "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
+                 "--s1-count 41 --s2-start 0.22477811335400982 "
+                 "--s2-stop 0.6138689802117288 --s2-count 41")
 
 
 def flags(point) -> str:
@@ -67,6 +74,20 @@ def random_ff_points(rng):
         if discriminant_E(ModelParams(1.0, R, s1, s2)) < -1e-2 * R:
             points.append((1.0, R, s1, s2))
     return points
+
+
+def seeded_sweeps(rng):
+    """41 x 41 sweeps of every quantity on seeded windows, R > 1 and R < 1."""
+    out = []
+    for R in (math.exp(rng.uniform(0.0, math.log(8))),
+              math.exp(rng.uniform(math.log(1 / 8), 0.0))):
+        for q in ("height", "height", "nff", "E"):
+            lo1, lo2 = (float(v) for v in rng.uniform(0.0, 0.5, 2))
+            hi1, hi2 = (float(v) for v in rng.uniform(0.5, 1.0, 2))
+            out.append(f"sweep --R1 1.0 --R2 {R!r} --quantity {q} "
+                       f"--s1-start {lo1!r} --s1-stop {hi1!r} --s1-count 41 "
+                       f"--s2-start {lo2!r} --s2-stop {hi2!r} --s2-count 41")
+    return out
 
 
 def invocations():
@@ -94,6 +115,13 @@ def invocations():
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
         out.append(f"sweep {r} --quantity height --s1-start 0.2 "
                    f"--s1-stop 0.4 --s2-count 9 --s1-count 9 --parallel")
+    out += seeded_sweeps(np.random.default_rng(SEED + 1))
+    out.append(FAILING_SWEEP)
+    for value in ("-inf", "-nan", "-1e3"):
+        out.append(f"classify --R1 1 --R2 {value} --s1 0.3 --s2 0.4")
+        out.append(f"height --method closed --R1 1 --R2 {value} "
+                   f"--s1 0.3 --s2 0.4")
+        out.append(f"sweep --R1 1 --R2 {value} --quantity E")
     out += ["classify --R1 1 --R2 2 --s1 2.0 --s2 0.5",
             "polygon --R1 1 --R2 2 --s1 0.5 --s2 0.5 --cuts xx",
             "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 4",
