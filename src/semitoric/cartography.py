@@ -37,42 +37,44 @@ class ImageBoundary:
     corner_values: tuple
 
 
-def _envelope_at(l: float, params: ModelParams):
-    """(h_min, h_max) over the reduced fiber at scaled level l."""
-    lo, hi = reduced.physical_interval("NS", l, params.R)
-    a_of, b_of = reduced.chart("NS", l, params)
-    if hi - lo < 1e-12:
-        a = a_of(lo)
-        return a, a
-
-    def lower(p2):
-        b = max(0.0, b_of(p2))
-        return a_of(p2) - np.sqrt(b)
-
-    def upper_neg(p2):
-        b = max(0.0, b_of(p2))
-        return -(a_of(p2) + np.sqrt(b))
-
-    h_min = minimize_golden(lower, lo, hi).fx
-    h_max = -minimize_golden(upper_neg, lo, hi).fx
-    return h_min, h_max
-
-
 def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     """Envelope of the momentum-map image on n+1 evenly spaced levels.
 
     The reduced chart is exact: on the level with scaled offset l, H ranges
-    over [min(A - sqrt(B)), max(A + sqrt(B))] across the physical interval.
-    Output is converted to unscaled L = r1 (l + 1 - R); H is dimensionless
-    and needs no rescaling.
+    over [min(A - sqrt(B)), max(A + sqrt(B))] across the physical interval
+    [max(0, l), min(2R, l + 2)]; on a level narrower than 1e-12 (the end
+    levels) both are A at its left end.  All levels are refined together:
+    one chart for every level and one array-bracket ``minimize_golden``
+    call for each side of the band.  Output is converted to unscaled
+    L = r1 (l + 1 - R); H is dimensionless and needs no rescaling.
     """
     if n < 16:
         raise ValueError("n must be >= 16")
     r1, R = params.r1, params.R
-    samples = []
-    for l in np.linspace(-2.0, 2.0 * R, n + 1):
-        h_min, h_max = _envelope_at(float(l), params)
-        samples.append((r1 * (float(l) + 1.0 - R), h_min, h_max))
+    ls = np.linspace(-2.0, 2.0 * R, n + 1)
+    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
+    a_of, b_of = reduced.chart("NS", ls, params)
+    h_min = a_of(lo, np.arange(ls.size))  # kept on levels narrower than 1e-12
+    h_max = h_min.copy()
+    wide = np.flatnonzero(~(hi - lo < 1e-12))
+
+    def a_and_root_b(p2, rows):
+        level = wide[rows]
+        b = b_of(p2, level)
+        return a_of(p2, level), np.sqrt(np.where(b > 0.0, b, 0.0))
+
+    def lower(p2, rows):
+        a, root_b = a_and_root_b(p2, rows)
+        return a - root_b
+
+    def upper_neg(p2, rows):
+        a, root_b = a_and_root_b(p2, rows)
+        return -(a + root_b)
+
+    h_min[wide] = minimize_golden(lower, lo[wide], hi[wide]).fx
+    h_max[wide] = -minimize_golden(upper_neg, lo[wide], hi[wide]).fx
+    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
+                        h_max.tolist()))
     try:
         two_ff = n_ff(params) == 2
     except DegenerateSystemError:
@@ -87,7 +89,7 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
         (mv.l_val, mv.h_val)
         for mv in (momentum_map(FIXED_POINTS[k], params)
                    for k in ("NN", "NS", "SN", "SS")))
-    return ImageBoundary(tuple(samples), ff_values, corner_values)
+    return ImageBoundary(samples, ff_values, corner_values)
 
 
 def _chain_eval(chain, l: float) -> float:

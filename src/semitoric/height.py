@@ -88,6 +88,15 @@ def _nan_where(fails, value, *also):
     return np.where(bad, np.nan, value)
 
 
+def _check_finite(name, *args):
+    """Float path: raise unless every argument is finite.  NaN fails no
+    ``<`` check and infinities give NaN through the formulas, so without
+    this a non-finite argument would come back as a silent NaN."""
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"{name} needs finite arguments, got "
+                         f"({', '.join(repr(float(v)) for v in args)})")
+
+
 def gamma_A(s1: float, s2: float, R: float) -> float:
     return (-R ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
             + 2 * R * (8 * s1 ** 4 - 16 * s1 ** 3
@@ -170,6 +179,8 @@ def integral_NA(alpha, beta, gamma):
     x+ is the smaller root of the radicand."""
     disc = beta * beta - 4 * alpha * gamma
     floats = not isinstance(disc, np.ndarray)
+    if floats:
+        _check_finite("integral_NA", alpha, beta, gamma)
     xm = _FLOAT_MATH if floats else _ARRAY_MATH
     bad_alpha = alpha <= 0
     if floats and bad_alpha:
@@ -187,7 +198,8 @@ def integral_NA(alpha, beta, gamma):
     value = xm.log(arg) / xm.sqrt(alpha)
     if floats:
         return value
-    return _nan_where(bad_alpha | bad_disc | bad_product | bad_arg, value)
+    return _nan_where(bad_alpha | bad_disc | bad_product | bad_arg, value,
+                      alpha, beta, gamma)
 
 
 def integral_NB(alpha, beta, gamma, delta):
@@ -198,6 +210,8 @@ def integral_NB(alpha, beta, gamma, delta):
     """
     disc = beta * beta - 4 * alpha * gamma
     floats = not isinstance(disc, np.ndarray)
+    if floats:
+        _check_finite("integral_NB", alpha, beta, gamma, delta)
     xm = _FLOAT_MATH if floats else _ARRAY_MATH
     bad_alpha = alpha <= 0
     if floats and bad_alpha:
@@ -218,7 +232,8 @@ def integral_NB(alpha, beta, gamma, delta):
     if floats:
         return _nb_atan(*branch) if -w > 0 else _nb_log(*branch)
     return _nan_where(bad_alpha | bad_disc | bad_delta | bad_w,
-                      np.where(-w > 0, _nb_atan(*branch), _nb_log(*branch)))
+                      np.where(-w > 0, _nb_atan(*branch), _nb_log(*branch)),
+                      alpha, beta, gamma, delta)
 
 
 def _nb_atan(alpha, beta, gamma, delta, disc, w, xm):
@@ -260,6 +275,8 @@ def closed_form_F(s1, s2, R):
     """
     alpha, beta, ga = _quadratic_coeffs(s1, s2, R)
     floats = not isinstance(ga, np.ndarray)
+    if floats:
+        _check_finite("closed_form_F", s1, s2, R)
     xm = _FLOAT_MATH if floats else _ARRAY_MATH
     bad_ga = ga <= 0
     if floats and bad_ga:
@@ -297,7 +314,7 @@ def closed_form_F(s1, s2, R):
     if floats:
         return f_primary
     return _nan_where(bad_ga | bad_denom | bad_gb | disagree, f_primary,
-                      t_log_check, t_far_check)
+                      t_log_check, t_far_check, s1, s2, R)
 
 
 def case_id(params: ModelParams | ParamGrid):

@@ -2,13 +2,17 @@
 extremization, a quartic root solver, and ``LibmArray``, the float64 array
 type on which the closed forms give the same bits as on Python floats.
 
+``minimize_golden`` takes one float bracket or an array of brackets; the
+brackets of an array are refined in lockstep, with one objective call per
+step for all of them, and each gets the bits of its own float call.
+
 All routines are deterministic and free of global state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,64 +183,117 @@ def find_root_bisect(f, a, b, tol=1e-13):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_local(f, a, b, tol):
-    """Golden-section minimization of unimodal ``f`` on [a, b]."""
+def _golden_local(f, a, b, tol, rows):
+    """Golden-section minimization of unimodal ``f`` on every bracket
+    [a[k], b[k]] at once; returns the final midpoints and ``f`` there.
+
+    The brackets step in lockstep and each step evaluates ``f`` only on
+    those still active.  A bracket freezes when its width is <= tol, when
+    its midpoint equals one of its ends (no float lies between them) or
+    after ``_MAX_STEPS`` steps.  Every value is the one the same steps give
+    on a single float bracket.
+    """
+    n = a.size
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f12 = f(np.concatenate([x1, x2]), np.concatenate([rows, rows]))
+    f1, f2 = f12[:n], f12[n:]
+    a_end, b_end = a.copy(), b.copy()
+    live, live_rows = np.arange(n), rows
     for _ in range(_MAX_STEPS):
         xm = 0.5 * (a + b)
-        if not b - a > tol or xm == a or xm == b:
+        go = (b - a > tol) & (xm != a) & (xm != b)
+        if not go.all():
+            a_end[live[~go]], b_end[live[~go]] = a[~go], b[~go]
+            live, live_rows, a, b, x1, x2, f1, f2 = (
+                v[go] for v in (live, live_rows, a, b, x1, x2, f1, f2))
+        if not live.size:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+        # f1 <= f2 keeps [a, x2], otherwise [x1, b] (also when one is NaN).
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        step = _INVPHI * (b - a)
+        xn = np.where(left, b - step, a + step)
+        fn = f(xn, live_rows)
+        x1, x2 = np.where(left, xn, x2), np.where(left, x1, xn)
+        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
+    a_end[live], b_end[live] = a, b
+    xm = 0.5 * (a_end + b_end)
+    return xm, f(xm, rows)
 
 
 @dataclass
 class GoldenResult:
-    x: float
-    fx: float
-    unimodal: bool = True
+    """Minimizer ``x``, minimum ``fx`` and whether the seed grid showed one
+    basin; for array brackets each field is an array over the brackets."""
+
+    x: float | np.ndarray
+    fx: float | np.ndarray
+    unimodal: bool | np.ndarray = True
 
 
 def minimize_golden(f, a, b, tol=1e-10, n_seed=64):
     """Minimum of ``f`` on [a, b]: multi-start golden-section refinement.
 
     Seeds on an ``n_seed``-point grid, refines every local basin and returns
-    the best minimizer found.  ``unimodal`` is False when the seed grid shows
-    more than one basin.
+    the best minimizer found: the first basin, in grid order, with the
+    smallest value.  ``unimodal`` is False when the seed grid shows more
+    than one basin.
+
+    ``a`` and ``b`` are floats, with ``f(x)`` called on one float at a
+    time, or arrays of brackets [a[k], b[k]] minimized together.  Then
+    ``f(x, rows)`` takes an array of points and an int array ``rows`` of the
+    same shape holding the bracket index of each point, and returns the
+    values as an array of that shape; the fields of the result are arrays
+    over the brackets.  Each bracket gets the same bits as its own float
+    call, unless some bracket is so narrow (below about ``n_seed``
+    subnormals) that its seed step rounds to zero: np.linspace then seeds
+    every row by another formula.
     """
-    if not a < b:
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        def f_rows(x, rows):
+            return np.array([f(v) for v in x.ravel()],
+                            dtype=float).reshape(x.shape)
+
+        res = _minimize_rows(f_rows, np.array([a], dtype=float),
+                             np.array([b], dtype=float), tol, n_seed)
+        return GoldenResult(res.x[0], res.fx[0], bool(res.unimodal[0]))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("array brackets need a and b of one shape (k,)")
+    return _minimize_rows(f, a, b, tol, n_seed)
+
+
+def _minimize_rows(f, a, b, tol, n_seed):
+    """``minimize_golden`` on the brackets [a[k], b[k]] as rows."""
+    if not np.all(a < b):
         raise ValueError("require a < b")
-    xs = np.linspace(a, b, n_seed)
-    fs = np.array([f(x) for x in xs])
-    # Local-minimum seeds (including endpoints).
-    basins = []
-    for i in range(n_seed):
-        left = fs[i - 1] if i > 0 else np.inf
-        right = fs[i + 1] if i < n_seed - 1 else np.inf
-        if fs[i] <= left and fs[i] <= right:
-            basins.append(i)
-    best = GoldenResult(xs[0], fs[0], unimodal=len(basins) <= 1)
-    best.fx = np.inf
-    for i in basins:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n_seed - 1)]
-        if hi > lo:
-            x, fx = _golden_local(f, lo, hi, tol)
-        else:
-            x, fx = xs[i], fs[i]
-        if fx < best.fx:
-            best.x, best.fx = x, fx
-    return best
+    m = a.size
+    xs = np.linspace(a, b, n_seed, axis=-1)
+    fs = f(xs, np.broadcast_to(np.arange(m)[:, None], xs.shape))
+    # Local-minimum seeds (including endpoints), row by row in grid order.
+    pad = np.full((m, 1), np.inf)
+    is_basin = ((fs <= np.concatenate([pad, fs[:, :-1]], axis=1))
+                & (fs <= np.concatenate([fs[:, 1:], pad], axis=1)))
+    brow, bcol = np.nonzero(is_basin)
+    x, fx = xs[brow, bcol], fs[brow, bcol]
+    lo = xs[brow, np.maximum(bcol - 1, 0)]
+    hi = xs[brow, np.minimum(bcol + 1, n_seed - 1)]
+    wide = hi > lo
+    if wide.any():
+        x[wide], fx[wide] = _golden_local(f, lo[wide], hi[wide], tol,
+                                          brow[wide])
+    # Per row the first basin with the smallest value; NaN never wins, and
+    # a row where no basin beats inf keeps (xs[0], inf).
+    key = np.where(np.isnan(fx), np.inf, fx)
+    order = np.lexsort((key, brow))  # stable: ties keep basin order
+    firsts = order[np.flatnonzero(np.diff(brow[order], prepend=-1))]
+    firsts = firsts[key[firsts] < np.inf]
+    best_x, best_fx = xs[:, 0].copy(), np.full(m, np.inf)
+    best_x[brow[firsts]], best_fx[brow[firsts]] = x[firsts], fx[firsts]
+    return GoldenResult(best_x, best_fx,
+                        np.bincount(brow, minlength=m) <= 1)
 
 
 def quartic_roots(coeffs):

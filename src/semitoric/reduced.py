@@ -12,8 +12,9 @@ interval starts at p2 = 0.
 down.  It computes the p2-independent coefficients of a level once and
 returns A_l and B_l as functions of p2 that take a float or a NumPy array;
 an array is evaluated with the same operations in the same order as a
-float, so both give the same bits.  ``reduced_A`` and ``reduced_B`` are
-scalar conveniences over it.
+float, so both give the same bits.  The level may be an array as well, so
+that one call serves every level of the image envelope.  ``reduced_A`` and
+``reduced_B`` are scalar conveniences over it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def chart(label: str, l: float, params: ModelParams):
 
     A(p2) is the polynomial part A_l(p2) of the reduced Hamiltonian and
     B(p2) the radicand B_l(p2), non-negative exactly on the physical region.
-    Both accept a float or an array of p2 values.
+    Both accept a float or an array of p2 values.  For an array of levels
+    ``l`` they are A(p2, rows) and B(p2, rows) instead, where ``rows``, an
+    int array of p2's shape, gives the index into ``l`` of each p2 value.
     """
     _check_label(label)
     R, s1, s2 = params.R, params.s1, params.s2
@@ -56,14 +59,19 @@ def chart(label: str, l: float, params: ModelParams):
     kb = 4 * c * c / R ** 2
     two_r = 2 * R
 
-    def A(p2):
+    # The level's coefficients are default arguments, so that the per-row
+    # functions below evaluate the same formulas with each point's level.
+    def A(p2, base=base):
         return ka * (base + p2 * slope)
 
-    def B(p2):
+    def B(p2, m=m):
         # Left to right, as written: folding m + 2 would change the bits.
         return kb * p2 * (p2 - m) * (p2 - two_r) * (p2 - m - 2)
 
-    return A, B
+    if not isinstance(l, np.ndarray):
+        return A, B
+    return (lambda p2, rows: A(p2, base[rows]),
+            lambda p2, rows: B(p2, m[rows]))
 
 
 def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:

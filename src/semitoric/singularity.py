@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateSystemError
 from .model import ModelParams, ParamGrid
+from .numerics import libm_array
 
 # |E| below DEGENERACY_BAND * r1 * r2 is treated as degenerate.
 DEGENERACY_BAND = 1e-10
@@ -98,26 +99,44 @@ def n_ff(params: ModelParams) -> int:
     return 2 if e < 0 else 0
 
 
-def rank1_margin(z1: float, l: float, params: ModelParams) -> float:
+def rank1_margin(z1, l, params: ModelParams):
     """Right-hand side of the rank-1 non-degeneracy criterion.
 
     The left-hand side vanishes for this family, so rank-1 singularities are
     non-degenerate elliptic-regular exactly when the returned value is
     negative.  ``l`` is the unscaled L-level; z2 is induced by the level
     constraint.
+
+    ``z1`` and ``l`` are floats, or arrays broadcast together.  On arrays
+    ``**`` runs through ``numerics.LibmArray``, so every value is
+    bit-identical to the float call; a point that fails a check, or whose
+    value is not finite (the float call may raise there), gets NaN.
     """
     r1, r2 = params.r1, params.r2
-    if not -1.0 < z1 < 1.0:
+    floats = not (isinstance(z1, np.ndarray) or isinstance(l, np.ndarray))
+    if not floats:
+        z1, l = libm_array(z1), libm_array(l)
+    in_z1 = (-1.0 < z1) & (z1 < 1.0)
+    if floats and not in_z1:
         raise ValueError("z1 must lie in (-1, 1)")
     z2 = (l - r1 * z1) / r2
-    if not -1.0 < z2 < 1.0:
+    in_z2 = (-1.0 < z2) & (z2 < 1.0)
+    if floats and not in_z2:
         raise ValueError("induced z2 lies outside (-1, 1)")
     a = 1.0 - z1 * z1
     b = 1.0 - z2 * z2
-    if a * b <= 0.0:
+    bad_ab = a * b <= 0.0
+    if floats and bad_ab:
         raise ValueError("B(z1) must be positive")
+    if not floats:
+        # A negative float to the power 1.5 is complex: NaN those first.
+        a = libm_array(np.where(in_z1, a, np.nan))
+        b = libm_array(np.where(in_z2, b, np.nan))
     num = r1 ** 2 * a ** 2 + 2 * z1 * z2 * r1 * r2 * a * b + r2 ** 2 * b ** 2
-    return -num / (r2 ** 2 * a ** 1.5 * b ** 1.5)
+    value = -num / (r2 ** 2 * a ** 1.5 * b ** 1.5)
+    if floats:
+        return value
+    return np.where(bad_ab | ~np.isfinite(value), np.nan, value)
 
 
 @dataclass(frozen=True)
@@ -134,7 +153,12 @@ _STRIP_MARGIN = 1e-6
 
 
 def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
-    """Aggregate verdict: n_ff, degeneracy, and a rank-1 criterion sweep."""
+    """Aggregate verdict: n_ff, degeneracy, and a rank-1 criterion sweep.
+
+    The sweep covers grid_n values of z1 and, for each, grid_n levels l
+    across the strip, in one array call of ``rank1_margin``; the verdict is
+    bit-identical to a loop of float calls over the grid.
+    """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     try:
@@ -144,12 +168,24 @@ def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
         nff = 0
         degenerate = True
     r1, r2 = params.r1, params.r2
-    worst = -np.inf
-    for z1 in np.linspace(-1 + _STRIP_MARGIN, 1 - _STRIP_MARGIN, grid_n):
-        l_lo = r1 * z1 - r2 * (1 - _STRIP_MARGIN)
-        l_hi = r1 * z1 + r2 * (1 - _STRIP_MARGIN)
-        for l in np.linspace(l_lo, l_hi, grid_n):
-            worst = max(worst, rank1_margin(float(z1), float(l), params))
+    z1 = np.linspace(-1 + _STRIP_MARGIN, 1 - _STRIP_MARGIN, grid_n)
+    l_lo = r1 * z1 - r2 * (1 - _STRIP_MARGIN)
+    l_hi = r1 * z1 + r2 * (1 - _STRIP_MARGIN)
+    z1 = z1[:, None]
+    ls = np.linspace(l_lo, l_hi, grid_n, axis=1)  # row i: the levels at z1[i]
+    with np.errstate(all="ignore"):
+        try:
+            margin = rank1_margin(z1, ls, params)
+        except OverflowError:
+            # r1 ** 2 or r2 ** 2 overflows, as in every float call.
+            margin = np.full(ls.shape, np.nan)
+    # NaN cells take the float call's value; the first one that raises, in
+    # row order, raises as a loop over the grid would.
+    for i, j in np.argwhere(np.isnan(margin)):
+        margin[i, j] = rank1_margin(float(z1[i, 0]), float(ls[i, j]), params)
+    # The largest margin, NaN skipped, first of equals: max() in row order.
+    margin = np.where(np.isnan(margin), -np.inf, margin).ravel()
+    worst = float(margin[np.argmax(margin)])
     return SemitoricVerdict(
         is_semitoric=not degenerate,
         n_ff=nff,

@@ -41,3 +41,54 @@ def time_limit():
     yield signal.alarm
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+_INVPHI = (5.0 ** 0.5 - 1.0) / 2.0
+
+
+def _scalar_golden_local(f, a, b, tol, max_steps=4000):
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_steps):
+        xm = 0.5 * (a + b)
+        if not b - a > tol or xm == a or xm == b:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
+
+
+def _scalar_minimize_golden(f, a, b, tol=1e-10, n_seed=64):
+    """(x, fx, unimodal): multi-start golden section on one float bracket,
+    one point at a time, as a reference for ``numerics.minimize_golden``."""
+    if not a < b:
+        raise ValueError("require a < b")
+    xs = np.linspace(a, b, n_seed)
+    fs = np.array([f(x) for x in xs])
+    basins = [i for i in range(n_seed)
+              if fs[i] <= (fs[i - 1] if i > 0 else np.inf)
+              and fs[i] <= (fs[i + 1] if i < n_seed - 1 else np.inf)]
+    best_x, best_fx = xs[0], np.inf
+    for i in basins:
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n_seed - 1)]
+        x, fx = (_scalar_golden_local(f, lo, hi, tol) if hi > lo
+                 else (xs[i], fs[i]))
+        if fx < best_fx:
+            best_x, best_fx = x, fx
+    return best_x, best_fx, len(basins) <= 1
+
+
+@pytest.fixture(scope="session")
+def scalar_golden():
+    """Reference multi-start golden section on one float bracket at a time,
+    written without ``numerics``: ``scalar_golden(f, a, b)`` returns
+    (x, fx, unimodal)."""
+    return _scalar_minimize_golden

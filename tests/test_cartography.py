@@ -1,10 +1,12 @@
 """Momentum-map image envelope and polygon representatives."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from semitoric import reduced
 from semitoric.cartography import (ImageBoundary, Polygon, _assert_polygon,
                                    act_flip_cut, act_shear, image_boundary,
                                    polygon_representative)
@@ -195,7 +197,64 @@ class TestGroupActions:
             act_flip_cut(poly, 1, ModelParams(1, 2, 0.0, 0.0))
 
 
+def scalar_envelope(params, n, scalar_golden):
+    """Reference copy of ``image_boundary``'s samples: one level at a time,
+    one float bracket per golden-section call."""
+    samples = []
+    for l in np.linspace(-2.0, 2.0 * params.R, n + 1):
+        l = float(l)
+        lo, hi = reduced.physical_interval("NS", l, params.R)
+        a_of, b_of = reduced.chart("NS", l, params)
+        if hi - lo < 1e-12:
+            h_min = h_max = a_of(lo)
+        else:
+            def lower(p2):
+                return a_of(p2) - np.sqrt(max(0.0, b_of(p2)))
+
+            def upper_neg(p2):
+                return -(a_of(p2) + np.sqrt(max(0.0, b_of(p2))))
+
+            h_min = scalar_golden(lower, lo, hi)[1]
+            h_max = -scalar_golden(upper_neg, lo, hi)[1]
+        samples.append((params.r1 * (l + 1.0 - params.R), h_min, h_max))
+    return tuple(samples)
+
+
+def _envelope_points(per_kind=5):
+    """Seeded focus-focus and toric points with R on both sides of 1,
+    some of them within 1e-3 of R = 1."""
+    rng = np.random.default_rng(29)
+    points = {"ff": [], "toric": []}
+    for draw in itertools.count():
+        if min(map(len, points.values())) == per_kind:
+            break
+        side = 1.0 if draw % 2 else -1.0
+        if draw % 3 == 0:
+            R = 1.0 + side * float(10 ** rng.uniform(-9, -3))
+        else:
+            R = float(np.exp(side * rng.uniform(0.0, np.log(8))))
+        p = ModelParams(1.0, R, *(float(v) for v in rng.uniform(0, 1, 2)))
+        kind = "toric" if discriminant_E(p) > 0 else "ff"
+        if len(points[kind]) < per_kind:
+            points[kind].append(p)
+    return points["ff"] + points["toric"]
+
+
 class TestImageBoundary:
+    @pytest.mark.parametrize("n", [16, 64, 129])
+    def test_samples_equal_scalar_loop(self, n, scalar_golden):
+        points = _envelope_points()
+        assert {p.R > 1 for p in points} == {True, False}
+        assert any(abs(p.R - 1.0) < 1e-3 for p in points)
+        for p in points:
+            assert image_boundary(p, n).samples == \
+                scalar_envelope(p, n, scalar_golden)
+
+    def test_large_ratio_equals_scalar_loop(self, scalar_golden):
+        p = ModelParams(1, 1e6, 0, 0.5)
+        assert image_boundary(p, 16).samples == \
+            scalar_envelope(p, 16, scalar_golden)
+
     def test_corner_values_on_envelope(self):
         p = ModelParams(1.0, 2.0, 0.4, 0.5)
         bnd = image_boundary(p, n=64)

@@ -13,7 +13,7 @@ from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
                               integral_NB)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import (QuadratureSettings, find_root_bisect,
-                                integrate)
+                                integrate, libm_array)
 from semitoric.singularity import discriminant_E
 
 
@@ -181,6 +181,38 @@ class TestClosedForm:
                 rhs = (4 * (p - 2) * (p - 2 * R) * m * m
                        - (1 - 2 * s1) ** 2 * (R * (s2 - 1) + s2) ** 2)
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+class TestNonFiniteArguments:
+    """Float calls raise on NaN or infinite arguments; array calls give NaN
+    in those cells and the float value everywhere else."""
+
+    @staticmethod
+    def check(fn, good, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fn(*bad)
+        cols = [libm_array([b, g]) for b, g in zip(bad, good)]
+        with np.errstate(all="ignore"):
+            got = fn(*cols)
+        assert np.isnan(got[0]) and got[1] == fn(*good)
+
+    def test_closed_form_F(self):
+        good = (0.25, 0.25, 2.0)
+        for bad in ((math.nan, 0.3, 2.0), (0.25, 0.25, math.inf),
+                    (0.25, math.nan, 2.0), (0.25, 0.25, -math.inf)):
+            self.check(closed_form_F, good, bad)
+
+    def test_integral_NA(self):
+        good = (1.0, -3.0, 2.0)
+        for bad in ((math.nan, 1.0, 1.0), (1.0, -math.inf, 2.0),
+                    (1.0, -3.0, math.inf)):
+            self.check(integral_NA, good, bad)
+
+    def test_integral_NB(self):
+        good = (1.0, -3.0, 2.0, 5.0)
+        for bad in ((1.0, math.nan, 1.0, 5.0), (math.inf, -3.0, 2.0, 5.0),
+                    (1.0, -3.0, 2.0, math.inf), (1.0, -3.0, 2.0, math.nan)):
+            self.check(integral_NB, good, bad)
 
 
 class TestCases:

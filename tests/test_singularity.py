@@ -87,3 +87,61 @@ class TestRank1:
         assert v.rank1_margin_min < 0
         v0 = check_semitoric(ModelParams(1, 2, 0.0, 0.0), grid_n=10)
         assert v0.is_semitoric and v0.n_ff == 0
+
+
+def scalar_rank1_sweep(params, grid_n):
+    """Reference copy of the rank-1 sweep of ``check_semitoric``: one float
+    ``rank1_margin`` call per grid point, largest margin kept."""
+    worst = -np.inf
+    for z1 in np.linspace(-1 + 1e-6, 1 - 1e-6, grid_n):
+        l_lo = params.r1 * z1 - params.r2 * (1 - 1e-6)
+        l_hi = params.r1 * z1 + params.r2 * (1 - 1e-6)
+        for l in np.linspace(l_lo, l_hi, grid_n):
+            worst = max(worst, rank1_margin(float(z1), float(l), params))
+    return worst
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRank1Arrays:
+    def test_array_equals_float_calls(self):
+        # z1 and l run past the strip on purpose: cells whose float call
+        # raises are NaN in the array.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            p = ModelParams(1.0, float(np.exp(rng.uniform(-3.0, 3.0))),
+                            *(float(v) for v in rng.uniform(0, 1, 2)))
+            z1 = rng.uniform(-1.1, 1.1, (15, 1))
+            l = p.r1 * z1 + p.r2 * rng.uniform(-1.1, 1.1, (15, 15))
+            with np.errstate(all="ignore"):
+                got = rank1_margin(z1, l, p)
+            assert got.shape == (15, 15)
+            for (i, j), v in np.ndenumerate(got):
+                want = _outcome(rank1_margin, float(z1[i, 0]),
+                                float(l[i, j]), p)
+                if isinstance(want, tuple):
+                    assert np.isnan(v)
+                else:
+                    assert v == want
+
+    def test_check_semitoric_equals_float_sweep(self):
+        rng = np.random.default_rng(23)
+        params = [ModelParams(1.0, float(np.exp(rng.uniform(-2.1, 2.1))),
+                              *(float(v) for v in rng.uniform(0, 1, 2)))
+                  for _ in range(12)]
+        # Extremes: z2 leaves (-1, 1), r1 ** 2 overflows, r2 ** 2 underflows.
+        params += [ModelParams(1e17, 1.0, 0.3, 0.4),
+                   ModelParams(1.0, 1e17, 0.3, 0.4),
+                   ModelParams(1e200, 1.0, 0.3, 0.4),
+                   ModelParams(1e-300, 1e-299, 0.2, 0.7)]
+        for p in params:
+            for grid_n in (2, 7, 20):
+                want = _outcome(scalar_rank1_sweep, p, grid_n)
+                got = _outcome(lambda: check_semitoric(p, grid_n)
+                               .rank1_margin_min)
+                assert got == want

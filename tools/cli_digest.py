@@ -10,7 +10,9 @@ printouts to show that a change leaves the CLI output byte-identical:
     python tools/cli_digest.py OTHER/src        # another checkout
 
 The list covers every README example, ``height`` with all three methods,
-``image``, ``polygon`` with all four cuts and at the toric corners,
+``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
+``classify`` at extreme radius ratios, ``polygon`` with all four cuts and
+at the toric corners,
 ``classify --json``, small sweeps, seeded 41 x 41 sweeps of every quantity,
 a sweep that fails in one cell, negative values written as separate
 arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
@@ -50,6 +52,13 @@ TORIC_POINTS = [(1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 1, 0), (1, 2, 1, 1),
                 (2, 1, 0, 0), (2, 1, 1, 1), (1, 1e6, 0, 0)]
 EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
                (1, 2, 0.02, 0.8929379052866228), ("nan", 2, 0.3, 0.4)]
+# Image envelopes at R < 1, R near 1 and R = 1e3, focus-focus and toric.
+IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
+                (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
+# Radius ratios at which the rank-1 grid of ``classify`` fails (z2 leaves
+# (-1, 1), r1 ** 2 overflows, r2 ** 2 underflows) or barely holds.
+EXTREME_RADII = [(1e17, 1, 0.3, 0.4), (1, 1e17, 0.3, 0.4),
+                 (1e200, 1, 0.3, 0.4), (1e-300, 1e-299, 0.2, 0.7)]
 # Its first failing cell raises BranchSelectionError (exit 2).
 FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
                  "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
@@ -107,9 +116,13 @@ def invocations():
     for p in TORIC_POINTS:
         out.append(f"polygon {flags(p)}")
         out.append(f"polygon --json {flags(p)}")
-    for p in FF_POINTS[:1] + FF_POINTS[3:4] + TORIC_POINTS[:1]:
+    for p in FF_POINTS[:1] + FF_POINTS[3:4] + TORIC_POINTS[:1] + IMAGE_POINTS:
         out.append(f"image --samples 16 {flags(p)}")
         out.append(f"image --samples 64 {flags(p)} --out image.csv")
+    for p in FF_POINTS[:1] + IMAGE_POINTS[:1]:
+        out.append(f"image --samples 257 {flags(p)}")
+    for p in EXTREME_RADII:
+        out.append(f"classify {flags(p)}")
     for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
         for q in ("nff", "E", "height"):
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
