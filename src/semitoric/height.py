@@ -9,6 +9,8 @@ to 1e-8 or a branch-selection error is raised.
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
 adaptive quadrature of the angular width 2*arccos((A - H_crit)/sqrt(B)).
+Its cuts come from the chart's own expansion of P_0 = B - (H_crit - A)^2
+(``reduced.p0_coefficients``), never from ``gamma_B`` or ``roots_P0``.
 
 Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_gamma_D``,
 ``_quadratic_coeffs``, ``_v_coeffs``, ``integral_NA``, ``integral_NB`` and
@@ -46,8 +48,7 @@ from . import reduced
 from .errors import (BranchSelectionError, ConsistencyError,
                      DegenerateSystemError)
 from .model import ModelParams, ParamGrid, ns_frame
-from .numerics import (QuadratureSettings, find_root_bisect, integrate,
-                       libm_array)
+from .numerics import QuadratureSettings, integrate, libm_array
 from .singularity import discriminant_E, is_degenerate
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
@@ -394,15 +395,9 @@ def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
         work = ns_frame(grid)
         case = case_id(work)
         mirrored = work.s1 > 0.5
-        try:
-            f = closed_form_F(
-                libm_array(np.where(mirrored, 1.0 - work.s1, work.s1)),
-                work.s2, work.R)
-        except OverflowError:
-            # R ** 2 overflows: the float path raises OverflowError in every
-            # cell that reaches F (none in case III or without focus-focus
-            # points), and the re-run below raises it for the first one.
-            f = np.full(case.shape, np.nan)
+        f = closed_form_F(
+            libm_array(np.where(mirrored, 1.0 - work.s1, work.s1)),
+            work.s2, work.R)
         f = np.where(mirrored, -f, f)
         h1 = np.where((case == "I") | (case == "V"),
                       2.0 - f / (2.0 * math.pi), -f / (2.0 * math.pi))
@@ -424,6 +419,11 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     critical value is the integral over p2 of the angular measure of
     {q2 : A + sqrt(B) cos(q2) < H_crit}, which is 2*pi, 0 or
     2*arccos((A - H_crit)/sqrt(B)).  Returns area / (2 pi).
+
+    The integral is cut at the roots of P_0 = B - (H_crit - A)^2 inside the
+    physical interval: a double root at its lower end p2 = 0 and the roots
+    of a quadratic, so a narrow arccos zone next to p2 = 0 (E near 0) is
+    never missed.  The chart decides the zone of each piece.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -442,19 +442,15 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
         d = crit - a_of(p2)
         return b_of(p2) - d * d
 
-    # Locate the transitions between the arccos zone (P > 0) and the
-    # saturated zones (P < 0) by a sign scan plus bisection.  The scan grid
-    # carries geometric tails at both ends so that transitions close to an
-    # endpoint (where B has its zeros) are not missed.
-    span = hi - lo
-    tails = np.array([10.0 ** -k for k in range(3, 13)]) * span
-    grid = np.unique(np.concatenate([
-        np.linspace(lo, hi, 513)[1:-1], lo + tails, hi - tails]))
-    signs = np.sign(p_of(grid))
+    # P_0 = p2^2 (c4 p2^2 + c3 p2 + c2) with c4 > 0 (the coupling vanishes
+    # only at the corners, where E = 0) and c3 = -2 (R + 1) c4 < 0, so
+    # neither root of the quadratic below loses digits to cancellation.
+    c4, c3, c2, _, _ = reduced.p0_coefficients(label, params).tolist()
+    disc = c3 * c3 - 4.0 * c4 * c2
     cuts = [lo]
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        cuts.append(find_root_bisect(p_of, float(grid[i]),
-                                     float(grid[i + 1]), 1e-14))
+    if disc >= 0.0:
+        far = (-c3 + math.sqrt(disc)) / (2.0 * c4)
+        cuts += [x for x in (c2 / (c4 * far), far) if lo < x < hi]
     cuts.append(hi)
 
     max_excess = 0.0

@@ -58,6 +58,12 @@ def _check_radii(r1, r2):
         raise ValueError("r1 and r2 must be positive")
     if r1 == r2:
         raise ValueError("r1 == r2 (non-simple case) is excluded")
+    # The formulas square r1, r2 and R in both frames (see ns_frame).
+    for x in (r1, r2, r2 / r1, r1 / r2):
+        if not 0.0 < x * x < math.inf:
+            raise ValueError(f"r1 = {r1!r} and r2 = {r2!r} are out of range: "
+                             f"r1^2, r2^2 and (r2/r1)^(+-2) must be finite "
+                             f"and nonzero")
 
 
 @dataclass(frozen=True)

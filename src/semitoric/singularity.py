@@ -174,11 +174,7 @@ def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
     z1 = z1[:, None]
     ls = np.linspace(l_lo, l_hi, grid_n, axis=1)  # row i: the levels at z1[i]
     with np.errstate(all="ignore"):
-        try:
-            margin = rank1_margin(z1, ls, params)
-        except OverflowError:
-            # r1 ** 2 or r2 ** 2 overflows, as in every float call.
-            margin = np.full(ls.shape, np.nan)
+        margin = rank1_margin(z1, ls, params)
     # NaN cells take the float call's value; the first one that raises, in
     # row order, raises as a loop over the grid would.
     for i, j in np.argwhere(np.isnan(margin)):

@@ -12,6 +12,7 @@ from semitoric.model import ModelParams
 
 BASE = ["--R1", "1", "--R2", "2"]
 FF = BASE + ["--s1", "0.5", "--s2", "0.5"]
+SELF_CHECK_FAILS = ["--s1", "0.21", "--s2", "0.03066823177149811"]
 
 
 def run(capsys, argv):
@@ -76,10 +77,9 @@ class TestHeight:
         assert "h1 = 1.0" in out and "h2 = 1.0" in out
 
     def test_failed_self_check_exit_code(self, capsys):
-        # E is about -9.5e-6 here, inside the zone where the oracle's sign
-        # scan misses an arccos zone and its overshoot check fires.
-        code, out, err = run(capsys, ["height"] + BASE + [
-            "--s1", "0.02", "--s2", "0.8929379052866228"])
+        # E is about -1.3e-7 here: the SN oracle's arccos argument overshoots
+        # by 4.2e-7, above the 1e-8 limit, and its self-check fires.
+        code, out, err = run(capsys, ["height"] + BASE + SELF_CHECK_FAILS)
         assert code == 5
         assert out == ""
         assert err.startswith("internal consistency check failed: ")
@@ -87,10 +87,11 @@ class TestHeight:
 
     def test_quadrature_runs_both_oracles(self, capsys):
         # h2 comes from the SN oracle, whose self-check fails at the point
-        # of test_failed_self_check_exit_code.
+        # of test_failed_self_check_exit_code; the NS oracle passes there.
+        p = ModelParams(1, 2, 0.21, 0.03066823177149811)
+        assert 0.0 <= height_oracle("NS", p) <= 2.0
         code, out, err = run(capsys, ["height", "--method", "quadrature"]
-                             + BASE + ["--s1", "0.02",
-                                       "--s2", "0.8929379052866228"])
+                             + BASE + SELF_CHECK_FAILS)
         assert code == 5 and out == ""
         assert err.startswith("internal consistency check failed: ")
         code, out, _ = run(capsys, ["height", "--method", "quadrature",
@@ -222,6 +223,20 @@ class TestArguments:
         flags = {flag for sp in commands.values() for a in sp._actions
                  if a.nargs is None for flag in a.option_strings}
         assert flags - {"--cuts"} == cli._VALUE_FLAGS
+
+    @pytest.mark.parametrize("argv", [
+        "classify --R1=1e200 --R2=1 --s1=0.3 --s2=0.4",
+        "classify --R1=1e-300 --R2=1e-299 --s1=0.2 --s2=0.7",
+        "image --R1=1e200 --R2=1 --s1=0.3 --s2=0.4",
+        "image --R1=1e100 --R2=1e-100 --s1=0.3 --s2=0.6",
+        "sweep --R1=1e200 --R2=1 --quantity E --s1-count 3 --s2-count 3"])
+    def test_radii_whose_squares_leave_float_range(self, capsys, argv):
+        # r1^2, r2^2 or (r2/r1)^2 overflows or underflows to zero.
+        code, out, err = run(capsys, argv.split())
+        r1, r2 = (float(a.split("=")[1]) for a in argv.split()[1:3])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: r1 = {r1!r} and r2 = {r2!r} ")
+        assert err.count("\n") == 1
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -241,9 +241,11 @@ class TestHeightValues:
         assert abs(a - b) < 1e-9
 
     def test_oracle_matches_scalar_scan_reference(self):
-        # Seeded focus-focus points in both frames, away from the known
-        # defect zones: -E <= 1e-2 r1 r2, where the scan misses narrow
-        # arccos zones, and the case-III crossing of the closed form.
+        # Seeded focus-focus points in both frames, away from the zones
+        # where the scan reference fails: -E <= 1e-2 r1 r2, where it misses
+        # narrow arccos zones, and the case-III crossing of the closed form.
+        # The oracle takes its cuts from the roots of P_0 instead of a
+        # bisection to 1e-14, so the values agree to roundoff, not in bits.
         rng = np.random.default_rng(35)
         frames = {"R > 1": 0, "R < 1": 0}
         while min(frames.values()) < 30:
@@ -256,7 +258,16 @@ class TestHeightValues:
                 continue
             frames["R > 1" if R > 1 else "R < 1"] += 1
             for label in ("NS", "SN"):
-                assert height_oracle(label, p) == scalar_scan_oracle(label, p)
+                assert abs(height_oracle(label, p)
+                           - scalar_scan_oracle(label, p)) <= 1e-13
+
+    @pytest.mark.parametrize("point", [
+        (1, 2, 0.02, 0.8929379052866228),
+        (1, 5.536455289746141, 0.20372288490504997, 0.14741965041001193)])
+    def test_oracle_near_zero_discriminant(self, point):
+        # -E is 4.8e-6 and 7.8e-5 r1 r2 here; a sign scan misses the narrow
+        # arccos zone next to p2 = 0 and its overshoot check fires.
+        assert height_both(ModelParams(*point)).discrepancy <= 1e-9
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from semitoric.model import (FIXED_POINTS, ModelParams, PhasePoint,
-                             apply_symmetry, fd_gradient, h_func, h_grad,
-                             l_flow, l_func, l_grad, momentum_map,
+from semitoric.model import (FIXED_POINTS, ModelParams, ParamGrid,
+                             PhasePoint, apply_symmetry, fd_gradient, h_func,
+                             h_grad, l_flow, l_func, l_grad, momentum_map,
                              poisson_bracket, random_phase_point, t_params)
 
 
@@ -32,6 +32,15 @@ class TestModelParams:
             ModelParams(bad, 1.0, 0.3, 0.4)
         with pytest.raises(ValueError, match="r1 and r2 must be finite"):
             ModelParams(1.0, bad, 0.3, 0.4)
+
+    def test_squared_radii_stay_in_float_range(self):
+        for r1, r2 in ((1e-150, 1e-149), (1e153, 1e152)):
+            ModelParams(r1, r2, 0.3, 0.4)
+        for r1, r2 in ((1e200, 1.0), (1e-300, 1e-299), (1e100, 1e-100)):
+            with pytest.raises(ValueError, match="are out of range"):
+                ModelParams(r1, r2, 0.3, 0.4)
+            with pytest.raises(ValueError, match="are out of range"):
+                ParamGrid(r1, r2, [0.3], [0.4])
 
     def test_rejects_couplings_outside_unit_interval(self):
         with pytest.raises(ValueError):

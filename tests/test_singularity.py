@@ -134,11 +134,12 @@ class TestRank1Arrays:
         params = [ModelParams(1.0, float(np.exp(rng.uniform(-2.1, 2.1))),
                               *(float(v) for v in rng.uniform(0, 1, 2)))
                   for _ in range(12)]
-        # Extremes: z2 leaves (-1, 1), r1 ** 2 overflows, r2 ** 2 underflows.
+        # Extremes: z2 leaves (-1, 1), and r1 ** 2 or r2 ** 2 near the ends
+        # of the float range (ModelParams rejects squares outside it).
         params += [ModelParams(1e17, 1.0, 0.3, 0.4),
                    ModelParams(1.0, 1e17, 0.3, 0.4),
-                   ModelParams(1e200, 1.0, 0.3, 0.4),
-                   ModelParams(1e-300, 1e-299, 0.2, 0.7)]
+                   ModelParams(1e153, 1e152, 0.3, 0.4),
+                   ModelParams(1e-150, 1e-149, 0.2, 0.7)]
         for p in params:
             for grid_n in (2, 7, 20):
                 want = _outcome(scalar_rank1_sweep, p, grid_n)

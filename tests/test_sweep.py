@@ -148,19 +148,13 @@ class TestSweepMatchesCellLoop:
         assert code == 2 and out == ""
         assert err.startswith("error: closed-form paths disagree: ")
 
-    def test_power_of_R_overflows(self):
-        # R ** 2 overflows, but every focus-focus cell is in case III, so
-        # the float path never reaches it and the sweep succeeds.
-        argv = ["sweep", "--R1", "1e-170", "--R2", "1", "--quantity",
-                "height", "--s1-count", "3", "--s2-count", "3"]
-        code, out, err = array_sweep(argv)
-        assert (code, out, err) == reference_sweep(argv)
-        assert code == 0 and "1.0,1.0," in out
-
     @pytest.mark.parametrize("r1, message", [
         ("1e3", "error: r1 == r2 (non-simple case) is excluded\n"),
         ("-1", "error: r1 and r2 must be positive\n"),
-        ("nan", "error: r1 and r2 must be finite\n")])
+        ("nan", "error: r1 and r2 must be finite\n"),
+        pytest.param("1e-170", "error: r1 = 1e-170 and r2 = 1000.0 are out "
+                     "of range: r1^2, r2^2 and (r2/r1)^(+-2) must be finite "
+                     "and nonzero\n", id="square-underflows")])
     def test_invalid_radii(self, r1, message):
         argv = ["sweep", f"--R1={r1}", "--R2", "1e3", "--quantity", "E"]
         assert array_sweep(argv) == (2, "", message) == reference_sweep(argv)

@@ -11,8 +11,10 @@ printouts to show that a change leaves the CLI output byte-identical:
 
 The list covers every README example, ``height`` with all three methods,
 ``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
-``classify`` at extreme radius ratios, ``polygon`` with all four cuts and
-at the toric corners,
+``classify`` at extreme radius ratios, radius pairs whose squares leave
+the float range and pairs just inside it, ``height`` near E = 0 (where the
+oracle's cuts matter), ``polygon`` with all four cuts and at the toric
+corners,
 ``classify --json``, small sweeps, seeded 41 x 41 sweeps of every quantity,
 a sweep that fails in one cell, negative values written as separate
 arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
@@ -34,6 +36,7 @@ import numpy as np
 
 SEED = 20261018
 N_RANDOM = 8
+N_NEAR_E0 = 4
 
 README_EXAMPLES = [
     "classify --R1 1 --R2 2 --s1 0.5 --s2 0.5",
@@ -56,9 +59,18 @@ EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
 IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
                 (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
 # Radius ratios at which the rank-1 grid of ``classify`` fails (z2 leaves
-# (-1, 1), r1 ** 2 overflows, r2 ** 2 underflows) or barely holds.
+# (-1, 1)) or barely holds, and at which r1 ** 2 overflows or underflows.
 EXTREME_RADII = [(1e17, 1, 0.3, 0.4), (1, 1e17, 0.3, 0.4),
                  (1e200, 1, 0.3, 0.4), (1e-300, 1e-299, 0.2, 0.7)]
+# A square of the radii or of their ratio leaves the float range (exit 2);
+# the IN_RANGE pairs stay just inside it.
+RANGE_RADII = [(1e200, 1, 0.3, 0.4), (1e100, 1e-100, 0.3, 0.6)]
+IN_RANGE_RADII = [(1e-150, 1e-149, 0.3, 0.4), (1e153, 1e152, 0.3, 0.4)]
+# Near E = 0: an oracle self-check failure (exit 5) and the input at which
+# the benchmark's oracle workload once failed.
+NEAR_E0_POINTS = [(1, 2, 0.21, 0.03066823177149811),
+                  (1, 5.536455289746141, 0.20372288490504997,
+                   0.14741965041001193)]
 # Its first failing cell raises BranchSelectionError (exit 2).
 FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
                  "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
@@ -82,6 +94,32 @@ def random_ff_points(rng):
         s1, s2 = (float(v) for v in rng.uniform(0.0, 1.0, 2))
         if discriminant_E(ModelParams(1.0, R, s1, s2)) < -1e-2 * R:
             points.append((1.0, R, s1, s2))
+    return points
+
+
+def near_e0_points(rng):
+    """Seeded points with -E/(r1 r2) log-uniform on [5e-6, 1e-4] and R
+    log-uniform on [1/8, 8]: s1 in (0, 1/2) solves E = -depth r1 r2 by
+    bisection at a random s2."""
+    from semitoric.model import ModelParams
+    from semitoric.singularity import discriminant_E
+
+    points = []
+    while len(points) < N_NEAR_E0:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        s2 = float(rng.uniform(0.0, 1.0))
+        depth = math.exp(rng.uniform(math.log(5e-6), math.log(1e-4)))
+
+        def excess(s1):
+            return discriminant_E(ModelParams(1.0, R, s1, s2)) / R + depth
+
+        lo, hi = 0.0, 0.5  # excess(1/2) < 0 always
+        if excess(lo) <= 0.0:
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        points.append((1.0, R, lo, s2))
     return points
 
 
@@ -123,6 +161,16 @@ def invocations():
         out.append(f"image --samples 257 {flags(p)}")
     for p in EXTREME_RADII:
         out.append(f"classify {flags(p)}")
+    for p in RANGE_RADII:
+        out.append(f"image {flags(p)}")
+    out.append("sweep --R1=1e200 --R2=1 --quantity E --s1-count 3 "
+               "--s2-count 3")
+    for p in IN_RANGE_RADII:
+        for command in ("classify", "image", "height", "polygon"):
+            out.append(f"{command} {flags(p)}")
+    for p in NEAR_E0_POINTS + near_e0_points(np.random.default_rng(SEED + 2)):
+        out.append(f"height {flags(p)}")
+        out.append(f"height --method quadrature {flags(p)}")
     for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
         for q in ("nff", "E", "height"):
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
