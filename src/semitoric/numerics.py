@@ -2,6 +2,12 @@
 extremization, a quartic root solver, and ``LibmArray``, the float64 array
 type on which the closed forms give the same bits as on Python floats.
 
+``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
+package: it is the independent reference against which acceptance
+criterion 7 checks the closed-form roots of P_0.  At run time
+``reduced.roots_P0`` checks them against the quadratic factor of the
+chart's own P_0 instead.
+
 ``minimize_golden`` takes one float bracket or an array of brackets; the
 brackets of an array are refined in lockstep, with one objective call per
 step for all of them, and each gets the bits of its own float call.
@@ -90,8 +96,8 @@ def _gk15(f, a, b):
     """Single Gauss-Kronrod panel; returns (K15 value, error estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _KRONROD_NODES
-    fx = np.array([f(xi) for xi in x])
+    # f gets Python floats: arithmetic on NumPy scalars is slower.
+    fx = np.array([f(xi) for xi in (mid + half * _KRONROD_NODES).tolist()])
     k15 = half * float(_KRONROD_WEIGHTS @ fx)
     g7 = half * float(_GAUSS_WEIGHTS @ fx[1::2])
     return k15, (200.0 * abs(k15 - g7)) ** 1.5

@@ -19,11 +19,11 @@ that one call serves every level of the image envelope.  ``reduced_A`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .errors import ConsistencyError
 from .model import ModelParams
 
@@ -143,6 +143,23 @@ def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
     ])
 
 
+def p0_quadratic_roots(label: str, params: ModelParams):
+    """Roots (near, far) of the quadratic factor of P_0, or None.
+
+    P_0 = p2^2 (c4 p2^2 + c3 p2 + c2) with the coefficients of
+    ``p0_coefficients``; None when the quadratic's discriminant is negative.
+    c4 > 0 (the coupling vanishes only at the (s1, s2) corners) and
+    c3 = -2 (R + 1) c4 < 0, so neither root loses digits to cancellation:
+    far = (-c3 + sqrt(disc)) / (2 c4) and near = c2 / (c4 far).
+    """
+    c4, c3, c2, _, _ = p0_coefficients(label, params).tolist()
+    disc = c3 * c3 - 4.0 * c4 * c2
+    if disc < 0.0:
+        return None
+    far = (-c3 + math.sqrt(disc)) / (2.0 * c4)
+    return c2 / (c4 * far), far
+
+
 @dataclass(frozen=True)
 class QuarticRoots:
     z1: complex
@@ -158,8 +175,10 @@ class QuarticRoots:
 def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     """Roots (0, 0, zeta3, zeta4) of P_0 in closed form.
 
-    zeta_{3,4} = 1 + R -/+ sqrt(gamma_B) / (2 c), cross-checked against the
-    companion-matrix quartic solver to 1e-9.
+    zeta_{3,4} = 1 + R -/+ sqrt(gamma_B) / (2 c), cross-checked to 1e-9
+    against the roots of the quadratic factor of the chart's P_0
+    (``p0_quadratic_roots``); the double root 0 is checked as the vanishing
+    of the chart's two lowest coefficients.
     """
     from .height import gamma_B  # local import to avoid a module cycle
 
@@ -174,12 +193,15 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     half_span = np.sqrt(gb) / (2 * c)
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
-    numeric = numerics.quartic_roots(p0_coefficients(label, params))
-    closed = np.sort(np.array([0.0, 0.0, z3, z4]))
-    if np.max(np.abs(numeric.real - closed)) > 1e-9 or \
-            np.max(np.abs(numeric.imag)) > 1e-9:
+    c1, c0 = p0_coefficients(label, params).tolist()[3:]
+    chart = p0_quadratic_roots(label, params)
+    if (c1 != 0.0 or c0 != 0.0 or chart is None
+            or not (abs(chart[0] - z3) <= 1e-9
+                    and abs(chart[1] - z4) <= 1e-9)):
         raise ConsistencyError(
-            f"closed-form roots {closed} disagree with quartic solver {numeric}")
+            f"closed-form roots (0, 0, {z3}, {z4}) disagree with the chart's "
+            f"P_0 = p2^2 (c4 p2^2 + c3 p2 + c2): c1, c0 = {c1}, {c0}, "
+            f"quadratic roots {chart}")
     return QuarticRoots(0.0, 0.0, z3, z4, all_real=True)
 
 

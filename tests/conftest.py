@@ -92,3 +92,23 @@ def scalar_golden():
     written without ``numerics``: ``scalar_golden(f, a, b)`` returns
     (x, fx, unimodal)."""
     return _scalar_minimize_golden
+
+
+def _ndarray_gk15(f, a, b):
+    """One Gauss-Kronrod panel exactly as ``numerics._gk15`` computed it
+    when it called ``f`` on the elements of an ndarray (NumPy scalars)."""
+    from semitoric import numerics
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid + half * numerics._KRONROD_NODES
+    fx = np.array([f(xi) for xi in x])
+    k15 = half * float(numerics._KRONROD_WEIGHTS @ fx)
+    g7 = half * float(numerics._GAUSS_WEIGHTS @ fx[1::2])
+    return k15, (200.0 * abs(k15 - g7)) ** 1.5
+
+
+@pytest.fixture(scope="session")
+def ndarray_gk15():
+    """Reference GK15 panel that iterates an ndarray of nodes, for
+    bit-for-bit comparison with ``numerics._gk15``."""
+    return _ndarray_gk15

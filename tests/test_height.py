@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from semitoric import reduced
-from semitoric.errors import BranchSelectionError, DegenerateSystemError
+from semitoric.errors import (BranchSelectionError, ConsistencyError,
+                              DegenerateSystemError)
 from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
                               gamma_B, gamma_coefficients, height_both,
                               height_closed, height_oracle, integral_NA,
@@ -268,6 +269,23 @@ class TestHeightValues:
         # -E is 4.8e-6 and 7.8e-5 r1 r2 here; a sign scan misses the narrow
         # arccos zone next to p2 = 0 and its overshoot check fires.
         assert height_both(ModelParams(*point)).discrepancy <= 1e-9
+
+    def test_oracle_rejects_cut_off_the_chart(self, monkeypatch):
+        # c2 = 4 R a4 - (k/R)^2 of P_0 with (k/R)^2 off by 1 %: the cut
+        # moves into the arccos zone, where no other check of the oracle
+        # notices (it returned h1 2.5e-6 off before the cut check).
+        true_coefficients = reduced.p0_coefficients
+
+        def shifted(label, params):
+            c = true_coefficients(label, params)
+            k2 = 4 * params.R * c[0] - c[2]
+            c[2] -= 0.01 * k2
+            return c
+
+        monkeypatch.setattr(reduced, "p0_coefficients", shifted)
+        for label in reduced.LABELS:
+            with pytest.raises(ConsistencyError, match="no root of the chart"):
+                height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semitoric import numerics
 from semitoric.errors import NonconvergenceError
 from semitoric.numerics import (QuadratureSettings, find_root_bisect,
                                 integrate, minimize_golden, quartic_roots)
@@ -51,6 +52,24 @@ class TestIntegrate:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
+
+    @pytest.mark.parametrize("f, a, b, mode", [
+        (lambda x: math.exp(-x) * x ** 2.5 - math.cos(3.0 * x), 0.0, 4.0,
+         "none"),
+        (lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, "both"),
+        (lambda x: 2.0 * math.acos(max(-1.0, min(1.0, (x - 0.25) / x))),
+         0.0, 1.5, "inverse-sqrt-left"),
+    ])
+    def test_panel_on_floats_equals_ndarray_panel(self, monkeypatch,
+                                                  ndarray_gk15, f, a, b,
+                                                  mode):
+        # The panel hands f Python floats instead of the elements of an
+        # ndarray; every value must keep its bits.
+        settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13,
+                                      endpoint_mode=mode)
+        value = integrate(f, a, b, settings)
+        monkeypatch.setattr(numerics, "_gk15", ndarray_gk15)
+        assert value == integrate(f, a, b, settings)
 
 
 class TestBisect:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from semitoric import reduced
+from semitoric import height, reduced
+from semitoric.errors import ConsistencyError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map
+from semitoric.numerics import quartic_roots
+from semitoric.singularity import discriminant_E
 
 
 @pytest.fixture
@@ -131,6 +134,47 @@ class TestQuarticP0:
     def test_rejects_vanishing_coupling(self):
         with pytest.raises(ValueError):
             reduced.roots_P0("NS", ModelParams(1.0, 2.0, 0.0, 0.0))
+
+    def test_quadratic_roots_match_quartic_solver(self):
+        # 200 seeded focus-focus points, R on both sides of 1.
+        rng = np.random.default_rng(43)
+        n = 0
+        while n < 200:
+            R = float(np.exp(rng.uniform(np.log(1 / 8), np.log(8))))
+            p = ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
+            if discriminant_E(p) >= -1e-10 * R:
+                continue
+            n += 1
+            for label in reduced.LABELS:
+                near, far = reduced.p0_quadratic_roots(label, p)
+                numeric = quartic_roots(reduced.p0_coefficients(label, p))
+                assert np.max(np.abs(
+                    numeric - np.sort([0.0, 0.0, near, far]))) <= 1e-12
+
+    def test_closed_roots_checked_against_chart(self, monkeypatch, params):
+        # A closed form off by a relative 1e-6 in gamma_B is caught.
+        true_gamma_B = height.gamma_B
+        monkeypatch.setattr(height, "gamma_B",
+                            lambda *a: true_gamma_B(*a) * (1 + 1e-6))
+        for label in reduced.LABELS:
+            with pytest.raises(ConsistencyError, match="chart's"):
+                reduced.roots_P0(label, params)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: [c[0], c[1], c[1] ** 2 / (4 * c[0]) * 1.001, 0.0, 0.0],
+        lambda c: [c[0], c[1], c[2], 1e-12, 0.0],
+        lambda c: [c[0], c[1], c[2], 0.0, 1e-300],
+    ], ids=["negative-discriminant", "c1", "c0"])
+    def test_chart_without_matching_roots_raises(self, monkeypatch, params,
+                                                 mutate):
+        # No real quadratic roots, or no exact double root at p2 = 0.
+        true_coefficients = reduced.p0_coefficients
+        monkeypatch.setattr(
+            reduced, "p0_coefficients",
+            lambda label, params: np.array(
+                mutate(true_coefficients(label, params))))
+        with pytest.raises(ConsistencyError):
+            reduced.roots_P0("NS", params)
 
 
 class TestDHProfile:

@@ -1,0 +1,182 @@
+"""Time the layers under the ``oracle`` benchmark op, one row per layer.
+
+Each row times one package call on a fixed, seeded set of focus-focus
+points (R = r2/r1 log-uniform on [1/8, 8], s1 and s2 uniform, outside the
+bands -E <= 1e-2 r1 r2 and |case-III factor| <= 1e-3 that the benchmark
+leaves out) and reports the time per call in microseconds: the median and
+quartiles over repeats, each repeat one pass over all points.  The rows are
+timed round-robin, so a slow stretch of a shared host spreads over all of
+them.  The last row is the benchmark's whole ``oracle`` op: ``height_both``
+plus ``roots_P0`` for both labels.
+
+    python tools/bench_layers.py --out BENCH_oracle.json
+    python tools/bench_layers.py OTHER/src --label PARENT --out old.json
+    python tools/bench_layers.py --previous old.json --out BENCH_oracle.json
+
+SRC (default: this checkout's src/) is the package that is timed.
+``--previous FILE`` copies an earlier file's label, environment and rows
+into the new file and prints each row's ratio to it.  Standard library and
+NumPy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20261018
+N_POINTS = 48
+REPEATS = 31
+
+
+def focus_focus_points(model, singularity, n):
+    """``n`` seeded focus-focus points of the oracle workload's domain."""
+    rng = np.random.default_rng(SEED)
+    points = []
+    while len(points) < n:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        p = model.ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
+        w = model.ns_frame(p)
+        factor = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
+        if (singularity.discriminant_E(p) < -1e-2 * p.r1 * p.r2
+                and abs(factor) > 1e-3):
+            points.append(p)
+    return points
+
+
+def layer_calls():
+    """(row name, function of one point) for every row, in table order."""
+    from semitoric import height, model, numerics, reduced
+
+    settings = numerics.QuadratureSettings(abs_tol=5e-10, rel_tol=5e-10,
+                                           endpoint_mode="both")
+
+    def arccos_zone(p):
+        # An arccos zone of the oracle: width 2 acos from 1 down to -1.
+        return numerics.integrate(
+            lambda x: 2.0 * math.acos(1.0 - 2.0 * x / p.R), 0.0, p.R,
+            settings)
+
+    def oracle_op(p):
+        return (height.height_both(p), reduced.roots_P0("NS", p),
+                reduced.roots_P0("SN", p))
+
+    return [
+        ("reduced.roots_P0", lambda p: reduced.roots_P0("NS", p)),
+        ("height.height_oracle NS",
+         lambda p: height.height_oracle("NS", model.ns_frame(p))),
+        ("height.height_oracle SN",
+         lambda p: height.height_oracle("SN", model.ns_frame(p))),
+        ("height.height_closed", height.height_closed),
+        ("numerics.quartic_roots",
+         lambda p: numerics.quartic_roots(reduced.p0_coefficients("NS", p))),
+        ("numerics.integrate", arccos_zone),
+        ("op.oracle (end to end)", oracle_op),
+    ]
+
+
+def measure(calls, points, repeats):
+    """Per-call seconds of every row: a list of ``repeats`` samples each."""
+    samples = {name: [] for name, _ in calls}
+    for _ in range(2):  # warm-up: imports, caches
+        for _, f in calls:
+            for p in points:
+                f(p)
+    for _ in range(repeats):
+        for name, f in calls:
+            t0 = time.perf_counter()
+            for p in points:
+                f(p)
+            samples[name].append((time.perf_counter() - t0) / len(points))
+    return samples
+
+
+def checkout_label(src: Path) -> str:
+    try:
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=src, capture_output=True, text=True,
+                             timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?", type=Path,
+                    default=Path(__file__).resolve().parents[1] / "src")
+    ap.add_argument("--label", help="name of the timed source "
+                    "(default: its git commit)")
+    ap.add_argument("--previous", type=Path,
+                    help="an earlier file of this script to compare with")
+    ap.add_argument("--out", type=Path, help="write the JSON record here")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    from semitoric import model, singularity
+
+    points = focus_focus_points(model, singularity, N_POINTS)
+    samples = measure(layer_calls(), points, REPEATS)
+    rows = []
+    for name, times in samples.items():
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        rows.append({"layer": name, "median_us": round(1e6 * median, 2),
+                     "q1_us": round(1e6 * q1, 2), "q3_us": round(1e6 * q3, 2)})
+    record = {
+        "topic": "oracle",
+        "label": args.label or checkout_label(args.src.resolve()),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_model": cpu_model(),
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "points": N_POINTS, "seed": SEED, "repeats": REPEATS,
+        "unit": "us per call, median and quartiles over repeats",
+        "rows": rows,
+    }
+    before = {}
+    if args.previous is not None:
+        prev = json.loads(args.previous.read_text())
+        record["previous"] = {k: prev[k] for k in ("label", "environment",
+                                                     "rows")}
+        before = {r["layer"]: r["median_us"] for r in prev["rows"]}
+
+    print(f"{'layer':<26} {'median us':>10} {'q1':>9} {'q3':>9}"
+          + (f" {'previous':>10} {'ratio':>6}" if before else ""))
+    for r in rows:
+        line = (f"{r['layer']:<26} {r['median_us']:>10.2f} "
+                f"{r['q1_us']:>9.2f} {r['q3_us']:>9.2f}")
+        if r["layer"] in before:
+            old = before[r["layer"]]
+            line += f" {old:>10.2f} {old / r['median_us']:>5.2f}x"
+        print(line)
+    if args.out is not None:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
