@@ -130,22 +130,6 @@ def gamma_B(s1: float, s2: float, R: float) -> float:
             + s2 ** 2 * (4 * s2 ** 2 - 8 * s2 + 5))
 
 
-def _gamma_C(s1, s2, R, sqrt_gb):
-    return (-4 * R ** 2 * s1 ** 2 * s2 ** 2 + 8 * R ** 2 * s1 ** 2 * s2
-            - 4 * R ** 2 * s1 ** 2 + 4 * R ** 2 * s1 * s2 ** 2
-            - 8 * R ** 2 * s1 * s2 + 4 * R ** 2 * s1
-            - R ** 2 * s2 ** 2 + 2 * R ** 2 * s2 - R ** 2
-            + 8 * R * s1 ** 4 - 16 * R * s1 ** 3
-            + 8 * R * s1 ** 2 * s2 ** 2 - 8 * R * s1 ** 2 * s2
-            + 8 * R * s1 ** 2 - 8 * R * s1 * s2 ** 2 + 8 * R * s1 * s2
-            + 8 * R * s2 ** 4 - 16 * R * s2 ** 3 + 6 * R * s2 ** 2
-            + 2 * R * s2
-            + 4 * sqrt_gb * (-s1 ** 2 + s1 - s2 ** 2 + s2)
-            - 8 * s1 ** 4 + 16 * s1 ** 3 - 20 * s1 ** 2 * s2 ** 2
-            + 16 * s1 ** 2 * s2 - 8 * s1 ** 2 + 20 * s1 * s2 ** 2
-            - 16 * s1 * s2 - 8 * s2 ** 4 + 16 * s2 ** 3 - 9 * s2 ** 2)
-
-
 def _gamma_D(s1, s2, R, sqrt_gb):
     return (-8 * R ** 2 * s1 ** 4 + 16 * R ** 2 * s1 ** 3
             - 20 * R ** 2 * s1 ** 2 * s2 ** 2 + 24 * R ** 2 * s1 ** 2 * s2
@@ -160,27 +144,6 @@ def _gamma_D(s1, s2, R, sqrt_gb):
             + 8 * R * s2 ** 4 - 16 * R * s2 ** 3 + 6 * R * s2 ** 2
             + 2 * R * s2
             - 4 * s1 ** 2 * s2 ** 2 + 4 * s1 * s2 ** 2 - s2 ** 2)
-
-
-@dataclass(frozen=True)
-class GammaCoeffs:
-    gA: float
-    gB: float
-    gC: float
-    gD: float
-
-
-def gamma_coefficients(params: ModelParams) -> GammaCoeffs:
-    """The four closed-form coefficients; gC and gD consume sqrt(gB)."""
-    s1, s2, R = params.s1, params.s2, params.R
-    ga = gamma_A(s1, s2, R)
-    gb = gamma_B(s1, s2, R)
-    if gb < 0:
-        raise ValueError(
-            f"gamma_B = {gb:.3e} < 0; gC/gD are not real (inconsistent with "
-            f"a focus-focus regime)")
-    sq = math.sqrt(gb)
-    return GammaCoeffs(ga, gb, _gamma_C(s1, s2, R, sq), _gamma_D(s1, s2, R, sq))
 
 
 def integral_NA(alpha, beta, gamma):

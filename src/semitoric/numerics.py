@@ -80,15 +80,14 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    endpoint_mode: str = "none"  # none | inverse-sqrt-left | inverse-sqrt-right | both
+    endpoint_mode: str = "none"  # none | both
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-        if self.endpoint_mode not in ("none", "inverse-sqrt-left",
-                                      "inverse-sqrt-right", "both"):
+        if self.endpoint_mode not in ("none", "both"):
             raise ValueError(f"unknown endpoint_mode {self.endpoint_mode!r}")
 
 
@@ -106,9 +105,9 @@ def _gk15(f, a, b):
 def integrate(f, a, b, settings: QuadratureSettings | None = None):
     """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
 
-    Returns ``(value, error_estimate)``.  With an endpoint mode other than
-    ``none`` the integral is first mapped through x = a + (b-a) sin^2(t),
-    which removes inverse-square-root singularities at either endpoint.
+    Returns ``(value, error_estimate)``.  With endpoint mode ``both`` the
+    integral is first mapped through x = a + (b-a) sin^2(t), which removes
+    inverse-square-root singularities at either endpoint.
     """
     if settings is None:
         settings = QuadratureSettings()

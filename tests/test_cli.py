@@ -53,6 +53,12 @@ class TestClassify:
         assert code == 2
         assert err == "error: r1 and r2 must be finite\n"
 
+    def test_extreme_radius_ratio(self, capsys):
+        code, out, err = run(capsys, ["classify", "--R1=1e17", "--R2=1",
+                                      "--s1=0.3", "--s2=0.4"])
+        assert (code, err) == (0, "")
+        assert "semitoric: yes" in out
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run(capsys, ["classify"] + BASE
                            + ["--s1", "2.0", "--s2", "0.5"])

@@ -9,9 +9,8 @@ from semitoric import reduced
 from semitoric.errors import (BranchSelectionError, ConsistencyError,
                               DegenerateSystemError)
 from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
-                              gamma_B, gamma_coefficients, height_both,
-                              height_closed, height_oracle, integral_NA,
-                              integral_NB)
+                              gamma_B, height_both, height_closed,
+                              height_oracle, integral_NA, integral_NB)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import (QuadratureSettings, find_root_bisect,
                                 integrate, libm_array)
@@ -22,7 +21,7 @@ def _quad_NB(alpha, beta, gamma, delta):
     # Reference for N_B = int 1/((delta - p) sqrt(alpha p^2 + beta p + gamma))
     # over [0, z3] where z3 is the smaller root of the radicand.
     z3 = (-beta - math.sqrt(beta * beta - 4 * alpha * gamma)) / (2 * alpha)
-    settings = QuadratureSettings(endpoint_mode="inverse-sqrt-right",
+    settings = QuadratureSettings(endpoint_mode="both",
                                   abs_tol=1e-12, rel_tol=1e-12)
     f = lambda p: 1.0 / ((delta - p)
                          * math.sqrt(alpha * p * p + beta * p + gamma))
@@ -97,18 +96,12 @@ class TestGammaPolynomials:
         p = ModelParams(1.0, 2.0, 0.3, 0.6)
         assert abs(gamma_A(0.3, 0.6, 2.0) + discriminant_E(p)) < 1e-13
 
-    def test_coefficients_record(self):
-        p = ModelParams(1.0, 2.0, 0.25, 0.25)
-        g = gamma_coefficients(p)
-        assert g.gA > 0 and g.gB > 0
-        assert abs(g.gA - gamma_A(0.25, 0.25, 2.0)) < 1e-15
-
 
 class TestRootIntegrals:
     def test_na_against_quadrature(self):
         # Roots of the radicand at 1 and 2; integrate on [0, 1].
         val = integral_NA(1.0, -3.0, 2.0)
-        settings = QuadratureSettings(endpoint_mode="inverse-sqrt-right")
+        settings = QuadratureSettings(endpoint_mode="both")
         ref, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
                            0.0, 1.0, settings)
         assert abs(val - ref) < 1e-10

@@ -23,20 +23,20 @@ class TestIntegrate:
         assert abs(val - 1.0 / 3.0) < 1e-12
 
     def test_inverse_sqrt_right_endpoint(self):
-        settings = QuadratureSettings(endpoint_mode="inverse-sqrt-right")
+        settings = QuadratureSettings(endpoint_mode="both")
         val, _ = integrate(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0,
                            settings)
         assert abs(val - 2.0) < 1e-10
 
     def test_inverse_sqrt_left_endpoint(self):
-        settings = QuadratureSettings(endpoint_mode="inverse-sqrt-left")
+        settings = QuadratureSettings(endpoint_mode="both")
         val, _ = integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, settings)
         assert abs(val - 2.0) < 1e-10
 
     def test_root_quadratic_integrand(self):
         # 1/sqrt(x^2 - 3x + 2) over [0, 1): roots at 1 and 2.
         from semitoric.height import integral_NA
-        settings = QuadratureSettings(endpoint_mode="inverse-sqrt-right")
+        settings = QuadratureSettings(endpoint_mode="both")
         val, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
                            0.0, 1.0, settings)
         assert abs(val - integral_NA(1.0, -3.0, 2.0)) < 1e-9
@@ -58,7 +58,7 @@ class TestIntegrate:
          "none"),
         (lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, "both"),
         (lambda x: 2.0 * math.acos(max(-1.0, min(1.0, (x - 0.25) / x))),
-         0.0, 1.5, "inverse-sqrt-left"),
+         0.0, 1.5, "both"),
     ])
     def test_panel_on_floats_equals_ndarray_panel(self, monkeypatch,
                                                   ndarray_gk15, f, a, b,

@@ -1,5 +1,7 @@
 """Fixed-point classification, the discriminant E and the rank-1 criterion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,15 +73,14 @@ class TestRank1:
     def test_margin_negative_inside_strip(self):
         p = ModelParams(1.0, 2.0, 0.3, 0.6)
         for z1 in np.linspace(-0.99, 0.99, 21):
-            l = p.r1 * z1  # z2 = 0 slice
-            assert rank1_margin(float(z1), float(l), p) < 0
+            assert rank1_margin(float(z1), 0.0, p) < 0
 
     def test_rejects_boundary(self):
         p = ModelParams(1.0, 2.0, 0.3, 0.6)
-        with pytest.raises(ValueError):
-            rank1_margin(1.0, 0.0, p)
-        with pytest.raises(ValueError):
-            rank1_margin(0.0, 10.0, p)
+        for z1, z2 in ((1.0, 0.0), (0.0, -1.0), (0.0, 10.0),
+                       (float("nan"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(ValueError):
+                rank1_margin(z1, z2, p)
 
     def test_check_semitoric_verdicts(self):
         v = check_semitoric(ModelParams(1, 2, 0.5, 0.5), grid_n=10)
@@ -92,57 +93,75 @@ class TestRank1:
 def scalar_rank1_sweep(params, grid_n):
     """Reference copy of the rank-1 sweep of ``check_semitoric``: one float
     ``rank1_margin`` call per grid point, largest margin kept."""
-    worst = -np.inf
-    for z1 in np.linspace(-1 + 1e-6, 1 - 1e-6, grid_n):
-        l_lo = params.r1 * z1 - params.r2 * (1 - 1e-6)
-        l_hi = params.r1 * z1 + params.r2 * (1 - 1e-6)
-        for l in np.linspace(l_lo, l_hi, grid_n):
-            worst = max(worst, rank1_margin(float(z1), float(l), params))
-    return worst
+    z = np.linspace(-1 + 1e-6, 1 - 1e-6, grid_n)
+    return max(rank1_margin(float(z1), float(z2), params)
+               for z1 in z for z2 in z)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
+def _random_params(rng, n, log_ratio):
+    """n seeded parameter points with r1/r2 = 10 ** (+-log_ratio draws)."""
+    out = []
+    for _ in range(n):
+        r1 = 10.0 ** (rng.choice((-1, 1)) * rng.uniform(*log_ratio))
+        out.append(ModelParams(float(r1), 1.0,
+                               *(float(v) for v in rng.uniform(0, 1, 2))))
+    return out
 
 
 class TestRank1Arrays:
     def test_array_equals_float_calls(self):
-        # z1 and l run past the strip on purpose: cells whose float call
-        # raises are NaN in the array.
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            p = ModelParams(1.0, float(np.exp(rng.uniform(-3.0, 3.0))),
-                            *(float(v) for v in rng.uniform(0, 1, 2)))
-            z1 = rng.uniform(-1.1, 1.1, (15, 1))
-            l = p.r1 * z1 + p.r2 * rng.uniform(-1.1, 1.1, (15, 15))
-            with np.errstate(all="ignore"):
-                got = rank1_margin(z1, l, p)
+        edge = np.array([-1 + 2 ** -53, -(1 - 1e-6), 0.0, 1 - 1e-6,
+                         1 - 2 ** -53])
+        for p in _random_params(rng, 20, (0.0, 3.0)):
+            z1 = np.concatenate([rng.uniform(-1, 1, 10), edge])[:, None]
+            z2 = np.concatenate([rng.uniform(-1, 1, 10), edge])[None, :]
+            got = rank1_margin(z1, z2, p)
             assert got.shape == (15, 15)
             for (i, j), v in np.ndenumerate(got):
-                want = _outcome(rank1_margin, float(z1[i, 0]),
-                                float(l[i, j]), p)
-                if isinstance(want, tuple):
-                    assert np.isnan(v)
-                else:
-                    assert v == want
+                want = rank1_margin(float(z1[i, 0]), float(z2[0, j]), p)
+                assert np.isfinite(v) and v < 0
+                assert v.tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, np.nan, -np.inf])
+    def test_array_outside_strip_raises(self, bad):
+        p = ModelParams(1.0, 2.0, 0.3, 0.6)
+        inside = np.linspace(-0.9, 0.9, 7)
+        with pytest.raises(ValueError):
+            rank1_margin(np.append(inside, bad)[:, None], inside[None, :], p)
+        with pytest.raises(ValueError):
+            rank1_margin(inside[:, None], np.append(inside, bad)[None, :], p)
 
     def test_check_semitoric_equals_float_sweep(self):
         rng = np.random.default_rng(23)
         params = [ModelParams(1.0, float(np.exp(rng.uniform(-2.1, 2.1))),
                               *(float(v) for v in rng.uniform(0, 1, 2)))
                   for _ in range(12)]
-        # Extremes: z2 leaves (-1, 1), and r1 ** 2 or r2 ** 2 near the ends
-        # of the float range (ModelParams rejects squares outside it).
+        # Extreme radius ratios, and r1 ** 2 or r2 ** 2 near the ends of the
+        # float range (ModelParams rejects squares outside it).
         params += [ModelParams(1e17, 1.0, 0.3, 0.4),
                    ModelParams(1.0, 1e17, 0.3, 0.4),
                    ModelParams(1e153, 1e152, 0.3, 0.4),
                    ModelParams(1e-150, 1e-149, 0.2, 0.7)]
         for p in params:
             for grid_n in (2, 7, 20):
-                want = _outcome(scalar_rank1_sweep, p, grid_n)
-                got = _outcome(lambda: check_semitoric(p, grid_n)
-                               .rank1_margin_min)
+                want = scalar_rank1_sweep(p, grid_n)
+                got = check_semitoric(p, grid_n).rank1_margin_min
                 assert got == want
+                assert np.isfinite(got) and got < 0
+
+    def test_margin_overflow_is_quiet(self):
+        # At r1/r2 = 1e150 the margins near the edges of z2 are below the
+        # float range: -inf cells, no warning, a finite worst margin.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = check_semitoric(ModelParams(1e150, 1.0, 0.3, 0.4), 20)
+        assert v.is_semitoric and np.isfinite(v.rank1_margin_min)
+
+    def test_extreme_radius_ratios(self):
+        # r1/r2 from 1e13 to 1e18 and back: the verdict comes from E alone.
+        rng = np.random.default_rng(29)
+        for p in _random_params(rng, 1000, (13.0, 18.0)):
+            v = check_semitoric(p, 20)
+            assert v.is_semitoric == (not v.degenerate)
+            assert np.isfinite(v.rank1_margin_min)

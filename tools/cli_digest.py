@@ -11,15 +11,14 @@ printouts to show that a change leaves the CLI output byte-identical:
 
 The list covers every README example, ``height`` with all three methods,
 ``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
-``classify`` at extreme radius ratios, radius pairs whose squares leave
-the float range and pairs just inside it, ``height`` near E = 0 (where the
-oracle's cuts matter), ``polygon`` with all four cuts and at the toric
-corners,
-``classify --json``, small sweeps, seeded 41 x 41 sweeps of every quantity,
-a sweep that fails in one cell, negative values written as separate
-arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
-R < 1, plus seeded random focus-focus points.  Standard library and NumPy
-only.
+``classify`` (also with ``--json``) at extreme radius ratios, radius pairs
+whose squares leave the float range and pairs just inside it, ``height``
+near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
+cuts and at the toric corners, ``classify --json``, small sweeps, seeded
+41 x 41 sweeps of every quantity, a sweep that fails in one cell, negative
+values written as separate arguments (``--R2 -inf``) and other error
+exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
+points.  Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -58,10 +57,13 @@ EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
 # Image envelopes at R < 1, R near 1 and R = 1e3, focus-focus and toric.
 IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
                 (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
-# Radius ratios at which the rank-1 grid of ``classify`` fails (z2 leaves
-# (-1, 1)) or barely holds, and at which r1 ** 2 overflows or underflows.
+# Radius ratios of 1e+-17, at which an offset of r2 next to r1 z1 is lost to
+# rounding (a rank-1 grid built in levels l instead of z2 failed there), and
+# radii whose squares overflow or underflow.
 EXTREME_RADII = [(1e17, 1, 0.3, 0.4), (1, 1e17, 0.3, 0.4),
                  (1e200, 1, 0.3, 0.4), (1e-300, 1e-299, 0.2, 0.7)]
+# Radius ratios of 1e+-13, where that rounding starts.
+RATIO_RADII = [(1e13, 1, 0.3, 0.4), (1, 1e13, 0.3, 0.4)]
 # A square of the radii or of their ratio leaves the float range (exit 2);
 # the IN_RANGE pairs stay just inside it.
 RANGE_RADII = [(1e200, 1, 0.3, 0.4), (1e100, 1e-100, 0.3, 0.6)]
@@ -161,6 +163,9 @@ def invocations():
         out.append(f"image --samples 257 {flags(p)}")
     for p in EXTREME_RADII:
         out.append(f"classify {flags(p)}")
+    for p in RATIO_RADII:
+        out.append(f"classify {flags(p)}")
+        out.append(f"classify --json {flags(p)}")
     for p in RANGE_RADII:
         out.append(f"image {flags(p)}")
     out.append("sweep --R1=1e200 --R2=1 --quantity E --s1-count 3 "
