@@ -5,7 +5,8 @@ over each level; the polygon invariant straightens that band into a convex
 rational polygon whose vertical widths reproduce the Duistermaat-Heckman
 profile.  Representatives are normalized to a canonical anchor (left corner
 at (-2, 0), initial bottom slope 0, scaled units); the shear and cut-flip
-actions relate all other choices.
+actions relate all other choices.  ``Polygon.width`` takes a float or an
+array, so the polygon's self-check is one comparison with the DH profile.
 """
 
 from __future__ import annotations
@@ -75,34 +76,16 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     h_max[wide] = -minimize_golden(upper_neg, lo[wide], hi[wide]).fx
     samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
                         h_max.tolist()))
-    try:
-        two_ff = n_ff(params) == 2
-    except DegenerateSystemError:
-        two_ff = False
-    ff_values = ()
-    if two_ff:
-        ff_values = tuple(
-            (mv.l_val, mv.h_val)
-            for mv in (momentum_map(FIXED_POINTS["NS"], params),
-                       momentum_map(FIXED_POINTS["SN"], params)))
     corner_values = tuple(
         (mv.l_val, mv.h_val)
         for mv in (momentum_map(FIXED_POINTS[k], params)
                    for k in ("NN", "NS", "SN", "SS")))
+    try:
+        two_ff = n_ff(params) == 2
+    except DegenerateSystemError:
+        two_ff = False
+    ff_values = corner_values[1:3] if two_ff else ()
     return ImageBoundary(samples, ff_values, corner_values)
-
-
-def _chain_eval(chain, l: float) -> float:
-    """Evaluate a piecewise-linear breakpoint chain at l."""
-    ls = [v[0] for v in chain]
-    if not ls[0] <= l <= ls[-1]:
-        raise ValueError(f"l = {l} outside [{ls[0]}, {ls[-1]}]")
-    for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:]):
-        if l <= l1:
-            if l1 == l0:
-                return y0
-            return y0 + (y1 - y0) * (l - l0) / (l1 - l0)
-    return chain[-1][1]
 
 
 @dataclass(frozen=True)
@@ -121,8 +104,16 @@ class Polygon:
     bottom: tuple
     top: tuple
 
-    def width(self, l: float) -> float:
-        return _chain_eval(self.top, l) - _chain_eval(self.bottom, l)
+    def width(self, l):
+        """Vertical width at ``l``, a float or an array (NaN counts as
+        outside the domain), interpolated on the top and bottom chains."""
+        lo, hi = self.domain
+        x = np.asarray(l, dtype=float)
+        inside = (lo <= x) & (x <= hi)
+        if not inside.all():
+            raise ValueError(f"l = {x[~inside][0]} outside [{lo}, {hi}]")
+        w = np.interp(x, *zip(*self.top)) - np.interp(x, *zip(*self.bottom))
+        return float(w) if w.ndim == 0 else w
 
     @property
     def domain(self):
@@ -148,7 +139,8 @@ def _build_polygon(cuts, ff_l, R: float) -> Polygon:
     for (l0, l1), s in zip(zip(breaks[:-1], breaks[1:]), bottom_slopes):
         y += s * (l1 - l0)
         bottom.append((l1, y))
-    top = [(l, yb + dh.rho(l)) for l, yb in bottom]
+    bl, by = np.array(bottom).T
+    top = list(zip(bl.tolist(), (by + dh.rho(bl)).tolist()))
 
     def dedupe(chain):
         # Keep only genuine kinks (and both endpoints).
@@ -181,11 +173,10 @@ def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
         for s0, s1 in zip(slopes[:-1], slopes[1:]):
             if sense * (s1 - s0) < -1e-9:
                 raise ConsistencyError("polygon is not convex")
-    lo, hi = poly.domain
-    for l in np.linspace(lo, hi, 41):
-        if abs(poly.width(float(l)) - dh.rho(float(l))) > WIDTH_TOL:
-            raise ConsistencyError("polygon width disagrees with the "
-                                   "Duistermaat-Heckman profile")
+    ls = np.linspace(*poly.domain, 41)
+    if (np.abs(poly.width(ls) - dh.rho(ls)) > WIDTH_TOL).any():
+        raise ConsistencyError("polygon width disagrees with the "
+                               "Duistermaat-Heckman profile")
 
 
 def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:

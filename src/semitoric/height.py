@@ -49,14 +49,13 @@ import numpy as np
 from . import reduced
 from .errors import (BranchSelectionError, ConsistencyError,
                      DegenerateSystemError)
-from .model import ModelParams, ParamGrid, ns_frame
+from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
 from .numerics import QuadratureSettings, integrate, libm_array
 from .singularity import discriminant_E, is_degenerate
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
 # and the oracle sit on a genuine conditioning cliff there.
 ILL_CONDITIONED_BAND = 1e-6
-CASE_III_BAND = 1e-12
 CROSS_CHECK_TOL = 1e-8
 # Largest |P_0| on the chart at an oracle cut, relative to the size of its
 # terms (see ``height_oracle``).  Measured: at most 6.3e-14 on 200 000 cuts

@@ -24,6 +24,7 @@ from .numerics import libm_array
 
 SPHERE_TOL = 1e-9  # input validation tolerance for |n_i| = 1
 FD_STEP = 1e-6     # central-difference step for default gradients
+CASE_III_BAND = 1e-12  # |s1 - 1/2| or |s2 - R/(R+1)| this small is on a line
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def apply_symmetry(i: int, p: PhasePoint, params: ModelParams):
 
     Pullback identities: (L, H) is preserved for i in {1, 3, 5}, L flips sign
     for i = 2 and H flips sign for i = 4.  Symmetry 5 is defined only at
-    s1 = 1/2.
+    s1 = 1/2, up to ``CASE_III_BAND`` (the rule of ``height.case_id``).
     """
     x1, y1, z1, x2, y2, z2 = p.as_array()
     r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
@@ -305,7 +306,7 @@ def apply_symmetry(i: int, p: PhasePoint, params: ModelParams):
         return (PhasePoint(-x1, -y1, z1, x2, y2, z2),
                 ModelParams(r1, r2, 1 - s1, s2))
     if i == 5:
-        if s1 != 0.5:
+        if abs(s1 - 0.5) > CASE_III_BAND:
             raise ValueError("symmetry 5 is only defined at s1 = 1/2")
         return (PhasePoint(x1, y1, z1, x2, y2, z2),
                 ModelParams(r1, r2, 0.5, 1 - s2))

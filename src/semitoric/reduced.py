@@ -14,7 +14,8 @@ returns A_l and B_l as functions of p2 that take a float or a NumPy array;
 an array is evaluated with the same operations in the same order as a
 float, so both give the same bits.  The level may be an array as well, so
 that one call serves every level of the image envelope.  ``reduced_A`` and
-``reduced_B`` are scalar conveniences over it.
+``reduced_B`` are scalar conveniences over it.  ``DHFunction.rho`` also
+takes a float or an array.
 """
 
 from __future__ import annotations
@@ -217,19 +218,25 @@ class DHFunction:
     breakpoints: tuple
     domain: tuple
 
-    def rho(self, l: float) -> float:
+    def rho(self, l):
+        """The profile at ``l``, a float or an array (NaN is outside).
+
+        ``np.interp`` over the knot values of a segment-by-segment sum from
+        zero; its slopes are exactly 1, 0 and -1 (the last by Sterbenz), so
+        every value has the bits of that sum.
+        """
         lo, hi = self.domain
-        if not lo <= l <= hi:
-            raise ValueError(f"l = {l} outside domain {self.domain}")
-        pts = [bp[0] for bp in self.breakpoints] + [hi]
-        slopes = [bp[1] for bp in self.breakpoints]
-        value, x = 0.0, lo
-        for seg_end, slope in zip(pts[1:], slopes):
-            if l <= seg_end:
-                return value + slope * (l - x)
-            value += slope * (seg_end - x)
-            x = seg_end
-        return value
+        x = np.asarray(l, dtype=float)
+        inside = (lo <= x) & (x <= hi)
+        if not inside.all():
+            raise ValueError(f"l = {x[~inside][0]} outside domain "
+                             f"{self.domain}")
+        knots = [lo] + [bp[0] for bp in self.breakpoints[1:]] + [hi]
+        values = [0.0]
+        for (_, slope), x0, x1 in zip(self.breakpoints, knots, knots[1:]):
+            values.append(values[-1] + slope * (x1 - x0))
+        y = np.interp(x, knots, values)
+        return float(y) if y.ndim == 0 else y
 
     def slope_jump(self, l: float) -> float:
         """Change of slope at an interior breakpoint."""
@@ -249,10 +256,10 @@ def dh_function(R: float) -> DHFunction:
         domain=(-2.0, 2.0 * R),
     )
     # Verify against the physical-interval length on a coarse grid.
-    for l in np.linspace(-2.0, 2.0 * R, 33):
-        lo, hi = physical_interval("NS", float(l), R)
-        if abs(dh.rho(float(l)) - (hi - lo)) > 1e-12:
-            raise ConsistencyError("DH profile disagrees with interval length")
+    ls = np.linspace(-2.0, 2.0 * R, 33)
+    length = np.minimum(2.0 * R, ls + 2.0) - np.maximum(0.0, ls)
+    if (np.abs(dh.rho(ls) - length) > 1e-12).any():
+        raise ConsistencyError("DH profile disagrees with interval length")
     return dh
 
 

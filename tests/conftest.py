@@ -112,3 +112,27 @@ def ndarray_gk15():
     """Reference GK15 panel that iterates an ndarray of nodes, for
     bit-for-bit comparison with ``numerics._gk15``."""
     return _ndarray_gk15
+
+
+def _loop_rho(dh, l):
+    """The DH profile at float ``l``, summed segment by segment as
+    ``DHFunction.rho`` once did, as a reference for its ``np.interp``."""
+    lo, hi = dh.domain
+    if not lo <= l <= hi:
+        raise ValueError(f"l = {l} outside domain {dh.domain}")
+    pts = [bp[0] for bp in dh.breakpoints] + [hi]
+    slopes = [bp[1] for bp in dh.breakpoints]
+    value, x = 0.0, lo
+    for seg_end, slope in zip(pts[1:], slopes):
+        if l <= seg_end:
+            return value + slope * (l - x)
+        value += slope * (seg_end - x)
+        x = seg_end
+    return value
+
+
+@pytest.fixture(scope="session")
+def loop_rho():
+    """``loop_rho(dh, l)``: the DH profile of ``dh`` at a float ``l`` by a
+    segment-by-segment loop, without ``np.interp``."""
+    return _loop_rho

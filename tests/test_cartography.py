@@ -1,6 +1,8 @@
 """Momentum-map image envelope and polygon representatives."""
 
+import dataclasses
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ from semitoric import reduced
 from semitoric.cartography import (ImageBoundary, Polygon, _assert_polygon,
                                    act_flip_cut, act_shear, image_boundary,
                                    polygon_representative)
-from semitoric.errors import ConsistencyError
+from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from semitoric.reduced import dh_function
 from semitoric.singularity import discriminant_E
@@ -54,7 +56,98 @@ def flood_fill_cuts(params, grid_n=257):
     return (1, -1) if plus_minus else (-1, 1)
 
 
+def reference_vertices(cuts, ff_l, R, loop_rho):
+    """Vertices of the canonical representative, assembled point by point
+    with the DH profile of ``loop_rho``: a copy of the construction before
+    widths and profiles were evaluated with ``np.interp``."""
+    la, lb = 0.0, 2.0 * R - 2.0
+    breaks = [-2.0, la, lb, 2.0 * R]
+    dh = dh_function(R)
+    bottom_slopes = []
+    slope = 0.0
+    for left in breaks[:-1]:
+        if left == la and cuts[0] == -1:
+            slope += 1.0
+        if left == lb and cuts[1] == -1:
+            slope += 1.0
+        bottom_slopes.append(slope)
+    bottom, y = [(-2.0, 0.0)], 0.0
+    for (l0, l1), s in zip(zip(breaks[:-1], breaks[1:]), bottom_slopes):
+        y += s * (l1 - l0)
+        bottom.append((l1, y))
+    top = [(l, yb + loop_rho(dh, l)) for l, yb in bottom]
+
+    def dedupe(chain):
+        out = [chain[0]]
+        for prev, cur, nxt in zip(chain[:-2], chain[1:-1], chain[2:]):
+            s_in = (cur[1] - prev[1]) / (cur[0] - prev[0])
+            s_out = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
+            if abs(s_in - s_out) > 1e-12:
+                out.append(cur)
+        out.append(chain[-1])
+        return out
+
+    bottom, top = dedupe(bottom), dedupe(top)
+    return tuple(bottom) + tuple(reversed(top[1:-1]))
+
+
+def seeded_polygons(n_each):
+    """``n_each`` focus-focus representatives (all four cuts) and
+    ``n_each`` toric ones, R log-uniform on [1/8, 8]."""
+    rng = np.random.default_rng(20261018)
+    ff, toric = [], []
+    while len(ff) < n_each or len(toric) < n_each:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        p = ModelParams(1.0, R, *map(float, rng.uniform(0.0, 1.0, 2)))
+        try:
+            if discriminant_E(p) > 0:
+                if len(toric) < n_each:
+                    toric.append((p, polygon_representative(p)))
+            elif len(ff) < n_each:
+                cuts = ((1, 1), (1, -1), (-1, 1), (-1, -1))[len(ff) % 4]
+                ff.append((p, polygon_representative(p, cuts)))
+        except DegenerateSystemError:
+            continue
+    return ff + toric
+
+
 class TestPolygonVertices:
+    def test_vertices_equal_pointwise_construction(self, loop_rho):
+        polys = seeded_polygons(30)
+        assert {p.R > 1 for p, _ in polys} == {True, False}
+        assert sum(1 for _, poly in polys if poly.ff_l) == 30
+        for p, poly in polys:
+            R = ns_frame(p).R
+            assert poly.vertices == reference_vertices(poly.cuts, poly.ff_l,
+                                                       R, loop_rho), p
+
+    def test_array_width_equals_float_calls(self):
+        for p, poly in seeded_polygons(10):
+            lo, hi = poly.domain
+            ls = np.concatenate([np.linspace(lo, hi, 57),
+                                 [v[0] for v in poly.vertices]])
+            w = poly.width(ls)
+            assert type(poly.width(float(ls[3]))) is float
+            assert np.abs(w - [poly.width(float(l)) for l in ls]).max() \
+                <= 1e-15
+
+    @pytest.mark.parametrize("bad", [4.5, -2.5, np.nan])
+    def test_width_rejects_one_element_outside_domain(self, bad):
+        poly = polygon_representative(FF_PARAMS)
+        with pytest.raises(ValueError, match="outside"):
+            poly.width(np.array([-2.0, 0.5, bad, 4.0]))
+        with pytest.raises(ValueError, match="outside"):
+            poly.width(bad)
+
+    def test_self_check_rejects_moved_top_vertex(self):
+        poly = polygon_representative(FF_PARAMS, (1, 1))
+        dh = dh_function(2.0)
+        _assert_polygon(poly, dh)
+        top = list(poly.top)
+        top[1] = (top[1][0], top[1][1] + 1e-10)
+        with pytest.raises(ConsistencyError, match="Duistermaat-Heckman"):
+            _assert_polygon(dataclasses.replace(poly, top=tuple(top)), dh)
+
     def test_canonical_representatives(self):
         expect = {
             (1, 1): ((-2.0, 0.0), (4.0, 0.0), (2.0, 2.0), (0.0, 2.0)),

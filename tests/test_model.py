@@ -147,6 +147,22 @@ class TestSymmetries:
         with pytest.raises(ValueError):
             apply_symmetry(5, p, ModelParams(1.0, 2.0, 0.3, 0.4))
 
+    @pytest.mark.parametrize("offset", [1e-13, -1e-13])
+    def test_symmetry_5_within_case_iii_band(self, offset):
+        q, qp = apply_symmetry(5, FIXED_POINTS["NN"],
+                               ModelParams(1.0, 2.0, 0.5 + offset, 0.4))
+        assert (qp.s1, qp.s2) == (0.5, 0.6)
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_symmetry_5_outside_case_iii_band(self, offset):
+        with pytest.raises(ValueError):
+            apply_symmetry(5, FIXED_POINTS["NN"],
+                           ModelParams(1.0, 2.0, 0.5 + offset, 0.4))
+
+    def test_case_iii_band_shared_with_height(self):
+        from semitoric import height, model
+        assert height.CASE_III_BAND is model.CASE_III_BAND
+
     def test_sphere_swap_swaps_radii(self):
         p = FIXED_POINTS["NS"]
         q, qp = apply_symmetry(3, p, ModelParams(1.0, 2.0, 0.3, 0.4))

@@ -204,6 +204,44 @@ class TestDHProfile:
         with pytest.raises(ValueError):
             dh.rho(5.0)
 
+    @pytest.mark.parametrize("R", [1.0 + 1e-9, 1.3, 2.0, 8.0])
+    def test_array_rho_equals_loop(self, R, loop_rho):
+        dh = reduced.dh_function(R)
+        rng = np.random.default_rng(int(100 * R))
+        ls = np.concatenate([rng.uniform(-2.0, 2.0 * R, 200),
+                             [-2.0, 0.0, 2.0 * R - 2.0, 2.0 * R]])
+        expect = np.array([loop_rho(dh, float(l)) for l in ls])
+        assert (dh.rho(ls) == expect).all()
+        assert [dh.rho(float(l)) for l in ls] == expect.tolist()
+        assert (dh.rho(ls.reshape(4, -1)) == expect.reshape(4, -1)).all()
+
+    def test_float_rho_is_python_float(self):
+        dh = reduced.dh_function(2.0)
+        assert type(dh.rho(0.5)) is float
+        assert type(dh.rho(np.float64(0.5))) is float
+        assert dh.rho(np.array([0.5])).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [4.5, -2.5, np.nan])
+    def test_rho_rejects_one_element_outside_domain(self, bad):
+        dh = reduced.dh_function(2.0)
+        with pytest.raises(ValueError, match="outside domain"):
+            dh.rho(np.array([-2.0, 0.5, bad, 4.0]))
+        with pytest.raises(ValueError, match="outside domain"):
+            dh.rho(bad)
+
+    def test_shifted_breakpoint_fails_self_check(self, monkeypatch):
+        # A DH profile whose last breakpoint sits 1e-9 to the left of the
+        # focus-focus level disagrees with the interval length there.
+        real = reduced.DHFunction
+
+        def shifted(breakpoints, domain):
+            (l0, s0), (l1, s1), (l2, s2) = breakpoints
+            return real(((l0, s0), (l1, s1), (l2 - 1e-9, s2)), domain)
+
+        monkeypatch.setattr(reduced, "DHFunction", shifted)
+        with pytest.raises(ConsistencyError, match="interval length"):
+            reduced.dh_function(2.0)
+
     def test_ff_levels(self):
         assert reduced.ff_levels(2.0) == (0.0, 2.0)
         assert reduced.ff_levels(3.0) == (0.0, 4.0)

@@ -1,17 +1,26 @@
-"""Time the layers under the ``oracle`` benchmark op, one row per layer.
+"""Time the layers under a benchmark op, one row per layer.
 
-Each row times one package call on a fixed, seeded set of focus-focus
-points (R = r2/r1 log-uniform on [1/8, 8], s1 and s2 uniform, outside the
-bands -E <= 1e-2 r1 r2 and |case-III factor| <= 1e-3 that the benchmark
-leaves out) and reports the time per call in microseconds: the median and
-quartiles over repeats, each repeat one pass over all points.  The rows are
-timed round-robin, so a slow stretch of a shared host spreads over all of
-them.  The last row is the benchmark's whole ``oracle`` op: ``height_both``
-plus ``roots_P0`` for both labels.
+``--topic`` picks the op, ``oracle`` (default) or ``chart``.  Each row
+times package calls on a fixed, seeded set of points (R = r2/r1
+log-uniform on [1/8, 8], s1 and s2 uniform) and reports the time per point
+in microseconds: the median and quartiles over repeats, each repeat one
+pass over all points.  The rows are timed round-robin, so a slow stretch of
+a shared host spreads over all of them.  The last row is the benchmark's
+whole op.
+
+- ``oracle``: focus-focus points outside the bands -E <= 1e-2 r1 r2 and
+  |case-III factor| <= 1e-3 that the benchmark leaves out; the op is
+  ``height_both`` plus ``roots_P0`` for both labels.
+- ``chart``: focus-focus and toric points outside the degeneracy band
+  |E| <= 1e-10 r1 r2; the op is ``image_boundary(64)``, the polygon
+  representatives (all four cuts, or the one toric shape),
+  ``check_semitoric(20)`` and ``classify_fixed_points``.
 
     python tools/bench_layers.py --out BENCH_oracle.json
-    python tools/bench_layers.py OTHER/src --label PARENT --out old.json
-    python tools/bench_layers.py --previous old.json --out BENCH_oracle.json
+    python tools/bench_layers.py OTHER/src --topic chart --label PARENT \\
+        --out old.json
+    python tools/bench_layers.py --topic chart --previous old.json \\
+        --out BENCH_chart.json
 
 SRC (default: this checkout's src/) is the package that is timed.
 ``--previous FILE`` copies an earlier file's label, environment and rows
@@ -39,24 +48,30 @@ N_POINTS = 48
 REPEATS = 31
 
 
-def focus_focus_points(model, singularity, n):
-    """``n`` seeded focus-focus points of the oracle workload's domain."""
+def seeded_points(n, keep):
+    """``n`` seeded points for which ``keep(p)`` holds."""
+    from semitoric import model
+
     rng = np.random.default_rng(SEED)
     points = []
     while len(points) < n:
         R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
         p = model.ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
-        w = model.ns_frame(p)
-        factor = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
-        if (singularity.discriminant_E(p) < -1e-2 * p.r1 * p.r2
-                and abs(factor) > 1e-3):
+        if keep(p):
             points.append(p)
     return points
 
 
-def layer_calls():
-    """(row name, function of one point) for every row, in table order."""
-    from semitoric import height, model, numerics, reduced
+def oracle_layers(n):
+    """Points of the oracle workload's domain and (row name, function of
+    one point) for every row, in table order."""
+    from semitoric import height, model, numerics, reduced, singularity
+
+    def keep(p):
+        w = model.ns_frame(p)
+        factor = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
+        return (singularity.discriminant_E(p) < -1e-2 * p.r1 * p.r2
+                and abs(factor) > 1e-3)
 
     settings = numerics.QuadratureSettings(abs_tol=5e-10, rel_tol=5e-10,
                                            endpoint_mode="both")
@@ -71,7 +86,7 @@ def layer_calls():
         return (height.height_both(p), reduced.roots_P0("NS", p),
                 reduced.roots_P0("SN", p))
 
-    return [
+    return seeded_points(n, keep), [
         ("reduced.roots_P0", lambda p: reduced.roots_P0("NS", p)),
         ("height.height_oracle NS",
          lambda p: height.height_oracle("NS", model.ns_frame(p))),
@@ -85,8 +100,42 @@ def layer_calls():
     ]
 
 
+def chart_layers(n):
+    """Points of the chart workload's domain and (row name, function of
+    one point) for every row, in table order."""
+    from semitoric import cartography, model, reduced, singularity
+
+    def keep(p):
+        return abs(singularity.discriminant_E(p)) > 1e-10 * p.r1 * p.r2
+
+    def polygons(p):
+        if singularity.discriminant_E(p) > 0:
+            return [cartography.polygon_representative(p)]
+        return [cartography.polygon_representative(p, cuts)
+                for cuts in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+    def chart_op(p):
+        return (cartography.image_boundary(p, 64), polygons(p),
+                singularity.check_semitoric(p, 20),
+                singularity.classify_fixed_points(p))
+
+    return seeded_points(n, keep), [
+        ("cartography.image_boundary",
+         lambda p: cartography.image_boundary(p, 64)),
+        ("cartography.polygon_representative", polygons),
+        ("reduced.dh_function",
+         lambda p: reduced.dh_function(model.ns_frame(p).R)),
+        ("singularity.check_semitoric",
+         lambda p: singularity.check_semitoric(p, 20)),
+        ("op.chart (end to end)", chart_op),
+    ]
+
+
+TOPICS = {"oracle": oracle_layers, "chart": chart_layers}
+
+
 def measure(calls, points, repeats):
-    """Per-call seconds of every row: a list of ``repeats`` samples each."""
+    """Per-point seconds of every row: a list of ``repeats`` samples each."""
     samples = {name: [] for name, _ in calls}
     for _ in range(2):  # warm-up: imports, caches
         for _, f in calls:
@@ -126,6 +175,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", nargs="?", type=Path,
                     default=Path(__file__).resolve().parents[1] / "src")
+    ap.add_argument("--topic", choices=sorted(TOPICS), default="oracle",
+                    help="the benchmark op whose layers are timed "
+                    "(default: oracle)")
     ap.add_argument("--label", help="name of the timed source "
                     "(default: its git commit)")
     ap.add_argument("--previous", type=Path,
@@ -134,17 +186,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
-    from semitoric import model, singularity
-
-    points = focus_focus_points(model, singularity, N_POINTS)
-    samples = measure(layer_calls(), points, REPEATS)
+    points, calls = TOPICS[args.topic](N_POINTS)
+    samples = measure(calls, points, REPEATS)
     rows = []
     for name, times in samples.items():
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         rows.append({"layer": name, "median_us": round(1e6 * median, 2),
                      "q1_us": round(1e6 * q1, 2), "q3_us": round(1e6 * q3, 2)})
     record = {
-        "topic": "oracle",
+        "topic": args.topic,
         "label": args.label or checkout_label(args.src.resolve()),
         "environment": {
             "python": platform.python_version(),
@@ -154,7 +204,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "points": N_POINTS, "seed": SEED, "repeats": REPEATS,
-        "unit": "us per call, median and quartiles over repeats",
+        "unit": "us per point, median and quartiles over repeats",
         "rows": rows,
     }
     before = {}
@@ -164,10 +214,10 @@ def main(argv=None) -> int:
                                                      "rows")}
         before = {r["layer"]: r["median_us"] for r in prev["rows"]}
 
-    print(f"{'layer':<26} {'median us':>10} {'q1':>9} {'q3':>9}"
+    print(f"{'layer':<36} {'median us':>10} {'q1':>9} {'q3':>9}"
           + (f" {'previous':>10} {'ratio':>6}" if before else ""))
     for r in rows:
-        line = (f"{r['layer']:<26} {r['median_us']:>10.2f} "
+        line = (f"{r['layer']:<36} {r['median_us']:>10.2f} "
                 f"{r['q1_us']:>9.2f} {r['q3_us']:>9.2f}")
         if r["layer"] in before:
             old = before[r["layer"]]

@@ -14,11 +14,12 @@ The list covers every README example, ``height`` with all three methods,
 ``classify`` (also with ``--json``) at extreme radius ratios, radius pairs
 whose squares leave the float range and pairs just inside it, ``height``
 near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
-cuts and at the toric corners, ``classify --json``, small sweeps, seeded
-41 x 41 sweeps of every quantity, a sweep that fails in one cell, negative
-values written as separate arguments (``--R2 -inf``) and other error
-exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
-points.  Standard library and NumPy only.
+cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
+``classify --json``, small sweeps, seeded 41 x 41 sweeps of every
+quantity, a sweep that fails in one cell, negative values written as
+separate arguments (``--R2 -inf``) and other error exits, on inputs with
+R > 1 and R < 1, plus seeded random focus-focus points.  Standard library
+and NumPy only.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ TORIC_POINTS = [(1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 1, 0), (1, 2, 1, 1),
                 (2, 1, 0, 0), (2, 1, 1, 1), (1, 1e6, 0, 0)]
 EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
                (1, 2, 0.02, 0.8929379052866228), ("nan", 2, 0.3, 0.4)]
+# Polygons at R = 1 +- 1e-9, where the second focus-focus level 2R - 2 is
+# rounding noise next to 0, and at R = 8, in both frames.
+POLYGON_POINTS = [(1, 1.000000001, 0.3, 0.4), (1, 0.999999999, 0.3, 0.4),
+                  (1, 8, 0.3, 0.4), (8, 1, 0.3, 0.4)]
 # Image envelopes at R < 1, R near 1 and R = 1e3, focus-focus and toric.
 IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
                 (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
@@ -149,7 +154,7 @@ def invocations():
         for method in ("closed", "quadrature", "both"):
             out.append(f"height --method {method} {flags(p)}")
             out.append(f"height --method {method} --json {flags(p)}")
-    for p in FF_POINTS:
+    for p in FF_POINTS + POLYGON_POINTS:
         for cuts in ("++", "+-", "-+", "--"):
             out.append(f"polygon --cuts={cuts} {flags(p)}")
         out.append(f"polygon --cuts=-+ --json {flags(p)}")
