@@ -9,10 +9,13 @@ to 1e-8 or a branch-selection error is raised.
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
 adaptive quadrature of the angular width 2*arccos((A - H_crit)/sqrt(B)).
-Its cuts are the roots of the quadratic factor of the chart's own
-expansion of P_0 = B - (H_crit - A)^2 (``reduced.p0_quadratic_roots``),
-never ``gamma_B`` or ``roots_P0``, and each is checked to be a root of
-P_0 evaluated on the chart.
+It evaluates that width from the exact factorisation of the l = 0 chart
+(``reduced.p0_factors``), 2*acos(K/sqrt((2R - p2)(2 - p2))), in which the
+common factor p2 of A - H_crit and sqrt(B) has cancelled, so it holds down
+to the degeneracy band of E.  Its cuts are the roots of the quadratic
+factor of the chart's own P_0 = B - (H_crit - A)^2
+(``reduced.p0_quadratic_roots``), never ``gamma_B`` or ``roots_P0``, and
+each is checked to be a root of that factor.
 
 Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_gamma_D``,
 ``_quadratic_coeffs``, ``_v_coeffs``, ``integral_NA``, ``integral_NB`` and
@@ -390,68 +393,62 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     {q2 : A + sqrt(B) cos(q2) < H_crit}, which is 2*pi, 0 or
     2*arccos((A - H_crit)/sqrt(B)).  Returns area / (2 pi).
 
-    The integral is cut at the roots of P_0 = B - (H_crit - A)^2 inside the
-    physical interval: a double root at its lower end p2 = 0 and the roots
-    of a quadratic (``reduced.p0_quadratic_roots``), so a narrow arccos
-    zone next to p2 = 0 (E near 0) is never missed.  The chart decides the
+    At l = 0 the chart factors exactly (``reduced.p0_factors``):
+    A - H_crit = (k/R) p2 and B = kb p2^2 q(p2) with q = (2R - p2)(2 - p2).
+    The factor p2 cancels from the arccos argument, which becomes
+    K / sqrt(q) with K = orient (k/R) / sqrt(kb), so nothing cancels next to
+    p2 = 0 however close E is to 0.  This is the chart's own algebra, not
+    the closed form, whose integrals come from the paper's partial
+    fractions and gamma coefficients; the oracle stays independent of it.
+
+    The integral is cut at the roots of P_0 = p2^2 (kb q - (k/R)^2) inside
+    the physical interval: its lower end p2 = 0 and the roots of the
+    quadratic factor (``reduced.p0_quadratic_roots``), so a narrow arccos
+    zone next to p2 = 0 is never missed.  The factored form decides the
     zone of each piece.  Raises ConsistencyError when a cut is no root of
-    P_0 on the chart or the arccos argument leaves [-1, 1].
+    kb q - (k/R)^2 or the arccos argument leaves [-1, 1].
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _require_focus_focus(params)
-    R = params.R
-    lo, hi = reduced.physical_interval(label, 0.0, R)
-    crit = reduced.critical_h(label, params)
+    two_r = 2.0 * params.R
+    lo, hi = reduced.physical_interval(label, 0.0, params.R)
+    kb, kr = reduced.p0_factors(label, params)
+    kr2 = kr * kr
     # The SN chart reverses the orientation of the second integral: the set
     # below the critical value upstairs is the set above it in the chart
     # (verified against ambient Monte Carlo sampling in the test suite).
     orient = 1.0 if label == "NS" else -1.0
+    K = orient * kr / math.sqrt(kb)
 
-    a_of, b_of = reduced.chart(label, 0.0, params)
-
-    def p_of(p2):
-        d = crit - a_of(p2)
-        return b_of(p2) - d * d
-
-    # The cuts are the roots of the quadratic factor of P_0 inside the
-    # physical interval (the double root p2 = 0 is its lower end).  A wrong
-    # cut inside the arccos zone leaves no overshoot and passes the zone
-    # test at the piece's midpoint, so each cut is checked on the chart:
-    # |P_0| may not exceed CUT_RESIDUAL_TOL times the size of its terms
-    # |B| + |H_crit - A| (|H_crit| + |A|), whose roundoff dominates next to
-    # p2 = 0, plus |x P_0'(x)|, the change of P_0 over x's own rounding
-    # (P_0 = c4 p2^2 (p2 - near)(p2 - far)), which dominates next to hi.
+    # A wrong cut inside the arccos zone leaves no overshoot and passes the
+    # zone test at the piece's midpoint, so each cut x is checked: with
+    # q = (2R - x)(2 - x), |kb q - (k/R)^2| may not exceed CUT_RESIDUAL_TOL
+    # times kb q + (k/R)^2 plus |x d(kb q)/dx|, the change of kb q over x's
+    # own rounding, which dominates where 2 - x or 2R - x is small.
     cuts = [lo]
-    roots = reduced.p0_quadratic_roots(label, params)
-    if roots is not None:
-        near, far = roots
-        c4 = float(reduced.p0_coefficients(label, params)[0])
-        for x, other in ((near, far), (far, near)):
-            if not lo < x < hi:
-                continue
-            a_x, b_x = a_of(x), b_of(x)
-            d = crit - a_x
-            residual = abs(b_x - d * d)
-            scale = (abs(b_x) + abs(d) * (abs(crit) + abs(a_x))
-                     + abs(c4 * x ** 3 * (x - other)))
-            if not residual <= CUT_RESIDUAL_TOL * scale:
-                raise ConsistencyError(
-                    f"P_0 root cut at p2 = {x!r} is no root of the chart: "
-                    f"|P_0| = {residual:.3e} > {CUT_RESIDUAL_TOL:g} "
-                    f"x {scale:.3e}")
-            cuts.append(x)
+    for x in reduced.p0_quadratic_roots(label, params) or ():
+        if not lo < x < hi:
+            continue
+        q = (two_r - x) * (2.0 - x)
+        residual = abs(kb * q - kr2)
+        scale = kb * q + kr2 + kb * x * ((two_r - x) + (2.0 - x))
+        if not residual <= CUT_RESIDUAL_TOL * scale:
+            raise ConsistencyError(
+                f"P_0 root cut at p2 = {x!r} is no root of the chart: "
+                f"|P_0 / p2^2| = {residual:.3e} > {CUT_RESIDUAL_TOL:g} "
+                f"x {scale:.3e}")
+        cuts.append(x)
     cuts.append(hi)
 
     max_excess = 0.0
 
     def width(p2):
         nonlocal max_excess
-        b = b_of(p2)
-        d = orient * (a_of(p2) - crit)
-        if b <= 0.0:
-            return 2.0 * math.pi if d < 0 else 0.0
-        ratio = d / math.sqrt(b)
+        q = (two_r - p2) * (2.0 - p2)
+        if q <= 0.0:
+            return 2.0 * math.pi if K < 0 else 0.0
+        ratio = K / math.sqrt(q)
         if abs(ratio) > 1.0:
             max_excess = max(max_excess, abs(ratio) - 1.0)
             ratio = math.copysign(1.0, ratio)
@@ -464,12 +461,11 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
         if b - a < 1e-14:
             continue
         mid = 0.5 * (a + b)
-        if p_of(mid) > 0.0:
+        if kb * (two_r - mid) * (2.0 - mid) > kr2:
             val, _ = integrate(width, a, b, settings)
             area += val
         else:
-            const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
-            area += const * (b - a)
+            area += (2.0 * math.pi if K < 0 else 0.0) * (b - a)
     if max_excess > 1e-8:
         raise ConsistencyError(
             f"arccos argument exceeded [-1, 1] by {max_excess:.3e}: "

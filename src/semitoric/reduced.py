@@ -122,26 +122,27 @@ def poly_P(label: str, l: float, h: float, p2: float,
     return B(p2) - d * d
 
 
-def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
-    """Coefficients of P_0 (l = h = 0), highest degree first.
+def p0_factors(label: str, params: ModelParams):
+    """(kb, k/R): the two constants of the factored l = 0 chart.
 
-    Expanded from the factored form: both labels give the same quartic
-    (4c^2/R^2) p2^2 (p2 - 2R)(p2 - 2) - (k^2/R^2) p2^2 with
-    k = (1-2s1)(s2(1+R) - R).
+    For both labels A(p2) - H_crit = (k/R) p2 and B(p2) =
+    kb p2^2 (2R - p2)(2 - p2), with kb = 4c^2/R^2 and
+    k = (1-2s1)(s2(1+R) - R), so P_0 = p2^2 (kb (2R - p2)(2 - p2) - (k/R)^2).
     """
     _check_label(label)
     R, s1, s2 = params.R, params.s1, params.s2
     c = params.coupling
-    a4 = 4 * c * c / R ** 2
     k = (1 - 2 * s1) * (s2 * (1 + R) - R)
+    return 4 * c * c / R ** 2, k / R
+
+
+def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
+    """Coefficients of P_0 (l = h = 0), highest degree first, expanded from
+    the factored form of ``p0_factors``."""
+    a4, kr = p0_factors(label, params)
+    R = params.R
     # a4 * p2^2 * (p2^2 - 2(R+1) p2 + 4R) - (k/R)^2 p2^2
-    return np.array([
-        a4,
-        -2 * (R + 1) * a4,
-        4 * R * a4 - (k / R) ** 2,
-        0.0,
-        0.0,
-    ])
+    return np.array([a4, -2 * (R + 1) * a4, 4 * R * a4 - kr ** 2, 0.0, 0.0])
 
 
 def p0_quadratic_roots(label: str, params: ModelParams):

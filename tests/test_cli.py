@@ -5,14 +5,26 @@ import json
 
 import pytest
 
-from semitoric import cli
+from semitoric import cli, reduced
 from semitoric.cli import main
 from semitoric.height import height_oracle
 from semitoric.model import ModelParams
 
 BASE = ["--R1", "1", "--R2", "2"]
 FF = BASE + ["--s1", "0.5", "--s2", "0.5"]
-SELF_CHECK_FAILS = ["--s1", "0.21", "--s2", "0.03066823177149811"]
+FAULT_POINT = ["--s1", "0.25", "--s2", "0.25"]
+NEAR_BAND = ["--s1", "0.21", "--s2", "0.03066823177149811"]
+
+
+def near_cut_off(roots, only=None):
+    """``reduced.p0_quadratic_roots`` with the near root off by a relative
+    1e-6 (for label ``only``, or for both)."""
+    def shifted(label, params):
+        near, far = roots(label, params)
+        if only in (None, label):
+            near *= 1.0 + 1e-6
+        return near, far
+    return shifted
 
 
 def run(capsys, argv):
@@ -82,32 +94,49 @@ class TestHeight:
         assert code == 0
         assert "h1 = 1.0" in out and "h2 = 1.0" in out
 
-    def test_failed_self_check_exit_code(self, capsys):
-        # E is about -1.3e-7 here: the SN oracle's arccos argument overshoots
-        # by 4.2e-7, above the 1e-8 limit, and its self-check fires.
-        code, out, err = run(capsys, ["height"] + BASE + SELF_CHECK_FAILS)
+    def test_failed_self_check_exit_code(self, capsys, monkeypatch):
+        # A planted fault: the near cut of P_0 off by a relative 1e-6, which
+        # the oracle's cut check refuses.
+        monkeypatch.setattr(reduced, "p0_quadratic_roots",
+                            near_cut_off(reduced.p0_quadratic_roots))
+        code, out, err = run(capsys, ["height"] + BASE + FAULT_POINT)
         assert code == 5
         assert out == ""
         assert err.startswith("internal consistency check failed: ")
+        assert "no root of the chart" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_quadrature_runs_both_oracles(self, capsys):
-        # h2 comes from the SN oracle, whose self-check fails at the point
-        # of test_failed_self_check_exit_code; the NS oracle passes there.
-        p = ModelParams(1, 2, 0.21, 0.03066823177149811)
+    def test_quadrature_runs_both_oracles(self, capsys, monkeypatch):
+        # h2 comes from the SN oracle: a fault planted in the SN chart only
+        # fails the command, while the NS oracle still passes.
+        monkeypatch.setattr(reduced, "p0_quadratic_roots",
+                            near_cut_off(reduced.p0_quadratic_roots, "SN"))
+        p = ModelParams(1, 2, 0.25, 0.25)
         assert 0.0 <= height_oracle("NS", p) <= 2.0
         code, out, err = run(capsys, ["height", "--method", "quadrature"]
-                             + BASE + SELF_CHECK_FAILS)
+                             + BASE + FAULT_POINT)
         assert code == 5 and out == ""
         assert err.startswith("internal consistency check failed: ")
+        monkeypatch.undo()
         code, out, _ = run(capsys, ["height", "--method", "quadrature",
-                                    "--json"] + BASE
-                           + ["--s1", "0.25", "--s2", "0.25"])
+                                    "--json"] + BASE + FAULT_POINT)
         payload = json.loads(out)
-        p = ModelParams(1, 2, 0.25, 0.25)
         assert code == 0 and payload["method"] == "quadrature"
         assert (payload["h1"], payload["h2"]) == (height_oracle("NS", p),
                                                   height_oracle("SN", p))
+
+    @pytest.mark.parametrize("method", ["both", "quadrature"])
+    def test_near_band_point_exits_zero(self, capsys, method):
+        # E is about -1.3e-7 r1 r2 here.  The SN oracle's arccos argument
+        # used to overshoot by 4.2e-7 (exit 5) while the chart's
+        # A - H_crit cancelled next to p2 = 0; the factored width holds.
+        code, out, err = run(capsys, ["height", "--method", method, "--json"]
+                             + BASE + NEAR_BAND)
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert abs(payload["h1"] + payload["h2"] - 2.0) <= 1e-12
+        if method == "both":
+            assert payload["discrepancy"] <= 1e-9
 
     def test_no_focus_focus_is_degenerate_exit(self, capsys):
         code, _, err = run(capsys, ["height"] + BASE

@@ -1,5 +1,6 @@
 """Height invariant: gamma coefficients, root integrals, closed form, oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,32 @@ def scalar_scan_oracle(label, params, tol=1e-9):
             const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
             area += const * (b - a)
     return area / (2.0 * math.pi)
+
+
+def mp_chart_height(mp, label, params):
+    """Height of one singularity at mpmath's working precision, from the
+    chart's own A and B at l = 0 (``reduced.chart`` on mpf parameters), not
+    from the factored form the oracle uses, so that it checks the algebra as
+    well as the quadrature."""
+    exact = ModelParams(*(mp.mpf(v) for v in (params.r1, params.r2,
+                                              params.s1, params.s2)))
+    orient = 1 if label == "NS" else -1
+    hi = min(2 * exact.R, 2)
+    a_of, b_of = reduced.chart(label, 0.0, exact)
+    crit = reduced.critical_h(label, exact)
+    # P_0 = B - (H_crit - A)^2 > 0 (the arccos zone) on (0, near), < 0 on
+    # (near, hi): bisect for near.
+    lo, up = hi * mp.mpf(10) ** -30, hi
+    for _ in range(200):
+        mid = (lo + up) / 2
+        if b_of(mid) - (crit - a_of(mid)) ** 2 > 0:
+            lo = mid
+        else:
+            up = mid
+    zone = mp.quad(lambda x: 2 * mp.acos(max(-1, min(1, (
+        orient * (a_of(x) - crit) / mp.sqrt(b_of(x)))))), [0, lo])
+    const = 2 * mp.pi if orient * (crit - a_of((lo + hi) / 2)) > 0 else 0
+    return (zone + const * (hi - lo)) / (2 * mp.pi)
 
 
 class TestGammaPolynomials:
@@ -262,6 +289,33 @@ class TestHeightValues:
         # -E is 4.8e-6 and 7.8e-5 r1 r2 here; a sign scan misses the narrow
         # arccos zone next to p2 = 0 and its overshoot check fires.
         assert height_both(ModelParams(*point)).discrepancy <= 1e-9
+
+    def test_oracle_matches_unfactored_chart_in_mpmath(self):
+        # Seeded points with -E/(r1 r2) in [1.01e-10, 1e-6], where the
+        # float chart's A - H_crit cancels next to p2 = 0.
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(47)
+        points = []
+        while len(points) < 6:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            s2 = float(rng.uniform(0.0, 1.0))
+            depth = math.exp(rng.uniform(math.log(1.01e-10), math.log(1e-6)))
+
+            def excess(s1):
+                return discriminant_E(ModelParams(1.0, R, s1, s2)) / R + depth
+
+            if excess(0.0) > 0.0:
+                s1 = find_root_bisect(excess, 0.0, 0.5, 1e-16)
+                points.append(ns_frame(ModelParams(1.0, R, s1, s2)))
+        with mp.workdps(50):
+            for p, label in itertools.product(points, reduced.LABELS):
+                exact = float(mp_chart_height(mp, label, p))
+                err = abs(height_oracle(label, p) - exact)
+                assert err <= 1e-9
+                # h1 + h2 = 2, and the smaller one carries the narrow arccos
+                # zone's digits: check it relative to its size as well.
+                if exact < 1.0:
+                    assert err <= 1e-4 * exact
 
     def test_oracle_rejects_cut_off_the_chart(self, monkeypatch):
         # c2 = 4 R a4 - (k/R)^2 of P_0 with (k/R)^2 off by 1 %: the cut

@@ -1,6 +1,7 @@
-"""Property test: near E = 0 the quadrature oracle still finds the narrow
-arccos zones and agrees with the closed form.  Skipped when hypothesis is
-not installed."""
+"""Property test: from just above the degeneracy band of E up to
+-E = 1e-2 r1 r2 the quadrature oracle finds the narrow arccos zones without
+raising, and the closed form agrees with it or raises a documented error.
+Skipped when hypothesis is not installed."""
 
 import math
 
@@ -9,16 +10,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from semitoric.height import height_both  # noqa: E402
+from semitoric.errors import BranchSelectionError  # noqa: E402
+from semitoric.height import height_closed, height_oracle  # noqa: E402
 from semitoric.model import ModelParams, ns_frame  # noqa: E402
 from semitoric.numerics import find_root_bisect  # noqa: E402
-from semitoric.singularity import discriminant_E  # noqa: E402
+from semitoric.singularity import DEGENERACY_BAND, discriminant_E  # noqa: E402
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(log_R=st.floats(math.log(1 / 8), math.log(8)),
        s2=st.floats(0.0, 1.0),
-       log_depth=st.floats(math.log(5e-6), math.log(1e-2)),
+       log_depth=st.floats(math.log(1.01 * DEGENERACY_BAND), math.log(1e-2)),
        mirror=st.booleans())
 def test_oracle_agrees_near_zero_discriminant(log_R, s2, log_depth, mirror):
     # Place s1 where -E/(r1 r2) equals the drawn depth.  E at s1 = 1/2 is
@@ -34,5 +36,17 @@ def test_oracle_agrees_near_zero_discriminant(log_R, s2, log_depth, mirror):
     s1 = find_root_bisect(excess, 0.0, 0.5, 1e-16)
     p = ModelParams(1.0, R, 1.0 - s1 if mirror else s1, s2)
     w = ns_frame(p)
+    h1_q, h2_q = height_oracle("NS", w), height_oracle("SN", w)
+    assert abs(h1_q + h2_q - 2.0) <= 1e-12
+    # The closed form loses its digits through case III (a separate defect).
     assume(abs((2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)) > 1e-3)
-    assert height_both(p).discrepancy <= 1e-9
+    try:
+        h1 = height_closed(p).h1
+    except BranchSelectionError as exc:
+        # Next to the band its t_far cross-check can miss the 1e-8 bound;
+        # the message names the point in the frame F is evaluated in: the
+        # NS frame, s1 mirrored below 1/2.
+        s1_f = 1.0 - w.s1 if w.s1 > 0.5 else w.s1
+        assert f"(s1, s2, R) = ({s1_f}, {w.s2}, {w.R})" in str(exc)
+        return
+    assert abs(h1 - h1_q) <= 1e-9

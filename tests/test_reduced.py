@@ -119,6 +119,26 @@ class TestQuarticP0:
         b = reduced.p0_coefficients("SN", params)
         assert np.max(np.abs(a - b)) == 0.0
 
+    def test_factors_reproduce_chart(self):
+        # A - H_crit = (k/R) p2 and B = kb p2^2 (2R - p2)(2 - p2) at l = 0,
+        # to roundoff, on seeded points with R on both sides of 1.
+        rng = np.random.default_rng(45)
+        eps = np.finfo(float).eps
+        for R in np.exp(rng.uniform(np.log(1 / 8), np.log(8), 100)):
+            p = ModelParams(1.0, float(R), *map(float, rng.uniform(0, 1, 2)))
+            p2 = rng.uniform(0.0, 2.0 * max(1.0, R), 16)
+            for label in reduced.LABELS:
+                a_of, b_of = reduced.chart(label, 0.0, p)
+                crit = reduced.critical_h(label, p)
+                kb, kr = reduced.p0_factors(label, p)
+                b = kb * p2 ** 2 * (2 * R - p2) * (2 - p2)
+                # Roundoff of the terms of A, k and the chart's slope.
+                scale = (abs(crit) + np.abs(a_of(p2)) + np.abs(kr * p2)
+                         + abs(1 - 2 * p.s1) * p2)
+                assert np.all(np.abs(a_of(p2) - crit - kr * p2)
+                              <= 8 * eps * scale)
+                assert np.all(np.abs(b_of(p2) - b) <= 8 * eps * np.abs(b))
+
     def test_closed_roots(self, params):
         r = reduced.roots_P0("NS", params)
         assert r.z1 == r.z2 == 0.0

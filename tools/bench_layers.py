@@ -17,15 +17,17 @@ whole op.
   ``check_semitoric(20)`` and ``classify_fixed_points``.
 
     python tools/bench_layers.py --out BENCH_oracle.json
-    python tools/bench_layers.py OTHER/src --topic chart --label PARENT \\
-        --out old.json
-    python tools/bench_layers.py --topic chart --previous old.json \\
+    python tools/bench_layers.py --parent OTHER/src --topic chart \\
         --out BENCH_chart.json
 
-SRC (default: this checkout's src/) is the package that is timed.
-``--previous FILE`` copies an earlier file's label, environment and rows
-into the new file and prints each row's ratio to it.  Standard library and
-NumPy only.
+SRC (default: this checkout's src/) is the package that is timed.  With
+``--parent OTHER/src`` an earlier checkout is timed too, in alternating
+repeats: each package runs in its own subprocess, the two take turns one
+repeat at a time (ABBA order), so drift of a shared host lands on both
+sides instead of reading as a change.  The parent's label, environment and
+rows go into the record under ``previous``, and each row gets the ratio of
+the medians and the median of the per-repeat ratios, parent over SRC.
+Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -134,20 +136,71 @@ def chart_layers(n):
 TOPICS = {"oracle": oracle_layers, "chart": chart_layers}
 
 
-def measure(calls, points, repeats):
-    """Per-point seconds of every row: a list of ``repeats`` samples each."""
-    samples = {name: [] for name, _ in calls}
+def run_repeat(calls, points):
+    """Per-point seconds of every row in one pass over all points."""
+    times = []
+    for _, f in calls:
+        t0 = time.perf_counter()
+        for p in points:
+            f(p)
+        times.append((time.perf_counter() - t0) / len(points))
+    return times
+
+
+def serve(topic):
+    """Worker loop: print the row names after a warm-up, then the times of
+    one repeat for each line read from stdin, as JSON lines."""
+    points, calls = TOPICS[topic](N_POINTS)
     for _ in range(2):  # warm-up: imports, caches
-        for _, f in calls:
-            for p in points:
-                f(p)
-    for _ in range(repeats):
-        for name, f in calls:
-            t0 = time.perf_counter()
-            for p in points:
-                f(p)
-            samples[name].append((time.perf_counter() - t0) / len(points))
+        run_repeat(calls, points)
+    print(json.dumps([name for name, _ in calls]), flush=True)
+    for _ in sys.stdin:
+        print(json.dumps(run_repeat(calls, points)), flush=True)
+
+
+def read_json(worker):
+    line = worker.stdout.readline()
+    if not line:
+        raise RuntimeError(f"worker {worker.args[2]} exited with code "
+                           f"{worker.wait()}")
+    return json.loads(line)
+
+
+def measure(sources, topic, repeats):
+    """Samples {row: [seconds per point, one per repeat]} of each source.
+
+    Each source runs in its own worker subprocess; the workers take turns
+    one repeat at a time, in ABBA order, and never run a repeat at the same
+    time."""
+    workers = [subprocess.Popen(
+        [sys.executable, __file__, str(src), "--topic", topic, "--serve"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for src in sources]
+    try:
+        names = [read_json(w) for w in workers]
+        samples = [{name: [] for name in ns} for ns in names]
+        for r in range(repeats):
+            order = range(len(workers))
+            for i in (order if r % 2 == 0 else reversed(order)):
+                workers[i].stdin.write("\n")
+                workers[i].stdin.flush()
+                for name, t in zip(names[i], read_json(workers[i])):
+                    samples[i][name].append(t)
+    finally:
+        for w in workers:
+            w.stdin.close()
+            w.wait(timeout=60)
     return samples
+
+
+def summary(samples):
+    """One row per layer: median and quartiles in microseconds."""
+    rows = []
+    for name, times in samples.items():
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        rows.append({"layer": name, "median_us": round(1e6 * median, 2),
+                     "q1_us": round(1e6 * q1, 2), "q3_us": round(1e6 * q3, 2)})
+    return rows
 
 
 def checkout_label(src: Path) -> str:
@@ -180,48 +233,59 @@ def main(argv=None) -> int:
                     "(default: oracle)")
     ap.add_argument("--label", help="name of the timed source "
                     "(default: its git commit)")
-    ap.add_argument("--previous", type=Path,
-                    help="an earlier file of this script to compare with")
+    ap.add_argument("--parent", type=Path,
+                    help="src/ of an earlier checkout, timed in alternating "
+                    "repeats with SRC")
+    ap.add_argument("--parent-label", help="name of the parent source "
+                    "(default: its git commit)")
     ap.add_argument("--out", type=Path, help="write the JSON record here")
+    ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
-    points, calls = TOPICS[args.topic](N_POINTS)
-    samples = measure(calls, points, REPEATS)
-    rows = []
-    for name, times in samples.items():
-        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        rows.append({"layer": name, "median_us": round(1e6 * median, 2),
-                     "q1_us": round(1e6 * q1, 2), "q3_us": round(1e6 * q3, 2)})
+    if args.serve:
+        sys.path.insert(0, str(args.src.resolve()))
+        serve(args.topic)
+        return 0
+    sources = [args.src.resolve()]
+    if args.parent is not None:
+        sources.append(args.parent.resolve())
+    samples = measure(sources, args.topic, REPEATS)
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_model": cpu_model(),
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+    rows = summary(samples[0])
     record = {
         "topic": args.topic,
-        "label": args.label or checkout_label(args.src.resolve()),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_model": cpu_model(),
-            "nproc": os.cpu_count(),
-            "platform": platform.platform(),
-        },
+        "label": args.label or checkout_label(sources[0]),
+        "environment": environment,
         "points": N_POINTS, "seed": SEED, "repeats": REPEATS,
         "unit": "us per point, median and quartiles over repeats",
         "rows": rows,
     }
-    before = {}
-    if args.previous is not None:
-        prev = json.loads(args.previous.read_text())
-        record["previous"] = {k: prev[k] for k in ("label", "environment",
-                                                     "rows")}
-        before = {r["layer"]: r["median_us"] for r in prev["rows"]}
+    if args.parent is not None:
+        record["previous"] = {
+            "label": args.parent_label or checkout_label(sources[1]),
+            "environment": environment, "rows": summary(samples[1])}
+        for r, old in zip(rows, record["previous"]["rows"]):
+            paired = [a / b for a, b in zip(samples[1][r["layer"]],
+                                            samples[0][r["layer"]])]
+            r["ratio"] = round(old["median_us"] / r["median_us"], 3)
+            r["paired_ratio"] = round(statistics.median(paired), 3)
 
     print(f"{'layer':<36} {'median us':>10} {'q1':>9} {'q3':>9}"
-          + (f" {'previous':>10} {'ratio':>6}" if before else ""))
-    for r in rows:
+          + (f" {'parent':>10} {'ratio':>6} {'paired':>6}"
+             if args.parent else ""))
+    for i, r in enumerate(rows):
         line = (f"{r['layer']:<36} {r['median_us']:>10.2f} "
                 f"{r['q1_us']:>9.2f} {r['q3_us']:>9.2f}")
-        if r["layer"] in before:
-            old = before[r["layer"]]
-            line += f" {old:>10.2f} {old / r['median_us']:>5.2f}x"
+        if args.parent is not None:
+            old = record["previous"]["rows"][i]["median_us"]
+            line += (f" {old:>10.2f} {r['ratio']:>5.2f}x "
+                     f"{r['paired_ratio']:>5.2f}x")
         print(line)
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -15,11 +15,12 @@ The list covers every README example, ``height`` with all three methods,
 whose squares leave the float range and pairs just inside it, ``height``
 near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
 cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
-``classify --json``, small sweeps, seeded 41 x 41 sweeps of every
-quantity, a sweep that fails in one cell, negative values written as
-separate arguments (``--R2 -inf``) and other error exits, on inputs with
-R > 1 and R < 1, plus seeded random focus-focus points.  Standard library
-and NumPy only.
+``classify --json``, ``height --method quadrature|both`` next to the
+degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), small sweeps, seeded
+41 x 41 sweeps of every quantity, a sweep that fails in one cell, negative
+values written as separate arguments (``--R2 -inf``) and other error
+exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
+points.  Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ README_EXAMPLES = [
 ]
 
 # (R1, R2, s1, s2): focus-focus points in both frames, toric type, the
-# degenerate root of E, a failed oracle self-check (E ~ -9.5e-6), and a
-# non-finite radius.
+# degenerate root of E, an input at which an oracle self-check once failed
+# (E ~ -9.5e-6), and a non-finite radius.
 FF_POINTS = [(1, 2, 0.25, 0.25), (1, 2, 0.3, 0.55), (1, 3, 0.75, 0.8),
              (2, 1, 0.3, 0.4), (3, 1, 0.6, 0.2)]
 TORIC_POINTS = [(1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 1, 0), (1, 2, 1, 1),
@@ -73,8 +74,8 @@ RATIO_RADII = [(1e13, 1, 0.3, 0.4), (1, 1e13, 0.3, 0.4)]
 # the IN_RANGE pairs stay just inside it.
 RANGE_RADII = [(1e200, 1, 0.3, 0.4), (1e100, 1e-100, 0.3, 0.6)]
 IN_RANGE_RADII = [(1e-150, 1e-149, 0.3, 0.4), (1e153, 1e152, 0.3, 0.4)]
-# Near E = 0: an oracle self-check failure (exit 5) and the input at which
-# the benchmark's oracle workload once failed.
+# Near E = 0: an input at which the oracle's self-check once failed (exit
+# 5) and one at which the benchmark's oracle workload once failed.
 NEAR_E0_POINTS = [(1, 2, 0.21, 0.03066823177149811),
                   (1, 5.536455289746141, 0.20372288490504997,
                    0.14741965041001193)]
@@ -104,8 +105,8 @@ def random_ff_points(rng):
     return points
 
 
-def near_e0_points(rng):
-    """Seeded points with -E/(r1 r2) log-uniform on [5e-6, 1e-4] and R
+def near_e0_points(rng, depths):
+    """Seeded points with -E/(r1 r2) log-uniform on ``depths`` and R
     log-uniform on [1/8, 8]: s1 in (0, 1/2) solves E = -depth r1 r2 by
     bisection at a random s2."""
     from semitoric.model import ModelParams
@@ -115,7 +116,7 @@ def near_e0_points(rng):
     while len(points) < N_NEAR_E0:
         R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
         s2 = float(rng.uniform(0.0, 1.0))
-        depth = math.exp(rng.uniform(math.log(5e-6), math.log(1e-4)))
+        depth = math.exp(rng.uniform(*map(math.log, depths)))
 
         def excess(s1):
             return discriminant_E(ModelParams(1.0, R, s1, s2)) / R + depth
@@ -178,9 +179,14 @@ def invocations():
     for p in IN_RANGE_RADII:
         for command in ("classify", "image", "height", "polygon"):
             out.append(f"{command} {flags(p)}")
-    for p in NEAR_E0_POINTS + near_e0_points(np.random.default_rng(SEED + 2)):
+    for p in NEAR_E0_POINTS + near_e0_points(np.random.default_rng(SEED + 2),
+                                             (5e-6, 1e-4)):
         out.append(f"height {flags(p)}")
         out.append(f"height --method quadrature {flags(p)}")
+    for p in near_e0_points(np.random.default_rng(SEED + 3), (1e-9, 2e-6)):
+        for method in ("quadrature", "both"):
+            out.append(f"height --method {method} {flags(p)}")
+            out.append(f"height --method {method} --json {flags(p)}")
     for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
         for q in ("nff", "E", "height"):
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
