@@ -350,10 +350,11 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     # Canonicalize to s1 < 1/2 through the exact mirror identity
     # h1(s1) = h2(1 - s1): F is evaluated on one side only, so the identity
     # holds to the last bit instead of to roundoff.
-    if work.s1 > 0.5:
-        f = -closed_form_F(1.0 - work.s1, work.s2, work.R)
-    else:
-        f = closed_form_F(work.s1, work.s2, work.R)
+    try:
+        f = (-closed_form_F(1.0 - work.s1, work.s2, work.R) if work.s1 > 0.5
+             else closed_form_F(work.s1, work.s2, work.R))
+    except BranchSelectionError as exc:
+        raise BranchSelectionError(f"{exc}; input {params!r}") from None
     if case in ("I", "V"):
         h1 = 2.0 - f / (2.0 * math.pi)
     else:  # II, IV
@@ -406,7 +407,8 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     quadratic factor (``reduced.p0_quadratic_roots``), so a narrow arccos
     zone next to p2 = 0 is never missed.  The factored form decides the
     zone of each piece.  Raises ConsistencyError when a cut is no root of
-    kb q - (k/R)^2 or the arccos argument leaves [-1, 1].
+    kb q - (k/R)^2 or the arccos argument leaves [-1, 1].  Only the tests
+    check ``p0_factors`` against ``chart``: cuts and integrand share it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -435,9 +437,9 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
         scale = kb * q + kr2 + kb * x * ((two_r - x) + (2.0 - x))
         if not residual <= CUT_RESIDUAL_TOL * scale:
             raise ConsistencyError(
-                f"P_0 root cut at p2 = {x!r} is no root of the chart: "
-                f"|P_0 / p2^2| = {residual:.3e} > {CUT_RESIDUAL_TOL:g} "
-                f"x {scale:.3e}")
+                f"P_0 root cut at p2 = {x!r} is no root of the factored "
+                f"chart: |P_0 / p2^2| = {residual:.3e} > "
+                f"{CUT_RESIDUAL_TOL:g} x {scale:.3e}")
         cuts.append(x)
     cuts.append(hi)
 

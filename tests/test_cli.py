@@ -103,7 +103,7 @@ class TestHeight:
         assert code == 5
         assert out == ""
         assert err.startswith("internal consistency check failed: ")
-        assert "no root of the chart" in err
+        assert "no root of the factored chart" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_quadrature_runs_both_oracles(self, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from semitoric import reduced
+from semitoric import height, reduced
 from semitoric.errors import (BranchSelectionError, ConsistencyError,
                               DegenerateSystemError)
 from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
@@ -331,7 +331,25 @@ class TestHeightValues:
 
         monkeypatch.setattr(reduced, "p0_coefficients", shifted)
         for label in reduced.LABELS:
-            with pytest.raises(ConsistencyError, match="no root of the chart"):
+            with pytest.raises(ConsistencyError,
+                               match="no root of the factored chart"):
+                height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
+
+    def test_oracle_overshoot_check(self, monkeypatch):
+        # With the cut check switched off, the near cut pushed outward by a
+        # relative 1e-6 leaves a sliver outside the arccos zone inside an
+        # arccos piece: only the overshoot check sees it.
+        true_roots = reduced.p0_quadratic_roots
+
+        def shifted(label, params):
+            near, far = true_roots(label, params)
+            return near * (1.0 + 1e-6), far
+
+        monkeypatch.setattr(height, "CUT_RESIDUAL_TOL", math.inf)
+        monkeypatch.setattr(reduced, "p0_quadratic_roots", shifted)
+        for label in reduced.LABELS:
+            with pytest.raises(ConsistencyError,
+                               match=r"arccos argument exceeded \[-1, 1\]"):
                 height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
 
     def test_oracle_labels_sum_to_two(self):

@@ -236,8 +236,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path,
                     help="src/ of an earlier checkout, timed in alternating "
                     "repeats with SRC")
-    ap.add_argument("--parent-label", help="name of the parent source "
-                    "(default: its git commit)")
     ap.add_argument("--out", type=Path, help="write the JSON record here")
     ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
     }
     if args.parent is not None:
         record["previous"] = {
-            "label": args.parent_label or checkout_label(sources[1]),
+            "label": checkout_label(sources[1]),
             "environment": environment, "rows": summary(samples[1])}
         for r, old in zip(rows, record["previous"]["rows"]):
             paired = [a / b for a, b in zip(samples[1][r["layer"]],
