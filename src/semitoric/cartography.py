@@ -1,12 +1,15 @@
 """Momentum-map image boundaries and polygon-invariant representatives.
 
 The image of (L, H) is a band bounded by the envelope of A_l +/- sqrt(B_l)
-over each level; the polygon invariant straightens that band into a convex
-rational polygon whose vertical widths reproduce the Duistermaat-Heckman
-profile.  Representatives are normalized to a canonical anchor (left corner
-at (-2, 0), initial bottom slope 0, scaled units); the shear and cut-flip
-actions relate all other choices.  ``Polygon.width`` takes a float or an
-array, so the polygon's self-check is one comparison with the DH profile.
+over each level, whose extremes lie at the ends of the level's physical
+interval or at real roots of the sextic B_l'^2 - 4 A_l'^2 B_l: one stacked
+eigenvalue call finds them on all levels.  The polygon invariant
+straightens that band into a convex rational polygon whose vertical widths
+reproduce the Duistermaat-Heckman profile.  Representatives are
+normalized to a canonical anchor (left corner at (-2, 0), initial bottom
+slope 0, scaled units); the shear and cut-flip actions relate all other
+choices.  ``Polygon.width`` takes a float or an array, so the polygon's
+self-check is one comparison with the DH profile.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import numpy as np
 from . import reduced
 from .errors import ConsistencyError, DegenerateSystemError
 from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
-from .numerics import minimize_golden
 from .singularity import n_ff
 
 WIDTH_TOL = 1e-12
+# Newton steps that polish each root of the envelope's critical sextic.
+# Next to R = 1, against mpmath: 2 steps leave 3.7e-13, 3 steps 3.3e-16.
+POLISH_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,14 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     The reduced chart is exact: on the level with scaled offset l, H ranges
     over [min(A - sqrt(B)), max(A + sqrt(B))] across the physical interval
     [max(0, l), min(2R, l + 2)]; on a level narrower than 1e-12 (the end
-    levels) both are A at its left end.  All levels are refined together:
-    one chart for every level and one array-bracket ``minimize_golden``
-    call for each side of the band.  Output is converted to unscaled
-    L = r1 (l + 1 - R); H is dimensionless and needs no rescaling.
+    levels) both are A at its left end.  Each extreme lies at an end of the
+    interval or at a critical point, a root of a sextic
+    (``_envelope_candidates``).  One chart call evaluates A -/+ sqrt(B) at
+    every candidate of every level, and each side of the band is the
+    min/max over a level's candidates.  Every candidate is a point of the
+    interval, so the envelope never reaches past the true extremes.  Output
+    is converted to unscaled L = r1 (l + 1 - R); H is dimensionless and
+    needs no rescaling.
     """
     if n < 16:
         raise ValueError("n must be >= 16")
@@ -58,22 +67,12 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     h_min = a_of(lo, np.arange(ls.size))  # kept on levels narrower than 1e-12
     h_max = h_min.copy()
     wide = np.flatnonzero(~(hi - lo < 1e-12))
-
-    def a_and_root_b(p2, rows):
-        level = wide[rows]
-        b = b_of(p2, level)
-        return a_of(p2, level), np.sqrt(np.where(b > 0.0, b, 0.0))
-
-    def lower(p2, rows):
-        a, root_b = a_and_root_b(p2, rows)
-        return a - root_b
-
-    def upper_neg(p2, rows):
-        a, root_b = a_and_root_b(p2, rows)
-        return -(a + root_b)
-
-    h_min[wide] = minimize_golden(lower, lo[wide], hi[wide]).fx
-    h_max[wide] = -minimize_golden(upper_neg, lo[wide], hi[wide]).fx
+    p2 = _envelope_candidates(params, ls[wide], lo[wide], hi[wide])
+    rows = np.broadcast_to(wide[:, None], p2.shape)
+    a, b = a_of(p2, rows), b_of(p2, rows)
+    root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
+    h_min[wide] = (a - root_b).min(axis=1)
+    h_max[wide] = (a + root_b).max(axis=1)
     samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
                         h_max.tolist()))
     corner_values = tuple(
@@ -86,6 +85,74 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
         two_ff = False
     ff_values = corner_values[1:3] if two_ff else ()
     return ImageBoundary(samples, ff_values, corner_values)
+
+
+def _envelope_candidates(params: ModelParams, l, lo, hi):
+    """Points of [lo, hi] where A -/+ sqrt(B) may take its extremes on
+    each level l, one row per level.
+
+    Inside the interval an extreme is a critical point, A' = -/+ B' / (2
+    sqrt(B)), so it is a root of the sextic B'^2 - 4 A'^2 B.  In the
+    variable t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t), where beta
+    is the monic quartic whose roots rho are B's roots (0, m, 2R, m + 2)
+    shifted and scaled likewise, and the sextic is beta'^2 - g beta with
+    g = 4 A'^2 / (kb w^2).  In t the interval is [0, 1] on every level; in
+    p2 it can lie near 2R, and the eigenvalues' absolute error, a multiple
+    of the largest root, would swamp it at large R.
+
+    One stacked companion-matrix ``eigvals`` call gives the six roots on
+    every level.  Their real parts clipped into [0, 1], and the two ends,
+    are each polished by ``POLISH_STEPS`` Newton steps on the factored
+    sextic.  The eigenvalues are accurate to about the square root of the
+    float spacing where B has a root just outside an end (levels next to a
+    focus-focus level, R near 1) and at the double roots of s1 = 1/2
+    (A' = 0, the sextic is beta'^2); the polish resolves both.  Rounding
+    can also move an already exact root by a few ulps, so the raw
+    candidates stay: both, mapped back to p2 and clipped into [lo, hi], and
+    the exact ends are returned.  At zero coupling (kb = 0, the (s1, s2)
+    corners) B vanishes and the ends alone are returned.  A coupling below
+    about 1e-150 (kb subnormal) makes g overflow; the companion matrix is
+    clamped to finite values, so those levels still get points of the
+    interval.
+    """
+    slope, kb, roots = reduced.chart_factors("NS", l, params)
+    ends = np.stack([lo, hi], axis=1)
+    if kb == 0.0:
+        return ends
+    k = l.size
+    w = (hi - lo)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho = (roots - lo[:, None]) / w
+        g = 4.0 * slope * slope / (kb * w * w)
+        beta = np.zeros((k, 5))
+        beta[:, 0] = 1.0
+        for j in range(4):
+            beta[:, 1:j + 2] -= rho[:, j:j + 1] * beta[:, :j + 1]
+        d_beta = beta[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
+        sextic = np.zeros((k, 7))
+        for j in range(4):
+            sextic[:, j:j + 4] += d_beta[:, j:j + 1] * d_beta
+        sextic[:, 2:] -= g * beta
+        # Companion matrix of the monic sextic (leading coefficient 16).
+        companion = np.zeros((k, 6, 6))
+        companion[:, 0, :] = np.nan_to_num(sextic[:, 1:] / -16.0)
+        companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+        raw = np.clip(np.linalg.eigvals(companion).real, 0.0, 1.0)
+        t = np.concatenate([raw, np.zeros((k, 1)), np.ones((k, 1))], axis=1)
+        rho_0, rho_1, rho_2, rho_3 = np.hsplit(rho, 4)
+        for _ in range(POLISH_STEPS):
+            # With d_i = t - rho_i, beta = e4(d), beta' = e3(d) and
+            # beta'' = 2 e2(d): the sextic is e3^2 - g e4 and its derivative
+            # e3 (4 e2 - g).  Where that derivative vanishes, t stays.
+            d01, d23 = (t - rho_0) * (t - rho_1), (t - rho_2) * (t - rho_3)
+            s01, s23 = (t - rho_0) + (t - rho_1), (t - rho_2) + (t - rho_3)
+            e2 = d01 + d23 + s01 * s23
+            e3 = d01 * s23 + d23 * s01
+            step = (e3 * e3 - g * (d01 * d23)) / (e3 * (4.0 * e2 - g))
+            t = np.clip(np.where(np.isfinite(step), t - step, t), 0.0, 1.0)
+    p2 = np.clip(lo[:, None] + w * np.concatenate([raw, t], axis=1),
+                 lo[:, None], hi[:, None])
+    return np.concatenate([p2, ends], axis=1)
 
 
 @dataclass(frozen=True)

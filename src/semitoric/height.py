@@ -245,7 +245,10 @@ def closed_form_F(s1, s2, R):
     branch-stable arctan/log rewriting in the gamma coefficients; those are
     recomputed independently as a cross-check.  (The remaining term has no
     single-branch arctan form valid on the whole focus-focus region, so it
-    is not double-evaluated.)
+    is not double-evaluated.)  On floats, a ``ValueError`` of ``integral_NA``
+    or ``integral_NB`` (next to case III, where delta can fall inside the
+    integration interval) becomes a ``BranchSelectionError`` that names
+    (s1, s2, R).
     """
     alpha, beta, ga = _quadratic_coeffs(s1, s2, R)
     floats = not isinstance(ga, np.ndarray)
@@ -262,9 +265,14 @@ def closed_form_F(s1, s2, R):
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
     v1, v2, v3 = _v_coeffs(s1, s2, R)
-    t_log = 2.0 * v1 * integral_NA(alpha, beta, ga)
-    t_mid = 2.0 * v2 * integral_NB(alpha, beta, ga, 2.0)
-    t_far = 2.0 * v3 * integral_NB(alpha, beta, ga, 2.0 * R)
+    try:
+        t_log = 2.0 * v1 * integral_NA(alpha, beta, ga)
+        t_mid = 2.0 * v2 * integral_NB(alpha, beta, ga, 2.0)
+        t_far = 2.0 * v3 * integral_NB(alpha, beta, ga, 2.0 * R)
+    except ValueError as exc:  # floats only: arrays get NaN instead
+        raise BranchSelectionError(
+            f"elementary integral failed ({exc}) at (s1, s2, R) = "
+            f"({s1}, {s2}, {R})") from None
     f_primary = t_log + t_mid + t_far
 
     gb = gamma_B(s1, s2, R)

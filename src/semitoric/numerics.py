@@ -10,7 +10,9 @@ chart's own P_0 instead.
 
 ``minimize_golden`` takes one float bracket or an array of brackets; the
 brackets of an array are refined in lockstep, with one objective call per
-step for all of them, and each gets the bits of its own float call.
+step for all of them, and each gets the bits of its own float call.  It
+has no caller in the package either: the image envelope takes its extremes
+from the roots of a sextic (``cartography``).
 
 All routines are deterministic and free of global state.
 """

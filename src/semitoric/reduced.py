@@ -13,9 +13,12 @@ down.  It computes the p2-independent coefficients of a level once and
 returns A_l and B_l as functions of p2 that take a float or a NumPy array;
 an array is evaluated with the same operations in the same order as a
 float, so both give the same bits.  The level may be an array as well, so
-that one call serves every level of the image envelope.  ``reduced_A`` and
-``reduced_B`` are scalar conveniences over it.  ``DHFunction.rho`` also
-takes a float or an array.
+that one call serves every level of the image envelope.  ``chart_factors``
+gives the same chart in factored form (the slope of A_l, the leading
+coefficient of B_l and its four roots) from the same terms, for the
+envelope's critical points.  ``reduced_A`` and ``reduced_B`` are scalar
+conveniences over ``chart``.  ``DHFunction.rho`` also takes a float or an
+array.
 """
 
 from __future__ import annotations
@@ -36,14 +39,11 @@ def _check_label(label: str):
         raise ValueError(f"label must be 'NS' or 'SN', got {label!r}")
 
 
-def chart(label: str, l: float, params: ModelParams):
-    """The reduced chart at level offset ``l`` as a pair of functions (A, B).
+def _chart_terms(label: str, l, params: ModelParams):
+    """(ka, slope, base, m, kb): the p2-independent terms of the chart.
 
-    A(p2) is the polynomial part A_l(p2) of the reduced Hamiltonian and
-    B(p2) the radicand B_l(p2), non-negative exactly on the physical region.
-    Both accept a float or an array of p2 values.  For an array of levels
-    ``l`` they are A(p2, rows) and B(p2, rows) instead, where ``rows``, an
-    int array of p2's shape, gives the index into ``l`` of each p2 value.
+    A_l(p2) = ka (base + p2 slope) and B_l(p2) = kb p2 (p2 - m) (p2 - 2R)
+    (p2 - m - 2); ``base`` and ``m`` have the shape of ``l``.
     """
     _check_label(label)
     R, s1, s2 = params.R, params.s1, params.s2
@@ -58,7 +58,20 @@ def chart(label: str, l: float, params: ModelParams):
         base = R * (-1 + l + 2 * s2 - l * s2)
         m = -l
     kb = 4 * c * c / R ** 2
-    two_r = 2 * R
+    return ka, slope, base, m, kb
+
+
+def chart(label: str, l: float, params: ModelParams):
+    """The reduced chart at level offset ``l`` as a pair of functions (A, B).
+
+    A(p2) is the polynomial part A_l(p2) of the reduced Hamiltonian and
+    B(p2) the radicand B_l(p2), non-negative exactly on the physical region.
+    Both accept a float or an array of p2 values.  For an array of levels
+    ``l`` they are A(p2, rows) and B(p2, rows) instead, where ``rows``, an
+    int array of p2's shape, gives the index into ``l`` of each p2 value.
+    """
+    ka, slope, base, m, kb = _chart_terms(label, l, params)
+    two_r = 2 * params.R
 
     # The level's coefficients are default arguments, so that the per-row
     # functions below evaluate the same formulas with each point's level.
@@ -73,6 +86,21 @@ def chart(label: str, l: float, params: ModelParams):
         return A, B
     return (lambda p2, rows: A(p2, base[rows]),
             lambda p2, rows: B(p2, m[rows]))
+
+
+def chart_factors(label: str, l, params: ModelParams):
+    """(dA, kb, roots): the chart at level offset ``l`` in factored form.
+
+    A_l is linear in p2 with slope dA, and B_l(p2) = kb (p2 - r_0) (p2 - r_1)
+    (p2 - r_2) (p2 - r_3) with roots (0, m, 2R, m + 2), m = l for NS and -l
+    for SN.  The roots are stacked on a last axis of length 4, after the
+    shape of ``l`` (a float or an array of levels).
+    """
+    ka, slope, _, m, kb = _chart_terms(label, l, params)
+    m = np.asarray(m, dtype=float)
+    roots = np.stack(np.broadcast_arrays(0.0, m, 2.0 * params.R, m + 2.0),
+                     axis=-1)
+    return ka * slope, kb, roots
 
 
 def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:

@@ -291,8 +291,9 @@ class TestGroupActions:
 
 
 def scalar_envelope(params, n, scalar_golden):
-    """Reference copy of ``image_boundary``'s samples: one level at a time,
-    one float bracket per golden-section call."""
+    """Reference envelope by multi-start golden section on each level, one
+    float bracket at a time: a search that shares nothing with the exact
+    envelope but the chart."""
     samples = []
     for l in np.linspace(-2.0, 2.0 * params.R, n + 1):
         l = float(l)
@@ -333,20 +334,177 @@ def _envelope_points(per_kind=5):
     return points["ff"] + points["toric"]
 
 
+def _relative_gap(samples, ref):
+    """(largest |difference|, largest shortfall) of the envelope ``samples``
+    against ``ref`` (same levels), relative to max(1, max |h|) of ``ref``.
+    The shortfall is how far ``samples`` lies inside ``ref`` on either side
+    of the band (negative when it is wider everywhere)."""
+    got, ref = np.array(samples), np.array(ref)
+    assert (got[:, 0] == ref[:, 0]).all()
+    scale = max(1.0, float(np.abs(ref[:, 1:]).max()))
+    diff = float(np.abs(got[:, 1:] - ref[:, 1:]).max())
+    short = max(float((got[:, 1] - ref[:, 1]).max()),
+                float((ref[:, 2] - got[:, 2]).max()))
+    return diff / scale, short / scale
+
+
+def dense_envelope(params, n, m=2001):
+    """(h_min, h_max, wide) per level: A -/+ sqrt(max(B, 0)) at ``m`` evenly
+    spaced points of each level's physical interval, ends included, and
+    whether the level is wider than 1e-12."""
+    ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
+    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * params.R)
+    p2 = np.linspace(lo, hi, m, axis=1)
+    rows = np.broadcast_to(np.arange(ls.size)[:, None], p2.shape)
+    a_of, b_of = reduced.chart("NS", ls, params)
+    a = a_of(p2, rows)
+    root_b = np.sqrt(np.maximum(b_of(p2, rows), 0.0))
+    return (a - root_b).min(axis=1), (a + root_b).max(axis=1), hi - lo >= 1e-12
+
+
+def mp_envelope(params, n, levels, dps=50):
+    """(h_min, h_max) on the given level indices in mpmath: the chart's A
+    and B at the float level l, taken as exact, and their extremes over the
+    ends and the real roots in [lo, hi] of the sextic B'^2 - 4 A'^2 B
+    (``mpmath.polyroots``)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
+    out = []
+    with mpmath.workdps(dps):
+        R, s1, s2 = mpf(params.R), mpf(params.s1), mpf(params.s2)
+        c = s1 + s2 - s1 ** 2 - s2 ** 2
+        ka, slope, kb = (1 - 2 * s1) / R, s2 - R + R * s2, 4 * c * c / R ** 2
+        for i in levels:
+            l = mpf(float(ls[i]))
+            lo, hi = max(mpf(0), l), min(2 * R, l + 2)
+            base = R * (1 + l - 2 * s2 - l * s2)
+            b = [kb]  # B's coefficients, highest degree first
+            for r in (0, l, 2 * R, l + 2):
+                b = [x - r * y for x, y in zip(b + [0], [0] + b)]
+            db = [(4 - j) * b[j] for j in range(4)]
+            sextic = [sum(db[i] * db[k - i]
+                          for i in range(max(0, k - 3), min(k, 3) + 1))
+                      for k in range(7)]
+            for j in range(5):
+                sextic[j + 2] -= 4 * (ka * slope) ** 2 * b[j]
+            xs = [lo, hi]
+            if kb != 0:
+                xs += [mpmath.re(z) for z in mpmath.polyroots(
+                    sextic, maxsteps=400, extraprec=2 * dps)
+                    if lo <= mpmath.re(z) <= hi]
+            vals = [(ka * (base + x * slope),
+                     mpmath.sqrt(max(mpmath.polyval(b, x), 0))) for x in xs]
+            out.append((float(min(a - rb for a, rb in vals)),
+                        float(max(a + rb for a, rb in vals))))
+    return out
+
+
+# Edge points of the envelope, with n = 16 and n = 257 each: s1 = 1/2 (A' =
+# 0, the sextic is -B'^2 with double roots), the zero-coupling corners
+# (B = 0), R = 1 +- 1e-9 (the middle level within 1e-9 of both focus-focus
+# levels, where B has a root just outside each end), R = 1e+-6, R = 1e-12
+# (levels both narrower and just wider than 1e-12), R = 1e-13 (all levels
+# narrower than 1e-12) and a coupling whose square is subnormal (g
+# overflows).
+EDGE_POINTS = [
+    ModelParams(1.0, 2.0, 0.5, 0.3), ModelParams(1.0, 0.4, 0.5, 0.9),
+    ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
+    ModelParams(1.0, 2.0, 0.0, 1.0), ModelParams(1.0, 0.5, 1.0, 0.0),
+    ModelParams(1.0, 1.0 + 1e-9, 0.9, 0.05),
+    ModelParams(1.0, 1.0 - 1e-9, 0.3, 0.7),
+    ModelParams(1.0, 1.0 + 1e-9, 0.2, 0.6),
+    ModelParams(1.0, 1e6, 0.3, 0.7), ModelParams(1.0, 1e6, 0.9, 0.05),
+    ModelParams(1.0, 1e-6, 0.3, 0.7), ModelParams(1.0, 1e-12, 0.3, 0.7),
+    ModelParams(1.0, 1e-13, 0.3, 0.7), ModelParams(1.0, 2.0, 1e-160, 0.0),
+]
+
+
+def chart_rtol(params):
+    """Relative rounding of the float chart A -/+ sqrt(B), with room.  It
+    grows like R: the two terms of A, each about R in size, cancel.
+    Measured shortfall of the envelope against dense sampling on 200
+    seeded points, R log-uniform on [1e-6, 1e6]: none below R = 1e4, at
+    most 8e-17 R above."""
+    return 2e-15 * max(1.0, params.R)
+
+
 class TestImageBoundary:
     @pytest.mark.parametrize("n", [16, 64, 129])
     def test_samples_equal_scalar_loop(self, n, scalar_golden):
+        # The scalar golden-section loop is the reference.  The exact
+        # envelope is never narrower than it by more than 1e-13 relative
+        # (measured: 3.3e-16) and within 5e-13 of it (measured: 2.9e-13, at
+        # R = 1 - 1.5e-9, where the golden section falls short of the
+        # extreme next to an end; the exact one is within 3.3e-16 of
+        # mpmath there).
         points = _envelope_points()
         assert {p.R > 1 for p in points} == {True, False}
         assert any(abs(p.R - 1.0) < 1e-3 for p in points)
         for p in points:
-            assert image_boundary(p, n).samples == \
-                scalar_envelope(p, n, scalar_golden)
+            diff, short = _relative_gap(image_boundary(p, n).samples,
+                                        scalar_envelope(p, n, scalar_golden))
+            assert short <= 1e-13 and diff <= 5e-13, (p, diff, short)
 
     def test_large_ratio_equals_scalar_loop(self, scalar_golden):
+        # At R = 1e6 both are about 1e-10 from mpmath, the float chart's
+        # own rounding (``test_matches_mpmath``); measured 1.2e-10 apart.
         p = ModelParams(1, 1e6, 0, 0.5)
-        assert image_boundary(p, 16).samples == \
-            scalar_envelope(p, 16, scalar_golden)
+        diff, _ = _relative_gap(image_boundary(p, 16).samples,
+                                scalar_envelope(p, 16, scalar_golden))
+        assert diff <= 5e-10
+
+    @pytest.mark.parametrize("n", [16, 257])
+    @pytest.mark.parametrize("p", EDGE_POINTS, ids=repr)
+    def test_never_narrower_than_dense_sampling(self, p, n):
+        samples = np.array(image_boundary(p, n).samples)
+        assert np.isfinite(samples).all()
+        h_min, h_max, wide = dense_envelope(p, n)
+        scale = max(1.0, float(np.abs(samples[:, 1:]).max()))
+        tol = chart_rtol(p) * scale
+        assert (samples[wide, 1] <= h_min[wide] + tol).all()
+        assert (samples[wide, 2] >= h_max[wide] - tol).all()
+        # Levels narrower than 1e-12 are A at the left end, on both sides.
+        ls = np.linspace(-2.0, 2.0 * p.R, n + 1)
+        a_of, _ = reduced.chart("NS", ls, p)
+        narrow = np.flatnonzero(~wide)
+        lo = np.maximum(ls[narrow], 0.0)
+        assert narrow.size >= 2
+        assert (samples[narrow, 1] == a_of(lo, narrow)).all()
+        assert (samples[narrow, 2] == samples[narrow, 1]).all()
+
+    def test_seeded_points_never_narrower_than_dense_sampling(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            R = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+            p = ModelParams(1.0, R, *(float(v) for v in rng.uniform(0, 1, 2)))
+            samples = np.array(image_boundary(p, 64).samples)
+            h_min, h_max, wide = dense_envelope(p, 64, m=801)
+            tol = chart_rtol(p) * max(1.0, float(np.abs(samples[:, 1:]).max()))
+            assert (samples[wide, 1] <= h_min[wide] + tol).all(), p
+            assert (samples[wide, 2] >= h_max[wide] - tol).all(), p
+
+    @pytest.mark.parametrize("p, rtol", [
+        (ModelParams(1.0, 2.0, 0.3, 0.6), 1e-14),
+        (ModelParams(1.0, 0.2, 0.7, 0.1), 1e-14),
+        (ModelParams(1.0, 2.0, 0.5, 0.3), 1e-14),
+        (ModelParams(1.0, 1.0 - 1e-9, 0.9, 0.05), 1e-14),
+        (ModelParams(1.0, 1e6, 0.3, 0.7), 5e-10),
+        (ModelParams(1, 1e6, 0, 0.5), 5e-10),
+    ], ids=repr)
+    def test_matches_mpmath(self, p, rtol, scalar_golden):
+        # Measured: at most 1.7e-15 relative for R in [1/8, 8] and next to
+        # R = 1, and 5.9e-11 and 9.9e-11 at R = 1e6, where the scalar
+        # golden section is 8.4e-11 and 9.7e-11 away: the float chart's
+        # rounding.
+        n, levels = 16, [1, 5, 8, 11, 15]
+        ref = mp_envelope(p, n, levels)
+        got = np.array(image_boundary(p, n).samples)[levels, 1:]
+        scale = max(1.0, float(np.abs(np.array(ref)).max()))
+        assert np.abs(got - ref).max() <= rtol * scale
+        if p.R > 1e3:
+            gold = np.array(scalar_envelope(p, n, scalar_golden))[levels, 1:]
+            assert np.abs(gold - ref).max() <= rtol * scale
 
     def test_corner_values_on_envelope(self):
         p = ModelParams(1.0, 2.0, 0.4, 0.5)
@@ -374,7 +532,6 @@ class TestImageBoundary:
         assert len(bnd.corner_values) == 4
 
     def test_large_ratio_returns(self, time_limit):
-        # Near p2 = 2e6 the float spacing exceeds the golden-section tol.
         time_limit(10)
         bnd = image_boundary(ModelParams(1, 1e6, 0, 0.5), 16)
         assert len(bnd.samples) == 17

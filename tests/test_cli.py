@@ -138,6 +138,21 @@ class TestHeight:
         if method == "both":
             assert payload["discrepancy"] <= 1e-9
 
+    def test_failed_elementary_integral_names_the_point(self, capsys):
+        # Next to the case-III crossing N_B's pole falls inside its
+        # integration interval; the message names the frame point (s1 is
+        # mirrored to 1 - s1) and the caller's input, not N_B's ValueError
+        # alone.
+        code, out, err = run(capsys, [
+            "height", "--method=closed", "--R1=1", "--R2=2",
+            "--s1=0.5000987688340595", "--s2=0.6666823101131707"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: elementary integral failed (delta "
+                              "must lie outside the integration interval) "
+                              "at (s1, s2, R) = (0.49990123116594054, "
+                              "0.6666823101131707, 2.0); input ModelParams(")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_no_focus_focus_is_degenerate_exit(self, capsys):
         code, _, err = run(capsys, ["height"] + BASE
                            + ["--s1", "0.0", "--s2", "0.0"])

@@ -266,20 +266,22 @@ class TestArrayFormulasMatchFloats:
                 assert inv.h1[i, 0] == height.height_closed(cell).h1
 
     def test_first_failing_cell_raises(self):
-        # 5e-8 off s2 = R/(R+1), s1 = 0.4 fails with a ValueError and
-        # s1 = 0.25 with a BranchSelectionError; the first in row order wins.
+        # 5e-8 off s2 = R/(R+1), s1 = 0.4 fails in N_B (its pole falls
+        # inside the integration interval) and s1 = 0.25 in the cross-check,
+        # both with a BranchSelectionError of their own message; the first
+        # in row order wins.
         R = 2.0
         s2_bad = R / (R + 1.0) - 5e-8
-        grid = ParamGrid(1.0, R, [0.2, 0.4, 0.25], [0.5, s2_bad])
-        with pytest.raises(ValueError) as want:
-            height.height_closed(ModelParams(1.0, R, 0.4, s2_bad))
-        with pytest.raises(ValueError) as got:
-            height.height_closed(grid)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        grid = ParamGrid(1.0, R, [0.2, 0.25, 0.4], [0.5, s2_bad])
-        with pytest.raises(height.BranchSelectionError):
-            height.height_closed(grid)
+        messages = []
+        for s1 in ([0.2, 0.4, 0.25], [0.2, 0.25, 0.4]):
+            with pytest.raises(height.BranchSelectionError) as want:
+                height.height_closed(ModelParams(1.0, R, s1[1], s2_bad))
+            with pytest.raises(height.BranchSelectionError) as got:
+                height.height_closed(ParamGrid(1.0, R, s1, [0.5, s2_bad]))
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages[0].startswith("elementary integral failed")
+        assert messages[1].startswith("closed-form paths disagree")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="must lie in"):
