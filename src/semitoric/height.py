@@ -21,16 +21,15 @@ Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_gamma_D``,
 ``_quadratic_coeffs``, ``_v_coeffs``, ``integral_NA``, ``integral_NB`` and
 ``closed_form_F`` take floats or NumPy arrays (broadcast together);
 ``case_id`` and ``height_closed`` take a ModelParams or a ``ParamGrid``.
-Each formula is written once.  On floats it runs plain float arithmetic and
-the ``math`` module, so the scalar API costs what it did.  On arrays the
-results are bit-identical to the float calls cell by cell, under one rule:
-``**``, log and atan go through the C library one element at a time
-(``**`` through ``numerics.LibmArray``, log and atan over ``.tolist()``),
-because NumPy's vector loops differ from Python's ``**`` and ``math`` in
-the last bit on some inputs (200 000 doubles, AVX-512 host, NumPy 2.4.6:
-``np.power(a, 3)`` 5475, ``a ** 2`` about 200, ``np.log`` 532 to 715,
-``np.arctan`` 125 to 434 mismatches; ``np.sqrt`` none).  Pass LibmArray
-operands (a ParamGrid's axes are) to get those bits.
+Each formula is written once, and the results on arrays are bit-identical
+to the float calls cell by cell, under one elementwise rule: powers are
+products in one fixed association (``x * x``, ``x * x * x``,
+``(x * x) * (x * x)``), and log and atan are NumPy's ``np.log`` and
+``np.arctan`` on floats as on arrays (a float call gives the bits of the
+vector loop's element; ``tests/test_elementwise.py`` checks this premise).
+Square roots are ``math.sqrt`` on floats and ``np.sqrt`` on arrays, both
+correctly rounded.  On floats a non-positive log argument still raises
+``math.log``'s ``ValueError``.
 
 Errors on arrays.  A check that raises on floats does not stop an array
 call: the failing element becomes NaN, and so does any element where a
@@ -53,7 +52,7 @@ from . import reduced
 from .errors import (BranchSelectionError, ConsistencyError,
                      DegenerateSystemError)
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
-from .numerics import QuadratureSettings, integrate, libm_array
+from .numerics import QuadratureSettings, integrate
 from .singularity import discriminant_E, is_degenerate
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
@@ -68,24 +67,22 @@ CROSS_CHECK_TOL = 1e-8
 CUT_RESIDUAL_TOL = 1e-8
 
 
-def _libm_log(x):
-    """``math.log`` per element; NaN where it would raise (x <= 0) or x is
-    NaN."""
-    return libm_array([math.log(v) if v > 0.0 else math.nan
-                       for v in x.ravel().tolist()]).reshape(x.shape)
+def _float_log(x):
+    """``np.log`` of a float, as a float.  ``math.log`` takes the arguments
+    it rejects (x <= 0, raising its own ``ValueError``) and NaN."""
+    return float(np.log(x)) if x > 0.0 else math.log(x)
 
 
-def _libm_atan(x):
-    """``math.atan`` per element; NaN where x is not finite (an infinite
-    argument may come from a division by zero, which raises on floats)."""
-    return libm_array([math.atan(v) if -math.inf < v < math.inf else math.nan
-                       for v in x.ravel().tolist()]).reshape(x.shape)
+def _array_atan(x):
+    """``np.arctan``, with NaN where x is not finite: an infinite argument
+    may come from a division by zero, which raises on floats."""
+    return np.where(np.isinf(x), np.nan, np.arctan(x))
 
 
 # The elementary functions of the closed form, for float and array inputs.
-_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, atan=math.atan,
-                              max=max)
-_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=_libm_log, atan=_libm_atan,
+_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=_float_log,
+                              atan=lambda x: float(np.arctan(x)), max=max)
+_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan,
                               max=np.maximum)
 
 
@@ -108,44 +105,55 @@ def _check_finite(name, *args):
                          f"({', '.join(repr(float(v)) for v in args)})")
 
 
+def _powers(x):
+    """(x^2, x^3, x^4) as ``x * x``, ``x * x * x`` and ``(x * x) * (x * x)``."""
+    x2 = x * x
+    return x2, x2 * x, x2 * x2
+
+
 def gamma_A(s1: float, s2: float, R: float) -> float:
-    return (-R ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
-            + 2 * R * (8 * s1 ** 4 - 16 * s1 ** 3
-                       + 4 * s1 ** 2 * (3 * s2 ** 2 - 3 * s2 + 2)
-                       - 12 * s1 * (s2 - 1) * s2
-                       + s2 * (8 * s2 ** 3 - 16 * s2 ** 2 + 7 * s2 + 1))
-            - (1 - 2 * s1) ** 2 * s2 ** 2)
+    a2, a3, a4 = _powers(s1)
+    b2, b3, _ = _powers(s2)
+    u, w = 1 - 2 * s1, s2 - 1
+    return (-(R * R) * (u * u) * (w * w)
+            + 2 * R * (8 * a4 - 16 * a3 + 4 * a2 * (3 * b2 - 3 * s2 + 2)
+                       - 12 * s1 * w * s2
+                       + s2 * (8 * b3 - 16 * b2 + 7 * s2 + 1))
+            - u * u * b2)
 
 
 def gamma_B(s1: float, s2: float, R: float) -> float:
-    return (R ** 2 * (4 * s1 ** 4 - 8 * s1 ** 3
-                      + 4 * s1 ** 2 * (3 * s2 ** 2 - 4 * s2 + 2)
-                      - 4 * s1 * (3 * s2 ** 2 - 4 * s2 + 1)
-                      + (s2 - 1) ** 2 * (4 * s2 ** 2 + 1))
-            - 2 * R * (4 * s1 ** 4 - 8 * s1 ** 3
-                       + 4 * s1 ** 2 * (s2 ** 2 - s2 + 1)
-                       - 4 * s1 * (s2 - 1) * s2
-                       + s2 * (4 * s2 ** 3 - 8 * s2 ** 2 + 3 * s2 + 1))
-            + 4 * s1 ** 4 - 8 * s1 ** 3
-            + 4 * s1 ** 2 * (3 * s2 ** 2 - 2 * s2 + 1)
+    a2, a3, a4 = _powers(s1)
+    b2, b3, _ = _powers(s2)
+    w = s2 - 1
+    return (R * R * (4 * a4 - 8 * a3 + 4 * a2 * (3 * b2 - 4 * s2 + 2)
+                     - 4 * s1 * (3 * b2 - 4 * s2 + 1)
+                     + w * w * (4 * b2 + 1))
+            - 2 * R * (4 * a4 - 8 * a3 + 4 * a2 * (b2 - s2 + 1)
+                       - 4 * s1 * w * s2
+                       + s2 * (4 * b3 - 8 * b2 + 3 * s2 + 1))
+            + 4 * a4 - 8 * a3 + 4 * a2 * (3 * b2 - 2 * s2 + 1)
             + 4 * s1 * s2 * (2 - 3 * s2)
-            + s2 ** 2 * (4 * s2 ** 2 - 8 * s2 + 5))
+            + b2 * (4 * b2 - 8 * s2 + 5))
 
 
 def _gamma_D(s1, s2, R, sqrt_gb):
-    return (-8 * R ** 2 * s1 ** 4 + 16 * R ** 2 * s1 ** 3
-            - 20 * R ** 2 * s1 ** 2 * s2 ** 2 + 24 * R ** 2 * s1 ** 2 * s2
-            - 12 * R ** 2 * s1 ** 2 + 20 * R ** 2 * s1 * s2 ** 2
-            - 24 * R ** 2 * s1 * s2 + 4 * R ** 2 * s1
-            - 8 * R ** 2 * s2 ** 4 + 16 * R ** 2 * s2 ** 3
-            - 9 * R ** 2 * s2 ** 2 + 2 * R ** 2 * s2 - R ** 2
-            + 4 * R * sqrt_gb * (-s1 ** 2 + s1 - s2 ** 2 + s2)
-            + 8 * R * s1 ** 4 - 16 * R * s1 ** 3
-            + 8 * R * s1 ** 2 * s2 ** 2 - 8 * R * s1 ** 2 * s2
-            + 8 * R * s1 ** 2 - 8 * R * s1 * s2 ** 2 + 8 * R * s1 * s2
-            + 8 * R * s2 ** 4 - 16 * R * s2 ** 3 + 6 * R * s2 ** 2
+    a2, a3, a4 = _powers(s1)
+    b2, b3, b4 = _powers(s2)
+    R2 = R * R
+    return (-8 * R2 * a4 + 16 * R2 * a3
+            - 20 * R2 * a2 * b2 + 24 * R2 * a2 * s2
+            - 12 * R2 * a2 + 20 * R2 * s1 * b2
+            - 24 * R2 * s1 * s2 + 4 * R2 * s1
+            - 8 * R2 * b4 + 16 * R2 * b3
+            - 9 * R2 * b2 + 2 * R2 * s2 - R2
+            + 4 * R * sqrt_gb * (-a2 + s1 - b2 + s2)
+            + 8 * R * a4 - 16 * R * a3
+            + 8 * R * a2 * b2 - 8 * R * a2 * s2
+            + 8 * R * a2 - 8 * R * s1 * b2 + 8 * R * s1 * s2
+            + 8 * R * b4 - 16 * R * b3 + 6 * R * b2
             + 2 * R * s2
-            - 4 * s1 ** 2 * s2 ** 2 + 4 * s1 * s2 ** 2 - s2 ** 2)
+            - 4 * a2 * b2 + 4 * s1 * b2 - b2)
 
 
 def integral_NA(alpha, beta, gamma):
@@ -225,14 +233,15 @@ def _nb_log(alpha, beta, gamma, delta, disc, w, xm):
 
 def _quadratic_coeffs(s1, s2, R):
     """(alpha, beta, gamma) of the denominator quadratic Q(p2)."""
-    c2 = (s1 ** 2 - s1 + (s2 - 1) * s2) ** 2
-    return 4 * c2, -8 * (1 + R) * c2, gamma_A(s1, s2, R)
+    c = s1 * s1 - s1 + (s2 - 1) * s2
+    return 4 * (c * c), -8 * (1 + R) * (c * c), gamma_A(s1, s2, R)
 
 
 def _v_coeffs(s1, s2, R):
     v1 = -(2 * s1 - 1) * (R * s2 - R + s2)
     v2 = -(-2 * R * s1 * s2 + 2 * R * s1 + R * s2 - R - 2 * s1 * s2 + s2)
-    v3 = -(-2 * R ** 2 * s1 * s2 + 2 * R ** 2 * s1 + R ** 2 * s2 - R ** 2
+    R2 = R * R
+    v3 = -(-2 * R2 * s1 * s2 + 2 * R2 * s1 + R2 * s2 - R2
            - 2 * R * s1 * s2 + R * s2)
     return v1, v2, v3
 
@@ -281,7 +290,7 @@ def closed_form_F(s1, s2, R):
         raise ValueError(f"gamma_B = {gb:.3e} < 0")
     sq_gb, sq_ga = xm.sqrt(gb), xm.sqrt(ga)
     gd = _gamma_D(s1, s2, R, sq_gb)
-    m = s1 ** 2 - s1 + s2 ** 2 - s2
+    m = s1 * s1 - s1 + s2 * s2 - s2
     t_log_check = (denom_factor / m
                    * xm.log(-sq_gb / (2 * (R + 1) * m + sq_ga)))
     t_far_check = 4.0 * R * xm.atan(gd / (sq_ga * denom_factor))
@@ -377,9 +386,8 @@ def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
         work = ns_frame(grid)
         case = case_id(work)
         mirrored = work.s1 > 0.5
-        f = closed_form_F(
-            libm_array(np.where(mirrored, 1.0 - work.s1, work.s1)),
-            work.s2, work.R)
+        f = closed_form_F(np.where(mirrored, 1.0 - work.s1, work.s1),
+                          work.s2, work.R)
         f = np.where(mirrored, -f, f)
         h1 = np.where((case == "I") | (case == "V"),
                       2.0 - f / (2.0 * math.pi), -f / (2.0 * math.pi))

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import libm_array
-
 SPHERE_TOL = 1e-9  # input validation tolerance for |n_i| = 1
 FD_STEP = 1e-6     # central-difference step for default gradients
 CASE_III_BAND = 1e-12  # |s1 - 1/2| or |s2 - R/(R+1)| this small is on a line
@@ -72,11 +70,13 @@ class ParamGrid:
     """System parameters on an (s1, s2) grid, for the array closed forms.
 
     One pair of radii; ``s1`` is held as an (n1, 1) column and ``s2`` as a
-    (1, n2) row, both as ``LibmArray``.  Formulas written for ModelParams
-    then broadcast to the n1 x n2 grid, with cell (i, j) at (s1[i], s2[j]),
+    (1, n2) row of float64.  Formulas written for ModelParams then
+    broadcast to the n1 x n2 grid, with cell (i, j) at (s1[i], s2[j]),
     evaluate every single-variable term once per axis value, and give the
-    same bits in each cell as on the ModelParams of that cell.  The radii
-    and the axis values are validated once, with ModelParams' messages.
+    same bits in each cell as on the ModelParams of that cell, since they
+    keep to the elementwise rule of ``height`` (powers as products, log and
+    atan through NumPy).  The radii and the axis values are validated once,
+    with ModelParams' messages.
     """
 
     r1: float
@@ -86,8 +86,8 @@ class ParamGrid:
 
     def __post_init__(self):
         _check_radii(self.r1, self.r2)
-        s1 = libm_array(self.s1).reshape(-1, 1)
-        s2 = libm_array(self.s2).reshape(1, -1)
+        s1 = np.asarray(self.s1, dtype=float).reshape(-1, 1)
+        s2 = np.asarray(self.s2, dtype=float).reshape(1, -1)
         if not all(((0.0 <= s) & (s <= 1.0)).all() for s in (s1, s2)):
             raise ValueError("s1 and s2 must lie in [0, 1]")
         object.__setattr__(self, "s1", s1)

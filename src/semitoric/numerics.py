@@ -1,6 +1,5 @@
 """Shared numerical kernels: adaptive quadrature, bisection, golden-section
-extremization, a quartic root solver, and ``LibmArray``, the float64 array
-type on which the closed forms give the same bits as on Python floats.
+extremization and a quartic root solver.
 
 ``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
 package: it is the independent reference against which acceptance
@@ -25,31 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonconvergenceError
-
-
-class LibmArray(np.ndarray):
-    """A float64 array whose ``**`` rounds each element as Python's float
-    ``**`` does: the C library's ``pow``, one element at a time.
-
-    NumPy's own power loops differ from ``x ** k`` on Python floats in the
-    last bit for some inputs (on an AVX-512 host with NumPy 2.4.6,
-    ``np.power(a, 3)`` on 5475 and ``a ** 2`` on about 200 of 200 000
-    doubles).  Every other arithmetic operation is one correctly rounded
-    IEEE operation in both, so a formula written once with ``**``, ``+``,
-    ``-``, ``*`` and ``/`` gives bit-identical results on floats and on
-    LibmArray operands.  NumPy operations keep the type; ``np.where`` and
-    other non-ufunc functions return a plain array, so wrap their results
-    with ``libm_array`` before raising them to a power.
-    """
-
-    def __pow__(self, k):
-        return libm_array([v ** k for v in self.ravel().tolist()]
-                          ).reshape(self.shape)
-
-
-def libm_array(values) -> LibmArray:
-    """``values`` as a float64 LibmArray."""
-    return np.asarray(values, dtype=float).view(LibmArray)
 
 
 # Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].

@@ -8,14 +8,15 @@ and the system fails to be semitoric.
 
 ``discriminant_E`` and ``is_degenerate`` also take a ``ParamGrid`` (one
 pair of radii, s1 as a column and s2 as a row) and then return arrays over
-its grid, bit-identical cell by cell to the ModelParams calls: the formula
-is written once, and ``**`` on the grid's ``LibmArray`` axes rounds as
-Python's float ``**`` does (see ``numerics.LibmArray``).
+its grid, bit-identical cell by cell to the ModelParams calls.  Like every
+formula in the package that runs on floats and arrays, each is written
+once, with powers as products in one fixed association (``x * x``,
+``x * x * x``, ``(x * x) * (x * x)``): every operation is then one
+correctly rounded IEEE operation on floats and on arrays alike.
 
-``rank1_margin`` is one formula in (z1, z2) with no powers, so floats and
-arrays give the same bits with plain NumPy arithmetic.  It is negative on
-the whole open strip |z1|, |z2| < 1; ``check_semitoric`` evaluates it on a
-grid in (z1, z2) as a check.
+``rank1_margin`` is one formula in (z1, z2) under the same rule.  It is
+negative on the whole open strip |z1|, |z2| < 1; ``check_semitoric``
+evaluates it on a grid in (z1, z2) as a check.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ POINT_IDS = ("NN", "NS", "SN", "SS")
 def discriminant_E(params: ModelParams | ParamGrid) -> float | np.ndarray:
     """Discriminant deciding the type of the NS and SN singularities."""
     r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
-    return (r2 ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
-            + r1 ** 2 * (1 - 2 * s1) ** 2 * s2 ** 2
-            - 2 * r1 * r2 * (8 * (s1 - 1) ** 2 * s1 ** 2 + s2
-                             - 12 * (s1 - 1) * s1 * s2
-                             + (7 + 12 * (s1 - 1) * s1) * s2 ** 2
-                             - 16 * s2 ** 3 + 8 * s2 ** 4))
+    u, v, w = 1 - 2 * s1, s1 - 1, s2 - 1
+    return (r2 * r2 * (u * u) * (w * w)
+            + r1 * r1 * (u * u) * (s2 * s2)
+            - 2 * r1 * r2 * (8 * (v * v) * (s1 * s1) + s2
+                             - 12 * v * s1 * s2
+                             + (7 + 12 * v * s1) * (s2 * s2)
+                             - 16 * (s2 * s2 * s2)
+                             + 8 * ((s2 * s2) * (s2 * s2))))
 
 
 def is_degenerate(e, params: ModelParams | ParamGrid):

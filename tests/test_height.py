@@ -13,8 +13,7 @@ from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
                               gamma_B, height_both, height_closed,
                               height_oracle, integral_NA, integral_NB)
 from semitoric.model import ModelParams, ns_frame
-from semitoric.numerics import (QuadratureSettings, find_root_bisect,
-                                integrate, libm_array)
+from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
 from semitoric.singularity import discriminant_E
 
 
@@ -212,7 +211,7 @@ class TestNonFiniteArguments:
     def check(fn, good, bad):
         with pytest.raises(ValueError, match="finite"):
             fn(*bad)
-        cols = [libm_array([b, g]) for b, g in zip(bad, good)]
+        cols = [np.array([b, g]) for b, g in zip(bad, good)]
         with np.errstate(all="ignore"):
             got = fn(*cols)
         assert np.isnan(got[0]) and got[1] == fn(*good)

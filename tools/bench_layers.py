@@ -1,12 +1,13 @@
 """Time the layers under a benchmark op, one row per layer.
 
-``--topic`` picks the op, ``oracle`` (default) or ``chart``.  Each row
-times package calls on a fixed, seeded set of points (R = r2/r1
-log-uniform on [1/8, 8], s1 and s2 uniform) and reports the time per point
-in microseconds: the median and quartiles over repeats, each repeat one
-pass over all points.  The rows are timed round-robin, so a slow stretch of
-a shared host spreads over all of them.  The last row is the benchmark's
-whole op.
+``--topic`` picks the op, ``oracle`` (default), ``chart`` or ``sweep``.
+Each row times package calls on a fixed, seeded set of points (R = r2/r1
+log-uniform on [1/8, 8], s1 and s2 uniform; for ``sweep``, R and two axis
+windows) and reports the time per point in microseconds: the median and
+quartiles over repeats, each repeat one pass over all points.  The rows
+are timed round-robin, so a slow stretch of a shared host spreads over all
+of them.  The last row is the benchmark's whole op (for ``sweep``, the last
+three, one per quantity).
 
 - ``oracle``: focus-focus points outside the bands -E <= 1e-2 r1 r2 and
   |case-III factor| <= 1e-3 that the benchmark leaves out; the op is
@@ -15,10 +16,17 @@ whole op.
   |E| <= 1e-10 r1 r2; the op is ``image_boundary(64)``, the polygon
   representatives (all four cuts, or the one toric shape),
   ``check_semitoric(20)`` and ``classify_fixed_points``.
+- ``sweep``: 41 x 41 windows as in the benchmark's sweep workload (each
+  axis window at least 1/4 wide, no cell within 1e-3 of a case-III line in
+  the factor (2 s1 - 1)(R (s2 - 1) + s2)); the rows are ``discriminant_E``
+  and ``height_closed`` on the window's ``ParamGrid`` and one whole
+  ``semitoric sweep`` per quantity, its CSV written to the null device.
 
     python tools/bench_layers.py --out BENCH_oracle.json
     python tools/bench_layers.py --parent OTHER/src --topic chart \\
         --out BENCH_chart.json
+    python tools/bench_layers.py --parent OTHER/src --topic sweep \\
+        --out BENCH_sweep.json
 
 SRC (default: this checkout's src/) is the package that is timed.  With
 ``--parent OTHER/src`` an earlier checkout is timed too, in alternating
@@ -48,6 +56,7 @@ import numpy as np
 SEED = 20261018
 N_POINTS = 48
 REPEATS = 31
+SWEEP_COUNT = 41
 
 
 def seeded_points(n, keep):
@@ -133,7 +142,55 @@ def chart_layers(n):
     ]
 
 
-TOPICS = {"oracle": oracle_layers, "chart": chart_layers}
+def sweep_window(rng):
+    width = float(rng.uniform(0.25, 1.0))
+    start = float(rng.uniform(0.0, 1.0 - width))
+    return start, min(1.0, start + width)
+
+
+def sweep_layers(n):
+    """Windows of the sweep workload's domain and (row name, function of
+    one window) for every row, in table order.  The windows are chosen
+    without calling the package, so every checkout times the same ones."""
+    from semitoric import cli, height, model, singularity
+
+    rng = np.random.default_rng(SEED)
+    windows = []
+    while len(windows) < n:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        w1, w2 = sweep_window(rng), sweep_window(rng)
+        s1 = np.linspace(*w1, SWEEP_COUNT)
+        s2 = np.linspace(*w2, SWEEP_COUNT)
+        big, s2_ns = (R, s2) if R > 1.0 else (1.0 / R, 1.0 - s2)
+        factor = (2 * s1[:, None] - 1) * (big * (s2_ns[None, :] - 1)
+                                          + s2_ns[None, :])
+        if (np.abs(factor) <= 1e-3).any():
+            continue
+        argv = ["sweep", "--R1", "1.0", "--R2", repr(R),
+                "--s1-start", repr(w1[0]), "--s1-stop", repr(w1[1]),
+                "--s2-start", repr(w2[0]), "--s2-stop", repr(w2[1]),
+                "--s1-count", str(SWEEP_COUNT), "--s2-count", str(SWEEP_COUNT),
+                "--out", os.devnull]
+        windows.append((model.ParamGrid(1.0, R, s1, s2), argv))
+
+    def sweep_op(quantity):
+        def run(window):
+            if cli.main(window[1] + ["--quantity", quantity]) != 0:
+                raise RuntimeError(f"sweep {quantity} failed on {window[1]}")
+        return run
+
+    return windows, [
+        ("singularity.discriminant_E (grid)",
+         lambda w: singularity.discriminant_E(w[0])),
+        ("height.height_closed (grid)", lambda w: height.height_closed(w[0])),
+        ("op.sweep E (end to end)", sweep_op("E")),
+        ("op.sweep nff (end to end)", sweep_op("nff")),
+        ("op.sweep height (end to end)", sweep_op("height")),
+    ]
+
+
+TOPICS = {"oracle": oracle_layers, "chart": chart_layers,
+          "sweep": sweep_layers}
 
 
 def run_repeat(calls, points):
@@ -261,7 +318,8 @@ def main(argv=None) -> int:
         "label": args.label or checkout_label(sources[0]),
         "environment": environment,
         "points": N_POINTS, "seed": SEED, "repeats": REPEATS,
-        "unit": "us per point, median and quartiles over repeats",
+        "unit": (f"us per {'window' if args.topic == 'sweep' else 'point'}"
+                 ", median and quartiles over repeats"),
         "rows": rows,
     }
     if args.parent is not None:

@@ -20,7 +20,9 @@ degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), small sweeps, seeded
 41 x 41 sweeps of every quantity, a sweep that fails in one cell, negative
 values written as separate arguments (``--R2 -inf``) and other error
 exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
-points.  Standard library and NumPy only.
+points.  The seeded points are chosen with exact rational arithmetic, not
+with the package, so every checkout runs the same list.  Standard library
+and NumPy only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import io
 import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,16 +94,27 @@ def flags(point) -> str:
     return f"--R1={r1} --R2={r2} --s1={s1} --s2={s2}"
 
 
+def exact_E(r1, r2, s1, s2) -> Fraction:
+    """The discriminant E at the exact values of the float arguments, in
+    rational arithmetic.  The seeded points below are chosen with it, so
+    the invocation list does not depend on the rounding of the checkout's
+    ``discriminant_E``: every checkout is digested on the same list."""
+    r1, r2, s1, s2 = map(Fraction, (r1, r2, s1, s2))
+    return (r2 ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
+            + r1 ** 2 * (1 - 2 * s1) ** 2 * s2 ** 2
+            - 2 * r1 * r2 * (8 * (s1 - 1) ** 2 * s1 ** 2 + s2
+                             - 12 * (s1 - 1) * s1 * s2
+                             + (7 + 12 * (s1 - 1) * s1) * s2 ** 2
+                             - 16 * s2 ** 3 + 8 * s2 ** 4))
+
+
 def random_ff_points(rng):
     """Seeded focus-focus points with R log-uniform on [1/8, 8]."""
-    from semitoric.model import ModelParams
-    from semitoric.singularity import discriminant_E
-
     points = []
     while len(points) < N_RANDOM:
         R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
         s1, s2 = (float(v) for v in rng.uniform(0.0, 1.0, 2))
-        if discriminant_E(ModelParams(1.0, R, s1, s2)) < -1e-2 * R:
+        if exact_E(1.0, R, s1, s2) < -1e-2 * R:
             points.append((1.0, R, s1, s2))
     return points
 
@@ -108,10 +122,7 @@ def random_ff_points(rng):
 def near_e0_points(rng, depths):
     """Seeded points with -E/(r1 r2) log-uniform on ``depths`` and R
     log-uniform on [1/8, 8]: s1 in (0, 1/2) solves E = -depth r1 r2 by
-    bisection at a random s2."""
-    from semitoric.model import ModelParams
-    from semitoric.singularity import discriminant_E
-
+    bisection at a random s2, on the exact E."""
     points = []
     while len(points) < N_NEAR_E0:
         R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
@@ -119,7 +130,7 @@ def near_e0_points(rng, depths):
         depth = math.exp(rng.uniform(*map(math.log, depths)))
 
         def excess(s1):
-            return discriminant_E(ModelParams(1.0, R, s1, s2)) / R + depth
+            return exact_E(1.0, R, s1, s2) / Fraction(R) + Fraction(depth)
 
         lo, hi = 0.0, 0.5  # excess(1/2) < 0 always
         if excess(lo) <= 0.0:
