@@ -59,10 +59,11 @@ def _emit(text: str, out_path: str | None):
 
 def cmd_classify(args) -> int:
     params = _params_from(args)
-    e = singularity.discriminant_E(params)
     reports = singularity.classify_fixed_points(params)
-    degenerate = any(r.kind == "degenerate" for r in reports)
-    nff = None if degenerate else singularity.n_ff(params)
+    e = reports[0].e_value
+    kind = reports[1].kind  # NS, the same as SN: n_FF is 2 for focus-focus
+    degenerate = kind == "degenerate"
+    nff = None if degenerate else (2 if kind == "focus-focus" else 0)
     verdict = singularity.check_semitoric(params, grid_n=20)
     if args.json:
         payload = {

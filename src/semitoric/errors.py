@@ -18,7 +18,10 @@ class NonconvergenceError(SemitoricError):
 
 
 class BranchSelectionError(SemitoricError):
-    """The two closed-form evaluation paths disagree beyond tolerance."""
+    """Two evaluation paths of a closed form disagree beyond tolerance.
+
+    No current path raises it: the height's closed form is one formula
+    without a second path.  It stays exported for callers that catch it."""
 
 
 class ConsistencyError(SemitoricError):

@@ -1,10 +1,14 @@
 """Height invariant (h1, h2): closed-form evaluation with case logic plus an
 independent quadrature oracle on the reduced phase space.
 
-The closed form is evaluated through a partial-fraction decomposition into
-two elementary definite integrals (the numerically tame path) and
-cross-checked against the direct arctan/log expression; the two must agree
-to 1e-8 or a branch-selection error is raised.
+The closed form is one formula in two factors of the parameters,
+k = (2 s1 - 1)(R (s2 - 1) + s2) and m = s1^2 - s1 + s2^2 - s2: the
+paper's partial fractions over the elementary integrals N_A and N_B
+collapse to one log and two arctans whose arguments are quotients without
+cancellation (``closed_form_F``).  It keeps its relative precision up to
+the case-III lines k = 0, so it raises nowhere in the focus-focus regime
+and needs no second path as a cross-check.  ``integral_NA`` and
+``integral_NB`` stay as the paper's building blocks; F does not call them.
 
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
@@ -17,19 +21,18 @@ factor of the chart's own P_0 = B - (H_crit - A)^2
 (``reduced.p0_quadratic_roots``), never ``gamma_B`` or ``roots_P0``, and
 each is checked to be a root of that factor.
 
-Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_gamma_D``,
-``_quadratic_coeffs``, ``_v_coeffs``, ``integral_NA``, ``integral_NB`` and
-``closed_form_F`` take floats or NumPy arrays (broadcast together);
-``case_id`` and ``height_closed`` take a ModelParams or a ``ParamGrid``.
-Each formula is written once, and the results on arrays are bit-identical
-to the float calls cell by cell, under one elementwise rule: powers are
-products in one fixed association (``x * x``, ``x * x * x``,
-``(x * x) * (x * x)``), and log and atan are NumPy's ``np.log`` and
-``np.arctan`` on floats as on arrays (a float call gives the bits of the
-vector loop's element; ``tests/test_elementwise.py`` checks this premise).
-Square roots are ``math.sqrt`` on floats and ``np.sqrt`` on arrays, both
-correctly rounded.  On floats a non-positive log argument still raises
-``math.log``'s ``ValueError``.
+Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_quadratic_coeffs``,
+``integral_NA``, ``integral_NB`` and ``closed_form_F`` take floats or NumPy
+arrays (broadcast together); ``case_id`` and ``height_closed`` take a
+ModelParams or a ``ParamGrid``.  Each formula is written once, and the
+results on arrays are bit-identical to the float calls cell by cell, under
+one elementwise rule: powers are products in one fixed association
+(``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), and log and atan are
+NumPy's ``np.log`` and ``np.arctan`` on floats as on arrays (a float call
+gives the bits of the vector loop's element; ``tests/test_elementwise.py``
+checks this premise).  Square roots are ``math.sqrt`` on floats and
+``np.sqrt`` on arrays, both correctly rounded.  On floats a non-positive
+log argument still raises ``math.log``'s ``ValueError``.
 
 Errors on arrays.  A check that raises on floats does not stop an array
 call: the failing element becomes NaN, and so does any element where a
@@ -49,8 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import reduced
-from .errors import (BranchSelectionError, ConsistencyError,
-                     DegenerateSystemError)
+from .errors import ConsistencyError, DegenerateSystemError
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
 from .numerics import QuadratureSettings, integrate
 from .singularity import discriminant_E, is_degenerate
@@ -58,7 +60,6 @@ from .singularity import discriminant_E, is_degenerate
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
 # and the oracle sit on a genuine conditioning cliff there.
 ILL_CONDITIONED_BAND = 1e-6
-CROSS_CHECK_TOL = 1e-8
 # Largest |P_0| on the chart at an oracle cut, relative to the size of its
 # terms (see ``height_oracle``).  Measured: at most 6.3e-14 on 200 000 cuts
 # of focus-focus points with R in [1/8, 8], 6.7e-13 with s1 within 1e-3 of
@@ -81,9 +82,8 @@ def _array_atan(x):
 
 # The elementary functions of the closed form, for float and array inputs.
 _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=_float_log,
-                              atan=lambda x: float(np.arctan(x)), max=max)
-_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan,
-                              max=np.maximum)
+                              atan=lambda x: float(np.arctan(x)))
+_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan)
 
 
 def _nan_where(fails, value, *also):
@@ -111,6 +111,12 @@ def _powers(x):
     return x2, x2 * x, x2 * x2
 
 
+def _k_and_m(s1, s2, R):
+    """k = (2 s1 - 1)(R (s2 - 1) + s2), zero on both case-III lines, and
+    m = s1^2 - s1 + s2^2 - s2."""
+    return (2 * s1 - 1) * (R * (s2 - 1) + s2), s1 * s1 - s1 + s2 * s2 - s2
+
+
 def gamma_A(s1: float, s2: float, R: float) -> float:
     a2, a3, a4 = _powers(s1)
     b2, b3, _ = _powers(s2)
@@ -123,37 +129,9 @@ def gamma_A(s1: float, s2: float, R: float) -> float:
 
 
 def gamma_B(s1: float, s2: float, R: float) -> float:
-    a2, a3, a4 = _powers(s1)
-    b2, b3, _ = _powers(s2)
-    w = s2 - 1
-    return (R * R * (4 * a4 - 8 * a3 + 4 * a2 * (3 * b2 - 4 * s2 + 2)
-                     - 4 * s1 * (3 * b2 - 4 * s2 + 1)
-                     + w * w * (4 * b2 + 1))
-            - 2 * R * (4 * a4 - 8 * a3 + 4 * a2 * (b2 - s2 + 1)
-                       - 4 * s1 * w * s2
-                       + s2 * (4 * b3 - 8 * b2 + 3 * s2 + 1))
-            + 4 * a4 - 8 * a3 + 4 * a2 * (3 * b2 - 2 * s2 + 1)
-            + 4 * s1 * s2 * (2 - 3 * s2)
-            + b2 * (4 * b2 - 8 * s2 + 5))
-
-
-def _gamma_D(s1, s2, R, sqrt_gb):
-    a2, a3, a4 = _powers(s1)
-    b2, b3, b4 = _powers(s2)
-    R2 = R * R
-    return (-8 * R2 * a4 + 16 * R2 * a3
-            - 20 * R2 * a2 * b2 + 24 * R2 * a2 * s2
-            - 12 * R2 * a2 + 20 * R2 * s1 * b2
-            - 24 * R2 * s1 * s2 + 4 * R2 * s1
-            - 8 * R2 * b4 + 16 * R2 * b3
-            - 9 * R2 * b2 + 2 * R2 * s2 - R2
-            + 4 * R * sqrt_gb * (-a2 + s1 - b2 + s2)
-            + 8 * R * a4 - 16 * R * a3
-            + 8 * R * a2 * b2 - 8 * R * a2 * s2
-            + 8 * R * a2 - 8 * R * s1 * b2 + 8 * R * s1 * s2
-            + 8 * R * b4 - 16 * R * b3 + 6 * R * b2
-            + 2 * R * s2
-            - 4 * a2 * b2 + 4 * s1 * b2 - b2)
+    """k^2 + 4 (R - 1)^2 m^2, a sum of squares (see ``closed_form_F``)."""
+    k, m = _k_and_m(s1, s2, R)
+    return k * k + 4 * ((R - 1) * (R - 1)) * (m * m)
 
 
 def integral_NA(alpha, beta, gamma):
@@ -237,29 +215,36 @@ def _quadratic_coeffs(s1, s2, R):
     return 4 * (c * c), -8 * (1 + R) * (c * c), gamma_A(s1, s2, R)
 
 
-def _v_coeffs(s1, s2, R):
-    v1 = -(2 * s1 - 1) * (R * s2 - R + s2)
-    v2 = -(-2 * R * s1 * s2 + 2 * R * s1 + R * s2 - R - 2 * s1 * s2 + s2)
-    R2 = R * R
-    v3 = -(-2 * R2 * s1 * s2 + 2 * R2 * s1 + R2 * s2 - R2
-           - 2 * R * s1 * s2 + R * s2)
-    return v1, v2, v3
-
-
 def closed_form_F(s1, s2, R):
     """The elementary-function expression whose value determines h1.
 
-    Primary path: twice the partial-fraction decomposition
-    V1 N_A + V2 N_B(., 2) + V3 N_B(., 2R).  Two of the three terms admit a
-    branch-stable arctan/log rewriting in the gamma coefficients; those are
-    recomputed independently as a cross-check.  (The remaining term has no
-    single-branch arctan form valid on the whole focus-focus region, so it
-    is not double-evaluated.)  On floats, a ``ValueError`` of ``integral_NA``
-    or ``integral_NB`` (next to case III, where delta can fall inside the
-    integration interval) becomes a ``BranchSelectionError`` that names
-    (s1, s2, R).
+    The paper's form is twice v1 N_A + v2 N_B(., 2) + v3 N_B(., 2R) over
+    the quadratic (alpha, beta, gamma_A) of ``_quadratic_coeffs``.  In the
+    factors k and m of ``_k_and_m``, sympy gives alpha = 4 m^2,
+    beta^2 - 4 alpha gamma_A = 16 m^2 gamma_B, (v1, v2, v3) = (-k, k, R k)
+    and an N_B radicand w = -k^2 at delta = 2 and at delta = 2R.  So N_B is
+    always on its arctan branch (its log branch needs w > 0) with
+    2 v2 / sqrt(-w) = 2 sgn k, and the sum collapses to
+
+        F = -(k/|m|) log((2 (1 + R) |m| + sqrt gamma_A) / sqrt gamma_B)
+            + 4 atan(x_2) + 4 R atan(x_2R),
+
+    where, with P = 2 gamma_A + delta beta and Q = 4 delta |m|,
+    x_delta = (P + Q sqrt gamma_B) / (2 k sqrt gamma_A) for P >= 0 and its
+    conjugate -2 k sqrt gamma_A / (P - Q sqrt gamma_B) for P < 0; both are
+    exact, since (P + Q sqrt gamma_B)(P - Q sqrt gamma_B) = -4 k^2 gamma_A.
+    Through gamma_A = 16 R m^2 - k^2, P is 16 (R - 1) m^2 - 2 k^2 at
+    delta = 2 and -16 R (R - 1) m^2 - 2 k^2 at delta = 2R.  The log argument
+    is the reciprocal of N_A's through gamma_B = 4 (1 + R)^2 m^2 - gamma_A.
+    No term cancels, so F holds its relative precision up to the case-III
+    lines (k = 0) and no second path is needed to guard it;
+    ``tests/test_closed_form_reference.py`` checks it against the paper's
+    form in 100-digit mpmath.
+
+    ``ValueError`` for gamma_A <= 0 (outside the focus-focus regime) and
+    for k = 0 (case III, where F is not defined).
     """
-    alpha, beta, ga = _quadratic_coeffs(s1, s2, R)
+    ga = gamma_A(s1, s2, R)
     floats = not isinstance(ga, np.ndarray)
     if floats:
         _check_finite("closed_form_F", s1, s2, R)
@@ -268,44 +253,30 @@ def closed_form_F(s1, s2, R):
     if floats and bad_ga:
         raise ValueError(f"gamma_A = {ga:.3e} <= 0: outside the focus-focus "
                          f"regime")
-    denom_factor = (2 * s1 - 1) * (R * (s2 - 1) + s2)
-    bad_denom = denom_factor == 0.0
-    if floats and bad_denom:
+    k, m = _k_and_m(s1, s2, R)
+    bad_k = k == 0.0
+    if floats and bad_k:
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
-    v1, v2, v3 = _v_coeffs(s1, s2, R)
-    try:
-        t_log = 2.0 * v1 * integral_NA(alpha, beta, ga)
-        t_mid = 2.0 * v2 * integral_NB(alpha, beta, ga, 2.0)
-        t_far = 2.0 * v3 * integral_NB(alpha, beta, ga, 2.0 * R)
-    except ValueError as exc:  # floats only: arrays get NaN instead
-        raise BranchSelectionError(
-            f"elementary integral failed ({exc}) at (s1, s2, R) = "
-            f"({s1}, {s2}, {R})") from None
-    f_primary = t_log + t_mid + t_far
-
-    gb = gamma_B(s1, s2, R)
-    bad_gb = gb < 0
-    if floats and bad_gb:
-        raise ValueError(f"gamma_B = {gb:.3e} < 0")
-    sq_gb, sq_ga = xm.sqrt(gb), xm.sqrt(ga)
-    gd = _gamma_D(s1, s2, R, sq_gb)
-    m = s1 * s1 - s1 + s2 * s2 - s2
-    t_log_check = (denom_factor / m
-                   * xm.log(-sq_gb / (2 * (R + 1) * m + sq_ga)))
-    t_far_check = 4.0 * R * xm.atan(gd / (sq_ga * denom_factor))
-    scale = xm.max(1.0, abs(f_primary))
-    disagree = ((abs(t_log - t_log_check) > CROSS_CHECK_TOL * scale)
-                | (abs(t_far - t_far_check) > CROSS_CHECK_TOL * scale))
-    if floats and disagree:
-        raise BranchSelectionError(
-            f"closed-form paths disagree: ({t_log!r}, {t_far!r}) vs "
-            f"({t_log_check!r}, {t_far_check!r}) at (s1, s2, R) = "
-            f"({s1}, {s2}, {R})")
+    am = abs(m)
+    sq_ga, sq_gb = xm.sqrt(ga), xm.sqrt(gamma_B(s1, s2, R))
+    f = -(k / am) * xm.log((2 * (1 + R) * am + sq_ga) / sq_gb)
+    # P in k and m: 2 gamma_A + delta beta would cancel as R -> 1, where
+    # both its terms tend to 32 m^2.
+    k2, rm2 = k * k, 16 * (R - 1) * (m * m)
+    for weight, delta, p in ((4.0, 2.0, rm2 - 2 * k2),
+                             (4.0 * R, 2.0 * R, -R * rm2 - 2 * k2)):
+        q_root = 4 * delta * am * sq_gb
+        if floats:
+            x = ((p + q_root) / (2 * k * sq_ga) if p >= 0
+                 else -2 * k * sq_ga / (p - q_root))
+        else:
+            x = np.where(p >= 0, (p + q_root) / (2 * k * sq_ga),
+                         -2 * k * sq_ga / (p - q_root))
+        f = f + weight * xm.atan(x)
     if floats:
-        return f_primary
-    return _nan_where(bad_ga | bad_denom | bad_gb | disagree, f_primary,
-                      t_log_check, t_far_check, s1, s2, R)
+        return f
+    return _nan_where(bad_ga | bad_k, f, s1, s2, R)
 
 
 def case_id(params: ModelParams | ParamGrid):
@@ -367,11 +338,8 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     # Canonicalize to s1 < 1/2 through the exact mirror identity
     # h1(s1) = h2(1 - s1): F is evaluated on one side only, so the identity
     # holds to the last bit instead of to roundoff.
-    try:
-        f = (-closed_form_F(1.0 - work.s1, work.s2, work.R) if work.s1 > 0.5
-             else closed_form_F(work.s1, work.s2, work.R))
-    except BranchSelectionError as exc:
-        raise BranchSelectionError(f"{exc}; input {params!r}") from None
+    f = (-closed_form_F(1.0 - work.s1, work.s2, work.R) if work.s1 > 0.5
+         else closed_form_F(work.s1, work.s2, work.R))
     if case in ("I", "V"):
         h1 = 2.0 - f / (2.0 * math.pi)
     else:  # II, IV

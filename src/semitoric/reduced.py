@@ -217,10 +217,7 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     c = params.coupling
     if c == 0.0:
         raise ValueError("coupling vanishes at (s1, s2) corners; P0 is degenerate")
-    gb = gamma_B(s1, s2, R)
-    if gb < 0:
-        raise ValueError(f"gamma_B = {gb:.3e} < 0: closed-form roots not real")
-    half_span = np.sqrt(gb) / (2 * c)
+    half_span = np.sqrt(gamma_B(s1, s2, R)) / (2 * c)
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
     c1, c0 = p0_coefficients(label, params).tolist()[3:]

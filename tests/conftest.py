@@ -136,3 +136,69 @@ def loop_rho():
     """``loop_rho(dh, l)``: the DH profile of ``dh`` at a float ``l`` by a
     segment-by-segment loop, without ``np.interp``."""
     return _loop_rho
+
+
+def _paper_terms(s1, s2, R):
+    """alpha, beta, gamma of the quadratic under the root and the partial-
+    fraction weights v1, v2, v3 of the closed form, as the paper writes them
+    (expanded polynomials).  Takes floats, mpf or sympy symbols."""
+    c = s1 * s1 - s1 + s2 * s2 - s2
+    alpha, beta = 4 * c ** 2, -8 * (1 + R) * c ** 2
+    gamma = (-R ** 2 * (1 - 2 * s1) ** 2 * (s2 - 1) ** 2
+             + 2 * R * (8 * s1 ** 4 - 16 * s1 ** 3
+                        + 4 * s1 ** 2 * (3 * s2 ** 2 - 3 * s2 + 2)
+                        - 12 * s1 * (s2 - 1) * s2
+                        + s2 * (8 * s2 ** 3 - 16 * s2 ** 2 + 7 * s2 + 1))
+             - (1 - 2 * s1) ** 2 * s2 ** 2)
+    v1 = -(2 * s1 - 1) * (R * s2 - R + s2)
+    v2 = -(-2 * R * s1 * s2 + 2 * R * s1 + R * s2 - R - 2 * s1 * s2 + s2)
+    v3 = -(-2 * R ** 2 * s1 * s2 + 2 * R ** 2 * s1 + R ** 2 * s2 - R ** 2
+           - 2 * R * s1 * s2 + R * s2)
+    return alpha, beta, gamma, (v1, v2, v3)
+
+
+@pytest.fixture(scope="session")
+def paper_terms():
+    """``paper_terms(s1, s2, R)``: (alpha, beta, gamma, (v1, v2, v3)) of the
+    paper's partial-fraction form of F."""
+    return _paper_terms
+
+
+def _mp_paper_F(mp, s1, s2, R):
+    """2 (v1 N_A + v2 N_B(2) + v3 N_B(2R)) at mpmath's working precision,
+    with N_A = int_0^x+ dx / sqrt(q) and N_B(delta) = int_0^x+ dx /
+    ((delta - x) sqrt(q)) in the paper's closed forms (q the quadratic,
+    x+ its smaller root)."""
+    s1, s2, R = (mp.mpf(v) for v in (s1, s2, R))
+    alpha, beta, gamma, (v1, v2, v3) = _paper_terms(s1, s2, R)
+    disc = beta * beta - 4 * alpha * gamma
+    n_a = mp.log(-mp.sqrt(disc) / (beta + 2 * mp.sqrt(alpha * gamma))
+                 ) / mp.sqrt(alpha)
+
+    def n_b(delta):
+        w = gamma + delta * (beta + alpha * delta)
+        if w < 0:
+            num = 2 * gamma + delta * (beta + mp.sqrt(disc))
+            return 2 / mp.sqrt(-w) * mp.atan(num / (2 * mp.sqrt(-gamma * w)))
+        num = (-2 * gamma - beta * delta
+               + 2 * mp.sqrt(gamma * gamma
+                             + gamma * delta * (beta + alpha * delta)))
+        return mp.log(num / (delta * mp.sqrt(disc))) / mp.sqrt(w)
+
+    return 2 * (v1 * n_a + v2 * n_b(2) + v3 * n_b(2 * R))
+
+
+@pytest.fixture(scope="session")
+def paper_F():
+    """``paper_F(s1, s2, R)``: the paper's form of F at float inputs,
+    evaluated in 100-digit mpmath and rounded to a float; the test is
+    skipped when mpmath is not installed.  The form gets N_B's radicand
+    w = -k^2 (k = (2 s1 - 1)(R (s2 - 1) + s2)) as a difference of O(1)
+    terms: within 1e-12 of both case-III lines k is about 1e-24, so 60
+    digits would leave 12 in w, and 100 leave 52."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def value(s1, s2, R):
+        with mp.workdps(100):
+            return float(_mp_paper_F(mp, s1, s2, R))
+    return value

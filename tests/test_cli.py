@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import pytest
 
@@ -138,20 +139,19 @@ class TestHeight:
         if method == "both":
             assert payload["discrepancy"] <= 1e-9
 
-    def test_failed_elementary_integral_names_the_point(self, capsys):
-        # Next to the case-III crossing N_B's pole falls inside its
-        # integration interval; the message names the frame point (s1 is
-        # mirrored to 1 - s1) and the caller's input, not N_B's ValueError
-        # alone.
+    def test_crossing_point_returns(self, capsys, paper_F):
+        # 1e-4 from the crossing of the case-III lines, where N_B's pole
+        # once fell inside its integration interval (exit 2).  The frame
+        # point mirrors s1 to 1 - s1; case V gives h1 = 2 - F / (2 pi).
+        s1, s2 = 0.5000987688340595, 0.6666823101131707
         code, out, err = run(capsys, [
             "height", "--method=closed", "--R1=1", "--R2=2",
-            "--s1=0.5000987688340595", "--s2=0.6666823101131707"])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: elementary integral failed (delta "
-                              "must lie outside the integration interval) "
-                              "at (s1, s2, R) = (0.49990123116594054, "
-                              "0.6666823101131707, 2.0); input ModelParams(")
-        assert err.count("\n") == 1 and "Traceback" not in err
+            f"--s1={s1!r}", f"--s2={s2!r}"])
+        assert (code, err) == (0, "")
+        assert "case = V" in out
+        h1 = float(out.splitlines()[0].split(" = ")[1])
+        assert abs(h1 - (2.0 + paper_F(1.0 - s1, s2, 2.0) / (2 * math.pi))
+                   ) <= 1e-13
 
     def test_no_focus_focus_is_degenerate_exit(self, capsys):
         code, _, err = run(capsys, ["height"] + BASE

@@ -1,0 +1,100 @@
+"""``closed_form_F`` against the paper's partial-fraction form in 100-digit
+mpmath (``paper_F`` in conftest), on generic focus-focus points and on
+rings around the crossing of the two case-III lines, plus the algebraic
+identities behind the factored formula (sympy).  Each part is skipped when
+its library is not installed."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from semitoric.height import closed_form_F, gamma_A, gamma_B, height_closed
+from semitoric.model import ModelParams, ns_frame
+from semitoric.singularity import discriminant_E
+
+REL_BOUND = 1e-13
+RING_EPS = [10.0 ** -n for n in range(1, 13)]
+RING_ANGLES = [(j + 0.5) * 2 * math.pi / 16 for j in range(16)]
+
+
+def ring_points(R):
+    """(s1, s2) on circles of radius eps around (1/2, R/(R+1)), at 16
+    angles off the axes: every quadrant, so both sides of both lines."""
+    centre = R / (R + 1.0)
+    for eps in RING_EPS:
+        for theta in RING_ANGLES:
+            yield (0.5 + eps * math.cos(theta),
+                   centre + eps * math.sin(theta))
+
+
+def generic_points(n, seed=71):
+    """Seeded focus-focus (s1, s2, R) with R log-uniform on [1/8, 8] and
+    -E/(r1 r2) above 1e-4."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        s1, s2 = map(float, rng.uniform(0.0, 1.0, 2))
+        if discriminant_E(ModelParams(1.0, R, s1, s2)) < -1e-4 * R:
+            points.append((s1, s2, R))
+    return points
+
+
+def assert_matches_paper(paper_F, s1, s2, R):
+    f, exact = closed_form_F(s1, s2, R), paper_F(s1, s2, R)
+    assert abs(f - exact) <= REL_BOUND * max(1.0, abs(exact)), (s1, s2, R)
+
+
+class TestAgainstPaperForm:
+    def test_generic_points(self, paper_F):
+        for s1, s2, R in generic_points(200):
+            assert_matches_paper(paper_F, s1, s2, R)
+
+    @pytest.mark.parametrize("R", [0.5, 2.0, 8.0, 1.0 + 1e-4])
+    def test_rings_around_the_crossing(self, paper_F, R):
+        for s1, s2 in ring_points(R):
+            assert_matches_paper(paper_F, s1, s2, R)
+            height_closed(ModelParams(1.0, R, s1, s2))  # returns
+
+    @pytest.mark.parametrize("R", [0.5, 2.0, 8.0])
+    def test_height_tends_to_one(self, R):
+        # The hard switch to (1, 1) inside CASE_III_BAND agrees with the
+        # limit: h1 - 1 is O(k) as k, zero on both lines, goes to 0.
+        for s1, s2 in ring_points(R):
+            p = ModelParams(1.0, R, s1, s2)
+            w = ns_frame(p)
+            k = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
+            assert abs(height_closed(p).h1 - 1.0) <= abs(k), (s1, s2, R)
+
+
+def test_factored_identities(paper_terms):
+    sp = pytest.importorskip("sympy")
+    s1, s2, R, r1 = sp.symbols("s1 s2 R r1", positive=True)
+    alpha, beta, gamma, (v1, v2, v3) = paper_terms(s1, s2, R)
+    k = (2 * s1 - 1) * (R * (s2 - 1) + s2)
+    m = s1 ** 2 - s1 + s2 ** 2 - s2
+    gamma_b = k ** 2 + 4 * (R - 1) ** 2 * m ** 2
+    e = discriminant_E(SimpleNamespace(r1=r1, r2=R * r1, s1=s1, s2=s2))
+
+    def zero(expr):
+        return sp.expand(expr) == 0
+
+    assert zero(gamma_A(s1, s2, R) - gamma)
+    assert zero(gamma_B(s1, s2, R) - gamma_b)
+    assert zero(v1 + k) and zero(v2 - k) and zero(v3 - R * k)
+    assert zero(alpha - 4 * m ** 2)
+    assert zero(beta * beta - 4 * alpha * gamma - 16 * m ** 2 * gamma_b)
+    assert zero(gamma_b - (4 * (1 + R) ** 2 * m ** 2 - gamma))
+    assert zero(gamma + e / r1 ** 2)
+    assert zero(gamma - (16 * R * m ** 2 - k ** 2))
+    # P in k and m, as closed_form_F computes it at delta = 2 and 2R.
+    for delta, p_km in ((2, 16 * (R - 1) * m ** 2 - 2 * k ** 2),
+                        (2 * R, -16 * R * (R - 1) * m ** 2 - 2 * k ** 2)):
+        # N_B's radicand is -k^2: always the arctan branch, sqrt(-w) = |k|.
+        assert zero(gamma + delta * (beta + alpha * delta) + k ** 2)
+        p = 2 * gamma - 8 * delta * (1 + R) * m ** 2
+        assert zero(p - p_km)
+        q = 4 * delta * m  # |m| in the formula; only q^2 enters here
+        assert zero(p * p - q * q * gamma_b + 4 * k ** 2 * gamma)

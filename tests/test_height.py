@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from semitoric import height, reduced
-from semitoric.errors import (BranchSelectionError, ConsistencyError,
-                              DegenerateSystemError)
+from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
                               gamma_B, height_both, height_closed,
                               height_oracle, integral_NA, integral_NB)
@@ -375,13 +374,14 @@ class TestHeightValues:
         assert height_closed(p).ill_conditioned
         assert not height_closed(ModelParams(1, 2, 0.5, 0.5)).ill_conditioned
 
-    def test_branch_guard_near_case_boundary(self):
-        # Just outside the case-III band the middle term loses all accuracy
-        # and the internal cross-check refuses to return a value.
-        R = 2.0
-        p = ModelParams(1.0, R, 0.25, R / (R + 1.0) - 5e-8)
-        with pytest.raises(BranchSelectionError):
-            height_closed(p)
+    def test_near_case_boundary(self, paper_F):
+        # 5e-8 off s2 = R/(R+1) (case I), where the partial fractions lost
+        # every digit and the old branch cross-check raised: F matches the
+        # paper's form and h1 lies within |k| of the case-III value 1.
+        R, s1, s2 = 2.0, 0.25, 2.0 / 3.0 - 5e-8
+        h1 = height_closed(ModelParams(1.0, R, s1, s2)).h1
+        assert abs(h1 - (2.0 - paper_F(s1, s2, R) / (2 * math.pi))) <= 1e-13
+        assert abs(h1 - 1.0) <= abs((2 * s1 - 1) * (R * (s2 - 1) + s2))
 
     def test_small_ratio_frame(self):
         # R < 1 parameters give the mirrored multiset of an R > 1 system.

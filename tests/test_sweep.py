@@ -13,7 +13,7 @@ import pytest
 from semitoric import cli, height, singularity
 from semitoric.errors import (ConsistencyError, DegenerateSystemError,
                               SemitoricError)
-from semitoric.model import ModelParams, ParamGrid
+from semitoric.model import ModelParams, ParamGrid, ns_frame
 from semitoric.numerics import find_root_bisect
 
 
@@ -101,11 +101,12 @@ def _ill_conditioned_s1():
         + 5e-7, 0.05, 0.25, tol=1e-15)
 
 
-# The first failing cell raises BranchSelectionError (exit 2).
-FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
-                 "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
-                 "--s1-count 41 --s2-start 0.22477811335400982 "
-                 "--s2-stop 0.6138689802117288 --s2-count 41").split()
+# A window through the crossing of the case-III lines, with R < 1: its
+# first cell once raised BranchSelectionError (exit 2).
+CROSSING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
+                  "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
+                  "--s1-count 41 --s2-start 0.22477811335400982 "
+                  "--s2-stop 0.6138689802117288 --s2-count 41").split()
 
 
 class TestSweepMatchesCellLoop:
@@ -142,11 +143,25 @@ class TestSweepMatchesCellLoop:
         assert (code, out, err) == reference_sweep(argv)
         assert out.splitlines()[1].endswith(",ill-conditioned")
 
-    def test_failing_sweep(self):
-        code, out, err = array_sweep(FAILING_SWEEP)
-        assert (code, out, err) == reference_sweep(FAILING_SWEEP)
-        assert code == 2 and out == ""
-        assert err.startswith("error: closed-form paths disagree: ")
+    def test_crossing_sweep(self, paper_F):
+        code, out, err = array_sweep(CROSSING_SWEEP)
+        assert (code, out, err) == reference_sweep(CROSSING_SWEEP)
+        assert code == 0 and err == ""
+        # Every h1 off the case-III band matches the paper's form, taken at
+        # s1 < 1/2 through the mirror F(1 - s1) = -F(s1) as height_closed.
+        checked = 0
+        for row in out.splitlines()[1:]:
+            s1, s2, h1 = (float(v) for v in row.split(",")[:3])
+            w = ns_frame(ModelParams(1.0, 0.9877274521826769, s1, s2))
+            case = height.case_id(w)
+            if case == "III":
+                continue
+            f = (-paper_F(1.0 - w.s1, w.s2, w.R) if w.s1 > 0.5
+                 else paper_F(w.s1, w.s2, w.R))
+            want = (2.0 if case in ("I", "V") else 0.0) - f / (2 * math.pi)
+            assert abs(h1 - want) <= 1e-13, row
+            checked += 1
+        assert checked > 1500
 
     @pytest.mark.parametrize("r1, message", [
         ("1e3", "error: r1 == r2 (non-simple case) is excluded\n"),
@@ -193,23 +208,16 @@ class TestArrayFormulasMatchFloats:
         e = singularity.discriminant_E(grid)
         ga = height.gamma_A(grid.s1, grid.s2, R)
         gb = height.gamma_B(grid.s1, grid.s2, R)
-        sq = np.sqrt(np.abs(gb))
-        gd = height._gamma_D(grid.s1, grid.s2, R, sq)
         quad = np.broadcast_arrays(*height._quadratic_coeffs(grid.s1,
                                                              grid.s2, R))
-        v = np.broadcast_arrays(*height._v_coeffs(grid.s1, grid.s2, R))
         for i, j, s1, s2 in _cells(grid):
             cell = ModelParams(1.0, R, s1, s2)
             assert _same(e[i, j], lambda: singularity.discriminant_E(cell))
             assert _same(ga[i, j], lambda: height.gamma_A(s1, s2, R))
             assert _same(gb[i, j], lambda: height.gamma_B(s1, s2, R))
-            assert _same(gd[i, j], lambda: height._gamma_D(
-                s1, s2, R, math.sqrt(abs(height.gamma_B(s1, s2, R)))))
             for k in range(3):
                 assert _same(quad[k][i, j], lambda: height._quadratic_coeffs(
                     s1, s2, R)[k])
-                assert _same(v[k][i, j],
-                             lambda: height._v_coeffs(s1, s2, R)[k])
 
     @pytest.mark.parametrize("R, seed", GRIDS)
     def test_integrals_and_F(self, R, seed):
@@ -265,23 +273,25 @@ class TestArrayFormulasMatchFloats:
             if singularity.discriminant_E(cell) < 0:
                 assert inv.h1[i, 0] == height.height_closed(cell).h1
 
-    def test_first_failing_cell_raises(self):
-        # 5e-8 off s2 = R/(R+1), s1 = 0.4 fails in N_B (its pole falls
-        # inside the integration interval) and s1 = 0.25 in the cross-check,
-        # both with a BranchSelectionError of their own message; the first
-        # in row order wins.
-        R = 2.0
-        s2_bad = R / (R + 1.0) - 5e-8
+    def test_first_failing_cell_raises(self, monkeypatch):
+        # No focus-focus input makes the closed form raise, so gamma_A is
+        # negated at s1 = 0.4 and 0.25: both cells fail with messages of
+        # their own, the grid call re-runs them through the float path, and
+        # the first in row order wins.
+        true_gamma_A = height.gamma_A
+        monkeypatch.setattr(height, "gamma_A", lambda s1, s2, R: (
+            true_gamma_A(s1, s2, R)
+            * np.where(np.isin(s1, (0.4, 0.25)), -1.0, 1.0)))
         messages = []
         for s1 in ([0.2, 0.4, 0.25], [0.2, 0.25, 0.4]):
-            with pytest.raises(height.BranchSelectionError) as want:
-                height.height_closed(ModelParams(1.0, R, s1[1], s2_bad))
-            with pytest.raises(height.BranchSelectionError) as got:
-                height.height_closed(ParamGrid(1.0, R, s1, [0.5, s2_bad]))
+            with pytest.raises(ValueError) as want:
+                height.height_closed(ModelParams(1.0, 2.0, s1[1], 0.5))
+            with pytest.raises(ValueError) as got:
+                height.height_closed(ParamGrid(1.0, 2.0, s1, [0.5, 0.6]))
             assert str(got.value) == str(want.value)
             messages.append(str(got.value))
-        assert messages[0].startswith("elementary integral failed")
-        assert messages[1].startswith("closed-form paths disagree")
+        assert messages[0] != messages[1]
+        assert all(m.startswith("gamma_A = -") for m in messages)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="must lie in"):

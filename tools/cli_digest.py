@@ -17,12 +17,12 @@ near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
 cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
 ``classify --json``, ``height --method quadrature|both`` next to the
 degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), small sweeps, seeded
-41 x 41 sweeps of every quantity, a sweep that fails in one cell, negative
-values written as separate arguments (``--R2 -inf``) and other error
-exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
-points.  The seeded points are chosen with exact rational arithmetic, not
-with the package, so every checkout runs the same list.  Standard library
-and NumPy only.
+41 x 41 sweeps of every quantity, ``height`` and a sweep next to the
+crossing of the case-III lines, negative values written as separate
+arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
+R < 1, plus seeded random focus-focus points.  The seeded points are
+chosen with exact rational arithmetic, not with the package, so every
+checkout runs the same list.  Standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -82,11 +82,16 @@ IN_RANGE_RADII = [(1e-150, 1e-149, 0.3, 0.4), (1e153, 1e152, 0.3, 0.4)]
 NEAR_E0_POINTS = [(1, 2, 0.21, 0.03066823177149811),
                   (1, 5.536455289746141, 0.20372288490504997,
                    0.14741965041001193)]
-# Its first failing cell raises BranchSelectionError (exit 2).
-FAILING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
-                 "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
-                 "--s1-count 41 --s2-start 0.22477811335400982 "
-                 "--s2-stop 0.6138689802117288 --s2-count 41")
+# Next to the crossing of the case-III lines s1 = 1/2 and s2 = R/(R+1), at
+# distance 1e-4 and 1e-6: the closed form once raised there (exit 2).
+CROSSING_POINTS = [(1, 2, 0.5000987688340595, 0.6666823101131707),
+                   (1, 2, 0.5000009876883406, 0.6666668231011317)]
+# A sweep through that crossing (R < 1): its first cell once raised
+# BranchSelectionError (exit 2); it now exits 0.
+CROSSING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
+                  "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
+                  "--s1-count 41 --s2-start 0.22477811335400982 "
+                  "--s2-stop 0.6138689802117288 --s2-count 41")
 
 
 def flags(point) -> str:
@@ -190,6 +195,9 @@ def invocations():
     for p in IN_RANGE_RADII:
         for command in ("classify", "image", "height", "polygon"):
             out.append(f"{command} {flags(p)}")
+    for p in CROSSING_POINTS:
+        for method in ("closed", "both"):
+            out.append(f"height --method {method} {flags(p)}")
     for p in NEAR_E0_POINTS + near_e0_points(np.random.default_rng(SEED + 2),
                                              (5e-6, 1e-4)):
         out.append(f"height {flags(p)}")
@@ -204,7 +212,7 @@ def invocations():
         out.append(f"sweep {r} --quantity height --s1-start 0.2 "
                    f"--s1-stop 0.4 --s2-count 9 --s1-count 9 --parallel")
     out += seeded_sweeps(np.random.default_rng(SEED + 1))
-    out.append(FAILING_SWEEP)
+    out.append(CROSSING_SWEEP)
     for value in ("-inf", "-nan", "-1e3"):
         out.append(f"classify --R1 1 --R2 {value} --s1 0.3 --s2 0.4")
         out.append(f"height --method closed --R1 1 --R2 {value} "
