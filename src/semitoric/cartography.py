@@ -1,9 +1,10 @@
 """Momentum-map image boundaries and polygon-invariant representatives.
 
 The image of (L, H) is a band bounded by the envelope of A_l +/- sqrt(B_l)
-over each level, whose extremes lie at the ends of the level's physical
-interval or at real roots of the sextic B_l'^2 - 4 A_l'^2 B_l: one stacked
-eigenvalue call finds them on all levels.  The polygon invariant
+over each level.  A_l + sqrt(B_l) is strictly concave and A_l - sqrt(B_l)
+strictly convex on each level's physical interval, so each side's extreme
+lies at an end or at its one critical point: one bracketed Newton solve,
+in lockstep over all levels, finds both.  The polygon invariant
 straightens that band into a convex rational polygon whose vertical widths
 reproduce the Duistermaat-Heckman profile.  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
@@ -14,6 +15,7 @@ self-check is one comparison with the DH profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,8 @@ from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from .singularity import n_ff
 
 WIDTH_TOL = 1e-12
-# Newton steps that polish each root of the envelope's critical sextic.
-# Next to R = 1, against mpmath: 2 steps leave 3.7e-13, 3 steps 3.3e-16.
-POLISH_STEPS = 3
+_EPS = np.finfo(float).eps
+_MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     over [min(A - sqrt(B)), max(A + sqrt(B))] across the physical interval
     [max(0, l), min(2R, l + 2)]; on a level narrower than 1e-12 (the end
     levels) both are A at its left end.  Each extreme lies at an end of the
-    interval or at a critical point, a root of a sextic
+    interval or at the side's one critical point
     (``_envelope_candidates``).  One chart call evaluates A -/+ sqrt(B) at
     every candidate of every level, and each side of the band is the
     min/max over a level's candidates.  Every candidate is a point of the
@@ -88,71 +89,106 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
 
 
 def _envelope_candidates(params: ModelParams, l, lo, hi):
-    """Points of [lo, hi] where A -/+ sqrt(B) may take its extremes on
-    each level l, one row per level.
+    """Points of [lo, hi] where A + sqrt(B) and A - sqrt(B) take their
+    extremes on each level l, one row per level.
 
-    Inside the interval an extreme is a critical point, A' = -/+ B' / (2
-    sqrt(B)), so it is a root of the sextic B'^2 - 4 A'^2 B.  In the
-    variable t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t), where beta
-    is the monic quartic whose roots rho are B's roots (0, m, 2R, m + 2)
-    shifted and scaled likewise, and the sextic is beta'^2 - g beta with
-    g = 4 A'^2 / (kb w^2).  In t the interval is [0, 1] on every level; in
-    p2 it can lie near 2R, and the eigenvalues' absolute error, a multiple
-    of the largest root, would swamp it at large R.
-
-    One stacked companion-matrix ``eigvals`` call gives the six roots on
-    every level.  Their real parts clipped into [0, 1], and the two ends,
-    are each polished by ``POLISH_STEPS`` Newton steps on the factored
-    sextic.  The eigenvalues are accurate to about the square root of the
-    float spacing where B has a root just outside an end (levels next to a
-    focus-focus level, R near 1) and at the double roots of s1 = 1/2
-    (A' = 0, the sextic is beta'^2); the polish resolves both.  Rounding
-    can also move an already exact root by a few ulps, so the raw
-    candidates stay: both, mapped back to p2 and clipped into [lo, hi], and
-    the exact ends are returned.  At zero coupling (kb = 0, the (s1, s2)
-    corners) B vanishes and the ends alone are returned.  A coupling below
-    about 1e-150 (kb subnormal) makes g overflow; the companion matrix is
-    clamped to finite values, so those levels still get points of the
-    interval.
+    In t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t) with beta(t) =
+    t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval are two of
+    B's roots (0, m, 2R, m + 2), and the other two, mapped to rho_l <= 0
+    and rho_r >= 1, lie one on each side of it.  With kb > 0 the extremes
+    are the ends and one critical point per side (``_critical_points``):
+    column 0 holds the maximiser of A + sqrt(B), column 1 the minimiser of
+    A - sqrt(B), columns 2 and 3 the exact ends.  At zero coupling (kb = 0,
+    the (s1, s2) corners) B vanishes and the ends alone are returned.  A
+    coupling below about 1e-150 (kb subnormal) only makes c large: the
+    critical points move next to an end and stay finite.
     """
     slope, kb, roots = reduced.chart_factors("NS", l, params)
     ends = np.stack([lo, hi], axis=1)
     if kb == 0.0:
         return ends
-    k = l.size
-    w = (hi - lo)[:, None]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = (roots - lo[:, None]) / w
-        g = 4.0 * slope * slope / (kb * w * w)
-        beta = np.zeros((k, 5))
-        beta[:, 0] = 1.0
-        for j in range(4):
-            beta[:, 1:j + 2] -= rho[:, j:j + 1] * beta[:, :j + 1]
-        d_beta = beta[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
-        sextic = np.zeros((k, 7))
-        for j in range(4):
-            sextic[:, j:j + 4] += d_beta[:, j:j + 1] * d_beta
-        sextic[:, 2:] -= g * beta
-        # Companion matrix of the monic sextic (leading coefficient 16).
-        companion = np.zeros((k, 6, 6))
-        companion[:, 0, :] = np.nan_to_num(sextic[:, 1:] / -16.0)
-        companion[:, np.arange(1, 6), np.arange(5)] = 1.0
-        raw = np.clip(np.linalg.eigvals(companion).real, 0.0, 1.0)
-        t = np.concatenate([raw, np.zeros((k, 1)), np.ones((k, 1))], axis=1)
-        rho_0, rho_1, rho_2, rho_3 = np.hsplit(rho, 4)
-        for _ in range(POLISH_STEPS):
-            # With d_i = t - rho_i, beta = e4(d), beta' = e3(d) and
-            # beta'' = 2 e2(d): the sextic is e3^2 - g e4 and its derivative
-            # e3 (4 e2 - g).  Where that derivative vanishes, t stays.
-            d01, d23 = (t - rho_0) * (t - rho_1), (t - rho_2) * (t - rho_3)
-            s01, s23 = (t - rho_0) + (t - rho_1), (t - rho_2) + (t - rho_3)
-            e2 = d01 + d23 + s01 * s23
-            e3 = d01 * s23 + d23 * s01
-            step = (e3 * e3 - g * (d01 * d23)) / (e3 * (4.0 * e2 - g))
-            t = np.clip(np.where(np.isfinite(step), t - step, t), 0.0, 1.0)
-    p2 = np.clip(lo[:, None] + w * np.concatenate([raw, t], axis=1),
-                 lo[:, None], hi[:, None])
+    w = hi - lo
+    rho_l = (np.minimum(roots[:, 0], roots[:, 1]) - lo) / w
+    rho_r = (np.maximum(roots[:, 2], roots[:, 3]) - lo) / w
+    t, _ = _critical_points(rho_l, rho_r, slope / (math.sqrt(kb) * w))
+    p2 = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
     return np.concatenate([p2, ends], axis=1)
+
+
+def _critical_points(rho_l, rho_r, c):
+    """(t, steps): for each level, the root in [0, 1] of u(t) = beta'(t) +
+    2 sigma c sqrt(beta(t)) for sigma = +1 (column 0) and sigma = -1
+    (column 1), and the number of lockstep steps taken.
+
+    beta(t) = t (t - rho_l) (1 - t) (rho_r - t) with rho_l <= 0 and rho_r
+    >= 1, and c = A' / (sqrt(kb) w) is A's slope in the units of
+    ``_envelope_candidates``; then dH/dt has the sign of u for H = A +
+    sqrt(B) (sigma = +1) and of -u for H = A - sqrt(B) (sigma = -1).
+
+    Lemma: sqrt(beta) = F G with F = sqrt(t (t - rho_l)) increasing and
+    concave and G = sqrt((1 - t) (rho_r - t)) decreasing and concave on
+    [0, 1], so (F G)'' = F'' G + 2 F' G' + F G'' < 0.  A + sqrt(B) is
+    therefore strictly concave and A - sqrt(B) strictly convex, and u
+    changes sign once, from u(0) = -rho_l rho_r >= 0 to u(1) = (1 - rho_l)
+    (1 - rho_r) <= 0: each side has exactly one critical point.
+
+    A sign scan of u at t = 0, 1/8, ..., 1 brackets it, and the start is
+    the secant point of the bracketing nodes.  Each step is a Newton step
+    in r = sqrt(|t - e|), where e is the end that the root nears as |c|
+    grows (1 when sigma c > 0, else 0): next to e, sqrt(beta) is r times
+    a smooth function of t, so u is smooth in r but not in t.  Where that
+    step leaves the bracket (or is undefined, at t = e) a Newton step in t
+    is taken, and where that leaves it too, bisection.  A lane has
+    converged when u is within 8 ulps of the size of its terms or the step
+    moves t by at most 4 ulps.  All lanes step in lockstep until every one
+    has converged, or for at most ``_MAX_STEPS`` = 64 steps: bisection
+    alone would take the 1/8 bracket down to 2^-67 in that many, below the
+    float spacing of every t >= 2^-14.
+    """
+    rho_l, rho_r = rho_l[:, None], rho_r[:, None]
+    s_c = np.stack([c, -c], axis=1)
+    e = (s_c > 0.0).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nodes = np.arange(9)[:, None, None] / 8.0
+        scan = _critical_equation(nodes, rho_l, rho_r, s_c)[0]
+        j = (scan[1:-1] > 0.0).sum(axis=0)
+        u_a, u_b = np.choose(j, scan), np.choose(j + 1, scan)
+        a = j / 8.0
+        b = a + 0.125
+        t = a + 0.125 * (u_a / (u_a - u_b))
+        t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
+        for steps in range(1, _MAX_STEPS + 1):
+            u, du, size = _critical_equation(t, rho_l, rho_r, s_c)
+            a = np.where(u > 0.0, t, a)
+            b = np.where(u < 0.0, t, b)
+            step = u / du
+            newton = t - step
+            # The Newton step in r = sqrt(|t - e|), mapped back to t.
+            in_r = newton + step * (step / (4.0 * (t - e)))
+            nxt = np.where((a <= in_r) & (in_r <= b), in_r,
+                           np.where((a <= newton) & (newton <= b), newton,
+                                    0.5 * (a + b)))
+            done = ((np.abs(u) <= 8.0 * _EPS * size)
+                    | (np.abs(nxt - t) <= 4.0 * _EPS * t))
+            t = np.where(done, t, nxt)
+            if done.all():
+                break
+    return t, steps
+
+
+def _critical_equation(t, rho_l, rho_r, s_c):
+    """(u, du/dt, size): u = beta' + 2 sigma c sqrt(beta) at t, with s_c =
+    sigma c, beta = p q, p = t (t - rho_l) and q = (1 - t) (rho_r - t),
+    and the sum of the magnitudes of u's terms p' q, p q' and 2 sigma c
+    sqrt(beta).  On [0, 1], p, p', q and -q' are all >= 0."""
+    t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
+    p, q = t * t_l, one_t * t_r
+    dp, neg_dq = t + t_l, one_t + t_r
+    root = np.sqrt(p * q)
+    dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
+    d_beta = dp_q - p_dq
+    du = 2.0 * (p + q - dp * neg_dq) + s_c * d_beta / root
+    return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ chart's own P_0 instead.
 brackets of an array are refined in lockstep, with one objective call per
 step for all of them, and each gets the bits of its own float call.  It
 has no caller in the package either: the image envelope takes its extremes
-from the roots of a sextic (``cartography``).
+from a bracketed Newton solve for each side's one critical point
+(``cartography``).
 
 All routines are deterministic and free of global state.
 """

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from semitoric import reduced
-from semitoric.cartography import (ImageBoundary, Polygon, _assert_polygon,
-                                   act_flip_cut, act_shear, image_boundary,
+from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
+                                   _assert_polygon, _critical_points,
+                                   _envelope_candidates, act_flip_cut,
+                                   act_shear, image_boundary,
                                    polygon_representative)
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
@@ -401,12 +403,12 @@ def mp_envelope(params, n, levels, dps=50):
 
 
 # Edge points of the envelope, with n = 16 and n = 257 each: s1 = 1/2 (A' =
-# 0, the sextic is -B'^2 with double roots), the zero-coupling corners
-# (B = 0), R = 1 +- 1e-9 (the middle level within 1e-9 of both focus-focus
+# 0, the critical points are those of B), the zero-coupling corners (B =
+# 0), R = 1 +- 1e-9 (the middle level within 1e-9 of both focus-focus
 # levels, where B has a root just outside each end), R = 1e+-6, R = 1e-12
 # (levels both narrower and just wider than 1e-12), R = 1e-13 (all levels
-# narrower than 1e-12) and a coupling whose square is subnormal (g
-# overflows).
+# narrower than 1e-12) and a coupling whose square is subnormal (c about
+# 1e160).
 EDGE_POINTS = [
     ModelParams(1.0, 2.0, 0.5, 0.3), ModelParams(1.0, 0.4, 0.5, 0.9),
     ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
@@ -434,7 +436,7 @@ class TestImageBoundary:
     def test_samples_equal_scalar_loop(self, n, scalar_golden):
         # The scalar golden-section loop is the reference.  The exact
         # envelope is never narrower than it by more than 1e-13 relative
-        # (measured: 3.3e-16) and within 5e-13 of it (measured: 2.9e-13, at
+        # (measured: 3.9e-16) and within 5e-13 of it (measured: 2.9e-13, at
         # R = 1 - 1.5e-9, where the golden section falls short of the
         # extreme next to an end; the exact one is within 3.3e-16 of
         # mpmath there).
@@ -448,7 +450,7 @@ class TestImageBoundary:
 
     def test_large_ratio_equals_scalar_loop(self, scalar_golden):
         # At R = 1e6 both are about 1e-10 from mpmath, the float chart's
-        # own rounding (``test_matches_mpmath``); measured 1.2e-10 apart.
+        # own rounding (``test_matches_mpmath``); measured 1.0e-10 apart.
         p = ModelParams(1, 1e6, 0, 0.5)
         diff, _ = _relative_gap(image_boundary(p, 16).samples,
                                 scalar_envelope(p, 16, scalar_golden))
@@ -493,10 +495,10 @@ class TestImageBoundary:
         (ModelParams(1, 1e6, 0, 0.5), 5e-10),
     ], ids=repr)
     def test_matches_mpmath(self, p, rtol, scalar_golden):
-        # Measured: at most 1.7e-15 relative for R in [1/8, 8] and next to
-        # R = 1, and 5.9e-11 and 9.9e-11 at R = 1e6, where the scalar
-        # golden section is 8.4e-11 and 9.7e-11 away: the float chart's
-        # rounding.
+        # Measured: at most 1.5e-15 relative on 30 seeded points with R in
+        # [1/8, 8] and 4.4e-16 on 10 with R - 1 down to 1e-13, and 7.7e-11
+        # and 5.2e-11 at R = 1e6, where the scalar golden section is
+        # 8.4e-11 and 9.7e-11 away: the float chart's rounding.
         n, levels = 16, [1, 5, 8, 11, 15]
         ref = mp_envelope(p, n, levels)
         got = np.array(image_boundary(p, n).samples)[levels, 1:]
@@ -549,3 +551,127 @@ class TestImageBoundary:
         wa = sorted(s[2] - s[1] for s in a.samples)
         wb = sorted(s[2] - s[1] for s in b.samples)
         assert np.max(np.abs(np.array(wa) - np.array(wb))) < 1e-7
+
+
+def wide_levels(params, n, extra=()):
+    """(l, lo, hi) of the levels of ``image_boundary(params, n)`` wider than
+    1e-12, and of the ``extra`` levels."""
+    ls = np.concatenate([np.linspace(-2.0, 2.0 * params.R, n + 1), extra])
+    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * params.R)
+    keep = hi - lo >= 1e-12
+    return ls[keep], lo[keep], hi[keep]
+
+
+def solve_levels(params, l, lo, hi):
+    """(rho_l, rho_r, c) of each level for ``_critical_points``: B's roots
+    outside [lo, hi] and A's slope in t = (p2 - lo) / (hi - lo)."""
+    slope, kb, roots = reduced.chart_factors("NS", l, params)
+    w = hi - lo
+    rho_l = (np.minimum(roots[:, 0], roots[:, 1]) - lo) / w
+    rho_r = (np.maximum(roots[:, 2], roots[:, 3]) - lo) / w
+    return rho_l, rho_r, slope / (math.sqrt(kb) * w)
+
+
+def lemma_points():
+    """Seeded points (R log-uniform on [1/8, 8], a few within 1e-3 of 1)
+    and the lemma's edge points: R = 1 +- 1e-13, R = 1e+-6, s1 = 1/2."""
+    rng = np.random.default_rng(20261019)
+    points = []
+    for i in range(24):
+        if i % 4 == 0:
+            side = float(rng.choice([-1.0, 1.0]))
+            R = 1.0 + side * float(10 ** rng.uniform(-12, -3))
+        else:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        points.append(ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2))))
+    return points + [
+        ModelParams(1.0, 1.0 + 1e-13, 0.3, 0.7),
+        ModelParams(1.0, 1.0 - 1e-13, 0.9, 0.05),
+        ModelParams(1.0, 1e6, 0.3, 0.7), ModelParams(1.0, 1e-6, 0.3, 0.7),
+        ModelParams(1.0, 2.0, 0.5, 0.3), ModelParams(1.0, 0.4, 0.5, 0.9),
+    ]
+
+
+def u_sides(t, rho_l, rho_r, c):
+    """(u, size) at t (one column per side, sigma = +1 then -1): u = beta'
+    + 2 sigma c sqrt(beta), beta = t (t - rho_l) (t - 1) (t - rho_r), with
+    beta' as the sum of the four products of three factors, and the sum of
+    the magnitudes of those products and of 2 c sqrt(beta)."""
+    rho = np.stack([rho_l, 0.0 * rho_l, 1.0 + 0.0 * rho_l, rho_r], axis=1)
+    d = t[:, :, None] - rho[:, None, :]
+    cof = np.stack([np.delete(d, i, axis=2).prod(axis=2) for i in range(4)],
+                   axis=2)
+    c_root = (2.0 * np.array([1.0, -1.0]) * c[:, None]
+              * np.sqrt(np.maximum(d.prod(axis=2), 0.0)))
+    return (cof.sum(axis=2) + c_root,
+            np.abs(cof).sum(axis=2) + np.abs(c_root))
+
+
+class TestEnvelopeLemma:
+    """A + sqrt(B) is strictly concave and A - sqrt(B) strictly convex on
+    every level, so each side has one critical point, the root of u."""
+
+    @pytest.mark.parametrize("p", lemma_points(), ids=repr)
+    def test_single_extreme_per_side(self, p):
+        l, lo, hi = wide_levels(p, 64, [0.0, 2.0 * p.R - 2.0])
+        p2 = np.linspace(lo, hi, 2001, axis=1)
+        rows = np.broadcast_to(np.arange(l.size)[:, None], p2.shape)
+        a_of, b_of = reduced.chart("NS", l, p)
+        a = a_of(p2, rows)
+        root_b = np.sqrt(np.maximum(b_of(p2, rows), 0.0))
+        tol = chart_rtol(p) * max(1.0, float(np.abs(a).max() + root_b.max()))
+        for h in (a + root_b, -(a - root_b)):
+            # Once a side has fallen by more than rounding, it never rises
+            # again by more than rounding: one local maximum.
+            d = np.diff(h, axis=1)
+            fallen = np.maximum.accumulate(d < -tol, axis=1)
+            assert not (fallen[:, :-1] & (d[:, 1:] > tol)).any()
+
+    @pytest.mark.parametrize("p", lemma_points(), ids=repr)
+    def test_candidates_are_roots_of_u(self, p):
+        # Each candidate is a root of u up to rounding, or an end: u changes
+        # sign within 4 ulps of it (measured: 3675 of 3900 candidates), or,
+        # where rounding blurs that sign, u is within 1e-12 of the size of
+        # its terms (measured: the other 225, at most 1.8e-15).  The
+        # double-root levels l = 0 and l = 2R - 2 are included.
+        l, lo, hi = wide_levels(p, 64, [0.0, 2.0 * p.R - 2.0])
+        rho_l, rho_r, c = solve_levels(p, l, lo, hi)
+        t, steps = _critical_points(rho_l, rho_r, c)
+        assert steps < _MAX_STEPS
+        assert ((0.0 <= t) & (t <= 1.0)).all()
+        u, size = u_sides(t, rho_l, rho_r, c)
+        gap = 4.0 * np.spacing(t)
+        left = u_sides(np.maximum(t - gap, 0.0), rho_l, rho_r, c)[0]
+        right = u_sides(np.minimum(t + gap, 1.0), rho_l, rho_r, c)[0]
+        ok = ((np.abs(u) <= 1e-12 * size) | ((left >= 0.0) & (right <= 0.0))
+              | (t == 0.0) | (t == 1.0))
+        assert ok.all(), (l[np.nonzero(~ok)[0]], t[~ok], u[~ok])
+        # The candidates of image_boundary are these points, mapped to p2.
+        w = (hi - lo)[:, None]
+        assert np.array_equal(_envelope_candidates(p, l, lo, hi)[:, :2],
+                              np.clip(lo[:, None] + w * t, lo[:, None],
+                                      hi[:, None]))
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(1.0, 2.0, 1e-160, 0.0), ModelParams(1.0, 0.5, 0.0, 1e-155),
+        ModelParams(1.0, 2.0, 1e-170, 0.0),
+        ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
+        ModelParams(1.0, 2.0, 0.0, 1.0), ModelParams(1.0, 0.5, 1.0, 0.0),
+    ], ids=repr)
+    def test_tiny_and_zero_coupling(self, p):
+        # Couplings 1e-160 and 1e-155 (kb subnormal, c about 1e160), 1e-170
+        # (kb underflows to 0) and the four (s1, s2) corners (kb = 0): the
+        # candidates are finite points of [lo, hi], the solve stops before
+        # its cap, and kb = 0 leaves the ends alone.
+        for n in (16, 64, 257):
+            l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
+            p2 = _envelope_candidates(p, l, lo, hi)
+            assert np.isfinite(p2).all()
+            assert ((lo[:, None] <= p2) & (p2 <= hi[:, None])).all()
+            if reduced.chart_factors("NS", l, p)[1] == 0.0:
+                assert np.array_equal(p2, np.stack([lo, hi], axis=1))
+            else:
+                assert p2.shape == (l.size, 4)
+                steps = _critical_points(*solve_levels(p, l, lo, hi))[1]
+                assert steps < _MAX_STEPS
+        assert np.isfinite(np.array(image_boundary(p, 64).samples)).all()

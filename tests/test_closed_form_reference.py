@@ -1,8 +1,9 @@
 """``closed_form_F`` against the paper's partial-fraction form in 100-digit
 mpmath (``paper_F`` in conftest), on generic focus-focus points and on
-rings around the crossing of the two case-III lines, plus the algebraic
-identities behind the factored formula (sympy).  Each part is skipped when
-its library is not installed."""
+rings around the crossing of the two case-III lines, the elementary
+integrals N_A and N_B against 40-digit mpmath quadrature, plus the
+algebraic identities behind the factored formula (sympy).  Each part is
+skipped when its library is not installed."""
 
 import math
 from types import SimpleNamespace
@@ -10,9 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitoric.height import closed_form_F, gamma_A, gamma_B, height_closed
+from semitoric.height import (_quadratic_coeffs, closed_form_F, gamma_A,
+                              gamma_B, height_closed, integral_NA,
+                              integral_NB)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.singularity import discriminant_E
+from test_acceptance import _random_ff
 
 REL_BOUND = 1e-13
 RING_EPS = [10.0 ** -n for n in range(1, 13)]
@@ -67,6 +71,54 @@ class TestAgainstPaperForm:
             w = ns_frame(p)
             k = (2 * w.s1 - 1) * (w.R * (w.s2 - 1) + w.s2)
             assert abs(height_closed(p).h1 - 1.0) <= abs(k), (s1, s2, R)
+
+
+def criterion_9_points():
+    """(R, alpha, beta, gamma) of the 100 points of acceptance criterion 9's
+    N-vs-quadrature leg: its seeded draws replayed, after the 1000 draws of
+    its gamma identity, with its filter 2 - x+ >= 1e-2."""
+    rng = np.random.default_rng(20240817)  # conftest's ``rng``
+    for _ in range(1000):
+        rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+    points = []
+    while len(points) < 100:
+        p = _random_ff(rng, 1, e_below=-1e-4)[0]
+        alpha, beta, gamma = _quadratic_coeffs(p.s1, p.s2, p.R)
+        upper = ((-beta - math.sqrt(beta * beta - 4 * alpha * gamma))
+                 / (2 * alpha))
+        if 2.0 - upper >= 1e-2:
+            points.append((p.R, alpha, beta, gamma))
+    return points
+
+
+def test_elementary_integrals_match_mpmath():
+    # Criterion 9 compares N_A and N_B with float GK15 quadrature, which is
+    # itself up to 6.3e-10 off; here the reference is 40-digit mpmath on the
+    # same points, and the bound measures the closed forms (measured:
+    # 6.4e-13, the same with 60 digits).
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for R, alpha, beta, gamma in criterion_9_points():
+            a, b, g = map(mpmath.mpf, (alpha, beta, gamma))
+            root = mpmath.sqrt(b * b - 4 * a * g)
+            upper, gap = (-b - root) / (2 * a), root / a
+            # With x = x+ - y^2 the radicand a (x+ - x)(x- - x) becomes
+            # a y^2 (gap + y^2), and the integrands are smooth in y.
+            def n_b(delta):
+                return mpmath.quad(
+                    lambda y: 2 / ((delta - upper + y * y)
+                                   * mpmath.sqrt(a * (gap + y * y))),
+                    [0, mpmath.sqrt(upper)])
+
+            n_a = mpmath.quad(lambda y: 2 / mpmath.sqrt(a * (gap + y * y)),
+                              [0, mpmath.sqrt(upper)])
+            worst = max(worst, abs(integral_NA(alpha, beta, gamma) - n_a))
+            for delta in (2.0, 2.0 * R):
+                worst = max(worst, abs(integral_NB(alpha, beta, gamma, delta)
+                                       - n_b(mpmath.mpf(delta))))
+    assert worst <= 1e-12, worst
 
 
 def test_factored_identities(paper_terms):
