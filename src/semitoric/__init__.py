@@ -6,9 +6,8 @@ numerical oracle.
 
 from .cartography import (ImageBoundary, Polygon, act_flip_cut, act_shear,
                           image_boundary, polygon_representative)
-from .errors import (BranchSelectionError, ConsistencyError,
-                     DegenerateSystemError, NonconvergenceError,
-                     SemitoricError)
+from .errors import (ConsistencyError, DegenerateSystemError,
+                     NonconvergenceError, SemitoricError)
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
                      gamma_B, height_both, height_closed, height_oracle,
                      integral_NA, integral_NB)
@@ -22,7 +21,7 @@ from .singularity import (SemitoricVerdict, SingularityReport,
                           discriminant_E, n_ff, rank1_margin)
 
 __all__ = [
-    "BranchSelectionError", "ConsistencyError", "DegenerateSystemError",
+    "ConsistencyError", "DegenerateSystemError",
     "DHFunction", "FIXED_POINTS", "HeightInvariant", "ImageBoundary",
     "ModelParams", "MomentumValue", "NonconvergenceError", "ParamGrid",
     "PhasePoint",

@@ -17,12 +17,5 @@ class NonconvergenceError(SemitoricError):
         self.trace = trace or []
 
 
-class BranchSelectionError(SemitoricError):
-    """Two evaluation paths of a closed form disagree beyond tolerance.
-
-    No current path raises it: the height's closed form is one formula
-    without a second path.  It stays exported for callers that catch it."""
-
-
 class ConsistencyError(SemitoricError):
     """An internal self-check failed; the result it guards is not returned."""

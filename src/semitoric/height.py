@@ -1,14 +1,16 @@
-"""Height invariant (h1, h2): closed-form evaluation with case logic plus an
+"""Height invariant (h1, h2): a closed form in kappa and R plus an
 independent quadrature oracle on the reduced phase space.
 
-The closed form is one formula in two factors of the parameters,
-k = (2 s1 - 1)(R (s2 - 1) + s2) and m = s1^2 - s1 + s2^2 - s2: the
-paper's partial fractions over the elementary integrals N_A and N_B
-collapse to one log and two arctans whose arguments are quotients without
-cancellation (``closed_form_F``).  It keeps its relative precision up to
-the case-III lines k = 0, so it raises nowhere in the focus-focus regime
-and needs no second path as a cross-check.  ``integral_NA`` and
-``integral_NB`` stay as the paper's building blocks; F does not call them.
+The closed form depends on the couplings only through kappa = k / |m|
+(k and m of ``_k_and_m``) and R, in the NS frame R > 1:
+gamma_A = m^2 (16 R - kappa^2), so focus-focus is kappa^2 < 16 R, and
+h1 = 1 + t, h2 = 1 - t with t = sgn(kappa) g(|kappa|, R) / (2 pi), one
+kernel g (``_height_kernel``) for floats and grids.  The paper's cases are
+the sign of kappa (I, V: kappa > 0; II, IV: kappa < 0; III: kappa = 0,
+t = 0), and the s1 mirror kappa -> -kappa swaps h1 and h2 bit for bit.
+g is the paper's partial fractions over N_A and N_B collapsed to one log
+and two arctans without cancellation (``closed_form_F``); ``integral_NA``
+and ``integral_NB`` stay as the paper's building blocks.
 
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
@@ -21,26 +23,19 @@ factor of the chart's own P_0 = B - (H_crit - A)^2
 (``reduced.p0_quadratic_roots``), never ``gamma_B`` or ``roots_P0``, and
 each is checked to be a root of that factor.
 
-Floats and arrays.  ``gamma_A``, ``gamma_B``, ``_quadratic_coeffs``,
-``integral_NA``, ``integral_NB`` and ``closed_form_F`` take floats or NumPy
-arrays (broadcast together); ``case_id`` and ``height_closed`` take a
-ModelParams or a ``ParamGrid``.  Each formula is written once, and the
-results on arrays are bit-identical to the float calls cell by cell, under
-one elementwise rule: powers are products in one fixed association
-(``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), and log and atan are
-NumPy's ``np.log`` and ``np.arctan`` on floats as on arrays (a float call
-gives the bits of the vector loop's element; ``tests/test_elementwise.py``
-checks this premise).  Square roots are ``math.sqrt`` on floats and
-``np.sqrt`` on arrays, both correctly rounded.  On floats a non-positive
-log argument still raises ``math.log``'s ``ValueError``.
+Floats and arrays.  The closed-form functions take floats or NumPy arrays
+(broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
+or a ``ParamGrid``.  Each formula is written once, and on arrays it gives
+the float call's bits cell by cell: powers are products in one fixed
+association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), log, atan
+and atan2 are NumPy's on floats too (``tests/test_elementwise.py`` checks
+that a float call gives the vector loop's element), and square roots are
+the correctly rounded ``math.sqrt`` and ``np.sqrt``.
 
-Errors on arrays.  A check that raises on floats does not stop an array
-call: the failing element becomes NaN, and so does any element where a
-value the float path divides by, or takes the log or atan of, is not
-finite (the float path may raise there).  ``height_closed`` on a ParamGrid
-re-runs those cells through the float path in row order, so the first one
-that fails raises the same exception, with the same message, as a loop
-over the cells would.
+Errors on arrays.  Where the float call raises, or may (a value it divides
+by, or takes the log or atan of, is not finite), the array element is NaN.
+``height_closed`` on a ParamGrid re-runs those cells through the float path
+in row order, so the first that fails raises the float call's exception.
 """
 
 from __future__ import annotations
@@ -82,8 +77,11 @@ def _array_atan(x):
 
 # The elementary functions of the closed form, for float and array inputs.
 _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=_float_log,
-                              atan=lambda x: float(np.arctan(x)))
-_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan)
+                              atan=lambda x: float(np.arctan(x)),
+                              atan2=lambda y, x: float(np.arctan2(y, x)),
+                              copysign=math.copysign)
+_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan,
+                              atan2=np.arctan2, copysign=np.copysign)
 
 
 def _nan_where(fails, value, *also):
@@ -215,30 +213,51 @@ def _quadratic_coeffs(s1, s2, R):
     return 4 * (c * c), -8 * (1 + R) * (c * c), gamma_A(s1, s2, R)
 
 
+def _height_kernel(a, R):
+    """g(a, R) for a = |kappa|, the kernel of ``height_closed`` and
+    ``closed_form_F``.  With D = 16 R - a^2, S = sqrt(a^2 + 4 (R - 1)^2)
+    and v = 2 a sqrt D,
+
+        g = a log((2 (1 + R) + sqrt D) / S) + 2 atan2(v, 16 (R - 1) - 2 a^2)
+            - 2 R atan2(v, 16 R (R - 1) + 2 a^2).
+
+    Each atan2 is twice an arctan of ``closed_form_F``'s form, by the half
+    angle atan(v / (u + sqrt(u^2 + v^2))) = atan2(v, u) / 2, where
+    sqrt(u^2 + v^2) is 8 S and 8 R S.  atan2 needs no branch on the sign of
+    u, no term cancels, and g(0, R) = 0 for R > 1.  ``ValueError`` on
+    floats for D <= 0 (outside the focus-focus regime).
+    """
+    d = 16 * R - a * a
+    floats = not isinstance(d, np.ndarray)
+    if floats and not d > 0:
+        raise ValueError(f"16 R - kappa^2 = {d:.3e} <= 0: outside the "
+                         f"focus-focus regime")
+    xm = _FLOAT_MATH if floats else _ARRAY_MATH
+    a2, sq_d = a * a, xm.sqrt(d)
+    v = 2 * a * sq_d
+    g = (a * xm.log((2 * (1 + R) + sq_d)
+                    / xm.sqrt(a2 + 4 * ((R - 1) * (R - 1))))
+         + 2 * xm.atan2(v, 16 * (R - 1) - 2 * a2)
+         - 2 * R * xm.atan2(v, 16 * R * (R - 1) + 2 * a2))
+    return g if floats else _nan_where(~(d > 0), g)
+
+
 def closed_form_F(s1, s2, R):
     """The elementary-function expression whose value determines h1.
 
     The paper's form is twice v1 N_A + v2 N_B(., 2) + v3 N_B(., 2R) over
-    the quadratic (alpha, beta, gamma_A) of ``_quadratic_coeffs``.  In the
-    factors k and m of ``_k_and_m``, sympy gives alpha = 4 m^2,
-    beta^2 - 4 alpha gamma_A = 16 m^2 gamma_B, (v1, v2, v3) = (-k, k, R k)
-    and an N_B radicand w = -k^2 at delta = 2 and at delta = 2R.  So N_B is
-    always on its arctan branch (its log branch needs w > 0) with
-    2 v2 / sqrt(-w) = 2 sgn k, and the sum collapses to
-
-        F = -(k/|m|) log((2 (1 + R) |m| + sqrt gamma_A) / sqrt gamma_B)
-            + 4 atan(x_2) + 4 R atan(x_2R),
-
-    where, with P = 2 gamma_A + delta beta and Q = 4 delta |m|,
-    x_delta = (P + Q sqrt gamma_B) / (2 k sqrt gamma_A) for P >= 0 and its
-    conjugate -2 k sqrt gamma_A / (P - Q sqrt gamma_B) for P < 0; both are
-    exact, since (P + Q sqrt gamma_B)(P - Q sqrt gamma_B) = -4 k^2 gamma_A.
-    Through gamma_A = 16 R m^2 - k^2, P is 16 (R - 1) m^2 - 2 k^2 at
-    delta = 2 and -16 R (R - 1) m^2 - 2 k^2 at delta = 2R.  The log argument
-    is the reciprocal of N_A's through gamma_B = 4 (1 + R)^2 m^2 - gamma_A.
-    No term cancels, so F holds its relative precision up to the case-III
-    lines (k = 0) and no second path is needed to guard it;
-    ``tests/test_closed_form_reference.py`` checks it against the paper's
+    the quadratic (alpha, beta, gamma_A) of ``_quadratic_coeffs``.  In k, m
+    of ``_k_and_m`` and kappa = k / |m|, sympy gives alpha = 4 m^2,
+    gamma_A = m^2 (16 R - kappa^2), gamma_B = m^2 (kappa^2 + 4 (R - 1)^2),
+    (v1, v2, v3) = (-k, k, R k) and an N_B radicand w = -k^2 at delta = 2
+    and 2R.  So N_B is on its arctan branch, 2 v2 / sqrt(-w) = 2 sgn k, and
+    F = -kappa log((2 (1 + R) + sqrt D) / S) + 4 atan(x_2) + 4 R atan(x_2R)
+    with D, S of ``_height_kernel`` and x_delta = (P_delta + 4 delta S) /
+    (2 kappa sqrt D), P_2 = 16 (R - 1) - 2 kappa^2,
+    P_2R = -16 R (R - 1) - 2 kappa^2.  F is odd in kappa, and for kappa > 0
+    x_delta > 0 and atan(x_2) = pi/2 - atan(1/x_2), so
+    F = sgn(kappa) (2 pi - g(|kappa|, R)) at every R.
+    ``tests/test_closed_form_reference.py`` checks F against the paper's
     form in 100-digit mpmath.
 
     ``ValueError`` for gamma_A <= 0 (outside the focus-focus regime) and
@@ -258,25 +277,10 @@ def closed_form_F(s1, s2, R):
     if floats and bad_k:
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
-    am = abs(m)
-    sq_ga, sq_gb = xm.sqrt(ga), xm.sqrt(gamma_B(s1, s2, R))
-    f = -(k / am) * xm.log((2 * (1 + R) * am + sq_ga) / sq_gb)
-    # P in k and m: 2 gamma_A + delta beta would cancel as R -> 1, where
-    # both its terms tend to 32 m^2.
-    k2, rm2 = k * k, 16 * (R - 1) * (m * m)
-    for weight, delta, p in ((4.0, 2.0, rm2 - 2 * k2),
-                             (4.0 * R, 2.0 * R, -R * rm2 - 2 * k2)):
-        q_root = 4 * delta * am * sq_gb
-        if floats:
-            x = ((p + q_root) / (2 * k * sq_ga) if p >= 0
-                 else -2 * k * sq_ga / (p - q_root))
-        else:
-            x = np.where(p >= 0, (p + q_root) / (2 * k * sq_ga),
-                         -2 * k * sq_ga / (p - q_root))
-        f = f + weight * xm.atan(x)
-    if floats:
-        return f
-    return _nan_where(bad_ga | bad_k, f, s1, s2, R)
+    kappa = k / abs(m)
+    f = (xm.copysign(1.0, kappa)
+         * (2 * math.pi - _height_kernel(abs(kappa), R)))
+    return f if floats else _nan_where(bad_ga | bad_k, f, s1, s2, R)
 
 
 def case_id(params: ModelParams | ParamGrid):
@@ -319,8 +323,17 @@ def _ill_conditioned(e):
     return (-ILL_CONDITIONED_BAND < e) & (e < 0)
 
 
+def _t(work):
+    """t = h1 - 1 = 1 - h2 in the NS frame ``work`` (module docstring)."""
+    k, m = _k_and_m(work.s1, work.s2, work.R)
+    kappa = k / abs(m)
+    xm = _ARRAY_MATH if isinstance(kappa, np.ndarray) else _FLOAT_MATH
+    return (xm.copysign(1.0, kappa) * _height_kernel(abs(kappa), work.R)
+            / (2 * math.pi))
+
+
 def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
-    """Height invariant from the closed form.
+    """Height invariant from the closed form, with t = 0 in case III.
 
     On a ParamGrid the fields are arrays over the grid (case_ns holds the
     labels), h1 and h2 are NaN in the cells without focus-focus points, and
@@ -332,19 +345,9 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     e = _require_focus_focus(params)
     work = ns_frame(params)
     case = case_id(work)
-    ill = _ill_conditioned(e)
-    if case == "III":
-        return HeightInvariant(1.0, 1.0, case, "closed-form", ill)
-    # Canonicalize to s1 < 1/2 through the exact mirror identity
-    # h1(s1) = h2(1 - s1): F is evaluated on one side only, so the identity
-    # holds to the last bit instead of to roundoff.
-    f = (-closed_form_F(1.0 - work.s1, work.s2, work.R) if work.s1 > 0.5
-         else closed_form_F(work.s1, work.s2, work.R))
-    if case in ("I", "V"):
-        h1 = 2.0 - f / (2.0 * math.pi)
-    else:  # II, IV
-        h1 = -f / (2.0 * math.pi)
-    return HeightInvariant(h1, 2.0 - h1, case, "closed-form", ill)
+    t = 0.0 if case == "III" else _t(work)
+    return HeightInvariant(1.0 + t, 1.0 - t, case, "closed-form",
+                           _ill_conditioned(e))
 
 
 def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
@@ -353,21 +356,16 @@ def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
         e = discriminant_E(grid)
         work = ns_frame(grid)
         case = case_id(work)
-        mirrored = work.s1 > 0.5
-        f = closed_form_F(np.where(mirrored, 1.0 - work.s1, work.s1),
-                          work.s2, work.R)
-        f = np.where(mirrored, -f, f)
-        h1 = np.where((case == "I") | (case == "V"),
-                      2.0 - f / (2.0 * math.pi), -f / (2.0 * math.pi))
-        h1 = np.where(case == "III", 1.0, h1)
+        t = np.where(case == "III", 0.0, _t(work))
         ff = (e < 0) & ~is_degenerate(e, grid)
-    for i, j in np.argwhere(ff & ~np.isfinite(h1)):
-        cell = ModelParams(grid.r1, grid.r2, float(grid.s1[i, 0]),
-                           float(grid.s2[0, j]))
-        h1[i, j] = height_closed(cell).h1
-    h1 = np.where(ff, h1, np.nan)
-    return HeightInvariant(h1, 2.0 - h1, case, "closed-form",
-                           _ill_conditioned(e))
+    h1, h2 = 1.0 + t, 1.0 - t
+    for i, j in np.argwhere(ff & ~np.isfinite(t)):
+        cell = height_closed(ModelParams(grid.r1, grid.r2,
+                                         float(grid.s1[i, 0]),
+                                         float(grid.s2[0, j])))
+        h1[i, j], h2[i, j] = cell.h1, cell.h2
+    return HeightInvariant(np.where(ff, h1, np.nan), np.where(ff, h2, np.nan),
+                           case, "closed-form", _ill_conditioned(e))
 
 
 def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:

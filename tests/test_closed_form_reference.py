@@ -2,8 +2,9 @@
 mpmath (``paper_F`` in conftest), on generic focus-focus points and on
 rings around the crossing of the two case-III lines, the elementary
 integrals N_A and N_B against 40-digit mpmath quadrature, plus the
-algebraic identities behind the factored formula (sympy).  Each part is
-skipped when its library is not installed."""
+algebraic identities behind the factored formula and the height's variable
+kappa = k / |m| (sympy).  Each part is skipped when its library is not
+installed."""
 
 import math
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from semitoric.height import (_quadratic_coeffs, closed_form_F, gamma_A,
                               gamma_B, height_closed, integral_NA,
                               integral_NB)
 from semitoric.model import ModelParams, ns_frame
+from semitoric.reduced import p0_factors
 from semitoric.singularity import discriminant_E
 from test_acceptance import _random_ff
 
@@ -141,6 +143,18 @@ def test_factored_identities(paper_terms):
     assert zero(gamma_b - (4 * (1 + R) ** 2 * m ** 2 - gamma))
     assert zero(gamma + e / r1 ** 2)
     assert zero(gamma - (16 * R * m ** 2 - k ** 2))
+    # The height's kappa = k / |m|, with |m| = c = -m on the unit square.
+    c = s1 + s2 - s1 ** 2 - s2 ** 2
+    kappa = k / c
+    assert zero(sp.cancel(gamma - m ** 2 * (16 * R - kappa ** 2)))
+    assert zero(sp.cancel(gamma_b - m ** 2 * (kappa ** 2 + 4 * (R - 1) ** 2)))
+    # The oracle's K = orient (k/R) / sqrt(kb) of ``reduced.p0_factors``,
+    # with sqrt(kb) = 2 c / R: K = -orient kappa / 2 in the sign of k here.
+    for label in ("NS", "SN"):
+        kb, kr = p0_factors(label, SimpleNamespace(R=R, s1=s1, s2=s2,
+                                                   coupling=c))
+        assert zero(kb - (2 * c / R) ** 2)
+        assert zero(sp.cancel(kr / (2 * c / R) + kappa / 2))
     # P in k and m, as closed_form_F computes it at delta = 2 and 2R.
     for delta, p_km in ((2, 16 * (R - 1) * m ** 2 - 2 * k ** 2),
                         (2 * R, -16 * R * (R - 1) * m ** 2 - 2 * k ** 2)):

@@ -1,7 +1,7 @@
 """The elementwise contract behind the bit-identical grids.
 
 Every formula that runs on floats and on a ``ParamGrid`` is written once:
-powers as products, log and atan through NumPy on floats too, square
+powers as products, log, atan and atan2 through NumPy on floats too, square
 roots through ``math.sqrt`` on floats and ``np.sqrt`` on arrays.  A grid
 cell then equals its float call bit for bit only if NumPy's functions give
 a Python float the same bits as the element of their vector loop, and if
@@ -53,6 +53,20 @@ def test_ufunc_on_float_equals_vector_loop(ufunc):
         scalar = np.array([float(ufunc(x)) for x in values.tolist()])
     bad = mismatches(scalar, vector)
     assert bad.size == 0, f"{ufunc.__name__} differs at {values[bad[:5]]}"
+    assert mismatches(grid.ravel(), vector[:n]).size == 0
+
+
+def test_arctan2_on_float_equals_vector_loop():
+    y = premise_values()
+    x = np.random.default_rng(20261019).permutation(y)
+    n = y.size // 41 * 41
+    with np.errstate(all="ignore"):
+        vector = np.arctan2(y, x)
+        grid = np.arctan2(y[:n].reshape(-1, 41), x[:n].reshape(-1, 41))
+        scalar = np.array([float(np.arctan2(b, a))
+                           for b, a in zip(y.tolist(), x.tolist())])
+    bad = mismatches(scalar, vector)
+    assert bad.size == 0, f"arctan2 differs at {y[bad[:5]]}, {x[bad[:5]]}"
     assert mismatches(grid.ravel(), vector[:n]).size == 0
 
 

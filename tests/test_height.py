@@ -8,9 +8,10 @@ import pytest
 
 from semitoric import height, reduced
 from semitoric.errors import ConsistencyError, DegenerateSystemError
-from semitoric.height import (CASE_III_BAND, case_id, closed_form_F, gamma_A,
-                              gamma_B, height_both, height_closed,
-                              height_oracle, integral_NA, integral_NB)
+from semitoric.height import (CASE_III_BAND, _height_kernel, case_id,
+                              closed_form_F, gamma_A, gamma_B, height_both,
+                              height_closed, height_oracle, integral_NA,
+                              integral_NB)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
 from semitoric.singularity import discriminant_E
@@ -168,6 +169,10 @@ class TestClosedForm:
         h1 = height_oracle("NS", p)
         # Case I: h1 = 2 - F / (2 pi).
         assert abs((2.0 - f / (2.0 * math.pi)) - h1) < 1e-8
+
+    @pytest.mark.parametrize("R", [1.0 + 2.0 ** -52, 2.0, 1e6])
+    def test_kernel_vanishes_at_kappa_zero(self, R):
+        assert _height_kernel(0.0, R) == 0.0
 
     def test_antisymmetric_in_s1(self):
         rng = np.random.default_rng(33)

@@ -102,7 +102,8 @@ def _ill_conditioned_s1():
 
 
 # A window through the crossing of the case-III lines, with R < 1: its
-# first cell once raised BranchSelectionError (exit 2).
+# first cell once raised an error of two disagreeing closed-form paths
+# (exit 2).
 CROSSING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
                   "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
                   "--s1-count 41 --s2-start 0.22477811335400982 "
@@ -274,14 +275,17 @@ class TestArrayFormulasMatchFloats:
                 assert inv.h1[i, 0] == height.height_closed(cell).h1
 
     def test_first_failing_cell_raises(self, monkeypatch):
-        # No focus-focus input makes the closed form raise, so gamma_A is
-        # negated at s1 = 0.4 and 0.25: both cells fail with messages of
-        # their own, the grid call re-runs them through the float path, and
-        # the first in row order wins.
-        true_gamma_A = height.gamma_A
-        monkeypatch.setattr(height, "gamma_A", lambda s1, s2, R: (
-            true_gamma_A(s1, s2, R)
-            * np.where(np.isin(s1, (0.4, 0.25)), -1.0, 1.0)))
+        # No focus-focus input makes the closed form raise, so k is scaled
+        # by 100 at s1 = 0.4 and 0.25, which puts kappa^2 above 16 R: both
+        # cells fail in the kernel with messages of their own, the grid call
+        # re-runs them through the float path, and the first in row order
+        # wins.
+        true_k_and_m = height._k_and_m
+
+        def scaled_k(s1, s2, R):
+            k, m = true_k_and_m(s1, s2, R)
+            return k * np.where(np.isin(s1, (0.4, 0.25)), 100.0, 1.0), m
+        monkeypatch.setattr(height, "_k_and_m", scaled_k)
         messages = []
         for s1 in ([0.2, 0.4, 0.25], [0.2, 0.25, 0.4]):
             with pytest.raises(ValueError) as want:
@@ -291,7 +295,7 @@ class TestArrayFormulasMatchFloats:
             assert str(got.value) == str(want.value)
             messages.append(str(got.value))
         assert messages[0] != messages[1]
-        assert all(m.startswith("gamma_A = -") for m in messages)
+        assert all(m.startswith("16 R - kappa^2 = -") for m in messages)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="must lie in"):

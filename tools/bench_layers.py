@@ -261,13 +261,19 @@ def summary(samples):
 
 
 def checkout_label(src: Path) -> str:
+    """The short git commit of the checkout that holds ``src``, or the
+    resolved path of ``src`` when that is no git checkout (a copy made with
+    ``git archive`` or ``cp``).  A parent made with ``git clone`` gets its
+    commit label."""
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                              cwd=src, capture_output=True, text=True,
                              timeout=10)
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+        out = None
+    if out is not None and out.returncode == 0:
+        return out.stdout.strip()
+    return str(src.resolve())
 
 
 def cpu_model() -> str:
@@ -289,7 +295,7 @@ def main(argv=None) -> int:
                     help="the benchmark op whose layers are timed "
                     "(default: oracle)")
     ap.add_argument("--label", help="name of the timed source "
-                    "(default: its git commit)")
+                    "(default: its git commit, else its path)")
     ap.add_argument("--parent", type=Path,
                     help="src/ of an earlier checkout, timed in alternating "
                     "repeats with SRC")

@@ -86,8 +86,8 @@ NEAR_E0_POINTS = [(1, 2, 0.21, 0.03066823177149811),
 # distance 1e-4 and 1e-6: the closed form once raised there (exit 2).
 CROSSING_POINTS = [(1, 2, 0.5000987688340595, 0.6666823101131707),
                    (1, 2, 0.5000009876883406, 0.6666668231011317)]
-# A sweep through that crossing (R < 1): its first cell once raised
-# BranchSelectionError (exit 2); it now exits 0.
+# A sweep through that crossing (R < 1): its first cell once raised an
+# error of two disagreeing closed-form paths (exit 2); it now exits 0.
 CROSSING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
                   "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
                   "--s1-count 41 --s2-start 0.22477811335400982 "
