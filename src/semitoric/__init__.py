@@ -9,8 +9,7 @@ from .cartography import (ImageBoundary, Polygon, act_flip_cut, act_shear,
 from .errors import (ConsistencyError, DegenerateSystemError,
                      NonconvergenceError, SemitoricError)
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
-                     gamma_B, height_both, height_closed, height_oracle,
-                     integral_NA, integral_NB)
+                     gamma_B, height_both, height_closed, height_oracle)
 from .model import (FIXED_POINTS, ModelParams, MomentumValue, ParamGrid,
                     PhasePoint, apply_symmetry, momentum_map,
                     poisson_bracket)
@@ -31,7 +30,7 @@ __all__ = [
     "check_semitoric", "classify_fixed_points", "closed_form_F",
     "dh_function", "discriminant_E", "ff_levels", "gamma_A", "gamma_B",
     "height_both", "height_closed", "height_oracle",
-    "image_boundary", "integral_NA", "integral_NB", "momentum_map", "n_ff",
+    "image_boundary", "momentum_map", "n_ff",
     "physical_interval", "poisson_bracket", "polygon_representative",
     "rank1_margin", "reduced_A", "reduced_B", "roots_P0",
 ]

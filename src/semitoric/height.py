@@ -8,9 +8,10 @@ h1 = 1 + t, h2 = 1 - t with t = sgn(kappa) g(|kappa|, R) / (2 pi), one
 kernel g (``_height_kernel``) for floats and grids.  The paper's cases are
 the sign of kappa (I, V: kappa > 0; II, IV: kappa < 0; III: kappa = 0,
 t = 0), and the s1 mirror kappa -> -kappa swaps h1 and h2 bit for bit.
-g is the paper's partial fractions over N_A and N_B collapsed to one log
-and two arctans without cancellation (``closed_form_F``); ``integral_NA``
-and ``integral_NB`` stay as the paper's building blocks.
+g is the paper's partial fractions over its elementary integrals N_A and
+N_B collapsed to one log and two arctans without cancellation
+(``closed_form_F``); the paper's form itself is held test-side
+(``_paper_terms`` in ``tests/conftest.py``).
 
 The oracle never touches the closed forms: it measures the area of the
 sublevel set of the reduced Hamiltonian below the critical value by
@@ -27,13 +28,13 @@ Floats and arrays.  The closed-form functions take floats or NumPy arrays
 (broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
 or a ``ParamGrid``.  Each formula is written once, and on arrays it gives
 the float call's bits cell by cell: powers are products in one fixed
-association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), log, atan
-and atan2 are NumPy's on floats too (``tests/test_elementwise.py`` checks
+association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), log and
+atan2 are NumPy's on floats too (``tests/test_elementwise.py`` checks
 that a float call gives the vector loop's element), and square roots are
 the correctly rounded ``math.sqrt`` and ``np.sqrt``.
 
 Errors on arrays.  Where the float call raises, or may (a value it divides
-by, or takes the log or atan of, is not finite), the array element is NaN.
+by, or takes the log of, is not finite), the array element is NaN.
 ``height_closed`` on a ParamGrid re-runs those cells through the float path
 in row order, so the first that fails raises the float call's exception.
 """
@@ -69,19 +70,12 @@ def _float_log(x):
     return float(np.log(x)) if x > 0.0 else math.log(x)
 
 
-def _array_atan(x):
-    """``np.arctan``, with NaN where x is not finite: an infinite argument
-    may come from a division by zero, which raises on floats."""
-    return np.where(np.isinf(x), np.nan, np.arctan(x))
-
-
 # The elementary functions of the closed form, for float and array inputs.
 _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=_float_log,
-                              atan=lambda x: float(np.arctan(x)),
                               atan2=lambda y, x: float(np.arctan2(y, x)),
                               copysign=math.copysign)
-_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan=_array_atan,
-                              atan2=np.arctan2, copysign=np.copysign)
+_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan2=np.arctan2,
+                              copysign=np.copysign)
 
 
 def _nan_where(fails, value, *also):
@@ -132,87 +126,6 @@ def gamma_B(s1: float, s2: float, R: float) -> float:
     return k * k + 4 * ((R - 1) * (R - 1)) * (m * m)
 
 
-def integral_NA(alpha, beta, gamma):
-    """Closed form of int_0^x+ dx / sqrt(alpha x^2 + beta x + gamma), where
-    x+ is the smaller root of the radicand."""
-    disc = beta * beta - 4 * alpha * gamma
-    floats = not isinstance(disc, np.ndarray)
-    if floats:
-        _check_finite("integral_NA", alpha, beta, gamma)
-    xm = _FLOAT_MATH if floats else _ARRAY_MATH
-    bad_alpha = alpha <= 0
-    if floats and bad_alpha:
-        raise ValueError("alpha must be positive")
-    bad_disc = disc < 0
-    if floats and bad_disc:
-        raise ValueError("beta^2 - 4 alpha gamma must be non-negative")
-    bad_product = alpha * gamma < 0
-    if floats and bad_product:
-        raise ValueError("alpha * gamma must be non-negative")
-    arg = -xm.sqrt(disc) / (beta + 2 * xm.sqrt(alpha * gamma))
-    bad_arg = arg <= 0
-    if floats and bad_arg:
-        raise ValueError(f"log argument {arg:.3e} not positive")
-    value = xm.log(arg) / xm.sqrt(alpha)
-    if floats:
-        return value
-    return _nan_where(bad_alpha | bad_disc | bad_product | bad_arg, value,
-                      alpha, beta, gamma)
-
-
-def integral_NB(alpha, beta, gamma, delta):
-    """Closed form of int_0^x+ dx / ((delta - x) sqrt(alpha x^2+beta x+gamma)).
-
-    Uses the arctan branch when its radicand is positive, otherwise the
-    equivalent log branch.
-    """
-    disc = beta * beta - 4 * alpha * gamma
-    floats = not isinstance(disc, np.ndarray)
-    if floats:
-        _check_finite("integral_NB", alpha, beta, gamma, delta)
-    xm = _FLOAT_MATH if floats else _ARRAY_MATH
-    bad_alpha = alpha <= 0
-    if floats and bad_alpha:
-        raise ValueError("alpha must be positive")
-    bad_disc = disc < 0
-    if floats and bad_disc:
-        raise ValueError("beta^2 - 4 alpha gamma must be non-negative")
-    upper = (-beta - xm.sqrt(disc)) / (2 * alpha)
-    bad_delta = (0.0 <= delta) & (delta <= upper)
-    if floats and bad_delta:
-        raise ValueError("delta must lie outside the integration interval")
-    w = gamma + delta * (beta + alpha * delta)
-    # w == 0 exactly when neither -w > 0 (arctan) nor w > 0 (log) holds.
-    bad_w = w == 0
-    if floats and bad_w:
-        raise ValueError("degenerate radicand in N_B")
-    branch = (alpha, beta, gamma, delta, disc, w, xm)
-    if floats:
-        return _nb_atan(*branch) if -w > 0 else _nb_log(*branch)
-    return _nan_where(bad_alpha | bad_disc | bad_delta | bad_w,
-                      np.where(-w > 0, _nb_atan(*branch), _nb_log(*branch)),
-                      alpha, beta, gamma, delta)
-
-
-def _nb_atan(alpha, beta, gamma, delta, disc, w, xm):
-    num = 2 * gamma + delta * (beta + xm.sqrt(disc))
-    den = 2 * xm.sqrt(-gamma * w)
-    return 2.0 / xm.sqrt(-w) * xm.atan(num / den)
-
-
-def _nb_log(alpha, beta, gamma, delta, disc, w, xm):
-    num = (-2 * gamma - beta * delta
-           + 2 * xm.sqrt(gamma * gamma
-                         + gamma * delta * (beta + alpha * delta)))
-    return xm.log(num / (delta * xm.sqrt(disc))) / xm.sqrt(w)
-
-
-def _quadratic_coeffs(s1, s2, R):
-    """(alpha, beta, gamma) of the denominator quadratic Q(p2)."""
-    c = s1 * s1 - s1 + (s2 - 1) * s2
-    return 4 * (c * c), -8 * (1 + R) * (c * c), gamma_A(s1, s2, R)
-
-
 def _height_kernel(a, R):
     """g(a, R) for a = |kappa|, the kernel of ``height_closed`` and
     ``closed_form_F``.  With D = 16 R - a^2, S = sqrt(a^2 + 4 (R - 1)^2)
@@ -246,11 +159,12 @@ def closed_form_F(s1, s2, R):
     """The elementary-function expression whose value determines h1.
 
     The paper's form is twice v1 N_A + v2 N_B(., 2) + v3 N_B(., 2R) over
-    the quadratic (alpha, beta, gamma_A) of ``_quadratic_coeffs``.  In k, m
-    of ``_k_and_m`` and kappa = k / |m|, sympy gives alpha = 4 m^2,
-    gamma_A = m^2 (16 R - kappa^2), gamma_B = m^2 (kappa^2 + 4 (R - 1)^2),
-    (v1, v2, v3) = (-k, k, R k) and an N_B radicand w = -k^2 at delta = 2
-    and 2R.  So N_B is on its arctan branch, 2 v2 / sqrt(-w) = 2 sgn k, and
+    the quadratic (alpha, beta, gamma_A) of ``_paper_terms`` in
+    ``tests/conftest.py``.  In k, m of ``_k_and_m`` and kappa = k / |m|,
+    sympy gives alpha = 4 m^2, gamma_A = m^2 (16 R - kappa^2),
+    gamma_B = m^2 (kappa^2 + 4 (R - 1)^2), (v1, v2, v3) = (-k, k, R k) and
+    an N_B radicand w = -k^2 at delta = 2 and 2R.  So N_B is on its arctan
+    branch, 2 v2 / sqrt(-w) = 2 sgn k, and
     F = -kappa log((2 (1 + R) + sqrt D) / S) + 4 atan(x_2) + 4 R atan(x_2R)
     with D, S of ``_height_kernel`` and x_delta = (P_delta + 4 delta S) /
     (2 kappa sqrt D), P_2 = 16 (R - 1) - 2 kappa^2,

@@ -75,7 +75,7 @@ class ParamGrid:
     evaluate every single-variable term once per axis value, and give the
     same bits in each cell as on the ModelParams of that cell, since they
     keep to the elementwise rule of ``height`` (powers as products, log and
-    atan through NumPy).  The radii and the axis values are validated once,
+    atan2 through NumPy).  The radii and the axis values are validated once,
     with ModelParams' messages.
     """
 
@@ -109,25 +109,6 @@ def ns_frame(params):
     if params.R > 1.0:
         return params
     return type(params)(params.r2, params.r1, params.s1, 1.0 - params.s2)
-
-
-@dataclass(frozen=True)
-class TParams:
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-
-
-def t_params(params: ModelParams) -> TParams:
-    """Coefficients of the general bilinear family this system sits in."""
-    s1, s2 = params.s1, params.s2
-    return TParams(
-        t1=(1 - 2 * s1) * (1 - s2),
-        t2=(1 - 2 * s1) * s2,
-        t3=2 * (s1 + s2 - s1 ** 2 - s2 ** 2),
-        t4=0.0,
-    )
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,8 @@ def find_root_bisect(f, a, b, tol=1e-13):
     Stops when the bracket is narrower than ``tol`` or cannot be split any
     further in floating point.
     """
+    if not a < b:
+        raise ValueError("require a < b")
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a

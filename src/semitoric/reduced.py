@@ -113,13 +113,6 @@ def reduced_B(label: str, l: float, p2: float, params: ModelParams) -> float:
     return chart(label, l, params)[1](p2)
 
 
-def critical_h(label: str, params: ModelParams) -> float:
-    """Value of H at the corresponding focus-focus candidate point."""
-    _check_label(label)
-    v = (1 - 2 * params.s1) * (1 - 2 * params.s2)
-    return v if label == "NS" else -v
-
-
 def physical_interval(label: str, l: float, R: float):
     """p2-interval of the physical region at level offset ``l``."""
     _check_label(label)
@@ -134,20 +127,6 @@ def physical_interval(label: str, l: float, R: float):
     if lo > hi:
         raise ValueError("empty physical interval")
     return lo, hi
-
-
-def poly_P(label: str, l: float, h: float, p2: float,
-           params: ModelParams) -> float:
-    """Quartic P_l(p2) = B_l(p2) - (h +/- crit - A_l(p2))^2.
-
-    The offset sign is + for NS and - for SN, so that the singularity sits
-    at (l, h) = (0, 0) in both charts.
-    """
-    A, B = chart(label, l, params)
-    off = critical_h("NS", params)  # (1-2s1)(1-2s2)
-    sign = 1.0 if label == "NS" else -1.0
-    d = h + sign * off - A(p2)
-    return B(p2) - d * d
 
 
 def p0_factors(label: str, params: ModelParams):

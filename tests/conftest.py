@@ -5,7 +5,10 @@ Acceptance tests register a one-line PASS/FAIL verdict through
 each criterion is visible even under output capture.
 """
 
+import functools
+import math
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,28 +167,55 @@ def paper_terms():
     return _paper_terms
 
 
+def _paper_NA(xm, alpha, beta, gamma):
+    """N_A = int_0^x+ dx / sqrt(q), with q = alpha x^2 + beta x + gamma and
+    x+ its smaller root, in the paper's closed form over the math namespace
+    ``xm``: ``math`` for floats, ``mpmath.mp`` for mpf."""
+    disc = beta * beta - 4 * alpha * gamma
+    return (xm.log(-xm.sqrt(disc) / (beta + 2 * xm.sqrt(alpha * gamma)))
+            / xm.sqrt(alpha))
+
+
+def _paper_NB(xm, alpha, beta, gamma, delta):
+    """N_B(delta) = int_0^x+ dx / ((delta - x) sqrt(q)) in the paper's
+    closed form over ``xm``: the arctan branch where w = q(delta) < 0, the
+    log branch otherwise."""
+    disc = beta * beta - 4 * alpha * gamma
+    w = gamma + delta * (beta + alpha * delta)
+    if w < 0:
+        num = 2 * gamma + delta * (beta + xm.sqrt(disc))
+        return 2 / xm.sqrt(-w) * xm.atan(num / (2 * xm.sqrt(-gamma * w)))
+    num = -2 * gamma - beta * delta + 2 * xm.sqrt(gamma * w)
+    return xm.log(num / (delta * xm.sqrt(disc))) / xm.sqrt(w)
+
+
+def _float_quadratic(s1, s2, R):
+    """(alpha, beta, gamma) of ``_paper_terms`` in the package's floats:
+    4 c^2 and -8 (1 + R) c^2 with c = s1^2 - s1 + (s2 - 1) s2, and
+    ``height.gamma_A`` (the expanded polynomials round differently)."""
+    from semitoric import height
+    c = s1 * s1 - s1 + (s2 - 1) * s2
+    return 4 * (c * c), -8 * (1 + R) * (c * c), height.gamma_A(s1, s2, R)
+
+
+@pytest.fixture(scope="session")
+def paper_N():
+    """The paper's elementary integrals on floats, in ``math``:
+    ``paper_N.A(alpha, beta, gamma)``, ``paper_N.B(alpha, beta, gamma,
+    delta)`` and ``paper_N.quadratic(s1, s2, R)``, their (alpha, beta,
+    gamma) at a point."""
+    return SimpleNamespace(A=functools.partial(_paper_NA, math),
+                           B=functools.partial(_paper_NB, math),
+                           quadratic=_float_quadratic)
+
+
 def _mp_paper_F(mp, s1, s2, R):
-    """2 (v1 N_A + v2 N_B(2) + v3 N_B(2R)) at mpmath's working precision,
-    with N_A = int_0^x+ dx / sqrt(q) and N_B(delta) = int_0^x+ dx /
-    ((delta - x) sqrt(q)) in the paper's closed forms (q the quadratic,
-    x+ its smaller root)."""
+    """2 (v1 N_A + v2 N_B(2) + v3 N_B(2R)) at mpmath's working precision."""
     s1, s2, R = (mp.mpf(v) for v in (s1, s2, R))
     alpha, beta, gamma, (v1, v2, v3) = _paper_terms(s1, s2, R)
-    disc = beta * beta - 4 * alpha * gamma
-    n_a = mp.log(-mp.sqrt(disc) / (beta + 2 * mp.sqrt(alpha * gamma))
-                 ) / mp.sqrt(alpha)
-
-    def n_b(delta):
-        w = gamma + delta * (beta + alpha * delta)
-        if w < 0:
-            num = 2 * gamma + delta * (beta + mp.sqrt(disc))
-            return 2 / mp.sqrt(-w) * mp.atan(num / (2 * mp.sqrt(-gamma * w)))
-        num = (-2 * gamma - beta * delta
-               + 2 * mp.sqrt(gamma * gamma
-                             + gamma * delta * (beta + alpha * delta)))
-        return mp.log(num / (delta * mp.sqrt(disc))) / mp.sqrt(w)
-
-    return 2 * (v1 * n_a + v2 * n_b(2) + v3 * n_b(2 * R))
+    return 2 * (v1 * _paper_NA(mp, alpha, beta, gamma)
+                + v2 * _paper_NB(mp, alpha, beta, gamma, 2)
+                + v3 * _paper_NB(mp, alpha, beta, gamma, 2 * R))
 
 
 @pytest.fixture(scope="session")

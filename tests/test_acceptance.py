@@ -226,7 +226,7 @@ def test_criterion_08_dh_jump_and_polygon_width():
     assert ok
 
 
-def test_criterion_09_gamma_identity_and_n_integrals(rng):
+def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
     worst_gamma = 0.0
     for _ in range(1000):
         p = ModelParams(float(rng.uniform(0.5, 3.0)),
@@ -238,6 +238,8 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng):
         scale = max(abs(target), 1e-30)
         worst_gamma = max(worst_gamma, abs(ga - target) / scale)
 
+    # The paper's N_A and N_B, held test-side since the package computes
+    # the height from one kernel in kappa (``paper_N`` in conftest).
     settings = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11,
                                   max_subdivisions=4000,
                                   endpoint_mode="both")
@@ -245,7 +247,7 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng):
     while n_done < 100:
         p = _random_ff(rng, 1, e_below=-1e-4)[0]
         s1, s2, R = p.s1, p.s2, p.R
-        alpha, beta, gamma = height._quadratic_coeffs(s1, s2, R)
+        alpha, beta, gamma = paper_N.quadratic(s1, s2, R)
         upper = ((-beta - math.sqrt(beta * beta - 4 * alpha * gamma))
                  / (2 * alpha))
         if 2.0 - upper < 1e-2:
@@ -259,13 +261,12 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng):
             return 1.0 / math.sqrt(alpha * x * x + beta * x + gamma)
 
         na_q, _ = integrate(q_inv, 0.0, upper, settings)
-        worst_n = max(worst_n,
-                      abs(height.integral_NA(alpha, beta, gamma) - na_q))
+        worst_n = max(worst_n, abs(paper_N.A(alpha, beta, gamma) - na_q))
         for delta in (2.0, 2.0 * R):
             nb_q, _ = integrate(lambda x: q_inv(x) / (delta - x),
                                 0.0, upper, settings)
-            worst_n = max(worst_n, abs(
-                height.integral_NB(alpha, beta, gamma, delta) - nb_q))
+            worst_n = max(worst_n,
+                          abs(paper_N.B(alpha, beta, gamma, delta) - nb_q))
     ok = worst_gamma <= 1e-12 and worst_n <= 1e-9
     record_criterion(
         "criterion 9 gamma identity and elementary integrals",

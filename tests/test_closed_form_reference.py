@@ -1,10 +1,10 @@
 """``closed_form_F`` against the paper's partial-fraction form in 100-digit
 mpmath (``paper_F`` in conftest), on generic focus-focus points and on
-rings around the crossing of the two case-III lines, the elementary
-integrals N_A and N_B against 40-digit mpmath quadrature, plus the
-algebraic identities behind the factored formula and the height's variable
-kappa = k / |m| (sympy).  Each part is skipped when its library is not
-installed."""
+rings around the crossing of the two case-III lines, the paper's
+elementary integrals N_A and N_B (``paper_N`` in conftest) against 40-digit
+mpmath quadrature, plus the algebraic identities behind the factored
+formula and the height's variable kappa = k / |m| (sympy).  Each part is
+skipped when its library is not installed."""
 
 import math
 from types import SimpleNamespace
@@ -12,9 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitoric.height import (_quadratic_coeffs, closed_form_F, gamma_A,
-                              gamma_B, height_closed, integral_NA,
-                              integral_NB)
+from semitoric.height import closed_form_F, gamma_A, gamma_B, height_closed
 from semitoric.model import ModelParams, ns_frame
 from semitoric.reduced import p0_factors
 from semitoric.singularity import discriminant_E
@@ -75,10 +73,11 @@ class TestAgainstPaperForm:
             assert abs(height_closed(p).h1 - 1.0) <= abs(k), (s1, s2, R)
 
 
-def criterion_9_points():
+def criterion_9_points(quadratic):
     """(R, alpha, beta, gamma) of the 100 points of acceptance criterion 9's
     N-vs-quadrature leg: its seeded draws replayed, after the 1000 draws of
-    its gamma identity, with its filter 2 - x+ >= 1e-2."""
+    its gamma identity, with its filter 2 - x+ >= 1e-2 on the coefficients
+    of ``quadratic`` (conftest's ``paper_N.quadratic``)."""
     rng = np.random.default_rng(20240817)  # conftest's ``rng``
     for _ in range(1000):
         rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
@@ -86,7 +85,7 @@ def criterion_9_points():
     points = []
     while len(points) < 100:
         p = _random_ff(rng, 1, e_below=-1e-4)[0]
-        alpha, beta, gamma = _quadratic_coeffs(p.s1, p.s2, p.R)
+        alpha, beta, gamma = quadratic(p.s1, p.s2, p.R)
         upper = ((-beta - math.sqrt(beta * beta - 4 * alpha * gamma))
                  / (2 * alpha))
         if 2.0 - upper >= 1e-2:
@@ -94,7 +93,7 @@ def criterion_9_points():
     return points
 
 
-def test_elementary_integrals_match_mpmath():
+def test_elementary_integrals_match_mpmath(paper_N):
     # Criterion 9 compares N_A and N_B with float GK15 quadrature, which is
     # itself up to 6.3e-10 off; here the reference is 40-digit mpmath on the
     # same points, and the bound measures the closed forms (measured:
@@ -102,7 +101,7 @@ def test_elementary_integrals_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(40):
-        for R, alpha, beta, gamma in criterion_9_points():
+        for R, alpha, beta, gamma in criterion_9_points(paper_N.quadratic):
             a, b, g = map(mpmath.mpf, (alpha, beta, gamma))
             root = mpmath.sqrt(b * b - 4 * a * g)
             upper, gap = (-b - root) / (2 * a), root / a
@@ -116,9 +115,9 @@ def test_elementary_integrals_match_mpmath():
 
             n_a = mpmath.quad(lambda y: 2 / mpmath.sqrt(a * (gap + y * y)),
                               [0, mpmath.sqrt(upper)])
-            worst = max(worst, abs(integral_NA(alpha, beta, gamma) - n_a))
+            worst = max(worst, abs(paper_N.A(alpha, beta, gamma) - n_a))
             for delta in (2.0, 2.0 * R):
-                worst = max(worst, abs(integral_NB(alpha, beta, gamma, delta)
+                worst = max(worst, abs(paper_N.B(alpha, beta, gamma, delta)
                                        - n_b(mpmath.mpf(delta))))
     assert worst <= 1e-12, worst
 

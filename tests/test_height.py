@@ -10,8 +10,7 @@ from semitoric import height, reduced
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, _height_kernel, case_id,
                               closed_form_F, gamma_A, gamma_B, height_both,
-                              height_closed, height_oracle, integral_NA,
-                              integral_NB)
+                              height_closed, height_oracle)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
 from semitoric.singularity import discriminant_E
@@ -33,8 +32,8 @@ def scalar_scan_oracle(label, params, tol=1e-9):
     """Reference copy of ``height_oracle`` with the per-point scalar sign
     scan it used before the scan became one array evaluation."""
     lo, hi = reduced.physical_interval(label, 0.0, params.R)
-    crit = reduced.critical_h(label, params)
     orient = 1.0 if label == "NS" else -1.0
+    crit = orient * (1 - 2 * params.s1) * (1 - 2 * params.s2)
 
     def a_of(p2):
         return reduced.reduced_A(label, 0.0, p2, params)
@@ -90,7 +89,7 @@ def mp_chart_height(mp, label, params):
     orient = 1 if label == "NS" else -1
     hi = min(2 * exact.R, 2)
     a_of, b_of = reduced.chart(label, 0.0, exact)
-    crit = reduced.critical_h(label, exact)
+    crit = orient * (1 - 2 * exact.s1) * (1 - 2 * exact.s2)
     # P_0 = B - (H_crit - A)^2 > 0 (the arccos zone) on (0, near), < 0 on
     # (near, hi): bisect for near.
     lo, up = hi * mp.mpf(10) ** -30, hi
@@ -124,15 +123,17 @@ class TestGammaPolynomials:
 
 
 class TestRootIntegrals:
-    def test_na_against_quadrature(self):
+    """The paper's N_A and N_B, held in conftest (``paper_N``)."""
+
+    def test_na_against_quadrature(self, paper_N):
         # Roots of the radicand at 1 and 2; integrate on [0, 1].
-        val = integral_NA(1.0, -3.0, 2.0)
+        val = paper_N.A(1.0, -3.0, 2.0)
         settings = QuadratureSettings(endpoint_mode="both")
         ref, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
                            0.0, 1.0, settings)
         assert abs(val - ref) < 1e-10
 
-    def test_na_scaling(self):
+    def test_na_scaling(self, paper_N):
         # N_A(k a, k b, k g) = N_A(a, b, g) / sqrt(k).
         rng = np.random.default_rng(32)
         for _ in range(50):
@@ -142,24 +143,24 @@ class TestRootIntegrals:
                 continue
             b, g = -a * (z3 + z4), a * z3 * z4
             k = rng.uniform(0.1, 10)
-            lhs = integral_NA(k * a, k * b, k * g)
-            rhs = integral_NA(a, b, g) / math.sqrt(k)
+            lhs = paper_N.A(k * a, k * b, k * g)
+            rhs = paper_N.A(a, b, g) / math.sqrt(k)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
-    def test_nb_against_quadrature(self):
+    def test_nb_against_quadrature(self, paper_N):
         cases = [(1.0, -3.0, 2.0, 5.0), (1.0, -3.0, 2.0, 3.0),
                  (2.0, -7.0, 3.0, 4.0), (1.0, -3.0, 2.0, -1.0)]
         for alpha, beta, gamma, delta in cases:
-            val = integral_NB(alpha, beta, gamma, delta)
+            val = paper_N.B(alpha, beta, gamma, delta)
             ref = _quad_NB(alpha, beta, gamma, delta)
             assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
 
-    def test_nb_limit_is_na(self):
+    def test_nb_limit_is_na(self, paper_N):
         # delta * N_B(delta) -> N_A as delta -> infinity.
         a, b, g = 1.0, -3.0, 2.0
         delta = 1e6
-        assert abs(delta * integral_NB(a, b, g, delta)
-                   - integral_NA(a, b, g)) < 1e-4
+        assert abs(delta * paper_N.B(a, b, g, delta)
+                   - paper_N.A(a, b, g)) < 1e-4
 
 
 class TestClosedForm:
@@ -211,32 +212,16 @@ class TestNonFiniteArguments:
     """Float calls raise on NaN or infinite arguments; array calls give NaN
     in those cells and the float value everywhere else."""
 
-    @staticmethod
-    def check(fn, good, bad):
-        with pytest.raises(ValueError, match="finite"):
-            fn(*bad)
-        cols = [np.array([b, g]) for b, g in zip(bad, good)]
-        with np.errstate(all="ignore"):
-            got = fn(*cols)
-        assert np.isnan(got[0]) and got[1] == fn(*good)
-
     def test_closed_form_F(self):
         good = (0.25, 0.25, 2.0)
         for bad in ((math.nan, 0.3, 2.0), (0.25, 0.25, math.inf),
                     (0.25, math.nan, 2.0), (0.25, 0.25, -math.inf)):
-            self.check(closed_form_F, good, bad)
-
-    def test_integral_NA(self):
-        good = (1.0, -3.0, 2.0)
-        for bad in ((math.nan, 1.0, 1.0), (1.0, -math.inf, 2.0),
-                    (1.0, -3.0, math.inf)):
-            self.check(integral_NA, good, bad)
-
-    def test_integral_NB(self):
-        good = (1.0, -3.0, 2.0, 5.0)
-        for bad in ((1.0, math.nan, 1.0, 5.0), (math.inf, -3.0, 2.0, 5.0),
-                    (1.0, -3.0, 2.0, math.inf), (1.0, -3.0, 2.0, math.nan)):
-            self.check(integral_NB, good, bad)
+            with pytest.raises(ValueError, match="finite"):
+                closed_form_F(*bad)
+            cols = [np.array([b, g]) for b, g in zip(bad, good)]
+            with np.errstate(all="ignore"):
+                got = closed_form_F(*cols)
+            assert np.isnan(got[0]) and got[1] == closed_form_F(*good)
 
 
 class TestCases:

@@ -8,7 +8,7 @@ import pytest
 from semitoric.model import (FIXED_POINTS, ModelParams, ParamGrid,
                              PhasePoint, apply_symmetry, fd_gradient, h_func,
                              h_grad, l_flow, l_func, l_grad, momentum_map,
-                             poisson_bracket, random_phase_point, t_params)
+                             poisson_bracket, random_phase_point)
 
 
 @pytest.fixture
@@ -51,13 +51,6 @@ class TestModelParams:
     def test_ratio_and_coupling(self, params):
         assert params.R == 2.0
         assert abs(params.coupling - (0.3 + 0.4 - 0.09 - 0.16)) < 1e-15
-
-    def test_t_coefficients(self, params):
-        t = t_params(params)
-        assert abs(t.t1 - 0.4 * 0.6) < 1e-15
-        assert abs(t.t2 - 0.4 * 0.4) < 1e-15
-        assert abs(t.t3 - 2 * params.coupling) < 1e-15
-        assert t.t4 == 0.0
 
 
 class TestPhasePoint:

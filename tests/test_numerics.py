@@ -34,12 +34,12 @@ class TestIntegrate:
         assert abs(val - 2.0) < 1e-10
 
     def test_root_quadratic_integrand(self):
-        # 1/sqrt(x^2 - 3x + 2) over [0, 1): roots at 1 and 2.
-        from semitoric.height import integral_NA
+        # 1/sqrt(x^2 - 3x + 2) over [0, 1): roots at 1 and 2, and the
+        # integral is log(3 + 2 sqrt 2) = 2 log(1 + sqrt 2).
         settings = QuadratureSettings(endpoint_mode="both")
         val, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
                            0.0, 1.0, settings)
-        assert abs(val - integral_NA(1.0, -3.0, 2.0)) < 1e-9
+        assert abs(val - 2.0 * math.log(1.0 + math.sqrt(2.0))) < 1e-9
 
     def test_nonconvergence_carries_trace(self):
         settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14,
@@ -97,6 +97,15 @@ class TestBisect:
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_requires_ordered_bracket(self):
+        # A reversed or empty bracket raises before f is called, as in
+        # ``integrate``, instead of returning its midpoint.
+        def f(x):
+            raise AssertionError("f called")
+        for a, b in ((1.0, 0.5), (0.5, 0.5), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="require a < b"):
+                find_root_bisect(f, a, b)
 
 
 class TestGolden:

@@ -109,9 +109,14 @@ class TestChart:
 
 class TestQuarticP0:
     def test_coefficients_match_direct_evaluation(self, params):
+        # P_0 = B - (H_crit - A)^2 from the chart at l = 0, with the NS
+        # critical value H_crit = (1 - 2 s1)(1 - 2 s2).
         coeffs = reduced.p0_coefficients("NS", params)
+        a_of, b_of = reduced.chart("NS", 0.0, params)
+        crit = (1 - 2 * params.s1) * (1 - 2 * params.s2)
         for p2 in np.linspace(-1.0, 5.0, 13):
-            direct = reduced.poly_P("NS", 0.0, 0.0, float(p2), params)
+            d = crit - a_of(float(p2))
+            direct = b_of(float(p2)) - d * d
             assert abs(np.polyval(coeffs, p2) - direct) < 1e-12
 
     def test_labels_share_the_quartic(self, params):
@@ -129,7 +134,8 @@ class TestQuarticP0:
             p2 = rng.uniform(0.0, 2.0 * max(1.0, R), 16)
             for label in reduced.LABELS:
                 a_of, b_of = reduced.chart(label, 0.0, p)
-                crit = reduced.critical_h(label, p)
+                crit = ((1 if label == "NS" else -1)
+                        * (1 - 2 * p.s1) * (1 - 2 * p.s2))
                 kb, kr = reduced.p0_factors(label, p)
                 b = kb * p2 ** 2 * (2 * R - p2) * (2 - p2)
                 # Roundoff of the terms of A, k and the chart's slope.
