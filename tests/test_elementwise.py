@@ -2,10 +2,10 @@
 
 Every formula that runs on floats and on a ``ParamGrid`` is written once:
 powers as products, log and atan2 through NumPy on floats too, square roots
-through ``math.sqrt`` on floats and ``np.sqrt`` on arrays.  A grid
+and copysign through ``math`` on floats and NumPy on arrays.  A grid
 cell then equals its float call bit for bit only if NumPy's functions give
 a Python float the same bits as the element of their vector loop, and if
-``math.sqrt`` equals ``np.sqrt``.  These tests check that premise on the
+``math.sqrt`` and ``math.copysign`` equal their NumPy forms.  These tests check that premise on the
 NumPy at hand, so a build that breaks it fails here by name rather than as
 a changed sweep digest.  They also pin the float path's errors: a
 non-positive log argument raises ``math.log``'s own ``ValueError``.
@@ -75,6 +75,15 @@ def test_math_sqrt_equals_np_sqrt():
     scalar = np.array([math.sqrt(x) for x in values.tolist()])
     bad = mismatches(scalar, np.sqrt(values))
     assert bad.size == 0, f"sqrt differs at {values[bad[:5]]}"
+
+
+def test_math_copysign_equals_np_copysign():
+    # The sign of kappa goes through math.copysign on floats and
+    # np.copysign on arrays; NaN and -0.0 included.
+    values = premise_values()
+    scalar = np.array([math.copysign(1.0, x) for x in values.tolist()])
+    bad = mismatches(scalar, np.copysign(1.0, values))
+    assert bad.size == 0, f"copysign differs at {values[bad[:5]]}"
 
 
 def math_log_error(x):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,31 @@ class TestClosedForm:
     @pytest.mark.parametrize("R", [1.0 + 2.0 ** -52, 2.0, 1e6])
     def test_kernel_vanishes_at_kappa_zero(self, R):
         assert _height_kernel(0.0, R) == 0.0
+
+    def test_kernel_outside_focus_focus(self):
+        # 16 R - a^2 <= 0 (or NaN): floats raise, arrays give NaN there.
+        for a, R in ((4.0, 1.0), (9.0, 2.0), (math.nan, 2.0)):
+            with pytest.raises(ValueError, match="16 R - kappa"):
+                _height_kernel(a, R)
+        with np.errstate(all="ignore"):
+            got = _height_kernel(np.array([4.0, 9.0, math.nan, 1.0]),
+                                 np.array([1.0, 2.0, 2.0, 2.0]))
+        assert np.isnan(got[:3]).all() and got[3] == _height_kernel(1.0, 2.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        # kappa^2 = 576 > 16 R: gamma_A < 0.
+        ((0.02, 0.98, 1.0), "gamma_A = -8.248e-01 <= 0"),
+        # s1 = 1/2: k = 0, case III.
+        ((0.5, 0.25, 2.0), "case III"),
+    ], ids=["gamma_A", "case_III"])
+    def test_F_undefined(self, bad, message):
+        good = (0.25, 0.25, 2.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form_F(*bad)
+        cols = [np.array([b, g]) for b, g in zip(bad, good)]
+        with np.errstate(all="ignore"):
+            got = closed_form_F(*cols)
+        assert np.isnan(got[0]) and got[1] == closed_form_F(*good)
 
     def test_antisymmetric_in_s1(self):
         rng = np.random.default_rng(33)
