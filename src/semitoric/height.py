@@ -302,7 +302,10 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     the physical interval: its lower end p2 = 0 and the roots of the
     quadratic factor (``reduced.p0_quadratic_roots``), so a narrow arccos
     zone next to p2 = 0 is never missed.  The factored form decides the
-    zone of each piece.  Raises ConsistencyError when a cut is no root of
+    zone of each piece.  An arccos piece [a, b] is integrated in t on
+    [0, pi/2] with p2 = a + (b - a) sin^2 t, which smooths the width's
+    square-root ends; one loop per GK15 panel gives width times Jacobian at
+    all 15 nodes.  Raises ConsistencyError when a cut is no root of
     kb q - (k/R)^2 or the arccos argument leaves [-1, 1].  Only the tests
     check ``p0_factors`` against ``chart``: cuts and integrand share it.
     """
@@ -339,31 +342,39 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
         cuts.append(x)
     cuts.append(hi)
 
+    outside = 2.0 * math.pi if K < 0 else 0.0
     max_excess = 0.0
 
-    def width(p2):
+    def panel(ts):  # in t, on the loop's arccos piece [a, a + w]
         nonlocal max_excess
-        q = (two_r - p2) * (2.0 - p2)
-        if q <= 0.0:
-            return 2.0 * math.pi if K < 0 else 0.0
-        ratio = K / math.sqrt(q)
-        if abs(ratio) > 1.0:
-            max_excess = max(max_excess, abs(ratio) - 1.0)
-            ratio = math.copysign(1.0, ratio)
-        return 2.0 * math.acos(ratio)
+        out = []
+        for t in ts:
+            sn, cs = math.sin(t), math.cos(t)
+            p2 = a + w * sn * sn
+            q = (two_r - p2) * (2.0 - p2)
+            if q <= 0.0:
+                v = outside
+            else:
+                ratio = K / math.sqrt(q)
+                if abs(ratio) > 1.0:
+                    max_excess = max(max_excess, abs(ratio) - 1.0)
+                    ratio = math.copysign(1.0, ratio)
+                v = 2.0 * math.acos(ratio)
+            out.append(v * 2.0 * w * sn * cs)
+        return out
 
-    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
-                                  endpoint_mode="both")
+    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
     area = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
+        w = b - a
+        if w < 1e-14:
             continue
         mid = 0.5 * (a + b)
         if kb * (two_r - mid) * (2.0 - mid) > kr2:
-            val, _ = integrate(width, a, b, settings)
+            val, _ = integrate(panel, 0.0, 0.5 * math.pi, settings)
             area += val
         else:
-            area += (2.0 * math.pi if K < 0 else 0.0) * (b - a)
+            area += outside * w
     if max_excess > 1e-8:
         raise ConsistencyError(
             f"arccos argument exceeded [-1, 1] by {max_excess:.3e}: "

@@ -1,5 +1,6 @@
 """Shared numerical kernels: adaptive quadrature, bisection, golden-section
-extremization and a quartic root solver.
+extremization and a quartic root solver.  ``integrate`` calls its integrand
+once per GK15 panel, on all 15 nodes, and maps no endpoints.
 
 ``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
 package: it is the independent reference against which acceptance
@@ -27,29 +28,21 @@ import numpy as np
 from .errors import NonconvergenceError
 
 
-# Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-# Gauss weights aligned with the odd Kronrod nodes (indices 1,3,...,13).
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+# Gauss 7 / Kronrod 15 rule on [-1, 1], symmetric about 0: the Kronrod
+# nodes below 0 with their weights, and the Gauss weights of the odd
+# Kronrod nodes (indices 1, 3, 5) below 0.
+_LEFT_NODES = [-0.991455371120813, -0.949107912342759, -0.864864423359769,
+               -0.741531185599394, -0.586087235467691, -0.405845151377397,
+               -0.207784955007898]
+_LEFT_WEIGHTS = [0.022935322010529, 0.063092092629979, 0.104790010322250,
+                 0.140653259715525, 0.169004726639267, 0.190350578064785,
+                 0.204432940075298]
+_LEFT_GAUSS = [0.129484966168870, 0.279705391489277, 0.381830050505119]
+_KRONROD_NODES = _LEFT_NODES + [0.0] + [-x for x in _LEFT_NODES[::-1]]
+_KRONROD_WEIGHTS = np.array(
+    _LEFT_WEIGHTS + [0.209482141084728] + _LEFT_WEIGHTS[::-1])
+_GAUSS_WEIGHTS = np.array(
+    _LEFT_GAUSS + [0.417959183673469] + _LEFT_GAUSS[::-1])
 
 
 @dataclass
@@ -57,23 +50,20 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    endpoint_mode: str = "none"  # none | both
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-        if self.endpoint_mode not in ("none", "both"):
-            raise ValueError(f"unknown endpoint_mode {self.endpoint_mode!r}")
 
 
 def _gk15(f, a, b):
     """Single Gauss-Kronrod panel; returns (K15 value, error estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    # f gets Python floats: arithmetic on NumPy scalars is slower.
-    fx = np.array([f(xi) for xi in (mid + half * _KRONROD_NODES).tolist()])
+    # Plain floats, not NumPy scalars, whose arithmetic is slower.
+    fx = np.array(f([mid + half * x for x in _KRONROD_NODES]))
     k15 = half * float(_KRONROD_WEIGHTS @ fx)
     g7 = half * float(_GAUSS_WEIGHTS @ fx[1::2])
     return k15, (200.0 * abs(k15 - g7)) ** 1.5
@@ -82,46 +72,40 @@ def _gk15(f, a, b):
 def integrate(f, a, b, settings: QuadratureSettings | None = None):
     """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
 
-    Returns ``(value, error_estimate)``.  With endpoint mode ``both`` the
-    integral is first mapped through x = a + (b-a) sin^2(t), which removes
-    inverse-square-root singularities at either endpoint.
+    ``f`` takes one panel's 15 Kronrod nodes as a list of floats and returns
+    their values.  Returns ``(value, error_estimate)``.  No endpoint is
+    mapped: the caller maps an inverse-square-root end away itself.  After
+    ``max_subdivisions`` splits NonconvergenceError carries the ten worst
+    panels (a, b, value, error).
     """
     if settings is None:
         settings = QuadratureSettings()
     if not a < b:
         raise ValueError("require a < b")
 
-    if settings.endpoint_mode != "none":
-        width = b - a
-
-        def g(t):
-            s, c = math.sin(t), math.cos(t)
-            return f(a + width * s * s) * 2.0 * width * s * c
-
-        inner = QuadratureSettings(settings.abs_tol, settings.rel_tol,
-                                   settings.max_subdivisions, "none")
-        return integrate(g, 0.0, 0.5 * math.pi, inner)
-
-    # Worklist of (a, b, value, error), refined worst-first.
+    # Worklist of parallel lists, refined worst-first.
     val, err = _gk15(f, a, b)
-    panels = [(a, b, val, err)]
+    los, his, vals, errs = [a], [b], [val], [err]
     n_splits = 0
     while True:
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
+        total, total_err = sum(vals), sum(errs)
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
         if total_err <= tol:
             return total, total_err
         if n_splits >= settings.max_subdivisions:
-            trace = sorted(panels, key=lambda p: -p[3])[:10]
+            trace = sorted(zip(los, his, vals, errs), key=lambda p: -p[3])[:10]
             raise NonconvergenceError(
                 f"quadrature did not converge: error {total_err:.3e} > tol "
                 f"{tol:.3e} after {n_splits} subdivisions", trace)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        pa, pb, _, _ = panels.pop(worst)
+        worst = errs.index(max(errs))
+        pa, pb = los.pop(worst), his.pop(worst)
+        del vals[worst], errs[worst]
         pm = 0.5 * (pa + pb)
-        panels.append((pa, pm, *_gk15(f, pa, pm)))
-        panels.append((pm, pb, *_gk15(f, pm, pb)))
+        (v1, e1), (v2, e2) = _gk15(f, pa, pm), _gk15(f, pm, pb)
+        los += [pa, pm]
+        his += [pm, pb]
+        vals += [v1, v2]
+        errs += [e1, e2]
         n_splits += 1
 
 

@@ -143,25 +143,30 @@ def p0_factors(label: str, params: ModelParams):
     return 4 * c * c / R ** 2, k / R
 
 
+def _p0_quadratic(label: str, params: ModelParams):
+    """(c4, c3, c2), the coefficients of the quadratic factor of P_0 =
+    p2^2 (c4 p2^2 + c3 p2 + c2), expanded from ``p0_factors``."""
+    (a4, kr), R = p0_factors(label, params), params.R
+    # a4 * p2^2 * (p2^2 - 2(R+1) p2 + 4R) - (k/R)^2 p2^2
+    return a4, -2 * (R + 1) * a4, 4 * R * a4 - kr ** 2
+
+
 def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
     """Coefficients of P_0 (l = h = 0), highest degree first, expanded from
     the factored form of ``p0_factors``."""
-    a4, kr = p0_factors(label, params)
-    R = params.R
-    # a4 * p2^2 * (p2^2 - 2(R+1) p2 + 4R) - (k/R)^2 p2^2
-    return np.array([a4, -2 * (R + 1) * a4, 4 * R * a4 - kr ** 2, 0.0, 0.0])
+    return np.array([*_p0_quadratic(label, params), 0.0, 0.0])
 
 
 def p0_quadratic_roots(label: str, params: ModelParams):
     """Roots (near, far) of the quadratic factor of P_0, or None.
 
-    P_0 = p2^2 (c4 p2^2 + c3 p2 + c2) with the coefficients of
-    ``p0_coefficients``; None when the quadratic's discriminant is negative.
+    P_0 = p2^2 (c4 p2^2 + c3 p2 + c2) with the floats of ``p0_coefficients``
+    (``_p0_quadratic``); None when the quadratic's discriminant is negative.
     c4 > 0 (the coupling vanishes only at the (s1, s2) corners) and
     c3 = -2 (R + 1) c4 < 0, so neither root loses digits to cancellation:
     far = (-c3 + sqrt(disc)) / (2 c4) and near = c2 / (c4 far).
     """
-    c4, c3, c2, _, _ = p0_coefficients(label, params).tolist()
+    c4, c3, c2 = _p0_quadratic(label, params)
     disc = c3 * c3 - 4.0 * c4 * c2
     if disc < 0.0:
         return None

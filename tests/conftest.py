@@ -97,14 +97,39 @@ def scalar_golden():
     return _scalar_minimize_golden
 
 
+def panel_integrand(f, a, b, sin2=False):
+    """``(g, lo, hi)`` such that ``numerics.integrate(g, lo, hi, settings)``
+    integrates the scalar ``f`` over (a, b): ``g`` calls ``f`` node by node
+    on each panel's list of nodes.
+
+    With ``sin2`` the integral is taken in t on [0, pi/2] through
+    x = a + (b - a) sin^2 t, which removes inverse-square-root singularities
+    at either end: g gives f(a + w s s) * 2.0 * w * s * c at s, c =
+    sin t, cos t and w = b - a, in the order of the endpoint map that
+    ``integrate`` once applied itself, so the values keep its bits.
+    """
+    if not sin2:
+        return (lambda xs: [f(x) for x in xs]), a, b
+    if not a < b:
+        raise ValueError("require a < b")
+    w = b - a
+
+    def mapped(t):
+        s, c = math.sin(t), math.cos(t)
+        return f(a + w * s * s) * 2.0 * w * s * c
+
+    return (lambda ts: [mapped(t) for t in ts]), 0.0, 0.5 * math.pi
+
+
 def _ndarray_gk15(f, a, b):
     """One Gauss-Kronrod panel exactly as ``numerics._gk15`` computed it
-    when it called ``f`` on the elements of an ndarray (NumPy scalars)."""
+    when it took its nodes from an ndarray: ``f`` gets the nodes as NumPy
+    scalars, the elements of mid + half * (the Kronrod nodes)."""
     from semitoric import numerics
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * numerics._KRONROD_NODES
-    fx = np.array([f(xi) for xi in x])
+    x = mid + half * np.array(numerics._KRONROD_NODES)
+    fx = np.array(f(list(x)))
     k15 = half * float(numerics._KRONROD_WEIGHTS @ fx)
     g7 = half * float(numerics._GAUSS_WEIGHTS @ fx[1::2])
     return k15, (200.0 * abs(k15 - g7)) ** 1.5

@@ -17,7 +17,7 @@ from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_flow,
                              random_phase_point)
 from semitoric.numerics import QuadratureSettings, integrate, quartic_roots
 
-from conftest import record_criterion
+from conftest import panel_integrand, record_criterion
 
 GRID_RS = (1.5, 2.0, 3.0, 4.0, 8.0)
 
@@ -241,8 +241,7 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
     # The paper's N_A and N_B, held test-side since the package computes
     # the height from one kernel in kappa (``paper_N`` in conftest).
     settings = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11,
-                                  max_subdivisions=4000,
-                                  endpoint_mode="both")
+                                  max_subdivisions=4000)
     worst_n = n_done = 0
     while n_done < 100:
         p = _random_ff(rng, 1, e_below=-1e-4)[0]
@@ -260,11 +259,13 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
         def q_inv(x):
             return 1.0 / math.sqrt(alpha * x * x + beta * x + gamma)
 
-        na_q, _ = integrate(q_inv, 0.0, upper, settings)
+        na_q, _ = integrate(*panel_integrand(q_inv, 0.0, upper, sin2=True),
+                            settings)
         worst_n = max(worst_n, abs(paper_N.A(alpha, beta, gamma) - na_q))
         for delta in (2.0, 2.0 * R):
-            nb_q, _ = integrate(lambda x: q_inv(x) / (delta - x),
-                                0.0, upper, settings)
+            nb_q, _ = integrate(*panel_integrand(
+                lambda x: q_inv(x) / (delta - x), 0.0, upper, sin2=True),
+                settings)
             worst_n = max(worst_n,
                           abs(paper_N.B(alpha, beta, gamma, delta) - nb_q))
     ok = worst_gamma <= 1e-12 and worst_n <= 1e-9

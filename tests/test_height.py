@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import panel_integrand
 from semitoric import height, reduced
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, _height_kernel, case_id,
@@ -21,11 +22,10 @@ def _quad_NB(alpha, beta, gamma, delta):
     # Reference for N_B = int 1/((delta - p) sqrt(alpha p^2 + beta p + gamma))
     # over [0, z3] where z3 is the smaller root of the radicand.
     z3 = (-beta - math.sqrt(beta * beta - 4 * alpha * gamma)) / (2 * alpha)
-    settings = QuadratureSettings(endpoint_mode="both",
-                                  abs_tol=1e-12, rel_tol=1e-12)
+    settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12)
     f = lambda p: 1.0 / ((delta - p)
                          * math.sqrt(alpha * p * p + beta * p + gamma))
-    val, _ = integrate(f, 0.0, z3, settings)
+    val, _ = integrate(*panel_integrand(f, 0.0, z3, sin2=True), settings)
     return val
 
 
@@ -65,18 +65,53 @@ def scalar_scan_oracle(label, params, tol=1e-9):
             return 2.0 * math.pi if d < 0 else 0.0
         return 2.0 * math.acos(max(-1.0, min(1.0, d / math.sqrt(b))))
 
-    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
-                                  endpoint_mode="both")
+    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
     area = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < 1e-14:
             continue
         mid = 0.5 * (a + b)
         if p_of(mid) > 0.0:
-            area += integrate(width, a, b, settings)[0]
+            area += integrate(*panel_integrand(width, a, b, sin2=True),
+                              settings)[0]
         else:
             const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
             area += const * (b - a)
+    return area / (2.0 * math.pi)
+
+
+def nodewise_oracle(label, params, tol=1e-9):
+    """``height_oracle`` without its checks, with the width evaluated one
+    node at a time by a scalar ``width(p2)`` and mapped through conftest's
+    sin^2 map, as the oracle did before the map moved into its panel loop."""
+    two_r = 2.0 * params.R
+    lo, hi = reduced.physical_interval(label, 0.0, params.R)
+    kb, kr = reduced.p0_factors(label, params)
+    K = (1.0 if label == "NS" else -1.0) * kr / math.sqrt(kb)
+    outside = 2.0 * math.pi if K < 0 else 0.0
+    roots = reduced.p0_quadratic_roots(label, params) or ()
+    cuts = [lo, *(x for x in roots if lo < x < hi), hi]
+
+    def width(p2):
+        q = (two_r - p2) * (2.0 - p2)
+        if q <= 0.0:
+            return outside
+        ratio = K / math.sqrt(q)
+        if abs(ratio) > 1.0:
+            ratio = math.copysign(1.0, ratio)
+        return 2.0 * math.acos(ratio)
+
+    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
+    area = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a < 1e-14:
+            continue
+        mid = 0.5 * (a + b)
+        if kb * (two_r - mid) * (2.0 - mid) > kr * kr:
+            area += integrate(*panel_integrand(width, a, b, sin2=True),
+                              settings)[0]
+        else:
+            area += outside * (b - a)
     return area / (2.0 * math.pi)
 
 
@@ -129,9 +164,9 @@ class TestRootIntegrals:
     def test_na_against_quadrature(self, paper_N):
         # Roots of the radicand at 1 and 2; integrate on [0, 1].
         val = paper_N.A(1.0, -3.0, 2.0)
-        settings = QuadratureSettings(endpoint_mode="both")
-        ref, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
-                           0.0, 1.0, settings)
+        ref, _ = integrate(*panel_integrand(
+            lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2), 0.0, 1.0,
+            sin2=True))
         assert abs(val - ref) < 1e-10
 
     def test_na_scaling(self, paper_N):
@@ -335,15 +370,14 @@ class TestHeightValues:
         # c2 = 4 R a4 - (k/R)^2 of P_0 with (k/R)^2 off by 1 %: the cut
         # moves into the arccos zone, where no other check of the oracle
         # notices (it returned h1 2.5e-6 off before the cut check).
-        true_coefficients = reduced.p0_coefficients
+        true_quadratic = reduced._p0_quadratic
 
         def shifted(label, params):
-            c = true_coefficients(label, params)
-            k2 = 4 * params.R * c[0] - c[2]
-            c[2] -= 0.01 * k2
-            return c
+            c4, c3, c2 = true_quadratic(label, params)
+            k2 = 4 * params.R * c4 - c2
+            return c4, c3, c2 - 0.01 * k2
 
-        monkeypatch.setattr(reduced, "p0_coefficients", shifted)
+        monkeypatch.setattr(reduced, "_p0_quadratic", shifted)
         for label in reduced.LABELS:
             with pytest.raises(ConsistencyError,
                                match="no root of the factored chart"):
@@ -365,6 +399,38 @@ class TestHeightValues:
             with pytest.raises(ConsistencyError,
                                match=r"arccos argument exceeded \[-1, 1\]"):
                 height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
+
+    def test_oracle_keeps_bits_of_nodewise_reference(self):
+        # The fused panel loop gives every oracle value the bits of the
+        # scalar width fed node by node through the sin^2 map: 240 seeded
+        # points in both frames, half of them with -E/(r1 r2) log-uniform
+        # down to 1e-9, at two tolerances.
+        rng = np.random.default_rng(48)
+        points = []
+        while len(points) < 240:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            s2 = float(rng.uniform(0.0, 1.0))
+            if len(points) % 2:
+                p = ModelParams(1.0, R, float(rng.uniform(0.0, 1.0)), s2)
+            else:
+                depth = math.exp(rng.uniform(math.log(1e-9), 0.0))
+
+                def excess(s1):
+                    e = discriminant_E(ModelParams(1.0, R, s1, s2))
+                    return e / R + depth
+
+                if not excess(0.0) > 0.0 > excess(0.5):
+                    continue
+                p = ModelParams(1.0, R, find_root_bisect(excess, 0.0, 0.5,
+                                                         1e-16), s2)
+            if discriminant_E(p) < 0.0:
+                points.append(p)
+        assert min(p.R for p in points) < 1.0 < max(p.R for p in points)
+        for p, label in itertools.product(points, reduced.LABELS):
+            w = ns_frame(p)
+            for tol in (1e-9, 1e-12):
+                assert (height_oracle(label, w, tol)
+                        == nodewise_oracle(label, w, tol))
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

@@ -5,71 +5,95 @@ import math
 import numpy as np
 import pytest
 
+from conftest import panel_integrand
 from semitoric import numerics
 from semitoric.errors import NonconvergenceError
 from semitoric.numerics import (QuadratureSettings, find_root_bisect,
                                 integrate, minimize_golden, quartic_roots)
 
 
+def quad(f, a, b, settings=None, sin2=False):
+    """``integrate`` of the scalar ``f`` through conftest's panel helper."""
+    return integrate(*panel_integrand(f, a, b, sin2), settings)
+
+
 class TestIntegrate:
     def test_polynomial_exactness(self):
         # Exact to 1e-13 on polynomials of degree <= 10 over [0, 1].
         for deg in range(11):
-            val, _ = integrate(lambda x, d=deg: x ** d, 0.0, 1.0)
+            val, _ = quad(lambda x, d=deg: x ** d, 0.0, 1.0)
             assert abs(val - 1.0 / (deg + 1)) < 1e-13
 
     def test_simple_square(self):
-        val, err = integrate(lambda x: x * x, 0.0, 1.0)
+        val, err = quad(lambda x: x * x, 0.0, 1.0)
         assert abs(val - 1.0 / 3.0) < 1e-12
 
     def test_inverse_sqrt_right_endpoint(self):
-        settings = QuadratureSettings(endpoint_mode="both")
-        val, _ = integrate(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0,
-                           settings)
+        val, _ = quad(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0,
+                      sin2=True)
         assert abs(val - 2.0) < 1e-10
 
     def test_inverse_sqrt_left_endpoint(self):
-        settings = QuadratureSettings(endpoint_mode="both")
-        val, _ = integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, settings)
+        val, _ = quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, sin2=True)
         assert abs(val - 2.0) < 1e-10
 
     def test_root_quadratic_integrand(self):
         # 1/sqrt(x^2 - 3x + 2) over [0, 1): roots at 1 and 2, and the
         # integral is log(3 + 2 sqrt 2) = 2 log(1 + sqrt 2).
-        settings = QuadratureSettings(endpoint_mode="both")
-        val, _ = integrate(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
-                           0.0, 1.0, settings)
+        val, _ = quad(lambda x: 1.0 / math.sqrt(x * x - 3 * x + 2),
+                      0.0, 1.0, sin2=True)
         assert abs(val - 2.0 * math.log(1.0 + math.sqrt(2.0))) < 1e-9
 
     def test_nonconvergence_carries_trace(self):
         settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14,
                                       max_subdivisions=8)
         with pytest.raises(NonconvergenceError) as exc:
-            integrate(lambda x: 1.0 / math.sqrt(abs(x - 0.3337)) if
-                      x != 0.3337 else 0.0, 0.0, 1.0, settings)
+            quad(lambda x: 1.0 / math.sqrt(abs(x - 0.3337)) if
+                 x != 0.3337 else 0.0, 0.0, 1.0, settings)
         assert exc.value.trace
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 0.0)
+            quad(lambda x: x, 1.0, 0.0)
 
-    @pytest.mark.parametrize("f, a, b, mode", [
+    def test_rule_is_gauss_kronrod(self):
+        # The mirrored half tables give the rule: K15 integrates x^d
+        # exactly up to degree 22, G7 (the odd nodes) up to degree 13.
+        x = np.array(numerics._KRONROD_NODES)
+        for d in range(23):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(numerics._KRONROD_WEIGHTS @ x ** d - exact) < 1e-14
+            if d <= 13:
+                assert abs(numerics._GAUSS_WEIGHTS @ x[1::2] ** d
+                           - exact) < 1e-14
+
+    def test_panel_nodes_are_ndarray_nodes(self):
+        # The node list of a panel in plain floats has the bits of
+        # mid + half * nodes on an ndarray.
+        rng = np.random.default_rng(36)
+        nodes = np.array(numerics._KRONROD_NODES)
+        seen = []
+        for a, b in np.sort(rng.uniform(-3.0, 3.0, (500, 2))).tolist():
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            numerics._gk15(lambda xs: seen.append(xs) or [0.0] * 15, a, b)
+            assert seen.pop() == (mid + half * nodes).tolist()
+
+    @pytest.mark.parametrize("f, a, b, sin2", [
         (lambda x: math.exp(-x) * x ** 2.5 - math.cos(3.0 * x), 0.0, 4.0,
-         "none"),
-        (lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, "both"),
+         False),
+        (lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, True),
         (lambda x: 2.0 * math.acos(max(-1.0, min(1.0, (x - 0.25) / x))),
-         0.0, 1.5, "both"),
+         0.0, 1.5, True),
     ])
     def test_panel_on_floats_equals_ndarray_panel(self, monkeypatch,
                                                   ndarray_gk15, f, a, b,
-                                                  mode):
-        # The panel hands f Python floats instead of the elements of an
-        # ndarray; every value must keep its bits.
-        settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13,
-                                      endpoint_mode=mode)
-        value = integrate(f, a, b, settings)
+                                                  sin2):
+        # The panel hands f its nodes as Python floats instead of the
+        # elements of an ndarray; every value must keep its bits.
+        settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13)
+        value = quad(f, a, b, settings, sin2)
         monkeypatch.setattr(numerics, "_gk15", ndarray_gk15)
-        assert value == integrate(f, a, b, settings)
+        assert value == quad(f, a, b, settings, sin2)
 
 
 class TestBisect:

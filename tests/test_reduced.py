@@ -193,12 +193,18 @@ class TestQuarticP0:
     ], ids=["negative-discriminant", "c1", "c0"])
     def test_chart_without_matching_roots_raises(self, monkeypatch, params,
                                                  mutate):
-        # No real quadratic roots, or no exact double root at p2 = 0.
-        true_coefficients = reduced.p0_coefficients
-        monkeypatch.setattr(
-            reduced, "p0_coefficients",
-            lambda label, params: np.array(
-                mutate(true_coefficients(label, params))))
+        # No real quadratic roots, or no exact double root at p2 = 0.  The
+        # quadratic's floats come from ``_p0_quadratic``, the rest from
+        # ``p0_coefficients``.
+        true_quadratic = reduced._p0_quadratic
+
+        def mutated(label, params):
+            return np.array(mutate([*true_quadratic(label, params), 0.0, 0.0]))
+
+        monkeypatch.setattr(reduced, "p0_coefficients", mutated)
+        monkeypatch.setattr(reduced, "_p0_quadratic",
+                            lambda label, params: tuple(
+                                mutated(label, params).tolist()[:3]))
         with pytest.raises(ConsistencyError):
             reduced.roots_P0("NS", params)
 
