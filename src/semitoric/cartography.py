@@ -9,13 +9,15 @@ straightens that band into a convex rational polygon whose vertical widths
 reproduce the Duistermaat-Heckman profile.  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
 slope 0, scaled units); the shear and cut-flip actions relate all other
-choices.  ``Polygon.width`` takes a float or an array, so the polygon's
-self-check is one comparison with the DH profile.
+choices.  ``Polygon.width`` takes a float or an array; the polygon's
+self-check is one call of it at the DH profile's knots.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,26 +226,17 @@ class Polygon:
 
 
 def _build_polygon(cuts, ff_l, R: float) -> Polygon:
-    """Assemble the canonical representative from cut signs and ff levels."""
-    la, lb = 0.0, 2.0 * R - 2.0
-    breaks = [-2.0, la, lb, 2.0 * R]
+    """Assemble the canonical representative from cut signs and ff levels,
+    whose chains have their vertices at knots of the DH profile."""
     dh = reduced.dh_function(R)
-
-    bottom_slopes = []
-    slope = 0.0
-    for left in breaks[:-1]:
-        if left == la and cuts[0] == -1:
+    ls, rho = dh.knots
+    bottom, y, slope = [(ls[0], 0.0)], 0.0, 0.0
+    for i, (l0, l1) in enumerate(zip(ls[:-1], ls[1:])):
+        if i and cuts[i - 1] == -1:  # cuts[j] belongs to interior knot j + 1
             slope += 1.0
-        if left == lb and cuts[1] == -1:
-            slope += 1.0
-        bottom_slopes.append(slope)
-
-    bottom, y = [(-2.0, 0.0)], 0.0
-    for (l0, l1), s in zip(zip(breaks[:-1], breaks[1:]), bottom_slopes):
-        y += s * (l1 - l0)
+        y += slope * (l1 - l0)
         bottom.append((l1, y))
-    bl, by = np.array(bottom).T
-    top = list(zip(bl.tolist(), (by + dh.rho(bl)).tolist()))
+    top = [(l, yb + v) for (l, yb), v in zip(bottom, rho)]
 
     def dedupe(chain):
         # Keep only genuine kinks (and both endpoints).
@@ -276,8 +269,11 @@ def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
         for s0, s1 in zip(slopes[:-1], slopes[1:]):
             if sense * (s1 - s0) < -1e-9:
                 raise ConsistencyError("polygon is not convex")
-    ls = np.linspace(*poly.domain, 41)
-    if (np.abs(poly.width(ls) - dh.rho(ls)) > WIDTH_TOL).any():
+    # A representative's vertices are knots, so width and profile are both
+    # linear between knots, and agreement there is agreement everywhere.
+    ls, rho = dh.knots
+    widths = poly.width(ls).tolist()
+    if any(abs(w - v) > WIDTH_TOL for w, v in zip(widths, rho)):
         raise ConsistencyError("polygon width disagrees with the "
                                "Duistermaat-Heckman profile")
 
@@ -301,15 +297,17 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     if nff == 2:
         if tuple(cuts) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValueError(f"cuts must be signs, got {cuts!r}")
-        return _build_polygon(tuple(cuts), reduced.ff_levels(R), R)
+        cuts = tuple(map(int, cuts))  # (True, 1.0) is stored as (1, 1)
+        return _build_polygon(cuts, reduced.ff_levels(R), R)
     same_side = (work.s1 - 0.5) * (work.s2 - R / (R + 1.0)) > 0
     return _build_polygon((1, -1) if same_side else (-1, 1), (), R)
 
 
 def act_shear(poly: Polygon, k: int) -> Polygon:
     """Integer shear (l, y) -> (l, y + k (l + 2)) about the left corner."""
-    if k != int(k):
-        raise ValueError("shear parameter must be an integer")
+    if not isinstance(k, numbers.Integral) or abs(k) > sys.float_info.max:
+        raise ValueError(f"shear parameter k must be an integer within the "
+                         f"float range, got {k!r}")
 
     def sheared(chain):
         return tuple((l, y + k * (l + 2.0)) for l, y in chain)
@@ -320,9 +318,9 @@ def act_shear(poly: Polygon, k: int) -> Polygon:
 
 def act_flip_cut(poly: Polygon, which: int, params: ModelParams) -> Polygon:
     """Representative with the cut direction at focus-focus point ``which``
-    (1 or 2) negated."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+    (the integer 1 or 2) negated."""
+    if not isinstance(which, numbers.Integral) or which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
     if not poly.ff_l:
         raise ValueError("polygon has no cuts to flip")
     new_cuts = list(poly.cuts)

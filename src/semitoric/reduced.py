@@ -222,30 +222,33 @@ class DHFunction:
 
     ``breakpoints`` is a list of (l, slope-after) pairs; the profile is zero
     at both ends of ``domain`` and the slope drops by one at each interior
-    breakpoint (the focus-focus levels).
+    breakpoint (the focus-focus levels); it is linear between its ``knots``.
     """
 
     breakpoints: tuple
     domain: tuple
 
-    def rho(self, l):
-        """The profile at ``l``, a float or an array (NaN is outside).
+    @property
+    def knots(self):
+        """(ls, values): the knots, left to right, and the profile there."""
+        lo, hi = self.domain
+        ls = [lo] + [bp[0] for bp in self.breakpoints[1:]] + [hi]
+        values = [0.0]
+        for (_, slope), x0, x1 in zip(self.breakpoints, ls, ls[1:]):
+            values.append(values[-1] + slope * (x1 - x0))
+        return ls, values
 
-        ``np.interp`` over the knot values of a segment-by-segment sum from
-        zero; its slopes are exactly 1, 0 and -1 (the last by Sterbenz), so
-        every value has the bits of that sum.
-        """
+    def rho(self, l):
+        """The profile at ``l``, a float or an array (NaN is outside), by
+        ``np.interp`` over the knots: its slopes are exactly 1, 0 and -1 (the
+        last by Sterbenz), so every value has the bits of the knots' sum."""
         lo, hi = self.domain
         x = np.asarray(l, dtype=float)
         inside = (lo <= x) & (x <= hi)
         if not inside.all():
             raise ValueError(f"l = {x[~inside][0]} outside domain "
                              f"{self.domain}")
-        knots = [lo] + [bp[0] for bp in self.breakpoints[1:]] + [hi]
-        values = [0.0]
-        for (_, slope), x0, x1 in zip(self.breakpoints, knots, knots[1:]):
-            values.append(values[-1] + slope * (x1 - x0))
-        y = np.interp(x, knots, values)
+        y = np.interp(x, *self.knots)
         return float(y) if y.ndim == 0 else y
 
     def slope_jump(self, l: float) -> float:
@@ -265,11 +268,10 @@ def dh_function(R: float) -> DHFunction:
         breakpoints=((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0)),
         domain=(-2.0, 2.0 * R),
     )
-    # Verify against the physical-interval length on a coarse grid.
-    ls = np.linspace(-2.0, 2.0 * R, 33)
-    length = np.minimum(2.0 * R, ls + 2.0) - np.maximum(0.0, ls)
-    if (np.abs(dh.rho(ls) - length) > 1e-12).any():
-        raise ConsistencyError("DH profile disagrees with interval length")
+    # Both are linear between the knots, so this checks the whole domain.
+    for l, value in zip(*dh.knots):
+        if abs(value - (min(2.0 * R, l + 2.0) - max(0.0, l))) > 1e-12:
+            raise ConsistencyError("DH profile disagrees with interval length")
     return dh
 
 

@@ -166,6 +166,46 @@ def loop_rho():
     return _loop_rho
 
 
+def _dense_dh_check(dh, R):
+    """The DH profile's self-check as it was made on a 33-point grid: the
+    profile against the interval length min(2R, l + 2) - max(0, l)."""
+    from semitoric.errors import ConsistencyError
+
+    ls = np.linspace(-2.0, 2.0 * R, 33)
+    length = np.minimum(2.0 * R, ls + 2.0) - np.maximum(0.0, ls)
+    if (np.abs(dh.rho(ls) - length) > 1e-12).any():
+        raise ConsistencyError("DH profile disagrees with interval length")
+
+
+def _dense_polygon_check(poly, dh):
+    """The polygon's self-check as it was made on a 41-point grid: integer
+    edge slopes, convex chains and the width against the DH profile."""
+    from semitoric.cartography import WIDTH_TOL
+    from semitoric.errors import ConsistencyError
+
+    for chain, sense in ((poly.bottom, 1.0), (poly.top, -1.0)):
+        slopes = [(y1 - y0) / (l1 - l0)
+                  for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:])]
+        for s in slopes:
+            if abs(s - round(s)) > 1e-9:
+                raise ConsistencyError(f"non-integer edge slope {s}")
+        for s0, s1 in zip(slopes[:-1], slopes[1:]):
+            if sense * (s1 - s0) < -1e-9:
+                raise ConsistencyError("polygon is not convex")
+    ls = np.linspace(*poly.domain, 41)
+    if (np.abs(poly.width(ls) - dh.rho(ls)) > WIDTH_TOL).any():
+        raise ConsistencyError("polygon width disagrees with the "
+                               "Duistermaat-Heckman profile")
+
+
+@pytest.fixture(scope="session")
+def dense_checks():
+    """References for the knot self-checks: ``dh(dh, R)`` and
+    ``polygon(poly, dh)`` raise ``ConsistencyError`` where the checks on
+    dense grids did, and return None otherwise."""
+    return SimpleNamespace(dh=_dense_dh_check, polygon=_dense_polygon_check)
+
+
 def _paper_terms(s1, s2, R):
     """alpha, beta, gamma of the quadratic under the root and the partial-
     fraction weights v1, v2, v3 of the closed form, as the paper writes them

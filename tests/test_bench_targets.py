@@ -60,3 +60,34 @@ def test_traced_oracle_op_keeps_its_output():
     assert calls["height.height_oracle"] == 2
     assert calls["numerics.integrate.f_calls"] > 0
     assert height.integrate is numerics.integrate
+
+
+def test_traced_chart_op_keeps_its_output():
+    # The benchmark's chart op at a focus-focus point: every polygon
+    # representative builds its own DH profile through reduced.dh_function.
+    tracing = load_tracing()
+    for qual, _ in tracing.TARGETS:
+        importlib.import_module(f"{tracing.PACKAGE}.{qual.rsplit('.', 1)[0]}")
+    from semitoric import cartography, model, singularity
+
+    p = model.ModelParams(1.0, 2.0, 0.3, 0.45)
+    assert singularity.n_ff(p) == 2
+
+    def chart_op():
+        return (cartography.image_boundary(p, 64),
+                [cartography.polygon_representative(p, cuts)
+                 for cuts in ((1, 1), (1, -1), (-1, 1), (-1, -1))],
+                singularity.check_semitoric(p, 20),
+                singularity.classify_fixed_points(p))
+
+    plain = chart_op()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = chart_op()
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.totals()
+    assert traced == plain
+    assert calls["cartography.polygon_representative"] == 4
+    assert calls["reduced.dh_function"] >= 1

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitoric import reduced
+from semitoric import cartography, reduced
 from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
                                    _assert_polygon, _critical_points,
                                    _envelope_candidates, act_flip_cut,
@@ -21,6 +21,7 @@ from semitoric.singularity import discriminant_E
 
 
 FF_PARAMS = ModelParams(1.0, 2.0, 0.5, 0.5)
+ALL_CUTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def flood_fill_cuts(params, grid_n=257):
@@ -182,6 +183,13 @@ class TestPolygonVertices:
         with pytest.raises(ValueError):
             polygon_representative(FF_PARAMS, (0, 1))
 
+    def test_cuts_stored_as_int_signs(self):
+        for given, cuts in (((True, True), (1, 1)), ((1.0, -1.0), (1, -1)),
+                            ((np.int64(-1), 1), (-1, 1))):
+            poly = polygon_representative(FF_PARAMS, given)
+            assert [type(c) for c in poly.cuts] == [int, int]
+            assert poly == polygon_representative(FF_PARAMS, cuts)
+
     def test_self_check_rejects_non_convex_polygon(self):
         # Bottom slopes 1 then 0 bend the wrong way; widths match rho.
         dh = dh_function(2.0)
@@ -191,6 +199,68 @@ class TestPolygonVertices:
                        (0.0, 2.0), bottom, top)
         with pytest.raises(ConsistencyError, match="not convex"):
             _assert_polygon(poly, dh)
+
+
+def outcome(check, *args):
+    """None when ``check(*args)`` returns, else its ConsistencyError's
+    message."""
+    try:
+        check(*args)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+class TestKnotSelfChecks:
+    """The self-checks of ``dh_function`` and ``_assert_polygon`` at the
+    knots of the DH profile against the dense-grid checks they replaced
+    (``dense_checks``)."""
+
+    def test_agree_with_dense_checks(self, monkeypatch, dense_checks):
+        # R - 1 log-uniform on [1e-15, 1e20], with the ends, 2^53 (the
+        # largest R at which 2R - 2 is two below 2R in floats) and 1e16.
+        rng = np.random.default_rng(20261019)
+        ratios = [1.0 + 1e-15, 2.0 ** 53, 1e16, 1e20] + [
+            1.0 + 10.0 ** u for u in rng.uniform(-15.0, 20.0, 400)]
+        unchecked = []
+        monkeypatch.setattr(cartography, "_assert_polygon",
+                            lambda poly, dh: unchecked.append(poly))
+        raised = 0
+        for R in ratios:
+            # The profile as dh_function builds it, before its check.
+            dh = reduced.DHFunction(
+                ((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0)),
+                (-2.0, 2.0 * R))
+            knot = outcome(dh_function, R)
+            assert knot == outcome(dense_checks.dh, dh, R), R
+            if knot is not None:
+                raised += 1
+                continue
+            assert dh_function(R) == dh
+            for cuts in ALL_CUTS:
+                unchecked.clear()
+                cartography._build_polygon(cuts, (), R)
+                (poly,) = unchecked
+                assert (outcome(_assert_polygon, poly, dh)
+                        == outcome(dense_checks.polygon, poly, dh)), (R, cuts)
+        assert 0 < raised < len(ratios)
+
+    @pytest.mark.parametrize("cuts", ALL_CUTS)
+    def test_rejects_top_shift_at_each_knot(self, cuts, dense_checks):
+        # A top vertex moved up by 1e-10 at each knot, added to the chain
+        # where the top is straight there.
+        R = 2.5
+        dh = dh_function(R)
+        poly = polygon_representative(ModelParams(1.0, R, 0.5, 0.5), cuts)
+        _assert_polygon(poly, dh)
+        for l in dh.knots[0]:
+            top = dict(poly.top)
+            top[l] = float(np.interp(l, *zip(*poly.top))) + 1e-10
+            moved = dataclasses.replace(poly, top=tuple(sorted(top.items())))
+            for check in (_assert_polygon, dense_checks.polygon):
+                with pytest.raises(ConsistencyError,
+                                   match="Duistermaat-Heckman"):
+                    check(moved, dh)
 
 
 class TestToricType:
@@ -285,6 +355,20 @@ class TestGroupActions:
         poly = polygon_representative(FF_PARAMS, (1, -1))
         back = act_flip_cut(act_flip_cut(poly, 1, FF_PARAMS), 1, FF_PARAMS)
         assert back == poly
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1.0, 1.5])
+    def test_actions_reject_non_integers(self, bad):
+        poly = polygon_representative(FF_PARAMS)
+        with pytest.raises(ValueError, match="shear parameter k"):
+            act_shear(poly, bad)
+        with pytest.raises(ValueError, match="which"):
+            act_flip_cut(poly, bad, FF_PARAMS)
+
+    def test_shear_integer_types(self):
+        poly = polygon_representative(FF_PARAMS)
+        assert act_shear(poly, np.int64(3)) == act_shear(poly, 3)
+        with pytest.raises(ValueError, match="shear parameter k"):
+            act_shear(poly, 10 ** 400)
 
     def test_flip_requires_cuts(self):
         poly = polygon_representative(ModelParams(1, 2, 0.0, 0.0))

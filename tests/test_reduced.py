@@ -217,6 +217,10 @@ class TestDHProfile:
                 lo, hi = reduced.physical_interval("NS", float(l), R)
                 assert abs(dh.rho(float(l)) - (hi - lo)) < 1e-12
 
+    def test_knots(self):
+        assert reduced.dh_function(2.5).knots == ([-2.0, 0.0, 3.0, 5.0],
+                                                  [0.0, 2.0, 2.0, 0.0])
+
     def test_slope_jumps_at_ff_levels(self):
         dh = reduced.dh_function(2.0)
         for l in reduced.ff_levels(2.0):
