@@ -66,13 +66,12 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     r1, R = params.r1, params.R
     ls = np.linspace(-2.0, 2.0 * R, n + 1)
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
-    a_of, b_of = reduced.chart("NS", ls, params)
-    h_min = a_of(lo, np.arange(ls.size))  # kept on levels narrower than 1e-12
+    h_min = reduced.chart("NS", ls, params)[0](lo)  # kept on narrow levels
     h_max = h_min.copy()
     wide = np.flatnonzero(~(hi - lo < 1e-12))
     p2 = _envelope_candidates(params, ls[wide], lo[wide], hi[wide])
-    rows = np.broadcast_to(wide[:, None], p2.shape)
-    a, b = a_of(p2, rows), b_of(p2, rows)
+    a_of, b_of = reduced.chart("NS", ls[wide, None], params)
+    a, b = a_of(p2), b_of(p2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
     h_min[wide] = (a - root_b).min(axis=1)
     h_max[wide] = (a + root_b).max(axis=1)
@@ -105,13 +104,13 @@ def _envelope_candidates(params: ModelParams, l, lo, hi):
     coupling below about 1e-150 (kb subnormal) only makes c large: the
     critical points move next to an end and stay finite.
     """
-    slope, kb, roots = reduced.chart_factors("NS", l, params)
+    slope, kb, m = reduced.chart_factors("NS", l, params)
     ends = np.stack([lo, hi], axis=1)
     if kb == 0.0:
         return ends
     w = hi - lo
-    rho_l = (np.minimum(roots[:, 0], roots[:, 1]) - lo) / w
-    rho_r = (np.maximum(roots[:, 2], roots[:, 3]) - lo) / w
+    rho_l = (np.minimum(0.0, m) - lo) / w
+    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
     t, _ = _critical_points(rho_l, rho_r, slope / (math.sqrt(kb) * w))
     p2 = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
     return np.concatenate([p2, ends], axis=1)
@@ -295,10 +294,14 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     R = work.R
     nff = n_ff(work)  # raises on the degenerate band
     if nff == 2:
-        if tuple(cuts) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        try:
+            signs = tuple(cuts)
+        except TypeError:  # not iterable, e.g. 1 or None
+            signs = None
+        if signs not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValueError(f"cuts must be signs, got {cuts!r}")
-        cuts = tuple(map(int, cuts))  # (True, 1.0) is stored as (1, 1)
-        return _build_polygon(cuts, reduced.ff_levels(R), R)
+        signs = tuple(map(int, signs))  # (True, 1.0) is stored as (1, 1)
+        return _build_polygon(signs, reduced.ff_levels(R), R)
     same_side = (work.s1 - 0.5) * (work.s2 - R / (R + 1.0)) > 0
     return _build_polygon((1, -1) if same_side else (-1, 1), (), R)
 

@@ -150,10 +150,10 @@ class PhasePoint:
                    rho2 * math.cos(theta2), rho2 * math.sin(theta2), z2)
 
 
-NORTH_NORTH = PhasePoint(0, 0, 1, 0, 0, 1)
-NORTH_SOUTH = PhasePoint(0, 0, 1, 0, 0, -1)
-SOUTH_NORTH = PhasePoint(0, 0, -1, 0, 0, 1)
-SOUTH_SOUTH = PhasePoint(0, 0, -1, 0, 0, -1)
+NORTH_NORTH = PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+NORTH_SOUTH = PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+SOUTH_NORTH = PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, 1.0)
+SOUTH_SOUTH = PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, -1.0)
 
 FIXED_POINTS = {
     "NN": NORTH_NORTH,
@@ -196,7 +196,7 @@ def h_grad(v, params: ModelParams) -> np.ndarray:
 
 def momentum_map(p: PhasePoint, params: ModelParams) -> MomentumValue:
     """Momentum-map value (L, H) at a phase point."""
-    v = p.as_array()
+    v = (p.x1, p.y1, p.z1, p.x2, p.y2, p.z2)
     return MomentumValue(l_func(v, params), h_func(v, params))
 
 

@@ -10,15 +10,15 @@ interval starts at p2 = 0.
 
 ``chart(label, l, params)`` is the one place where A_l and B_l are written
 down.  It computes the p2-independent coefficients of a level once and
-returns A_l and B_l as functions of p2 that take a float or a NumPy array;
-an array is evaluated with the same operations in the same order as a
-float, so both give the same bits.  The level may be an array as well, so
-that one call serves every level of the image envelope.  ``chart_factors``
-gives the same chart in factored form (the slope of A_l, the leading
-coefficient of B_l and its four roots) from the same terms, for the
-envelope's critical points.  ``reduced_A`` and ``reduced_B`` are scalar
-conveniences over ``chart``.  ``DHFunction.rho`` also takes a float or an
-array.
+returns A_l and B_l as functions of p2.  The level and p2 broadcast as
+NumPy arrays do: a float level takes a float or an array of p2, and a
+column of levels takes one row of p2 per level.  Every element is
+evaluated with the same operations in the same order as a float call, so
+all of them give the same bits.  ``chart_factors`` gives the same chart in
+factored form (the slope of A_l, the leading coefficient of B_l and m, the
+level's root of B_l) from the same terms, for the envelope's critical
+points.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
+``chart``.  ``DHFunction.rho`` also takes a float or an array.
 """
 
 from __future__ import annotations
@@ -61,46 +61,36 @@ def _chart_terms(label: str, l, params: ModelParams):
     return ka, slope, base, m, kb
 
 
-def chart(label: str, l: float, params: ModelParams):
+def chart(label: str, l, params: ModelParams):
     """The reduced chart at level offset ``l`` as a pair of functions (A, B).
 
     A(p2) is the polynomial part A_l(p2) of the reduced Hamiltonian and
     B(p2) the radicand B_l(p2), non-negative exactly on the physical region.
-    Both accept a float or an array of p2 values.  For an array of levels
-    ``l`` they are A(p2, rows) and B(p2, rows) instead, where ``rows``, an
-    int array of p2's shape, gives the index into ``l`` of each p2 value.
+    ``l`` and ``p2`` broadcast: a float or an array of either, for example
+    a column of levels against one row of p2 values per level.
     """
     ka, slope, base, m, kb = _chart_terms(label, l, params)
     two_r = 2 * params.R
 
-    # The level's coefficients are default arguments, so that the per-row
-    # functions below evaluate the same formulas with each point's level.
-    def A(p2, base=base):
+    def A(p2):
         return ka * (base + p2 * slope)
 
-    def B(p2, m=m):
+    def B(p2):
         # Left to right, as written: folding m + 2 would change the bits.
         return kb * p2 * (p2 - m) * (p2 - two_r) * (p2 - m - 2)
 
-    if not isinstance(l, np.ndarray):
-        return A, B
-    return (lambda p2, rows: A(p2, base[rows]),
-            lambda p2, rows: B(p2, m[rows]))
+    return A, B
 
 
 def chart_factors(label: str, l, params: ModelParams):
-    """(dA, kb, roots): the chart at level offset ``l`` in factored form.
+    """(dA, kb, m): the chart at level offset ``l`` in factored form.
 
-    A_l is linear in p2 with slope dA, and B_l(p2) = kb (p2 - r_0) (p2 - r_1)
-    (p2 - r_2) (p2 - r_3) with roots (0, m, 2R, m + 2), m = l for NS and -l
-    for SN.  The roots are stacked on a last axis of length 4, after the
-    shape of ``l`` (a float or an array of levels).
+    A_l is linear in p2 with slope dA, and B_l(p2) = kb p2 (p2 - m)
+    (p2 - 2R) (p2 - m - 2), with m = l for NS and -l for SN in the shape of
+    ``l`` (a float or an array of levels).
     """
     ka, slope, _, m, kb = _chart_terms(label, l, params)
-    m = np.asarray(m, dtype=float)
-    roots = np.stack(np.broadcast_arrays(0.0, m, 2.0 * params.R, m + 2.0),
-                     axis=-1)
-    return ka * slope, kb, roots
+    return ka * slope, kb, m
 
 
 def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:
@@ -191,8 +181,8 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
 
     zeta_{3,4} = 1 + R -/+ sqrt(gamma_B) / (2 c), cross-checked to 1e-9
     against the roots of the quadratic factor of the chart's P_0
-    (``p0_quadratic_roots``); the double root 0 is checked as the vanishing
-    of the chart's two lowest coefficients.
+    (``p0_quadratic_roots``); the double root 0 is the factor p2^2 of that
+    P_0.
     """
     from .height import gamma_B  # local import to avoid a module cycle
 
@@ -204,15 +194,12 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     half_span = np.sqrt(gamma_B(s1, s2, R)) / (2 * c)
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
-    c1, c0 = p0_coefficients(label, params).tolist()[3:]
     chart = p0_quadratic_roots(label, params)
-    if (c1 != 0.0 or c0 != 0.0 or chart is None
-            or not (abs(chart[0] - z3) <= 1e-9
-                    and abs(chart[1] - z4) <= 1e-9)):
+    if (chart is None or not (abs(chart[0] - z3) <= 1e-9
+                              and abs(chart[1] - z4) <= 1e-9)):
         raise ConsistencyError(
-            f"closed-form roots (0, 0, {z3}, {z4}) disagree with the chart's "
-            f"P_0 = p2^2 (c4 p2^2 + c3 p2 + c2): c1, c0 = {c1}, {c0}, "
-            f"quadratic roots {chart}")
+            f"closed-form roots {z3}, {z4} disagree with the roots {chart} of "
+            f"the quadratic factor of the chart's P_0")
     return QuarticRoots(0.0, 0.0, z3, z4, all_real=True)
 
 

@@ -179,13 +179,15 @@ class TestPolygonVertices:
                     assert abs(poly.width(float(l))
                                - dh.rho(float(l))) < 1e-12
 
-    def test_rejects_bad_cuts(self):
-        with pytest.raises(ValueError):
-            polygon_representative(FF_PARAMS, (0, 1))
+    @pytest.mark.parametrize("cuts", [(0, 1), 1, None], ids=repr)
+    def test_rejects_bad_cuts(self, cuts):
+        with pytest.raises(ValueError, match="cuts"):
+            polygon_representative(FF_PARAMS, cuts)
 
     def test_cuts_stored_as_int_signs(self):
         for given, cuts in (((True, True), (1, 1)), ((1.0, -1.0), (1, -1)),
-                            ((np.int64(-1), 1), (-1, 1))):
+                            ((np.int64(-1), 1), (-1, 1)),
+                            (iter((-1, -1)), (-1, -1))):
             poly = polygon_representative(FF_PARAMS, given)
             assert [type(c) for c in poly.cuts] == [int, int]
             assert poly == polygon_representative(FF_PARAMS, cuts)
@@ -441,10 +443,9 @@ def dense_envelope(params, n, m=2001):
     ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * params.R)
     p2 = np.linspace(lo, hi, m, axis=1)
-    rows = np.broadcast_to(np.arange(ls.size)[:, None], p2.shape)
-    a_of, b_of = reduced.chart("NS", ls, params)
-    a = a_of(p2, rows)
-    root_b = np.sqrt(np.maximum(b_of(p2, rows), 0.0))
+    a_of, b_of = reduced.chart("NS", ls[:, None], params)
+    a = a_of(p2)
+    root_b = np.sqrt(np.maximum(b_of(p2), 0.0))
     return (a - root_b).min(axis=1), (a + root_b).max(axis=1), hi - lo >= 1e-12
 
 
@@ -552,11 +553,10 @@ class TestImageBoundary:
         assert (samples[wide, 2] >= h_max[wide] - tol).all()
         # Levels narrower than 1e-12 are A at the left end, on both sides.
         ls = np.linspace(-2.0, 2.0 * p.R, n + 1)
-        a_of, _ = reduced.chart("NS", ls, p)
         narrow = np.flatnonzero(~wide)
-        lo = np.maximum(ls[narrow], 0.0)
+        a_of, _ = reduced.chart("NS", ls[narrow], p)
         assert narrow.size >= 2
-        assert (samples[narrow, 1] == a_of(lo, narrow)).all()
+        assert (samples[narrow, 1] == a_of(np.maximum(ls[narrow], 0.0))).all()
         assert (samples[narrow, 2] == samples[narrow, 1]).all()
 
     def test_seeded_points_never_narrower_than_dense_sampling(self):
@@ -649,10 +649,10 @@ def wide_levels(params, n, extra=()):
 def solve_levels(params, l, lo, hi):
     """(rho_l, rho_r, c) of each level for ``_critical_points``: B's roots
     outside [lo, hi] and A's slope in t = (p2 - lo) / (hi - lo)."""
-    slope, kb, roots = reduced.chart_factors("NS", l, params)
+    slope, kb, m = reduced.chart_factors("NS", l, params)
     w = hi - lo
-    rho_l = (np.minimum(roots[:, 0], roots[:, 1]) - lo) / w
-    rho_r = (np.maximum(roots[:, 2], roots[:, 3]) - lo) / w
+    rho_l = (np.minimum(0.0, m) - lo) / w
+    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
     return rho_l, rho_r, slope / (math.sqrt(kb) * w)
 
 
@@ -699,10 +699,9 @@ class TestEnvelopeLemma:
     def test_single_extreme_per_side(self, p):
         l, lo, hi = wide_levels(p, 64, [0.0, 2.0 * p.R - 2.0])
         p2 = np.linspace(lo, hi, 2001, axis=1)
-        rows = np.broadcast_to(np.arange(l.size)[:, None], p2.shape)
-        a_of, b_of = reduced.chart("NS", l, p)
-        a = a_of(p2, rows)
-        root_b = np.sqrt(np.maximum(b_of(p2, rows), 0.0))
+        a_of, b_of = reduced.chart("NS", l[:, None], p)
+        a = a_of(p2)
+        root_b = np.sqrt(np.maximum(b_of(p2), 0.0))
         tol = chart_rtol(p) * max(1.0, float(np.abs(a).max() + root_b.max()))
         for h in (a + root_b, -(a - root_b)):
             # Once a side has fallen by more than rounding, it never rises

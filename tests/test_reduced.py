@@ -1,5 +1,7 @@
 """Reduced one-degree-of-freedom models, their quartic and the DH profile."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ class TestChart:
                 scalar = np.array([f(float(x)) for x in grid])
                 assert f(grid).tobytes() == scalar.tobytes()
 
+    def test_column_of_levels_equals_float_levels(self):
+        # A column of levels against its own row of p2 per level gives, bit
+        # for bit, the float chart of each level at each float p2.
+        rng = np.random.default_rng(47)
+        for (label, params), cases in itertools.groupby(
+                chart_cases(), key=lambda case: (case[0], case[2])):
+            ls, grids = zip(*((l, grid) for _, l, _, grid in cases))
+            p2 = np.stack([rng.permutation(g) for g in grids])
+            column = reduced.chart(label, np.array(ls)[:, None], params)
+            floats = [reduced.chart(label, l, params) for l in ls]
+            for i, f in enumerate(column):
+                scalar = np.array([[fl[i](float(x)) for x in row]
+                                   for fl, row in zip(floats, p2)])
+                assert f(p2).tobytes() == scalar.tobytes()
+
     def test_rejects_unknown_label(self, params):
         with pytest.raises(ValueError):
             reduced.chart("XX", 0.0, params)
@@ -187,24 +204,16 @@ class TestQuarticP0:
                 reduced.roots_P0(label, params)
 
     @pytest.mark.parametrize("mutate", [
-        lambda c: [c[0], c[1], c[1] ** 2 / (4 * c[0]) * 1.001, 0.0, 0.0],
-        lambda c: [c[0], c[1], c[2], 1e-12, 0.0],
-        lambda c: [c[0], c[1], c[2], 0.0, 1e-300],
-    ], ids=["negative-discriminant", "c1", "c0"])
+        lambda c: (c[0], c[1], c[1] ** 2 / (4 * c[0]) * 1.001),
+    ], ids=["negative-discriminant"])
     def test_chart_without_matching_roots_raises(self, monkeypatch, params,
                                                  mutate):
-        # No real quadratic roots, or no exact double root at p2 = 0.  The
-        # quadratic's floats come from ``_p0_quadratic``, the rest from
-        # ``p0_coefficients``.
+        # No real roots of the quadratic factor, whose floats come from
+        # ``_p0_quadratic``.
         true_quadratic = reduced._p0_quadratic
-
-        def mutated(label, params):
-            return np.array(mutate([*true_quadratic(label, params), 0.0, 0.0]))
-
-        monkeypatch.setattr(reduced, "p0_coefficients", mutated)
         monkeypatch.setattr(reduced, "_p0_quadratic",
-                            lambda label, params: tuple(
-                                mutated(label, params).tolist()[:3]))
+                            lambda label, params: mutate(
+                                true_quadratic(label, params)))
         with pytest.raises(ConsistencyError):
             reduced.roots_P0("NS", params)
 

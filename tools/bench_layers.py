@@ -12,10 +12,8 @@ three, one per quantity).
 - ``oracle``: focus-focus points outside the bands -E <= 1e-2 r1 r2 and
   |case-III factor| <= 1e-3 that the benchmark leaves out; the op is
   ``height_both`` plus ``roots_P0`` for both labels.  The ``integrate``
-  row integrates one arccos zone; it calls a scalar integrand through
-  ``endpoint_mode="both"`` on checkouts whose ``integrate`` still has it,
-  and a panel integrand with the sin^2 map in its loop otherwise, so that
-  ``--parent`` works across the change of contract.
+  row integrates one arccos zone through a panel integrand with the sin^2
+  map in its loop.
 - ``chart``: focus-focus and toric points outside the degeneracy band
   |E| <= 1e-10 r1 r2; the op is ``image_boundary(64)``, the polygon
   representatives (all four cuts, or the one toric shape),
@@ -89,35 +87,23 @@ def oracle_layers(n):
                 and abs(factor) > 1e-3)
 
     # An arccos zone of the oracle: the width 2 acos(1 - 2x/R) from 1 down
-    # to -1 on [0, R], integrated in t with x = R sin^2 t.
-    if "endpoint_mode" in numerics.QuadratureSettings.__dataclass_fields__:
-        # Earlier checkouts: integrate maps the endpoints itself and calls
-        # a scalar integrand once per node.
-        settings = numerics.QuadratureSettings(
-            abs_tol=5e-10, rel_tol=5e-10, endpoint_mode="both")
+    # to -1 on [0, R], integrated in t with x = R sin^2 t, one integrand
+    # call per GK15 panel.
+    settings = numerics.QuadratureSettings(abs_tol=5e-10, rel_tol=5e-10)
 
-        def arccos_zone(p):
-            return numerics.integrate(
-                lambda x: 2.0 * math.acos(1.0 - 2.0 * x / p.R), 0.0, p.R,
-                settings)
-    else:
-        # One integrand call per GK15 panel, with the map in its loop (the
-        # values keep the bits of the per-node form above).
-        settings = numerics.QuadratureSettings(abs_tol=5e-10, rel_tol=5e-10)
+    def arccos_zone(p):
+        w = p.R
 
-        def arccos_zone(p):
-            w = p.R
+        def panel(ts):
+            out = []
+            for t in ts:
+                s, c = math.sin(t), math.cos(t)
+                x = w * s * s
+                v = 2.0 * math.acos(1.0 - 2.0 * x / p.R)
+                out.append(v * 2.0 * w * s * c)
+            return out
 
-            def panel(ts):
-                out = []
-                for t in ts:
-                    s, c = math.sin(t), math.cos(t)
-                    x = w * s * s
-                    v = 2.0 * math.acos(1.0 - 2.0 * x / p.R)
-                    out.append(v * 2.0 * w * s * c)
-                return out
-
-            return numerics.integrate(panel, 0.0, 0.5 * math.pi, settings)
+        return numerics.integrate(panel, 0.0, 0.5 * math.pi, settings)
 
     def oracle_op(p):
         return (height.height_both(p), reduced.roots_P0("NS", p),
@@ -287,19 +273,24 @@ def summary(samples):
 
 
 def checkout_label(src: Path) -> str:
-    """The short git commit of the checkout that holds ``src``, or the
+    """The short git commit of the checkout that holds ``src``, with
+    ``-dirty`` appended when ``src`` has uncommitted changes, or the
     resolved path of ``src`` when that is no git checkout (a copy made with
     ``git archive`` or ``cp``).  A parent made with ``git clone`` gets its
     commit label."""
-    try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             cwd=src, capture_output=True, text=True,
-                             timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        out = None
-    if out is not None and out.returncode == 0:
-        return out.stdout.strip()
-    return str(src.resolve())
+    def git(*args):
+        try:
+            out = subprocess.run(["git", *args], cwd=src, capture_output=True,
+                                 text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if commit is None:
+        return str(src.resolve())
+    status = git("status", "--porcelain", "--", ".")
+    return commit if status == "" else f"{commit}-dirty"
 
 
 def cpu_model() -> str:
