@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reduced
-from .errors import ConsistencyError, DegenerateSystemError
+from .errors import ConsistencyError
 from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
-from .singularity import n_ff
+from .singularity import discriminant_E, is_degenerate, n_ff
 
 WIDTH_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -81,10 +81,8 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
         (mv.l_val, mv.h_val)
         for mv in (momentum_map(FIXED_POINTS[k], params)
                    for k in ("NN", "NS", "SN", "SS")))
-    try:
-        two_ff = n_ff(params) == 2
-    except DegenerateSystemError:
-        two_ff = False
+    e = discriminant_E(params)
+    two_ff = e < 0 and not is_degenerate(e, params)
     ff_values = corner_values[1:3] if two_ff else ()
     return ImageBoundary(samples, ff_values, corner_values)
 

@@ -64,7 +64,8 @@ def cmd_classify(args) -> int:
     kind = reports[1].kind  # NS, the same as SN: n_FF is 2 for focus-focus
     degenerate = kind == "degenerate"
     nff = None if degenerate else (2 if kind == "focus-focus" else 0)
-    verdict = singularity.check_semitoric(params, grid_n=20)
+    # Semitoric exactly when not degenerate: rank-1 points are never
+    # degenerate (singularity.rank1_margin < 0 on the whole strip).
     if args.json:
         payload = {
             "schema": JSON_SCHEMA,
@@ -74,7 +75,7 @@ def cmd_classify(args) -> int:
             "E": e,
             "n_ff": nff,
             "degenerate": degenerate,
-            "is_semitoric": verdict.is_semitoric,
+            "is_semitoric": not degenerate,
             "fixed_points": [{"id": r.point_id, "kind": r.kind}
                              for r in reports],
         }
@@ -87,7 +88,7 @@ def cmd_classify(args) -> int:
             print("degenerate: E = 0 within band; not semitoric")
         else:
             print(f"n_FF = {nff}")
-            print(f"semitoric: {'yes' if verdict.is_semitoric else 'no'}")
+            print("semitoric: yes")
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 

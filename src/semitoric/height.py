@@ -51,6 +51,7 @@ from . import reduced
 from .errors import ConsistencyError, DegenerateSystemError
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
 from .numerics import QuadratureSettings, integrate
+from .reduced import _k_and_m, gamma_B
 from .singularity import discriminant_E, is_degenerate
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
@@ -103,12 +104,6 @@ def _powers(x):
     return x2, x2 * x, x2 * x2
 
 
-def _k_and_m(s1, s2, R):
-    """k = (2 s1 - 1)(R (s2 - 1) + s2), zero on both case-III lines, and
-    m = s1^2 - s1 + s2^2 - s2."""
-    return (2 * s1 - 1) * (R * (s2 - 1) + s2), s1 * s1 - s1 + s2 * s2 - s2
-
-
 def gamma_A(s1: float, s2: float, R: float) -> float:
     a2, a3, a4 = _powers(s1)
     b2, b3, _ = _powers(s2)
@@ -118,12 +113,6 @@ def gamma_A(s1: float, s2: float, R: float) -> float:
                        - 12 * s1 * w * s2
                        + s2 * (8 * b3 - 16 * b2 + 7 * s2 + 1))
             - u * u * b2)
-
-
-def gamma_B(s1: float, s2: float, R: float) -> float:
-    """k^2 + 4 (R - 1)^2 m^2, a sum of squares (see ``closed_form_F``)."""
-    k, m = _k_and_m(s1, s2, R)
-    return k * k + 4 * ((R - 1) * (R - 1)) * (m * m)
 
 
 def _height_kernel(a, R):

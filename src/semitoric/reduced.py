@@ -19,6 +19,8 @@ factored form (the slope of A_l, the leading coefficient of B_l and m, the
 level's root of B_l) from the same terms, for the envelope's critical
 points.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
 ``chart``.  ``DHFunction.rho`` also takes a float or an array.
+``gamma_B`` (shared with ``height``) gives the closed-form roots of P_0
+(``roots_P0``).
 """
 
 from __future__ import annotations
@@ -119,6 +121,19 @@ def physical_interval(label: str, l: float, R: float):
     return lo, hi
 
 
+def _k_and_m(s1, s2, R):
+    """k = (2 s1 - 1)(R (s2 - 1) + s2), zero on both case-III lines, and
+    m = s1^2 - s1 + s2^2 - s2."""
+    return (2 * s1 - 1) * (R * (s2 - 1) + s2), s1 * s1 - s1 + s2 * s2 - s2
+
+
+def gamma_B(s1: float, s2: float, R: float) -> float:
+    """k^2 + 4 (R - 1)^2 m^2, a sum of squares (see
+    ``height.closed_form_F``)."""
+    k, m = _k_and_m(s1, s2, R)
+    return k * k + 4 * ((R - 1) * (R - 1)) * (m * m)
+
+
 def p0_factors(label: str, params: ModelParams):
     """(kb, k/R): the two constants of the factored l = 0 chart.
 
@@ -184,14 +199,12 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     (``p0_quadratic_roots``); the double root 0 is the factor p2^2 of that
     P_0.
     """
-    from .height import gamma_B  # local import to avoid a module cycle
-
     _check_label(label)
     R, s1, s2 = params.R, params.s1, params.s2
     c = params.coupling
     if c == 0.0:
         raise ValueError("coupling vanishes at (s1, s2) corners; P0 is degenerate")
-    half_span = np.sqrt(gamma_B(s1, s2, R)) / (2 * c)
+    half_span = math.sqrt(gamma_B(s1, s2, R)) / (2 * c)
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
     chart = p0_quadratic_roots(label, params)

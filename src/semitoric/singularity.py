@@ -14,9 +14,10 @@ once, with powers as products in one fixed association (``x * x``,
 ``x * x * x``, ``(x * x) * (x * x)``): every operation is then one
 correctly rounded IEEE operation on floats and on arrays alike.
 
-``rank1_margin`` is one formula in (z1, z2) under the same rule.  It is
-negative on the whole open strip |z1|, |z2| < 1; ``check_semitoric``
-evaluates it on a grid in (z1, z2) as a check.
+``rank1_margin`` is one formula in (z1, z2) under the same rule.  Its
+numerator is a positive definite quadratic form wherever |z1 z2| < 1, so
+it is negative on the whole open strip |z1|, |z2| < 1: every rank-1 point
+is non-degenerate, and ``check_semitoric`` decides from E alone.
 """
 
 from __future__ import annotations
@@ -115,34 +116,20 @@ class SemitoricVerdict:
     is_semitoric: bool
     n_ff: int
     degenerate: bool
-    rank1_margin_min: float  # most pessimistic (largest) margin over the grid
-
-
-# Grid margin away from the strip boundary where the criterion's
-# denominator vanishes.
-_STRIP_MARGIN = 1e-6
 
 
 def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
-    """Aggregate verdict: n_ff, degeneracy, and the rank-1 criterion on a
-    grid_n x grid_n grid of (z1, z2) inside the strip, in one array call of
-    ``rank1_margin``.  Semitoric means not degenerate with every margin
-    negative."""
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    try:
-        nff = n_ff(params)
-        degenerate = False
-    except DegenerateSystemError:
-        nff = 0
-        degenerate = True
-    z = np.linspace(-1 + _STRIP_MARGIN, 1 - _STRIP_MARGIN, grid_n)
-    # Above r1/r2 ~ 1e149 margins near the strip edges overflow to -inf.
-    with np.errstate(over="ignore"):
-        worst = float(rank1_margin(z[:, None], z[None, :], params).max())
-    return SemitoricVerdict(
-        is_semitoric=not degenerate and worst < 0,
-        n_ff=nff,
-        degenerate=degenerate,
-        rank1_margin_min=worst,
-    )
+    """Aggregate verdict from one discriminant E.
+
+    Degenerate means E inside the degeneracy band; otherwise n_ff is 2 for
+    E < 0 and 0 for E > 0, and every fixed point is non-degenerate
+    (``classify_fixed_points``).  Every rank-1 point is non-degenerate too,
+    since ``rank1_margin`` is negative on the whole open strip, so
+    semitoric means not degenerate.  ``grid_n`` is accepted for
+    compatibility and has no effect.
+    """
+    e = discriminant_E(params)
+    degenerate = is_degenerate(e, params)
+    return SemitoricVerdict(is_semitoric=not degenerate,
+                            n_ff=2 if e < 0 and not degenerate else 0,
+                            degenerate=degenerate)

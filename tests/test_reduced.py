@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import semitoric
 from semitoric import height, reduced
 from semitoric.errors import ConsistencyError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map
@@ -166,7 +167,11 @@ class TestQuarticP0:
         r = reduced.roots_P0("NS", params)
         assert r.z1 == r.z2 == 0.0
         assert 0.0 < r.z3 < r.z4
+        assert type(r.z3) is float and type(r.z4) is float
         assert r.all_real
+
+    def test_gamma_B_is_shared_with_height(self):
+        assert semitoric.gamma_B is height.gamma_B is reduced.gamma_B
 
     def test_roots_at_half(self):
         for R in (1.5, 2.0, 4.0):
@@ -196,8 +201,8 @@ class TestQuarticP0:
 
     def test_closed_roots_checked_against_chart(self, monkeypatch, params):
         # A closed form off by a relative 1e-6 in gamma_B is caught.
-        true_gamma_B = height.gamma_B
-        monkeypatch.setattr(height, "gamma_B",
+        true_gamma_B = reduced.gamma_B
+        monkeypatch.setattr(reduced, "gamma_B",
                             lambda *a: true_gamma_B(*a) * (1 + 1e-6))
         for label in reduced.LABELS:
             with pytest.raises(ConsistencyError, match="chart's"):

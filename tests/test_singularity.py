@@ -1,15 +1,15 @@
 """Fixed-point classification, the discriminant E and the rank-1 criterion."""
 
-import warnings
-
 import numpy as np
 import pytest
 
+from semitoric import cartography
 from semitoric.errors import DegenerateSystemError
 from semitoric.model import ModelParams
 from semitoric.numerics import find_root_bisect
-from semitoric.singularity import (check_semitoric, classify_fixed_points,
-                                   discriminant_E, n_ff, rank1_margin)
+from semitoric.singularity import (DEGENERACY_BAND, check_semitoric,
+                                   classify_fixed_points, discriminant_E,
+                                   n_ff, rank1_margin)
 
 
 class TestDiscriminant:
@@ -83,19 +83,10 @@ class TestRank1:
                 rank1_margin(z1, z2, p)
 
     def test_check_semitoric_verdicts(self):
-        v = check_semitoric(ModelParams(1, 2, 0.5, 0.5), grid_n=10)
-        assert v.is_semitoric and v.n_ff == 2
-        assert v.rank1_margin_min < 0
-        v0 = check_semitoric(ModelParams(1, 2, 0.0, 0.0), grid_n=10)
-        assert v0.is_semitoric and v0.n_ff == 0
-
-
-def scalar_rank1_sweep(params, grid_n):
-    """Reference copy of the rank-1 sweep of ``check_semitoric``: one float
-    ``rank1_margin`` call per grid point, largest margin kept."""
-    z = np.linspace(-1 + 1e-6, 1 - 1e-6, grid_n)
-    return max(rank1_margin(float(z1), float(z2), params)
-               for z1 in z for z2 in z)
+        v = check_semitoric(ModelParams(1, 2, 0.5, 0.5))
+        assert v.is_semitoric and v.n_ff == 2 and not v.degenerate
+        v0 = check_semitoric(ModelParams(1, 2, 0.0, 0.0))
+        assert v0.is_semitoric and v0.n_ff == 0 and not v0.degenerate
 
 
 def _random_params(rng, n, log_ratio):
@@ -132,36 +123,71 @@ class TestRank1Arrays:
         with pytest.raises(ValueError):
             rank1_margin(inside[:, None], np.append(inside, bad)[None, :], p)
 
-    def test_check_semitoric_equals_float_sweep(self):
-        rng = np.random.default_rng(23)
-        params = [ModelParams(1.0, float(np.exp(rng.uniform(-2.1, 2.1))),
-                              *(float(v) for v in rng.uniform(0, 1, 2)))
-                  for _ in range(12)]
-        # Extreme radius ratios, and r1 ** 2 or r2 ** 2 near the ends of the
-        # float range (ModelParams rejects squares outside it).
-        params += [ModelParams(1e17, 1.0, 0.3, 0.4),
-                   ModelParams(1.0, 1e17, 0.3, 0.4),
-                   ModelParams(1e153, 1e152, 0.3, 0.4),
-                   ModelParams(1e-150, 1e-149, 0.2, 0.7)]
-        for p in params:
-            for grid_n in (2, 7, 20):
-                want = scalar_rank1_sweep(p, grid_n)
-                got = check_semitoric(p, grid_n).rank1_margin_min
-                assert got == want
-                assert np.isfinite(got) and got < 0
-
-    def test_margin_overflow_is_quiet(self):
-        # At r1/r2 = 1e150 the margins near the edges of z2 are below the
-        # float range: -inf cells, no warning, a finite worst margin.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = check_semitoric(ModelParams(1e150, 1.0, 0.3, 0.4), 20)
-        assert v.is_semitoric and np.isfinite(v.rank1_margin_min)
-
     def test_extreme_radius_ratios(self):
         # r1/r2 from 1e13 to 1e18 and back: the verdict comes from E alone.
         rng = np.random.default_rng(29)
         for p in _random_params(rng, 1000, (13.0, 18.0)):
-            v = check_semitoric(p, 20)
+            v = check_semitoric(p)
             assert v.is_semitoric == (not v.degenerate)
-            assert np.isfinite(v.rank1_margin_min)
+
+
+def _near_band_params(rng, n):
+    """n seeded points with |E| / (r1 r2) log-uniform within a factor of 2
+    of DEGENERACY_BAND on both sides, E of either sign, R log-uniform on
+    [1/8, 8]: s1 in (0, 1/2) solves E = target by bisection at a random s2
+    (E at s1 = 1/2 is below -r1 r2)."""
+    out = []
+    while len(out) < n:
+        R = float(np.exp(rng.uniform(np.log(1 / 8), np.log(8))))
+        s2 = float(rng.uniform(0, 1))
+        target = (rng.choice((-1.0, 1.0)) * DEGENERACY_BAND * R
+                  * float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))))
+        excess = lambda s1: discriminant_E(ModelParams(1.0, R, s1, s2)) - target
+        lo, hi = 0.0, 0.5
+        if excess(lo) <= 0.0:
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        out.append(ModelParams(1.0, R, lo, s2))
+    return out
+
+
+def _ratio_params(rng, n):
+    """n seeded points with r1/r2 = 10 ** +-U(0, 18), half of them with s1
+    within sqrt(r_min / r_max) / 2 of 1/2, where E < 0 survives the
+    ratio."""
+    out = []
+    for p in _random_params(rng, n, (0.0, 18.0)):
+        if rng.uniform() < 0.5:
+            ratio = min(p.r1, p.r2) / max(p.r1, p.r2)
+            s1 = 0.5 + 0.5 * float(rng.uniform(-1, 1)) * ratio ** 0.5
+            p = ModelParams(p.r1, p.r2, s1, p.s2)
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("points, seed, kinds", [
+    (_near_band_params, 31, {"degenerate", "focus-focus", "elliptic-elliptic"}),
+    (_ratio_params, 37, {"focus-focus", "elliptic-elliptic"}),
+], ids=["band-edge", "radius-ratio"])
+def test_verdict_matches_classification_and_image(points, seed, kinds):
+    # One rule everywhere: check_semitoric, classify_fixed_points, n_ff and
+    # the image's focus-focus values agree next to the band edge and at
+    # radius ratios up to 1e18.
+    seen = set()
+    for p in points(np.random.default_rng(seed), 500):
+        v = check_semitoric(p)
+        kind = classify_fixed_points(p)[1].kind
+        degenerate = kind == "degenerate"
+        assert (v.is_semitoric, v.degenerate, v.n_ff) == (
+            not degenerate, degenerate, 2 if kind == "focus-focus" else 0)
+        if degenerate:
+            with pytest.raises(DegenerateSystemError):
+                n_ff(p)
+        else:
+            assert n_ff(p) == v.n_ff
+        ff_values = cartography.image_boundary(p, 16).ff_values
+        assert bool(ff_values) == (v.n_ff == 2)
+        seen.add(kind)
+    assert seen == kinds

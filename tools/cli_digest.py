@@ -16,7 +16,9 @@ whose squares leave the float range and pairs just inside it, ``height``
 near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
 cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
 ``classify --json``, ``height --method quadrature|both`` next to the
-degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), small sweeps, seeded
+degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), ``classify`` (also with
+``--json``) on both sides of the band's edge (-E/(r1 r2) in
+[2e-11, 5e-10], exits 3 and 0), small sweeps, seeded
 41 x 41 sweeps of every quantity, ``height`` and a sweep next to the
 crossing of the case-III lines, negative values written as separate
 arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
@@ -206,6 +208,9 @@ def invocations():
         for method in ("quadrature", "both"):
             out.append(f"height --method {method} {flags(p)}")
             out.append(f"height --method {method} --json {flags(p)}")
+    for p in near_e0_points(np.random.default_rng(SEED + 4), (2e-11, 5e-10)):
+        out.append(f"classify {flags(p)}")
+        out.append(f"classify --json {flags(p)}")
     for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
         for q in ("nff", "E", "height"):
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
