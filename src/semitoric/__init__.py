@@ -11,8 +11,7 @@ from .errors import (ConsistencyError, DegenerateSystemError,
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
                      gamma_B, height_both, height_closed, height_oracle)
 from .model import (FIXED_POINTS, ModelParams, MomentumValue, ParamGrid,
-                    PhasePoint, apply_symmetry, momentum_map,
-                    poisson_bracket)
+                    PhasePoint, momentum_map)
 from .reduced import (DHFunction, dh_function, ff_levels, physical_interval,
                       chart, reduced_A, reduced_B, roots_P0)
 from .singularity import (SemitoricVerdict, SingularityReport,
@@ -26,12 +25,12 @@ __all__ = [
     "PhasePoint",
     "Polygon",
     "SemitoricError", "SemitoricVerdict", "SingularityReport",
-    "act_flip_cut", "act_shear", "apply_symmetry", "case_id", "chart",
+    "act_flip_cut", "act_shear", "case_id", "chart",
     "check_semitoric", "classify_fixed_points", "closed_form_F",
     "dh_function", "discriminant_E", "ff_levels", "gamma_A", "gamma_B",
     "height_both", "height_closed", "height_oracle",
     "image_boundary", "momentum_map", "n_ff",
-    "physical_interval", "poisson_bracket", "polygon_representative",
+    "physical_interval", "polygon_representative",
     "rank1_margin", "reduced_A", "reduced_B", "roots_P0",
 ]
 

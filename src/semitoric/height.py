@@ -298,7 +298,7 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     kb q - (k/R)^2 or the arccos argument leaves [-1, 1].  Only the tests
     check ``p0_factors`` against ``chart``: cuts and integrand share it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     _require_focus_focus(params)
     two_r = 2.0 * params.R

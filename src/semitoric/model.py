@@ -1,16 +1,11 @@
-"""Phase space S2 x S2, system parameters, momentum map, Poisson brackets
-and the discrete symmetries of the coupled-spin family.
+"""Phase space S2 x S2, system parameters and the momentum map (L, H) of
+the coupled-spin family.
 
-Conventions: the symplectic form is minus the weighted sum of the standard
-area forms, with weights r1 and r2.  In cylindrical coordinates per sphere
-this reads -(r1 dtheta1 ^ dz1 + r2 dtheta2 ^ dz2), which fixes the Poisson
-bracket used throughout:
-
-    {f, g} = -sum_i (1/r_i) n_i . (grad_i f x grad_i g),
-
-where n_i is the position vector on sphere i and grad_i the ambient
-gradient.  With this sign the flow of L is 2pi-periodic (verified in the
-test suite, not assumed).
+A phase point is held in Cartesian coordinates and must lie on both unit
+spheres; L and H are evaluated on its ambient 6-vector.  The package
+computes invariants from these; the checks of the model's conventions (the
+Poisson bracket and its sign, the 2pi-periodic circle action of L and the
+discrete symmetries) are written in the test suite, ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SPHERE_TOL = 1e-9  # input validation tolerance for |n_i| = 1
-FD_STEP = 1e-6     # central-difference step for default gradients
 CASE_III_BAND = 1e-12  # |s1 - 1/2| or |s2 - R/(R+1)| this small is on a line
 
 
@@ -124,7 +118,7 @@ class PhasePoint:
 
     def __post_init__(self):
         for n in (self.sphere1, self.sphere2):
-            if abs(float(n @ n) - 1.0) > SPHERE_TOL:
+            if not abs(float(n @ n) - 1.0) <= SPHERE_TOL:
                 raise ValueError(f"point off the unit sphere: |n|^2 = {n @ n}")
 
     @property
@@ -141,13 +135,6 @@ class PhasePoint:
     @classmethod
     def from_array(cls, v) -> "PhasePoint":
         return cls(*(float(x) for x in v))
-
-    @classmethod
-    def from_cylindrical(cls, theta1, z1, theta2, z2) -> "PhasePoint":
-        rho1 = math.sqrt(max(0.0, 1.0 - z1 * z1))
-        rho2 = math.sqrt(max(0.0, 1.0 - z2 * z2))
-        return cls(rho1 * math.cos(theta1), rho1 * math.sin(theta1), z1,
-                   rho2 * math.cos(theta2), rho2 * math.sin(theta2), z2)
 
 
 NORTH_NORTH = PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
@@ -181,122 +168,7 @@ def h_func(v, params: ModelParams) -> float:
             + 2 * (s1 + s2 - s1 ** 2 - s2 ** 2) * (v[0] * v[3] + v[1] * v[4]))
 
 
-def l_grad(v, params: ModelParams) -> np.ndarray:
-    return np.array([0.0, 0.0, params.r1, 0.0, 0.0, params.r2])
-
-
-def h_grad(v, params: ModelParams) -> np.ndarray:
-    s1, s2 = params.s1, params.s2
-    c = 2 * (s1 + s2 - s1 ** 2 - s2 ** 2)
-    return np.array([
-        c * v[3], c * v[4], (1 - 2 * s1) * (1 - s2),
-        c * v[0], c * v[1], (1 - 2 * s1) * s2,
-    ])
-
-
 def momentum_map(p: PhasePoint, params: ModelParams) -> MomentumValue:
     """Momentum-map value (L, H) at a phase point."""
     v = (p.x1, p.y1, p.z1, p.x2, p.y2, p.z2)
     return MomentumValue(l_func(v, params), h_func(v, params))
-
-
-def fd_gradient(f, v, params: ModelParams, step=FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of an observable on R^6."""
-    g = np.empty(6)
-    for i in range(6):
-        vp, vm = v.copy(), v.copy()
-        vp[i] += step
-        vm[i] -= step
-        g[i] = (f(vp, params) - f(vm, params)) / (2 * step)
-    return g
-
-
-def poisson_bracket(f, g, p: PhasePoint, params: ModelParams,
-                    grad_f=None, grad_g=None) -> float:
-    """Poisson bracket {f, g} at ``p``.
-
-    ``f`` and ``g`` are observables evaluated as ``f(v, params)`` on ambient
-    6-vectors.  Gradients default to central finite differences; pass
-    ``grad_f`` / ``grad_g`` for the analytic fast path.
-    """
-    v = p.as_array()
-    gf = grad_f(v, params) if grad_f else fd_gradient(f, v, params)
-    gg = grad_g(v, params) if grad_g else fd_gradient(g, v, params)
-    n1, n2 = v[:3], v[3:]
-    return (-(1.0 / params.r1) * float(n1 @ np.cross(gf[:3], gg[:3]))
-            - (1.0 / params.r2) * float(n2 @ np.cross(gf[3:], gg[3:])))
-
-
-def hamiltonian_vector_field(v, params: ModelParams, grad) -> np.ndarray:
-    """Bracket-derived vector field of an observable with gradient ``grad``."""
-    g = grad(v, params)
-    n1, n2 = v[:3], v[3:]
-    out = np.empty(6)
-    out[:3] = -(1.0 / params.r1) * np.cross(g[:3], n1)
-    out[3:] = -(1.0 / params.r2) * np.cross(g[3:], n2)
-    return out
-
-
-def flow(p: PhasePoint, params: ModelParams, grad, t, n_steps=512) -> PhasePoint:
-    """RK4 integration of the Hamiltonian flow of an observable.
-
-    Renormalizes to the spheres after every step; this is the only place in
-    the library where renormalization is allowed.
-    """
-    v = p.as_array()
-    h = t / n_steps
-
-    def rhs(u):
-        return hamiltonian_vector_field(u, params, grad)
-
-    for _ in range(n_steps):
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        v[:3] /= np.linalg.norm(v[:3])
-        v[3:] /= np.linalg.norm(v[3:])
-    return PhasePoint.from_array(v)
-
-
-def l_flow(p: PhasePoint, params: ModelParams, t, n_steps=512) -> PhasePoint:
-    """Flow of L for time ``t``; 2pi-periodic circle action."""
-    return flow(p, params, l_grad, t, n_steps)
-
-
-def apply_symmetry(i: int, p: PhasePoint, params: ModelParams):
-    """Discrete symmetry i in 1..5; returns the transformed point and params.
-
-    Pullback identities: (L, H) is preserved for i in {1, 3, 5}, L flips sign
-    for i = 2 and H flips sign for i = 4.  Symmetry 5 is defined only at
-    s1 = 1/2, up to ``CASE_III_BAND`` (the rule of ``height.case_id``).
-    """
-    x1, y1, z1, x2, y2, z2 = p.as_array()
-    r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
-    if i == 1:
-        return (PhasePoint(-x1, -y1, z1, -x2, -y2, z2),
-                ModelParams(r1, r2, s1, s2))
-    if i == 2:
-        return (PhasePoint(x1, -y1, -z1, x2, -y2, -z2),
-                ModelParams(r1, r2, 1 - s1, s2))
-    if i == 3:
-        return (PhasePoint(x2, y2, z2, x1, y1, z1),
-                ModelParams(r2, r1, s1, 1 - s2))
-    if i == 4:
-        return (PhasePoint(-x1, -y1, z1, x2, y2, z2),
-                ModelParams(r1, r2, 1 - s1, s2))
-    if i == 5:
-        if abs(s1 - 0.5) > CASE_III_BAND:
-            raise ValueError("symmetry 5 is only defined at s1 = 1/2")
-        return (PhasePoint(x1, y1, z1, x2, y2, z2),
-                ModelParams(r1, r2, 0.5, 1 - s2))
-    raise ValueError(f"symmetry index must be 1..5, got {i}")
-
-
-def random_phase_point(rng) -> PhasePoint:
-    """Uniform random point of S2 x S2 (for sampling-based verification)."""
-    v = rng.standard_normal(6)
-    v[:3] /= np.linalg.norm(v[:3])
-    v[3:] /= np.linalg.norm(v[3:])
-    return PhasePoint.from_array(v)

@@ -52,7 +52,7 @@ class QuadratureSettings:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")

@@ -1,8 +1,12 @@
-"""Shared fixtures and the acceptance-line reporter.
+"""Shared fixtures, the phase-space checks and the acceptance-line reporter.
 
 Acceptance tests register a one-line PASS/FAIL verdict through
 ``record_criterion``; the lines are echoed in the terminal summary so that
 each criterion is visible even under output capture.
+
+The phase-space helpers (gradients of L and H, the Poisson bracket, the flow
+of L, the discrete symmetries and uniform random phase points) serve
+criterion 6 and ``test_model``; the package itself only evaluates L and H.
 """
 
 import functools
@@ -26,6 +30,128 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# Conventions: the symplectic form is minus the weighted sum of the standard
+# area forms, with weights r1 and r2.  In cylindrical coordinates per sphere
+# this reads -(r1 dtheta1 ^ dz1 + r2 dtheta2 ^ dz2), which fixes the Poisson
+# bracket
+#
+#     {f, g} = -sum_i (1/r_i) n_i . (grad_i f x grad_i g),
+#
+# where n_i is the position vector on sphere i and grad_i the ambient
+# gradient.  With this sign the flow of L is 2pi-periodic (checked by
+# test_model and criterion 6, not assumed).
+
+FD_STEP = 1e-6  # central-difference step of fd_gradient
+L_FLOW_STEPS = 512  # RK4 steps of l_flow
+
+
+def l_grad(v, params):
+    return np.array([0.0, 0.0, params.r1, 0.0, 0.0, params.r2])
+
+
+def h_grad(v, params):
+    s1, s2 = params.s1, params.s2
+    c = 2 * (s1 + s2 - s1 ** 2 - s2 ** 2)
+    return np.array([
+        c * v[3], c * v[4], (1 - 2 * s1) * (1 - s2),
+        c * v[0], c * v[1], (1 - 2 * s1) * s2,
+    ])
+
+
+def fd_gradient(f, v, params):
+    """Central finite-difference gradient of an observable on R^6."""
+    g = np.empty(6)
+    for i in range(6):
+        vp, vm = v.copy(), v.copy()
+        vp[i] += FD_STEP
+        vm[i] -= FD_STEP
+        g[i] = (f(vp, params) - f(vm, params)) / (2 * FD_STEP)
+    return g
+
+
+def poisson_bracket(f, g, p, params, grad_f=None, grad_g=None):
+    """Poisson bracket {f, g} at the phase point ``p``.
+
+    ``f`` and ``g`` are observables evaluated as ``f(v, params)`` on ambient
+    6-vectors.  Gradients default to central finite differences; pass
+    ``grad_f`` / ``grad_g`` for the analytic ones.
+    """
+    v = p.as_array()
+    gf = grad_f(v, params) if grad_f else fd_gradient(f, v, params)
+    gg = grad_g(v, params) if grad_g else fd_gradient(g, v, params)
+    n1, n2 = v[:3], v[3:]
+    return (-(1.0 / params.r1) * float(n1 @ np.cross(gf[:3], gg[:3]))
+            - (1.0 / params.r2) * float(n2 @ np.cross(gf[3:], gg[3:])))
+
+
+def l_flow(p, params, t):
+    """The phase point ``p`` moved for time ``t`` by the flow of L, whose
+    vector field the bracket derives from L's constant gradient: RK4 in
+    ``L_FLOW_STEPS`` steps, back onto the spheres after every step."""
+    from semitoric.model import PhasePoint
+
+    v = p.as_array()
+    g = l_grad(v, params)
+
+    def rhs(u):
+        out = np.empty(6)
+        out[:3] = -(1.0 / params.r1) * np.cross(g[:3], u[:3])
+        out[3:] = -(1.0 / params.r2) * np.cross(g[3:], u[3:])
+        return out
+
+    h = t / L_FLOW_STEPS
+    for _ in range(L_FLOW_STEPS):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v[:3] /= np.linalg.norm(v[:3])
+        v[3:] /= np.linalg.norm(v[3:])
+    return PhasePoint.from_array(v)
+
+
+def apply_symmetry(i, p, params):
+    """Discrete symmetry i in 1..5; returns the transformed point and params.
+
+    Pullback identities: (L, H) is preserved for i in {1, 3, 5}, L flips sign
+    for i = 2 and H flips sign for i = 4.  Symmetry 5 is defined only at
+    s1 = 1/2, up to ``CASE_III_BAND`` (the rule of ``height.case_id``).
+    """
+    from semitoric.model import CASE_III_BAND, ModelParams, PhasePoint
+
+    x1, y1, z1, x2, y2, z2 = p.as_array()
+    r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
+    if i == 1:
+        return (PhasePoint(-x1, -y1, z1, -x2, -y2, z2),
+                ModelParams(r1, r2, s1, s2))
+    if i == 2:
+        return (PhasePoint(x1, -y1, -z1, x2, -y2, -z2),
+                ModelParams(r1, r2, 1 - s1, s2))
+    if i == 3:
+        return (PhasePoint(x2, y2, z2, x1, y1, z1),
+                ModelParams(r2, r1, s1, 1 - s2))
+    if i == 4:
+        return (PhasePoint(-x1, -y1, z1, x2, y2, z2),
+                ModelParams(r1, r2, 1 - s1, s2))
+    if i == 5:
+        if abs(s1 - 0.5) > CASE_III_BAND:
+            raise ValueError("symmetry 5 is only defined at s1 = 1/2")
+        return (PhasePoint(x1, y1, z1, x2, y2, z2),
+                ModelParams(r1, r2, 0.5, 1 - s2))
+    raise ValueError(f"symmetry index must be 1..5, got {i}")
+
+
+def random_phase_point(rng):
+    """Uniform random point of S2 x S2."""
+    from semitoric.model import PhasePoint
+
+    v = rng.standard_normal(6)
+    v[:3] /= np.linalg.norm(v[:3])
+    v[3:] /= np.linalg.norm(v[3:])
+    return PhasePoint.from_array(v)
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from semitoric import cartography, height, reduced, singularity
-from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_flow,
-                             l_func, momentum_map, poisson_bracket,
-                             random_phase_point)
+from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_func,
+                             momentum_map)
 from semitoric.numerics import QuadratureSettings, integrate, quartic_roots
 
-from conftest import panel_integrand, record_criterion
+from conftest import (l_flow, panel_integrand, poisson_bracket,
+                      random_phase_point, record_criterion)
 
 GRID_RS = (1.5, 2.0, 3.0, 4.0, 8.0)
 

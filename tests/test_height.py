@@ -446,6 +446,14 @@ class TestHeightValues:
         with pytest.raises(DegenerateSystemError):
             height_closed(ModelParams(1, 2, 0.05, 0.05))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_nonpositive_tol(self, tol):
+        p = ModelParams(1, 2, 0.3, 0.55)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            height_oracle("NS", p, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            height_both(p, tol)
+
     def test_ill_conditioned_flag(self):
         # Slide s1 until E sits just below zero at fixed s2 = 0.1, R = 2.
         from semitoric.numerics import find_root_bisect

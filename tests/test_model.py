@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import semitoric
+from conftest import (apply_symmetry, fd_gradient, h_grad, l_flow, l_grad,
+                      poisson_bracket, random_phase_point)
 from semitoric.model import (FIXED_POINTS, ModelParams, ParamGrid,
-                             PhasePoint, apply_symmetry, fd_gradient, h_func,
-                             h_grad, l_flow, l_func, l_grad, momentum_map,
-                             poisson_bracket, random_phase_point)
+                             PhasePoint, h_func, l_func, momentum_map)
 
 
 @pytest.fixture
@@ -58,13 +59,17 @@ class TestPhasePoint:
         with pytest.raises(ValueError):
             PhasePoint(1.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
-    def test_cylindrical_round_trip(self):
-        p = PhasePoint.from_cylindrical(0.7, 0.2, -1.1, -0.8)
-        assert abs(p.sphere1 @ p.sphere1 - 1.0) < 1e-12
-        assert abs(p.z2 + 0.8) < 1e-15
+    @pytest.mark.parametrize("i", range(6))
+    def test_rejects_nan_coordinate(self, i):
+        v = list(FIXED_POINTS["NN"].as_array())
+        v[i] = math.nan
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            PhasePoint(*v)
 
     def test_array_round_trip(self):
-        p = PhasePoint.from_cylindrical(0.1, 0.5, 0.2, -0.3)
+        rho1, rho2 = math.sqrt(1.0 - 0.5 * 0.5), math.sqrt(1.0 - 0.3 * 0.3)
+        p = PhasePoint(rho1 * math.cos(0.1), rho1 * math.sin(0.1), 0.5,
+                       rho2 * math.cos(0.2), rho2 * math.sin(0.2), -0.3)
         assert PhasePoint.from_array(p.as_array()) == p
 
 
@@ -167,3 +172,11 @@ class TestSymmetries:
         with pytest.raises(ValueError):
             apply_symmetry(6, FIXED_POINTS["NN"],
                            ModelParams(1.0, 2.0, 0.3, 0.4))
+
+
+def test_export_list():
+    names = semitoric.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(semitoric, n)] == []
+    for gone in ("poisson_bracket", "apply_symmetry"):
+        assert gone not in names and not hasattr(semitoric, gone)

@@ -56,6 +56,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             quad(lambda x: x, 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_settings_reject_nonpositive_tol(self, tol):
+        for kw in ({"abs_tol": tol}, {"rel_tol": tol}):
+            with pytest.raises(ValueError, match="must be positive"):
+                QuadratureSettings(**kw)
+
     def test_rule_is_gauss_kronrod(self):
         # The mirrored half tables give the rule: K15 integrates x^d
         # exactly up to degree 22, G7 (the odd nodes) up to degree 13.

@@ -274,10 +274,10 @@ def summary(samples):
 
 def checkout_label(src: Path) -> str:
     """The short git commit of the checkout that holds ``src``, with
-    ``-dirty`` appended when ``src`` has uncommitted changes, or the
-    resolved path of ``src`` when that is no git checkout (a copy made with
-    ``git archive`` or ``cp``).  A parent made with ``git clone`` gets its
-    commit label."""
+    ``-dirty`` appended when ``src`` has uncommitted changes, or the name of
+    the checkout's directory when that is no git checkout (a copy made with
+    ``git archive`` or ``cp``), so no path of the machine enters a record.
+    A parent made with ``git clone`` gets its commit label."""
     def git(*args):
         try:
             out = subprocess.run(["git", *args], cwd=src, capture_output=True,
@@ -288,7 +288,7 @@ def checkout_label(src: Path) -> str:
 
     commit = git("rev-parse", "--short", "HEAD")
     if commit is None:
-        return str(src.resolve())
+        return src.resolve().parent.name
     status = git("status", "--porcelain", "--", ".")
     return commit if status == "" else f"{commit}-dirty"
 
@@ -311,8 +311,8 @@ def main(argv=None) -> int:
     ap.add_argument("--topic", choices=sorted(TOPICS), default="oracle",
                     help="the benchmark op whose layers are timed "
                     "(default: oracle)")
-    ap.add_argument("--label", help="name of the timed source "
-                    "(default: its git commit, else its path)")
+    ap.add_argument("--label", help="name of the timed source (default: "
+                    "its git commit, else its checkout's directory name)")
     ap.add_argument("--parent", type=Path,
                     help="src/ of an earlier checkout, timed in alternating "
                     "repeats with SRC")
