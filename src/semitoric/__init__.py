@@ -8,8 +8,8 @@ from .cartography import (ImageBoundary, Polygon, act_flip_cut, act_shear,
                           image_boundary, polygon_representative)
 from .errors import (ConsistencyError, DegenerateSystemError,
                      NonconvergenceError, SemitoricError)
-from .height import (HeightInvariant, case_id, closed_form_F, gamma_A,
-                     gamma_B, height_both, height_closed, height_oracle)
+from .height import (HeightInvariant, case_id, closed_form_F, gamma_B,
+                     height_both, height_closed, height_oracle)
 from .model import (FIXED_POINTS, ModelParams, MomentumValue, ParamGrid,
                     PhasePoint, momentum_map)
 from .reduced import (DHFunction, dh_function, ff_levels, physical_interval,
@@ -27,7 +27,7 @@ __all__ = [
     "SemitoricError", "SemitoricVerdict", "SingularityReport",
     "act_flip_cut", "act_shear", "case_id", "chart",
     "check_semitoric", "classify_fixed_points", "closed_form_F",
-    "dh_function", "discriminant_E", "ff_levels", "gamma_A", "gamma_B",
+    "dh_function", "discriminant_E", "ff_levels", "gamma_B",
     "height_both", "height_closed", "height_oracle",
     "image_boundary", "momentum_map", "n_ff",
     "physical_interval", "polygon_representative",

@@ -25,9 +25,10 @@ import numpy as np
 from . import reduced
 from .errors import ConsistencyError
 from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
-from .singularity import discriminant_E, is_degenerate, n_ff
+from .singularity import discriminant_E, is_focus_focus, n_ff
 
 WIDTH_TOL = 1e-12
+MAX_SAMPLES = 65536  # most levels of an envelope: 135 MB and 0.5 s
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
 
@@ -63,6 +64,8 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     """
     if n < 16:
         raise ValueError("n must be >= 16")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be <= {MAX_SAMPLES}")
     r1, R = params.r1, params.R
     ls = np.linspace(-2.0, 2.0 * R, n + 1)
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
@@ -81,8 +84,7 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
         (mv.l_val, mv.h_val)
         for mv in (momentum_map(FIXED_POINTS[k], params)
                    for k in ("NN", "NS", "SN", "SS")))
-    e = discriminant_E(params)
-    two_ff = e < 0 and not is_degenerate(e, params)
+    two_ff = is_focus_focus(discriminant_E(params), params)
     ff_values = corner_values[1:3] if two_ff else ()
     return ImageBoundary(samples, ff_values, corner_values)
 

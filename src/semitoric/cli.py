@@ -30,6 +30,8 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_INCONSISTENT = 5
 
+MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep took 444 MB
+
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal form of a float (empty for None)."""
@@ -168,6 +170,8 @@ def cmd_image(args) -> int:
     params = _params_from(args)
     if args.samples < 16:
         raise ValueError("--samples must be >= 16")
+    if args.samples > cartography.MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {cartography.MAX_SAMPLES}")
     ib = cartography.image_boundary(params, args.samples)
     lines = ["l,h_min,h_max,kind"]
     for l, h_min, h_max in ib.samples:
@@ -215,6 +219,9 @@ def cmd_sweep(args) -> int:
     for count in (args.s1_count, args.s2_count):
         if count < 2:
             raise ValueError("axis counts must be >= 2")
+    if args.s1_count * args.s2_count > MAX_SWEEP_CELLS:
+        raise ValueError(f"--s1-count * --s2-count must be <= "
+                         f"{MAX_SWEEP_CELLS}")
     for lo, hi in ((args.s1_start, args.s1_stop),
                    (args.s2_start, args.s2_stop)):
         if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0 and lo < hi):

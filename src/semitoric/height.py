@@ -2,10 +2,12 @@
 independent quadrature oracle on the reduced phase space.
 
 The closed form depends on the couplings only through kappa = k / |m|
-(k and m of ``_k_and_m``) and R, in the NS frame R > 1:
-gamma_A = m^2 (16 R - kappa^2), so focus-focus is kappa^2 < 16 R, and
+(k and m of ``_k_and_m``) and R, in the NS frame R > 1: the paper's
+gamma_A is m^2 (16 R - kappa^2), so focus-focus is kappa^2 < 16 R, and
 h1 = 1 + t, h2 = 1 - t with t = sgn(kappa) g(|kappa|, R) / (2 pi), one
-kernel g (``_height_kernel``) for floats and grids.  The paper's cases are
+kernel g (``_height_kernel``) for floats and grids.  ``closed_form_F`` =
+sgn(kappa) (2 pi - g) takes the same path (``_signed_kernel``), and the
+kernel's check D = 16 R - kappa^2 > 0 is its regime check.  The cases are
 the sign of kappa (I, V: kappa > 0; II, IV: kappa < 0; III: kappa = 0,
 t = 0), and the s1 mirror kappa -> -kappa swaps h1 and h2 bit for bit.
 g is the paper's partial fractions over its elementary integrals N_A and
@@ -52,7 +54,7 @@ from .errors import ConsistencyError, DegenerateSystemError
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
 from .numerics import QuadratureSettings, integrate
 from .reduced import _k_and_m, gamma_B
-from .singularity import discriminant_E, is_degenerate
+from .singularity import discriminant_E, is_degenerate, is_focus_focus
 
 # E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
 # and the oracle sit on a genuine conditioning cliff there.
@@ -79,14 +81,10 @@ _ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan2=np.arctan2,
                               copysign=np.copysign)
 
 
-def _nan_where(fails, value, *also):
-    """``value`` with NaN where a check failed or where ``value`` or one of
-    ``also`` is not finite: the array elements only the float path can
-    decide."""
-    bad = fails | ~np.isfinite(value)
-    for x in also:
-        bad = bad | ~np.isfinite(x)
-    return np.where(bad, np.nan, value)
+def _nan_where(fails, value):
+    """``value`` with NaN where a check failed or ``value`` is not finite:
+    the array elements only the float path can decide."""
+    return np.where(fails | ~np.isfinite(value), np.nan, value)
 
 
 def _check_finite(name, *args):
@@ -96,23 +94,6 @@ def _check_finite(name, *args):
     if not all(map(math.isfinite, args)):
         raise ValueError(f"{name} needs finite arguments, got "
                          f"({', '.join(repr(float(v)) for v in args)})")
-
-
-def _powers(x):
-    """(x^2, x^3, x^4) as ``x * x``, ``x * x * x`` and ``(x * x) * (x * x)``."""
-    x2 = x * x
-    return x2, x2 * x, x2 * x2
-
-
-def gamma_A(s1: float, s2: float, R: float) -> float:
-    a2, a3, a4 = _powers(s1)
-    b2, b3, _ = _powers(s2)
-    u, w = 1 - 2 * s1, s2 - 1
-    return (-(R * R) * (u * u) * (w * w)
-            + 2 * R * (8 * a4 - 16 * a3 + 4 * a2 * (3 * b2 - 3 * s2 + 2)
-                       - 12 * s1 * w * s2
-                       + s2 * (8 * b3 - 16 * b2 + 7 * s2 + 1))
-            - u * u * b2)
 
 
 def _height_kernel(a, R):
@@ -144,6 +125,18 @@ def _height_kernel(a, R):
     return g if floats else _nan_where(~(d > 0), g)
 
 
+def _signed_kernel(s1, s2, R):
+    """(k, sgn(kappa), g(|kappa|, R)) with k, m of ``_k_and_m`` and kappa =
+    k / |m|, for ``_t`` and ``closed_form_F``.  m = 0 (zero coupling) makes
+    kappa infinite, and so D = -inf, on floats as on arrays."""
+    k, m = _k_and_m(s1, s2, R)
+    if isinstance(k, np.ndarray):
+        xm, kappa = _ARRAY_MATH, k / abs(m)
+    else:
+        xm, kappa = _FLOAT_MATH, k / abs(m) if m else k * math.inf
+    return k, xm.copysign(1.0, kappa), _height_kernel(abs(kappa), R)
+
+
 def closed_form_F(s1, s2, R):
     """The elementary-function expression whose value determines h1.
 
@@ -163,27 +156,20 @@ def closed_form_F(s1, s2, R):
     ``tests/test_closed_form_reference.py`` checks F against the paper's
     form in 100-digit mpmath.
 
-    ``ValueError`` for gamma_A <= 0 (outside the focus-focus regime) and
-    for k = 0 (case III, where F is not defined).
+    ``ValueError`` on floats, NaN on arrays, for non-finite arguments,
+    outside the focus-focus regime (the kernel's D <= 0) and for k = 0
+    (case III, where F is not defined).
     """
-    ga = gamma_A(s1, s2, R)
-    floats = not isinstance(ga, np.ndarray)
-    if floats:
+    if max(map(np.ndim, (s1, s2, R))) == 0:
         _check_finite("closed_form_F", s1, s2, R)
-    xm = _FLOAT_MATH if floats else _ARRAY_MATH
-    bad_ga = ga <= 0
-    if floats and bad_ga:
-        raise ValueError(f"gamma_A = {ga:.3e} <= 0: outside the focus-focus "
-                         f"regime")
-    k, m = _k_and_m(s1, s2, R)
-    bad_k = k == 0.0
-    if floats and bad_k:
+    k, sign, g = _signed_kernel(s1, s2, R)
+    f = sign * (2 * math.pi - g)
+    if isinstance(f, np.ndarray):
+        return _nan_where(k == 0.0, f)
+    if k == 0.0:
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
-    kappa = k / abs(m)
-    f = (xm.copysign(1.0, kappa)
-         * (2 * math.pi - _height_kernel(abs(kappa), R)))
-    return f if floats else _nan_where(bad_ga | bad_k, f, s1, s2, R)
+    return f
 
 
 def case_id(params: ModelParams | ParamGrid):
@@ -216,9 +202,11 @@ class HeightInvariant:
 
 def _require_focus_focus(params: ModelParams) -> float:
     e = discriminant_E(params)
-    if e >= 0 or is_degenerate(e, params):
+    if not is_focus_focus(e, params):
+        where = ("inside the degeneracy band" if is_degenerate(e, params)
+                 else ">= 0")
         raise DegenerateSystemError(
-            f"E = {e:.6e} >= 0: no focus-focus points, height undefined")
+            f"E = {e:.6e} {where}: no focus-focus points, height undefined")
     return e
 
 
@@ -228,11 +216,8 @@ def _ill_conditioned(e):
 
 def _t(work):
     """t = h1 - 1 = 1 - h2 in the NS frame ``work`` (module docstring)."""
-    k, m = _k_and_m(work.s1, work.s2, work.R)
-    kappa = k / abs(m)
-    xm = _ARRAY_MATH if isinstance(kappa, np.ndarray) else _FLOAT_MATH
-    return (xm.copysign(1.0, kappa) * _height_kernel(abs(kappa), work.R)
-            / (2 * math.pi))
+    _, sign, g = _signed_kernel(work.s1, work.s2, work.R)
+    return sign * g / (2 * math.pi)
 
 
 def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
@@ -260,7 +245,7 @@ def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
         work = ns_frame(grid)
         case = case_id(work)
         t = np.where(case == "III", 0.0, _t(work))
-        ff = (e < 0) & ~is_degenerate(e, grid)
+        ff = is_focus_focus(e, grid)
     h1, h2 = 1.0 + t, 1.0 - t
     for i, j in np.argwhere(ff & ~np.isfinite(t)):
         cell = height_closed(ModelParams(grid.r1, grid.r2,

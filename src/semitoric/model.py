@@ -137,16 +137,11 @@ class PhasePoint:
         return cls(*(float(x) for x in v))
 
 
-NORTH_NORTH = PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
-NORTH_SOUTH = PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, -1.0)
-SOUTH_NORTH = PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, 1.0)
-SOUTH_SOUTH = PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, -1.0)
-
 FIXED_POINTS = {
-    "NN": NORTH_NORTH,
-    "NS": NORTH_SOUTH,
-    "SN": SOUTH_NORTH,
-    "SS": SOUTH_SOUTH,
+    "NN": PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+    "NS": PhasePoint(0.0, 0.0, 1.0, 0.0, 0.0, -1.0),
+    "SN": PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, 1.0),
+    "SS": PhasePoint(0.0, 0.0, -1.0, 0.0, 0.0, -1.0),
 }
 
 

@@ -6,14 +6,10 @@ once per GK15 panel, on all 15 nodes, and maps no endpoints.
 package: it is the independent reference against which acceptance
 criterion 7 checks the closed-form roots of P_0.  At run time
 ``reduced.roots_P0`` checks them against the quadratic factor of the
-chart's own P_0 instead.
-
-``minimize_golden`` takes one float bracket or an array of brackets; the
-brackets of an array are refined in lockstep, with one objective call per
-step for all of them, and each gets the bits of its own float call.  It
-has no caller in the package either: the image envelope takes its extremes
-from a bracketed Newton solve for each side's one critical point
-(``cartography``).
+chart's own P_0 instead.  Nor has ``minimize_golden``, which takes one
+float bracket and calls its objective on one float at a time: the image
+envelope takes its extremes from a bracketed Newton solve for each side's
+one critical point (``cartography``).
 
 All routines are deterministic and free of global state.
 """
@@ -151,117 +147,66 @@ def find_root_bisect(f, a, b, tol=1e-13):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_local(f, a, b, tol, rows):
-    """Golden-section minimization of unimodal ``f`` on every bracket
-    [a[k], b[k]] at once; returns the final midpoints and ``f`` there.
-
-    The brackets step in lockstep and each step evaluates ``f`` only on
-    those still active.  A bracket freezes when its width is <= tol, when
-    its midpoint equals one of its ends (no float lies between them) or
-    after ``_MAX_STEPS`` steps.  Every value is the one the same steps give
-    on a single float bracket.
-    """
-    n = a.size
+def _golden_local(f, a, b, tol):
+    """Golden section of unimodal ``f`` on [a, b]: the final midpoint and
+    ``f`` there, once the bracket is no wider than ``tol``, has no float
+    inside or has taken ``_MAX_STEPS`` steps."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f12 = f(np.concatenate([x1, x2]), np.concatenate([rows, rows]))
-    f1, f2 = f12[:n], f12[n:]
-    a_end, b_end = a.copy(), b.copy()
-    live, live_rows = np.arange(n), rows
+    f1, f2 = f(x1), f(x2)
     for _ in range(_MAX_STEPS):
         xm = 0.5 * (a + b)
-        go = (b - a > tol) & (xm != a) & (xm != b)
-        if not go.all():
-            a_end[live[~go]], b_end[live[~go]] = a[~go], b[~go]
-            live, live_rows, a, b, x1, x2, f1, f2 = (
-                v[go] for v in (live, live_rows, a, b, x1, x2, f1, f2))
-        if not live.size:
+        if not b - a > tol or xm == a or xm == b:
             break
         # f1 <= f2 keeps [a, x2], otherwise [x1, b] (also when one is NaN).
-        left = f1 <= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        step = _INVPHI * (b - a)
-        xn = np.where(left, b - step, a + step)
-        fn = f(xn, live_rows)
-        x1, x2 = np.where(left, xn, x2), np.where(left, x1, xn)
-        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
-    a_end[live], b_end[live] = a, b
-    xm = 0.5 * (a_end + b_end)
-    return xm, f(xm, rows)
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
 
 
 @dataclass
 class GoldenResult:
-    """Minimizer ``x``, minimum ``fx`` and whether the seed grid showed one
-    basin; for array brackets each field is an array over the brackets."""
+    """Minimizer, minimum and whether the seed grid showed one basin."""
 
-    x: float | np.ndarray
-    fx: float | np.ndarray
-    unimodal: bool | np.ndarray = True
+    x: float
+    fx: float
+    unimodal: bool = True
 
 
 def minimize_golden(f, a, b, tol=1e-10, n_seed=64):
-    """Minimum of ``f`` on [a, b]: multi-start golden-section refinement.
+    """Minimum of ``f`` on the float bracket [a, b] by multi-start golden
+    section, with ``f(x)`` called on one float at a time.
 
     Seeds on an ``n_seed``-point grid, refines every local basin and returns
-    the best minimizer found: the first basin, in grid order, with the
-    smallest value.  ``unimodal`` is False when the seed grid shows more
-    than one basin.
-
-    ``a`` and ``b`` are floats, with ``f(x)`` called on one float at a
-    time, or arrays of brackets [a[k], b[k]] minimized together.  Then
-    ``f(x, rows)`` takes an array of points and an int array ``rows`` of the
-    same shape holding the bracket index of each point, and returns the
-    values as an array of that shape; the fields of the result are arrays
-    over the brackets.  Each bracket gets the same bits as its own float
-    call, unless some bracket is so narrow (below about ``n_seed``
-    subnormals) that its seed step rounds to zero: np.linspace then seeds
-    every row by another formula.
+    the first basin, in grid order, with the smallest value; NaN never
+    wins, and where no basin beats inf the result is (a, inf).  ``unimodal``
+    is False when the seed grid shows more than one basin.  ``ValueError``
+    unless a < b are floats.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        def f_rows(x, rows):
-            return np.array([f(v) for v in x.ravel()],
-                            dtype=float).reshape(x.shape)
-
-        res = _minimize_rows(f_rows, np.array([a], dtype=float),
-                             np.array([b], dtype=float), tol, n_seed)
-        return GoldenResult(res.x[0], res.fx[0], bool(res.unimodal[0]))
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("array brackets need a and b of one shape (k,)")
-    return _minimize_rows(f, a, b, tol, n_seed)
-
-
-def _minimize_rows(f, a, b, tol, n_seed):
-    """``minimize_golden`` on the brackets [a[k], b[k]] as rows."""
-    if not np.all(a < b):
+    if np.ndim(a) or np.ndim(b):
+        raise ValueError("minimize_golden takes one float bracket [a, b]")
+    if not a < b:
         raise ValueError("require a < b")
-    m = a.size
-    xs = np.linspace(a, b, n_seed, axis=-1)
-    fs = f(xs, np.broadcast_to(np.arange(m)[:, None], xs.shape))
-    # Local-minimum seeds (including endpoints), row by row in grid order.
-    pad = np.full((m, 1), np.inf)
-    is_basin = ((fs <= np.concatenate([pad, fs[:, :-1]], axis=1))
-                & (fs <= np.concatenate([fs[:, 1:], pad], axis=1)))
-    brow, bcol = np.nonzero(is_basin)
-    x, fx = xs[brow, bcol], fs[brow, bcol]
-    lo = xs[brow, np.maximum(bcol - 1, 0)]
-    hi = xs[brow, np.minimum(bcol + 1, n_seed - 1)]
-    wide = hi > lo
-    if wide.any():
-        x[wide], fx[wide] = _golden_local(f, lo[wide], hi[wide], tol,
-                                          brow[wide])
-    # Per row the first basin with the smallest value; NaN never wins, and
-    # a row where no basin beats inf keeps (xs[0], inf).
-    key = np.where(np.isnan(fx), np.inf, fx)
-    order = np.lexsort((key, brow))  # stable: ties keep basin order
-    firsts = order[np.flatnonzero(np.diff(brow[order], prepend=-1))]
-    firsts = firsts[key[firsts] < np.inf]
-    best_x, best_fx = xs[:, 0].copy(), np.full(m, np.inf)
-    best_x[brow[firsts]], best_fx[brow[firsts]] = x[firsts], fx[firsts]
-    return GoldenResult(best_x, best_fx,
-                        np.bincount(brow, minlength=m) <= 1)
+    xs = np.linspace(a, b, n_seed).tolist()
+    fs = [f(x) for x in xs]
+    # Local-minimum seeds (including endpoints) in grid order.
+    padded = [math.inf] + fs + [math.inf]
+    basins = [i for i in range(n_seed)
+              if padded[i + 1] <= padded[i] and padded[i + 1] <= padded[i + 2]]
+    best_x, best_fx = xs[0], math.inf
+    for i in basins:
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n_seed - 1)]
+        x, fx = _golden_local(f, lo, hi, tol) if hi > lo else (xs[i], fs[i])
+        if fx < best_fx:  # ties keep the earlier basin
+            best_x, best_fx = x, fx
+    return GoldenResult(best_x, best_fx, len(basins) <= 1)
 
 
 def quartic_roots(coeffs):

@@ -6,13 +6,13 @@ NN and SS are always elliptic-elliptic.  NS and SN are focus-focus exactly
 when E < 0 and elliptic-elliptic when E > 0; on E = 0 they are degenerate
 and the system fails to be semitoric.
 
-``discriminant_E`` and ``is_degenerate`` also take a ``ParamGrid`` (one
-pair of radii, s1 as a column and s2 as a row) and then return arrays over
-its grid, bit-identical cell by cell to the ModelParams calls.  Like every
-formula in the package that runs on floats and arrays, each is written
-once, with powers as products in one fixed association (``x * x``,
-``x * x * x``, ``(x * x) * (x * x)``): every operation is then one
-correctly rounded IEEE operation on floats and on arrays alike.
+``discriminant_E``, ``is_degenerate`` and ``is_focus_focus`` also take a
+``ParamGrid`` (one pair of radii, s1 as a column and s2 as a row) and then
+return arrays over its grid, bit-identical cell by cell to the ModelParams
+calls.  Like every formula in the package that runs on floats and arrays,
+each is written once, with powers as products in one fixed association
+(``x * x``, ``x * x * x``, ``(x * x) * (x * x)``): every operation is then
+one correctly rounded IEEE operation on floats and on arrays alike.
 
 ``rank1_margin`` is one formula in (z1, z2) under the same rule.  Its
 numerator is a positive definite quadratic form wherever |z1 z2| < 1, so
@@ -54,6 +54,12 @@ def is_degenerate(e, params: ModelParams | ParamGrid):
     return abs(e) <= DEGENERACY_BAND * params.r1 * params.r2
 
 
+def is_focus_focus(e, params: ModelParams | ParamGrid):
+    """Whether E (a float, or an array over a ParamGrid) lies below the
+    degeneracy band: E < 0 and not ``is_degenerate``."""
+    return e < -(DEGENERACY_BAND * params.r1 * params.r2)
+
+
 @dataclass(frozen=True)
 class SingularityReport:
     point_id: str             # NN | NS | SN | SS
@@ -68,10 +74,8 @@ def classify_fixed_points(params: ModelParams) -> list[SingularityReport]:
     (degenerate inside the band).
     """
     e = discriminant_E(params)
-    if is_degenerate(e, params):
-        mixed = "degenerate"
-    else:
-        mixed = "focus-focus" if e < 0 else "elliptic-elliptic"
+    mixed = ("focus-focus" if is_focus_focus(e, params) else "degenerate"
+             if is_degenerate(e, params) else "elliptic-elliptic")
     kinds = {"NN": "elliptic-elliptic", "NS": mixed, "SN": mixed,
              "SS": "elliptic-elliptic"}
     return [SingularityReport(pid, kinds[pid], e) for pid in POINT_IDS]
@@ -131,5 +135,5 @@ def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
     e = discriminant_E(params)
     degenerate = is_degenerate(e, params)
     return SemitoricVerdict(is_semitoric=not degenerate,
-                            n_ff=2 if e < 0 and not degenerate else 0,
+                            n_ff=2 if is_focus_focus(e, params) else 0,
                             degenerate=degenerate)

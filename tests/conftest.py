@@ -380,13 +380,63 @@ def _paper_NB(xm, alpha, beta, gamma, delta):
     return xm.log(num / (delta * xm.sqrt(disc))) / xm.sqrt(w)
 
 
+def gamma_A(s1, s2, R):
+    """gamma of ``_paper_terms``, m^2 (16 R - kappa^2) in k, m of
+    ``reduced._k_and_m``, as an expanded polynomial with its powers as
+    products in one fixed association, so that floats and arrays round
+    alike.  Takes floats, arrays or sympy symbols."""
+    a2 = s1 * s1
+    a3, a4 = a2 * s1, a2 * a2
+    b2 = s2 * s2
+    b3 = b2 * s2
+    u, w = 1 - 2 * s1, s2 - 1
+    return (-(R * R) * (u * u) * (w * w)
+            + 2 * R * (8 * a4 - 16 * a3 + 4 * a2 * (3 * b2 - 3 * s2 + 2)
+                       - 12 * s1 * w * s2
+                       + s2 * (8 * b3 - 16 * b2 + 7 * s2 + 1))
+            - u * u * b2)
+
+
+def reference_closed_form_F(s1, s2, R):
+    """``height.closed_form_F`` as it was written with its own regime check
+    gamma_A <= 0 ahead of the kernel, and NaN on arrays also where an
+    argument is not finite: the reference for the form that shares the
+    height's path."""
+    from semitoric.height import (_ARRAY_MATH, _FLOAT_MATH, _check_finite,
+                                  _height_kernel)
+    from semitoric.reduced import _k_and_m
+
+    ga = gamma_A(s1, s2, R)
+    floats = not isinstance(ga, np.ndarray)
+    if floats:
+        _check_finite("closed_form_F", s1, s2, R)
+    xm = _FLOAT_MATH if floats else _ARRAY_MATH
+    bad_ga = ga <= 0
+    if floats and bad_ga:
+        raise ValueError(f"gamma_A = {ga:.3e} <= 0: outside the focus-focus "
+                         f"regime")
+    k, m = _k_and_m(s1, s2, R)
+    bad_k = k == 0.0
+    if floats and bad_k:
+        raise ValueError("on the trivial-case boundary (case III); F is not "
+                         "defined there")
+    kappa = k / abs(m)
+    f = (xm.copysign(1.0, kappa)
+         * (2 * math.pi - _height_kernel(abs(kappa), R)))
+    if floats:
+        return f
+    bad = bad_ga | bad_k | ~np.isfinite(f)
+    for x in (s1, s2, R):
+        bad = bad | ~np.isfinite(x)
+    return np.where(bad, np.nan, f)
+
+
 def _float_quadratic(s1, s2, R):
     """(alpha, beta, gamma) of ``_paper_terms`` in the package's floats:
     4 c^2 and -8 (1 + R) c^2 with c = s1^2 - s1 + (s2 - 1) s2, and
-    ``height.gamma_A`` (the expanded polynomials round differently)."""
-    from semitoric import height
+    ``gamma_A`` (the expanded polynomials round differently)."""
     c = s1 * s1 - s1 + (s2 - 1) * s2
-    return 4 * (c * c), -8 * (1 + R) * (c * c), height.gamma_A(s1, s2, R)
+    return 4 * (c * c), -8 * (1 + R) * (c * c), gamma_A(s1, s2, R)
 
 
 @pytest.fixture(scope="session")

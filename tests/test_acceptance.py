@@ -16,7 +16,7 @@ from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_func,
                              momentum_map)
 from semitoric.numerics import QuadratureSettings, integrate, quartic_roots
 
-from conftest import (l_flow, panel_integrand, poisson_bracket,
+from conftest import (gamma_A, l_flow, panel_integrand, poisson_bracket,
                       random_phase_point, record_criterion)
 
 GRID_RS = (1.5, 2.0, 3.0, 4.0, 8.0)
@@ -233,7 +233,7 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
                         float(rng.uniform(0.5, 3.0)),
                         float(rng.uniform(0.0, 1.0)),
                         float(rng.uniform(0.0, 1.0)))
-        ga = height.gamma_A(p.s1, p.s2, p.R)
+        ga = gamma_A(p.s1, p.s2, p.R)
         target = -singularity.discriminant_E(p) / p.r1 ** 2
         scale = max(abs(target), 1e-30)
         worst_gamma = max(worst_gamma, abs(ga - target) / scale)

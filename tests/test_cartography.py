@@ -626,6 +626,9 @@ class TestImageBoundary:
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             image_boundary(FF_PARAMS, n=8)
+        for n in (cartography.MAX_SAMPLES + 1, 2 ** 63 - 1, 10 ** 20):
+            with pytest.raises(ValueError, match="n must be <= 65536"):
+                image_boundary(FF_PARAMS, n=n)
 
     def test_small_ratio_equivalent(self):
         # Swapping the spheres leaves the envelope of the image unchanged up

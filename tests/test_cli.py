@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from semitoric import cli, reduced
+from semitoric import cartography, cli, reduced
 from semitoric.cli import main
 from semitoric.height import height_oracle
 from semitoric.model import ModelParams
@@ -205,6 +205,26 @@ class TestImage:
         code, _, err = run(capsys, ["image", "--samples", "4"] + FF)
         assert code == 2
 
+    @pytest.mark.parametrize("samples", [65537, 10 ** 12, 2 ** 63 - 1,
+                                         10 ** 20])
+    def test_sample_maximum(self, capsys, monkeypatch, samples):
+        # Refused before the envelope allocates anything.
+        def envelope(params, n):
+            raise AssertionError("image_boundary called")
+        monkeypatch.setattr(cartography, "image_boundary", envelope)
+        code, out, err = run(capsys, ["image", "--samples", str(samples)]
+                             + FF)
+        assert (code, out) == (2, "")
+        assert err == "error: --samples must be <= 65536\n"
+
+    def test_sample_maximum_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cartography, "image_boundary",
+            lambda params, n: cartography.ImageBoundary((), (), ()))
+        code, out, _ = run(capsys, ["image", "--samples",
+                                    str(cartography.MAX_SAMPLES)] + FF)
+        assert (code, out) == (0, "l,h_min,h_max,kind\n")
+
 
 class TestSweep:
     ARGS = ["sweep"] + BASE + ["--quantity", "nff",
@@ -244,6 +264,19 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep"] + BASE
                            + ["--quantity", "E", "--s1-count", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("counts", [(10 ** 7, 10 ** 7), (1000, 1001),
+                                        (2, 500001)])
+    def test_cell_maximum(self, capsys, monkeypatch, counts):
+        # Refused before the axes or the grid are allocated.
+        def linspace(*args, **kwargs):
+            raise AssertionError("axis allocated")
+        monkeypatch.setattr(cli.np, "linspace", linspace)
+        code, out, err = run(capsys, ["sweep"] + BASE + [
+            "--quantity", "height", "--s1-count", str(counts[0]),
+            "--s2-count", str(counts[1])])
+        assert (code, out) == (2, "")
+        assert err == "error: --s1-count * --s2-count must be <= 1000000\n"
 
 
 class TestArguments:

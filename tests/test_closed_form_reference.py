@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semitoric.height import closed_form_F, gamma_A, gamma_B, height_closed
+from conftest import gamma_A
+from semitoric.height import closed_form_F, gamma_B, height_closed
 from semitoric.model import ModelParams, ns_frame
 from semitoric.reduced import p0_factors
 from semitoric.singularity import discriminant_E

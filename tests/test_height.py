@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import panel_integrand
+from conftest import gamma_A, panel_integrand, reference_closed_form_F
 from semitoric import height, reduced
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, _height_kernel, case_id,
-                              closed_form_F, gamma_A, gamma_B, height_both,
+                              closed_form_F, gamma_B, height_both,
                               height_closed, height_oracle)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
@@ -222,11 +222,13 @@ class TestClosedForm:
         assert np.isnan(got[:3]).all() and got[3] == _height_kernel(1.0, 2.0)
 
     @pytest.mark.parametrize("bad, message", [
-        # kappa^2 = 576 > 16 R: gamma_A < 0.
-        ((0.02, 0.98, 1.0), "gamma_A = -8.248e-01 <= 0"),
+        # kappa^2 = 576 > 16 R: the kernel's D < 0 (gamma_A < 0).
+        ((0.02, 0.98, 1.0), "16 R - kappa^2 = -5.367e+02 <= 0"),
+        # m = 0 (zero coupling): kappa and -D are infinite.
+        ((0.0, 0.0, 2.0), "16 R - kappa^2 = -inf <= 0"),
         # s1 = 1/2: k = 0, case III.
         ((0.5, 0.25, 2.0), "case III"),
-    ], ids=["gamma_A", "case_III"])
+    ], ids=["outside_focus_focus", "zero_coupling", "case_III"])
     def test_F_undefined(self, bad, message):
         good = (0.25, 0.25, 2.0)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -267,6 +269,50 @@ class TestClosedForm:
                 rhs = (4 * (p - 2) * (p - 2 * R) * m * m
                        - (1 - 2 * s1) ** 2 * (R * (s2 - 1) + s2) ** 2)
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def _bits_or_raise(f, *args):
+    """The bytes of ``f(*args)`` as a float64, or None where it raises
+    ``ValueError``."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except ValueError:
+        return None
+
+
+class TestFOnTheHeightPath:
+    """``closed_form_F`` through the height's kernel path against the form
+    with its own gamma_A check (``reference_closed_form_F`` in conftest):
+    the same bits where it returned, a raise where it raised, and NaN in
+    the same array cells."""
+
+    def test_seeded_floats(self):
+        rng = np.random.default_rng(35)
+        n = 20000
+        R = np.exp(rng.uniform(math.log(1 / 8), math.log(1e3), n))
+        s1, s2 = rng.uniform(0.0, 1.0, (2, n))
+        returned = 0
+        for args in zip(s1.tolist(), s2.tolist(), R.tolist()):
+            got = _bits_or_raise(closed_form_F, *args)
+            assert got == _bits_or_raise(reference_closed_form_F, *args), args
+            returned += got is not None
+        assert 0.1 * n < returned < 0.9 * n
+        with np.errstate(all="ignore"):
+            assert (closed_form_F(s1, s2, R).tobytes()
+                    == reference_closed_form_F(s1, s2, R).tobytes())
+
+    @pytest.mark.parametrize("R", [0.3, 2.0, 7.0, 50.0, math.inf, math.nan])
+    def test_grids_with_non_finite_cells(self, R):
+        axis = np.concatenate([[math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0,
+                                -0.25, 1.5, 1e300], np.linspace(0.0, 1.0, 41)])
+        with np.errstate(all="ignore"):
+            got = closed_form_F(axis[:, None], axis[None, :], R)
+            ref = reference_closed_form_F(axis[:, None], axis[None, :], R)
+        assert got.tobytes() == ref.tobytes()
+        assert np.isfinite(got).any() == math.isfinite(R)
+        for s1, s2 in itertools.product(axis.tolist(), repeat=2):
+            assert (_bits_or_raise(closed_form_F, s1, s2, R)
+                    == _bits_or_raise(reference_closed_form_F, s1, s2, R))
 
 
 class TestNonFiniteArguments:
@@ -445,6 +491,22 @@ class TestHeightValues:
     def test_requires_focus_focus(self):
         with pytest.raises(DegenerateSystemError):
             height_closed(ModelParams(1, 2, 0.05, 0.05))
+
+    @pytest.mark.parametrize("s1, s2, message", [
+        (0.05, 0.05, "E = 2.483425e+00 >= 0: no focus-focus points, height "
+                     "undefined"),
+        # A root of E in floats, inside the degeneracy band.
+        (0.14453829383418643, 0.1, "E = -6.661338e-16 inside the degeneracy "
+                                   "band: no focus-focus points, height "
+                                   "undefined"),
+    ], ids=["positive", "in_band"])
+    def test_no_focus_focus_message(self, s1, s2, message):
+        p = ModelParams(1, 2, s1, s2)
+        for call in (height_closed, height_both,
+                     lambda p: height_oracle("NS", p)):
+            with pytest.raises(DegenerateSystemError) as info:
+                call(p)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
     def test_rejects_nonpositive_tol(self, tol):

@@ -183,83 +183,48 @@ class TestGolden:
         assert res.fx <= dense + 1e-10
 
 
-def _per_row(f):
-    """Adapt scalar objectives, one per bracket, to the ``f(x, rows)``
-    contract of array brackets."""
-    def f_rows(x, rows):
-        assert x.shape == rows.shape
-        return np.array([f[r](v) for v, r in zip(x.ravel(), rows.ravel())],
-                        dtype=float).reshape(x.shape)
-    return f_rows
-
-
-def _assert_rows_match(f, a, b, res, scalar_golden):
-    for k in range(len(a)):
-        one = minimize_golden(f[k], a[k], b[k])
-        ref = scalar_golden(f[k], a[k], b[k])
-        assert (res.x[k], res.fx[k], res.unimodal[k]) == \
-            (one.x, one.fx, one.unimodal) == ref
-
-
-class TestGoldenArrayBrackets:
-    def test_rows_equal_scalar_calls(self, scalar_golden):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(-3.0, 1.0, 12)
-        b = a + rng.uniform(1e-6, 5.0, 12)
-        freq = rng.uniform(0.5, 9.0, 12)
-        f = [lambda x, w=w: math.sin(w * x) + 0.1 * x * x for w in freq]
-        res = minimize_golden(_per_row(f), a, b)
-        assert res.x.shape == res.fx.shape == res.unimodal.shape == (12,)
-        assert not res.unimodal.all()
-        _assert_rows_match(f, a, b, res, scalar_golden)
-
+class TestGoldenEdgeCases:
     def test_tied_basins_pick_the_first(self, scalar_golden):
         # Two wells with an exactly flat floor at 0: every basin ties.
         def wells(x, c1, c2):
             return min(max(abs(x - c1) - 0.2, 0.0), max(abs(x - c2) - 0.2, 0.0))
-        f = [lambda x: wells(x, 0.5, 2.5), lambda x: wells(x, 2.5, 0.5),
-             lambda x: (x - 1.0) ** 2]
-        a, b = np.array([0.0, 0.0, 0.0]), np.array([3.0, 3.0, 3.0])
-        res = minimize_golden(_per_row(f), a, b)
-        assert res.fx[0] == res.fx[1] == 0.0
-        assert res.x[0] < 1.0 and res.x[1] < 1.0
-        _assert_rows_match(f, a, b, res, scalar_golden)
+        for f in (lambda x: wells(x, 0.5, 2.5), lambda x: wells(x, 2.5, 0.5)):
+            res = minimize_golden(f, 0.0, 3.0)
+            assert res.fx == 0.0 and res.x < 1.0
+            assert not res.unimodal
+            assert (res.x, res.fx, res.unimodal) == scalar_golden(f, 0.0, 3.0)
 
     def test_adjacent_float_bracket(self, scalar_golden):
         # No float lies inside [1, 1 + ulp]: every basin bracket has zero
-        # width and keeps its seed point.
-        f = [lambda x: (x - 1.0) ** 2, lambda x: -x]
-        a = np.array([1.0, 0.0])
-        b = np.array([math.nextafter(1.0, 2.0), 1.0])
-        res = minimize_golden(_per_row(f), a, b)
-        _assert_rows_match(f, a, b, res, scalar_golden)
+        # width or adjacent ends and keeps its seed point or midpoint.
+        b = math.nextafter(1.0, 2.0)
+        for f in (lambda x: (x - 1.0) ** 2, lambda x: -x):
+            res = minimize_golden(f, 1.0, b)
+            assert 1.0 <= res.x <= b
+            assert (res.x, res.fx, res.unimodal) == scalar_golden(f, 1.0, b)
 
-    def test_nan_row_keeps_left_end(self, scalar_golden):
-        f = [lambda x: math.nan, lambda x: abs(x - 0.25)]
-        a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        res = minimize_golden(_per_row(f), a, b)
-        assert (res.x[0], res.fx[0]) == (0.0, np.inf)
-        _assert_rows_match(f, a, b, res, scalar_golden)
+    def test_nan_objective_keeps_left_end(self, scalar_golden):
+        f = lambda x: math.nan
+        res = minimize_golden(f, 0.0, 1.0)
+        assert (res.x, res.fx) == (0.0, math.inf)
+        assert (res.x, res.fx, res.unimodal) == scalar_golden(f, 0.0, 1.0)
 
     def test_zero_width_bracket_raises(self):
-        f = [lambda x: x, lambda x: x]
-        with pytest.raises(ValueError):
-            minimize_golden(_per_row(f), np.array([0.0, 1.0]),
-                            np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            minimize_golden(f[0], 1.0, 1.0)
+        f = lambda x: x
+        with pytest.raises(ValueError, match="require a < b"):
+            minimize_golden(f, 1.0, 1.0)
+        with pytest.raises(ValueError, match="require a < b"):
+            minimize_golden(f, math.nan, 1.0)
 
-    def test_vectorized_objective_sees_only_active_rows(self):
-        # Row 0 is wide and needs ~45 steps, row 1 stops after a few.
-        calls = []
-
-        def f(x, rows):
-            calls.append(np.unique(rows).tolist())
-            return (x - 0.3) ** 2
-        res = minimize_golden(f, np.array([0.0, 0.0]), np.array([10.0, 1e-7]),
-                              tol=1e-10)
-        assert abs(res.x[0] - 0.3) < 1e-8
-        assert [0] in calls and [0, 1] in calls
+    def test_array_brackets_raise(self):
+        def f(x):
+            raise AssertionError("f called")
+        for a, b in ((np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+                     (np.array([0.0]), np.array([1.0])),
+                     (0.0, np.array([1.0])),
+                     (np.zeros((1, 1)), 1.0)):
+            with pytest.raises(ValueError, match="one float bracket"):
+                minimize_golden(f, a, b)
 
     def test_float_bracket_matches_reference(self, scalar_golden):
         for f, a, b in ((lambda x: math.sin(5.0 * x) + 0.1 * x, 0.0, 4.0),

@@ -5,11 +5,12 @@ import pytest
 
 from semitoric import cartography
 from semitoric.errors import DegenerateSystemError
-from semitoric.model import ModelParams
+from semitoric.model import ModelParams, ParamGrid
 from semitoric.numerics import find_root_bisect
 from semitoric.singularity import (DEGENERACY_BAND, check_semitoric,
                                    classify_fixed_points, discriminant_E,
-                                   n_ff, rank1_margin)
+                                   is_degenerate, is_focus_focus, n_ff,
+                                   rank1_margin)
 
 
 class TestDiscriminant:
@@ -165,6 +166,29 @@ def _ratio_params(rng, n):
             p = ModelParams(p.r1, p.r2, s1, p.s2)
         out.append(p)
     return out
+
+
+class TestIsFocusFocus:
+    def test_below_the_band_exactly(self):
+        # E < 0 and not is_degenerate, at the band's edges, next to them,
+        # at 0 and at NaN.
+        p = ModelParams(1.0, 3.0, 0.3, 0.4)
+        band = DEGENERACY_BAND * p.r1 * p.r2
+        for e in (-band, np.nextafter(-band, -1.0), np.nextafter(-band, 0.0),
+                  -0.0, 0.0, band, -1.0, 1.0, np.nan):
+            assert is_focus_focus(e, p) == (e < 0 and not is_degenerate(e, p))
+
+    def test_grid_equals_float_calls(self):
+        rng = np.random.default_rng(41)
+        grid = ParamGrid(1.0, 2.5, np.sort(rng.uniform(0, 1, 23)),
+                         np.sort(rng.uniform(0, 1, 19)))
+        e = discriminant_E(grid)
+        got = is_focus_focus(e, grid)
+        assert got.shape == (23, 19) and got.any() and not got.all()
+        for (i, j), v in np.ndenumerate(got):
+            cell = ModelParams(1.0, 2.5, float(grid.s1[i, 0]),
+                               float(grid.s2[0, j]))
+            assert v == is_focus_focus(discriminant_E(cell), cell)
 
 
 @pytest.mark.parametrize("points, seed, kinds", [

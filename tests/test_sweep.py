@@ -207,12 +207,10 @@ class TestArrayFormulasMatchFloats:
     def test_polynomials(self, R, seed):
         grid = _grid(R, seed)
         e = singularity.discriminant_E(grid)
-        ga = height.gamma_A(grid.s1, grid.s2, R)
         gb = height.gamma_B(grid.s1, grid.s2, R)
         for i, j, s1, s2 in _cells(grid):
             cell = ModelParams(1.0, R, s1, s2)
             assert _same(e[i, j], lambda: singularity.discriminant_E(cell))
-            assert _same(ga[i, j], lambda: height.gamma_A(s1, s2, R))
             assert _same(gb[i, j], lambda: height.gamma_B(s1, s2, R))
 
     @pytest.mark.parametrize("R, seed", GRIDS)

@@ -21,10 +21,11 @@ degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), ``classify`` (also with
 [2e-11, 5e-10], exits 3 and 0), small sweeps, seeded
 41 x 41 sweeps of every quantity, ``height`` and a sweep next to the
 crossing of the case-III lines, negative values written as separate
-arguments (``--R2 -inf``) and other error exits, on inputs with R > 1 and
-R < 1, plus seeded random focus-focus points.  The seeded points are
-chosen with exact rational arithmetic, not with the package, so every
-checkout runs the same list.  Standard library and NumPy only.
+arguments (``--R2 -inf``), oversized grids and other error exits, on
+inputs with R > 1 and R < 1, plus seeded random focus-focus points.  The
+seeded points are chosen with exact rational arithmetic, not with the
+package, so every checkout runs the same list.  Standard library and NumPy
+only.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ CROSSING_SWEEP = ("sweep --R1 1.0 --R2 0.9877274521826769 --quantity height "
                   "--s1-start 0.3913042305570981 --s1-stop 0.6784081853711457 "
                   "--s1-count 41 --s2-start 0.22477811335400982 "
                   "--s2-stop 0.6138689802117288 --s2-count 41")
+# Grids past the CLI's size limits (exit 2).  Each allocates nothing where
+# the limit holds, and fails at once where it does not: a request of 10^20
+# or 2^63 - 1 samples, or of 10^14 cells, exceeds any address space.
+OVERSIZED = [
+    "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 100000000000000000000",
+    "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 9223372036854775807",
+    "sweep --R1 1 --R2 2 --quantity height --s1-count 10000000 "
+    "--s2-count 10000000",
+]
 
 
 def flags(point) -> str:
@@ -227,6 +237,7 @@ def invocations():
             "polygon --R1 1 --R2 2 --s1 0.5 --s2 0.5 --cuts xx",
             "image --R1 1 --R2 2 --s1 0.5 --s2 0.5 --samples 4",
             "sweep --R1 1 --R2 2 --quantity E --s1-count 1"]
+    out += OVERSIZED
     return out
 
 
