@@ -9,7 +9,8 @@ from .cartography import (ImageBoundary, Polygon, act_flip_cut, act_shear,
 from .errors import (ConsistencyError, DegenerateSystemError,
                      NonconvergenceError, SemitoricError)
 from .height import (HeightInvariant, case_id, closed_form_F, gamma_B,
-                     height_both, height_closed, height_oracle)
+                     height_both, height_closed, height_oracle,
+                     height_quadrature)
 from .model import (FIXED_POINTS, ModelParams, MomentumValue, ParamGrid,
                     PhasePoint, momentum_map)
 from .reduced import (DHFunction, dh_function, ff_levels, physical_interval,
@@ -28,7 +29,7 @@ __all__ = [
     "act_flip_cut", "act_shear", "case_id", "chart",
     "check_semitoric", "classify_fixed_points", "closed_form_F",
     "dh_function", "discriminant_E", "ff_levels", "gamma_B",
-    "height_both", "height_closed", "height_oracle",
+    "height_both", "height_closed", "height_oracle", "height_quadrature",
     "image_boundary", "momentum_map", "n_ff",
     "physical_interval", "polygon_representative",
     "rank1_margin", "reduced_A", "reduced_B", "roots_P0",

@@ -34,9 +34,7 @@ MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep took 444 MB
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float (empty for None)."""
-    if x is None:
-        return ""
+    """Shortest round-trip decimal form of a float."""
     return repr(float(x))
 
 
@@ -63,11 +61,7 @@ def cmd_classify(args) -> int:
     params = _params_from(args)
     reports = singularity.classify_fixed_points(params)
     e = reports[0].e_value
-    kind = reports[1].kind  # NS, the same as SN: n_FF is 2 for focus-focus
-    degenerate = kind == "degenerate"
-    nff = None if degenerate else (2 if kind == "focus-focus" else 0)
-    # Semitoric exactly when not degenerate: rank-1 points are never
-    # degenerate (singularity.rank1_margin < 0 on the whole strip).
+    verdict = singularity.check_semitoric(params)
     if args.json:
         payload = {
             "schema": JSON_SCHEMA,
@@ -75,9 +69,9 @@ def cmd_classify(args) -> int:
             "params": {"R1": params.r1, "R2": params.r2,
                        "s1": params.s1, "s2": params.s2},
             "E": e,
-            "n_ff": nff,
-            "degenerate": degenerate,
-            "is_semitoric": not degenerate,
+            "n_ff": None if verdict.degenerate else verdict.n_ff,
+            "degenerate": verdict.degenerate,
+            "is_semitoric": verdict.is_semitoric,
             "fixed_points": [{"id": r.point_id, "kind": r.kind}
                              for r in reports],
         }
@@ -86,25 +80,18 @@ def cmd_classify(args) -> int:
         print(f"E = {_fmt(e)}")
         for r in reports:
             print(f"{r.point_id}: {r.kind}")
-        if degenerate:
+        if verdict.degenerate:
             print("degenerate: E = 0 within band; not semitoric")
         else:
-            print(f"n_FF = {nff}")
+            print(f"n_FF = {verdict.n_ff}")
             print("semitoric: yes")
-    return EXIT_DEGENERATE if degenerate else EXIT_OK
+    return EXIT_DEGENERATE if verdict.degenerate else EXIT_OK
 
 
 def cmd_height(args) -> int:
-    params = _params_from(args)
-    if args.method == "closed":
-        inv = height.height_closed(params)
-    elif args.method == "quadrature":
-        work = ns_frame(params)
-        inv = height.HeightInvariant(height.height_oracle("NS", work),
-                                     height.height_oracle("SN", work),
-                                     height.case_id(work), "quadrature")
-    else:
-        inv = height.height_both(params)
+    inv = {"closed": height.height_closed,
+           "quadrature": height.height_quadrature,
+           "both": height.height_both}[args.method](_params_from(args))
     if args.json:
         payload = {
             "schema": JSON_SCHEMA,
@@ -188,8 +175,7 @@ def _sweep_fields(quantity, grid: ParamGrid) -> list[str]:
     """The CSV fields after s1,s2 of every cell, in row order.
 
     The whole grid is evaluated with a few array calls; every value is
-    bit-identical to the ModelParams call on its cell, and if some cell's
-    height raises, the first such cell in row order raises here.
+    bit-identical to the ModelParams call on its cell.
     """
     with np.errstate(all="ignore"):
         e = singularity.discriminant_E(grid)

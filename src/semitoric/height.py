@@ -37,14 +37,15 @@ the correctly rounded ``math.sqrt`` and ``np.sqrt``.
 
 Errors on arrays.  Where the float call raises, or may (a value it divides
 by, or takes the log of, is not finite), the array element is NaN.
-``height_closed`` on a ParamGrid re-runs those cells through the float path
-in row order, so the first that fails raises the float call's exception.
+On a ParamGrid ``height_closed`` reports no such cell: E = -r1^2 gamma_A
+= -r1^2 m^2 (16 R - kappa^2), so every focus-focus cell has D > 0 and a
+finite t, and a self-check raises ``ConsistencyError`` where one is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,11 +55,9 @@ from .errors import ConsistencyError, DegenerateSystemError
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
 from .numerics import QuadratureSettings, integrate
 from .reduced import _k_and_m, gamma_B
-from .singularity import discriminant_E, is_degenerate, is_focus_focus
+from .singularity import (discriminant_E, is_degenerate, is_focus_focus,
+                          is_ill_conditioned)
 
-# E in (-ILL_CONDITIONED_BAND, 0) is computable but flagged: the closed form
-# and the oracle sit on a genuine conditioning cliff there.
-ILL_CONDITIONED_BAND = 1e-6
 # Largest |P_0| on the chart at an oracle cut, relative to the size of its
 # terms (see ``height_oracle``).  Measured: at most 6.3e-14 on 200 000 cuts
 # of focus-focus points with R in [1/8, 8], 6.7e-13 with s1 within 1e-3 of
@@ -210,10 +209,6 @@ def _require_focus_focus(params: ModelParams) -> float:
     return e
 
 
-def _ill_conditioned(e):
-    return (-ILL_CONDITIONED_BAND < e) & (e < 0)
-
-
 def _t(work):
     """t = h1 - 1 = 1 - h2 in the NS frame ``work`` (module docstring)."""
     _, sign, g = _signed_kernel(work.s1, work.s2, work.R)
@@ -224,9 +219,7 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     """Height invariant from the closed form, with t = 0 in case III.
 
     On a ParamGrid the fields are arrays over the grid (case_ns holds the
-    labels), h1 and h2 are NaN in the cells without focus-focus points, and
-    the first cell in row order whose float call raises makes this call
-    raise the same exception.
+    labels), and h1 and h2 are NaN in the cells without focus-focus points.
     """
     if isinstance(params, ParamGrid):
         return _height_closed_grid(params)
@@ -235,7 +228,7 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     case = case_id(work)
     t = 0.0 if case == "III" else _t(work)
     return HeightInvariant(1.0 + t, 1.0 - t, case, "closed-form",
-                           _ill_conditioned(e))
+                           is_ill_conditioned(e, params))
 
 
 def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
@@ -246,14 +239,12 @@ def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
         case = case_id(work)
         t = np.where(case == "III", 0.0, _t(work))
         ff = is_focus_focus(e, grid)
-    h1, h2 = 1.0 + t, 1.0 - t
-    for i, j in np.argwhere(ff & ~np.isfinite(t)):
-        cell = height_closed(ModelParams(grid.r1, grid.r2,
-                                         float(grid.s1[i, 0]),
-                                         float(grid.s2[0, j])))
-        h1[i, j], h2[i, j] = cell.h1, cell.h2
-    return HeightInvariant(np.where(ff, h1, np.nan), np.where(ff, h2, np.nan),
-                           case, "closed-form", _ill_conditioned(e))
+    if not np.isfinite(t[ff]).all():
+        raise ConsistencyError("closed-form height not finite in a "
+                               "focus-focus cell")
+    return HeightInvariant(np.where(ff, 1.0 + t, np.nan),
+                           np.where(ff, 1.0 - t, np.nan), case, "closed-form",
+                           is_ill_conditioned(e, grid))
 
 
 def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
@@ -356,12 +347,19 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     return area / (2.0 * math.pi)
 
 
+def height_quadrature(params: ModelParams, tol=1e-9) -> HeightInvariant:
+    """Height invariant from the oracle: h1 from the NS and h2 from the SN
+    ``height_oracle`` in the NS frame, with the case and the
+    ill-conditioned flag from the same E as ``height_closed``."""
+    e = _require_focus_focus(params)
+    work = ns_frame(params)
+    return HeightInvariant(height_oracle("NS", work, tol),
+                           height_oracle("SN", work, tol), case_id(work),
+                           "quadrature", is_ill_conditioned(e, params))
+
+
 def height_both(params: ModelParams, tol: float = 1e-9) -> HeightInvariant:
     """Closed form and oracle together, with their discrepancy recorded."""
-    closed = height_closed(params)
-    work = ns_frame(params)
-    h1_q = height_oracle("NS", work, tol)
-    h2_q = height_oracle("SN", work, tol)
-    disc = max(abs(closed.h1 - h1_q), abs(closed.h2 - h2_q))
-    return HeightInvariant(closed.h1, closed.h2, closed.case_ns, "both",
-                           closed.ill_conditioned, disc)
+    closed, oracle = height_closed(params), height_quadrature(params, tol)
+    return replace(closed, method="both", discrepancy=max(
+        abs(closed.h1 - oracle.h1), abs(closed.h2 - oracle.h2)))

@@ -188,12 +188,14 @@ def minimize_golden(f, a, b, tol=1e-10, n_seed=64):
     the first basin, in grid order, with the smallest value; NaN never
     wins, and where no basin beats inf the result is (a, inf).  ``unimodal``
     is False when the seed grid shows more than one basin.  ``ValueError``
-    unless a < b are floats.
+    unless a < b are floats and n_seed >= 2.
     """
     if np.ndim(a) or np.ndim(b):
         raise ValueError("minimize_golden takes one float bracket [a, b]")
     if not a < b:
         raise ValueError("require a < b")
+    if not n_seed >= 2:
+        raise ValueError(f"n_seed must be >= 2, got {n_seed!r}")
     xs = np.linspace(a, b, n_seed).tolist()
     fs = [f(x) for x in xs]
     # Local-minimum seeds (including endpoints) in grid order.

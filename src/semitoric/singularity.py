@@ -6,13 +6,14 @@ NN and SS are always elliptic-elliptic.  NS and SN are focus-focus exactly
 when E < 0 and elliptic-elliptic when E > 0; on E = 0 they are degenerate
 and the system fails to be semitoric.
 
-``discriminant_E``, ``is_degenerate`` and ``is_focus_focus`` also take a
-``ParamGrid`` (one pair of radii, s1 as a column and s2 as a row) and then
-return arrays over its grid, bit-identical cell by cell to the ModelParams
-calls.  Like every formula in the package that runs on floats and arrays,
-each is written once, with powers as products in one fixed association
-(``x * x``, ``x * x * x``, ``(x * x) * (x * x)``): every operation is then
-one correctly rounded IEEE operation on floats and on arrays alike.
+``discriminant_E`` and its band tests (``is_degenerate``, ``is_focus_focus``,
+``is_ill_conditioned``) also take a ``ParamGrid`` (one pair of radii, s1 as
+a column and s2 as a row) and then return arrays over its grid, identical
+cell by cell to the ModelParams calls.  Like every formula in the package
+that runs on floats and arrays, each is written once, with powers as
+products in one fixed association (``x * x``, ``x * x * x``,
+``(x * x) * (x * x)``): every operation is then one correctly rounded IEEE
+operation on floats and on arrays alike.
 
 ``rank1_margin`` is one formula in (z1, z2) under the same rule.  Its
 numerator is a positive definite quadratic form wherever |z1 z2| < 1, so
@@ -31,6 +32,9 @@ from .model import ModelParams, ParamGrid
 
 # |E| below DEGENERACY_BAND * r1 * r2 is treated as degenerate.
 DEGENERACY_BAND = 1e-10
+# E in (-ILL_CONDITIONED_BAND * r1 * r2, 0) is computable but flagged: the
+# closed form and the oracle sit on a genuine conditioning cliff there.
+ILL_CONDITIONED_BAND = 1e-6
 
 POINT_IDS = ("NN", "NS", "SN", "SS")
 
@@ -58,6 +62,13 @@ def is_focus_focus(e, params: ModelParams | ParamGrid):
     """Whether E (a float, or an array over a ParamGrid) lies below the
     degeneracy band: E < 0 and not ``is_degenerate``."""
     return e < -(DEGENERACY_BAND * params.r1 * params.r2)
+
+
+def is_ill_conditioned(e, params: ModelParams | ParamGrid):
+    """Whether E (a float, or an array over a ParamGrid) lies in the
+    ill-conditioned band -ILL_CONDITIONED_BAND * r1 * r2 < E < 0.  E scales
+    as r1 r2, so the flag does not change when both radii are scaled."""
+    return (-(ILL_CONDITIONED_BAND * params.r1 * params.r2) < e) & (e < 0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from conftest import gamma_A
 from semitoric.height import closed_form_F, gamma_B, height_closed
 from semitoric.model import ModelParams, ns_frame
-from semitoric.reduced import p0_factors
+from semitoric.reduced import _k_and_m, p0_factors
 from semitoric.singularity import discriminant_E
 from test_acceptance import _random_ff
 
@@ -121,6 +121,18 @@ def test_elementary_integrals_match_mpmath(paper_N):
                 worst = max(worst, abs(paper_N.B(alpha, beta, gamma, delta)
                                        - n_b(mpmath.mpf(delta))))
     assert worst <= 1e-12, worst
+
+
+def test_discriminant_in_kappa():
+    # E = -r1^2 m^2 (16 R - kappa^2) with the package's own k and m: every
+    # focus-focus point (E < 0) has D = 16 R - kappa^2 > 0, so the grid
+    # height is finite wherever it reports one.
+    sp = pytest.importorskip("sympy")
+    s1, s2, R, r1 = sp.symbols("s1 s2 R r1", positive=True)
+    k, m = _k_and_m(s1, s2, R)
+    e = discriminant_E(SimpleNamespace(r1=r1, r2=R * r1, s1=s1, s2=s2))
+    kappa = k / m  # only kappa^2 enters
+    assert sp.cancel(e + r1 ** 2 * m ** 2 * (16 * R - kappa ** 2)) == 0
 
 
 def test_factored_identities(paper_terms):

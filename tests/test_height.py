@@ -10,9 +10,9 @@ import pytest
 from conftest import gamma_A, panel_integrand, reference_closed_form_F
 from semitoric import height, reduced
 from semitoric.errors import ConsistencyError, DegenerateSystemError
-from semitoric.height import (CASE_III_BAND, _height_kernel, case_id,
-                              closed_form_F, gamma_B, height_both,
-                              height_closed, height_oracle)
+from semitoric.height import (CASE_III_BAND, HeightInvariant, _height_kernel,
+                              case_id, closed_form_F, gamma_B, height_both,
+                              height_closed, height_oracle, height_quadrature)
 from semitoric.model import ModelParams, ns_frame
 from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
 from semitoric.singularity import discriminant_E
@@ -525,6 +525,46 @@ class TestHeightValues:
         assert -1e-6 < discriminant_E(p) < 0
         assert height_closed(p).ill_conditioned
         assert not height_closed(ModelParams(1, 2, 0.5, 0.5)).ill_conditioned
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_radii_scale_keeps_height_and_flags(self, scale):
+        # E scales as r1 r2, and so does the ill-conditioned band: h and the
+        # flags of the closed form and the oracle keep their values when
+        # both radii are scaled.  The first point lies in the band.
+        for s1, s2 in ((0.14453832383418613, 0.1), (0.3, 0.55)):
+            base = ModelParams(1.0, 2.0, s1, s2)
+            scaled = ModelParams(scale, 2.0 * scale, s1, s2)
+            for call in (height_closed, height_quadrature):
+                want, got = call(base), call(scaled)
+                assert (got.h1, got.h2, got.ill_conditioned) == (
+                    want.h1, want.h2, want.ill_conditioned)
+        assert height_closed(ModelParams(1.0, 2.0, 0.14453832383418613,
+                                         0.1)).ill_conditioned
+        assert not height_closed(ModelParams(1e-150, 1e-149, 0.3,
+                                             0.4)).ill_conditioned
+
+    @pytest.mark.parametrize("point", [
+        (1, 2, 0.25, 0.25), (1, 2, 0.3, 0.55), (2, 1, 0.3, 0.4),
+        (3, 1, 0.6, 0.2), (1, 2, 0.5, 0.5), (1, 2, 0.21, 0.03066823177149811),
+        (1, 2, 0.14453832383418613, 0.1)])
+    def test_quadrature_record(self, point):
+        # The values ``height --method quadrature`` built itself before
+        # ``height_quadrature``: both oracles and the case in the NS frame.
+        # The flag is now the closed form's, and ``height_both`` is the
+        # closed form with their discrepancy.
+        p = ModelParams(*point)
+        work = ns_frame(p)
+        inv = height_quadrature(p)
+        assert (inv.h1, inv.h2, inv.case_ns, inv.method) == (
+            height_oracle("NS", work), height_oracle("SN", work),
+            case_id(work), "quadrature")
+        closed, both = height_closed(p), height_both(p)
+        assert inv.ill_conditioned == closed.ill_conditioned
+        assert both.discrepancy == max(abs(closed.h1 - inv.h1),
+                                       abs(closed.h2 - inv.h2))
+        assert both == HeightInvariant(closed.h1, closed.h2, closed.case_ns,
+                                       "both", closed.ill_conditioned,
+                                       both.discrepancy)
 
     def test_near_case_boundary(self, paper_F):
         # 5e-8 off s2 = R/(R+1) (case I), where the partial fractions lost

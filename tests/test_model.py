@@ -180,3 +180,4 @@ def test_export_list():
     assert [n for n in names if not hasattr(semitoric, n)] == []
     for gone in ("poisson_bracket", "apply_symmetry"):
         assert gone not in names and not hasattr(semitoric, gone)
+    assert "height_quadrature" in names

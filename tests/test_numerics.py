@@ -209,6 +209,17 @@ class TestGoldenEdgeCases:
         assert (res.x, res.fx) == (0.0, math.inf)
         assert (res.x, res.fx, res.unimodal) == scalar_golden(f, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n_seed", [1, 0, -1])
+    def test_too_few_seeds_raise(self, n_seed):
+        # One seed used to return (a, f(a)) without refining, and 0 and -1
+        # leaked IndexError and NumPy's "Number of samples" message.
+        def f(x):
+            raise AssertionError("f called")
+        with pytest.raises(ValueError, match="n_seed must be >= 2"):
+            minimize_golden(f, 0.0, 1.0, n_seed=n_seed)
+        res = minimize_golden(lambda x: (x - 0.3) ** 2, 0.0, 1.0, n_seed=2)
+        assert abs(res.x - 0.3) < 1e-8
+
     def test_zero_width_bracket_raises(self):
         f = lambda x: x
         with pytest.raises(ValueError, match="require a < b"):

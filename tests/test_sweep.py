@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def _ill_conditioned_s1():
     return find_root_bisect(
         lambda s1: singularity.discriminant_E(ModelParams(1, 2, s1, 0.1))
         + 5e-7, 0.05, 0.25, tol=1e-15)
+
+
+def _band_s1(R, s2, depth):
+    """s1 in [0, 1/2] with -E/(r1 r2) = depth at (1, R, s1, s2), elementwise
+    by bisection (E < 0 at s1 = 1/2); 0 where E(s1 = 0) is below that."""
+    def excess(s1):
+        return singularity.discriminant_E(
+            SimpleNamespace(r1=1.0, r2=R, s1=s1, s2=s2)) / R + depth
+    lo, hi = np.zeros_like(s2), np.full_like(s2, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = excess(mid) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return lo
 
 
 # A window through the crossing of the case-III lines, with R < 1: its
@@ -251,28 +266,49 @@ class TestArrayFormulasMatchFloats:
             if singularity.discriminant_E(cell) < 0:
                 assert inv.h1[i, 0] == height.height_closed(cell).h1
 
-    def test_first_failing_cell_raises(self, monkeypatch):
-        # No focus-focus input makes the closed form raise, so k is scaled
-        # by 100 at s1 = 0.4 and 0.25, which puts kappa^2 above 16 R: both
-        # cells fail in the kernel with messages of their own, the grid call
-        # re-runs them through the float path, and the first in row order
-        # wins.
+    def test_non_finite_cell_fails_self_check(self, monkeypatch):
+        # No focus-focus input gives a non-finite t, so k is scaled by 100
+        # at s1 = 0.4, which puts kappa^2 above 16 R: the float call raises
+        # in the kernel, and the grid call and the sweep fail the self-check
+        # (exit 5) instead of printing a NaN height.
         true_k_and_m = height._k_and_m
 
         def scaled_k(s1, s2, R):
             k, m = true_k_and_m(s1, s2, R)
-            return k * np.where(np.isin(s1, (0.4, 0.25)), 100.0, 1.0), m
+            return k * np.where(abs(s1 - 0.4) < 1e-9, 100.0, 1.0), m
         monkeypatch.setattr(height, "_k_and_m", scaled_k)
-        messages = []
-        for s1 in ([0.2, 0.4, 0.25], [0.2, 0.25, 0.4]):
-            with pytest.raises(ValueError) as want:
-                height.height_closed(ModelParams(1.0, 2.0, s1[1], 0.5))
-            with pytest.raises(ValueError) as got:
-                height.height_closed(ParamGrid(1.0, 2.0, s1, [0.5, 0.6]))
-            assert str(got.value) == str(want.value)
-            messages.append(str(got.value))
-        assert messages[0] != messages[1]
-        assert all(m.startswith("16 R - kappa^2 = -") for m in messages)
+        with pytest.raises(ValueError, match="16 R - kappa"):
+            height.height_closed(ModelParams(1.0, 2.0, 0.4, 0.5))
+        with pytest.raises(ConsistencyError, match="not finite in a "
+                                                   "focus-focus cell"):
+            height.height_closed(ParamGrid(1.0, 2.0, [0.2, 0.4], [0.5, 0.6]))
+        code, out, err = array_sweep(sweep_argv(2.0, "height", (0.2, 0.6),
+                                                (0.5, 0.6), (3, 2)))
+        assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+        assert err == ("internal consistency check failed: closed-form "
+                       "height not finite in a focus-focus cell\n")
+
+    def test_focus_focus_cells_have_finite_t(self):
+        # E = -r1^2 m^2 (16 R - kappa^2), so every focus-focus cell has
+        # D > 0 and a finite t: seeded grids with R log-uniform on
+        # [1e-6, 1e6], and s1 values that put cells next to the band.
+        rng = np.random.default_rng(62)
+        near_band = 0
+        for _ in range(100):
+            R = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+            s2 = rng.uniform(0.0, 1.0, 21)
+            depth = np.exp(rng.uniform(math.log(1e-10), math.log(1e-5), 21))
+            s1 = np.concatenate([rng.uniform(0.0, 1.0, 20),
+                                 _band_s1(R, s2, depth)])
+            grid = ParamGrid(1.0, R, s1, s2)
+            e = singularity.discriminant_E(grid)
+            ff = singularity.is_focus_focus(e, grid)
+            with np.errstate(all="ignore"):
+                t = height._t(ns_frame(grid))
+            assert np.isfinite(t[ff]).all(), R
+            assert np.isfinite(height.height_closed(grid).h1[ff]).all()
+            near_band += (ff & (-e < 1e-5 * R)).sum()
+        assert near_band > 1000
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="must lie in"):

@@ -18,14 +18,15 @@ cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
 ``classify --json``, ``height --method quadrature|both`` next to the
 degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), ``classify`` (also with
 ``--json``) on both sides of the band's edge (-E/(r1 r2) in
-[2e-11, 5e-10], exits 3 and 0), small sweeps, seeded
-41 x 41 sweeps of every quantity, ``height`` and a sweep next to the
-crossing of the case-III lines, negative values written as separate
-arguments (``--R2 -inf``), oversized grids and other error exits, on
-inputs with R > 1 and R < 1, plus seeded random focus-focus points.  The
-seeded points are chosen with exact rational arithmetic, not with the
-package, so every checkout runs the same list.  Standard library and NumPy
-only.
+[2e-11, 5e-10], exits 3 and 0), ``height --method closed|quadrature
+--json`` inside the ill-conditioned band at three scales of both radii,
+small sweeps, seeded 41 x 41 sweeps of every quantity, ``height`` and a
+sweep next to the crossing of the case-III lines, negative values written
+as separate arguments (``--R2 -inf``), oversized grids and other error
+exits, on inputs with R > 1 and R < 1, plus seeded random focus-focus
+points.  The seeded points are chosen with exact rational arithmetic, not
+with the package, so every checkout runs the same list.  Standard library
+and NumPy only.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ IN_RANGE_RADII = [(1e-150, 1e-149, 0.3, 0.4), (1e153, 1e152, 0.3, 0.4)]
 NEAR_E0_POINTS = [(1, 2, 0.21, 0.03066823177149811),
                   (1, 5.536455289746141, 0.20372288490504997,
                    0.14741965041001193)]
+# One point inside the ill-conditioned band, -E/(r1 r2) < 1e-6, with both
+# radii scaled by 1, 1e3 and 1e-3: the flag follows E / (r1 r2), and h1
+# does not change.
+SCALED_BAND_POINTS = [(r1, 2 * r1, 0.14453832383418613, 0.1)
+                      for r1 in (1, 1e3, 1e-3)]
 # Next to the crossing of the case-III lines s1 = 1/2 and s2 = R/(R+1), at
 # distance 1e-4 and 1e-6: the closed form once raised there (exit 2).
 CROSSING_POINTS = [(1, 2, 0.5000987688340595, 0.6666823101131707),
@@ -221,6 +227,9 @@ def invocations():
     for p in near_e0_points(np.random.default_rng(SEED + 4), (2e-11, 5e-10)):
         out.append(f"classify {flags(p)}")
         out.append(f"classify --json {flags(p)}")
+    for p in SCALED_BAND_POINTS:
+        for method in ("closed", "quadrature"):
+            out.append(f"height --method {method} --json {flags(p)}")
     for r in ("--R1 1 --R2 2", "--R1 2 --R2 1"):
         for q in ("nff", "E", "height"):
             out.append(f"sweep {r} --quantity {q} --s1-count 7 --s2-count 5")
