@@ -2,10 +2,10 @@
 and parameter sweeps as CSV/JSON plot data.
 
 Exit codes: 0 success, 2 invalid arguments, 3 mathematical degeneracy,
-4 I/O failure, 5 internal consistency check failed (a self-check of the
-computation did not hold, so no result is printed).  CSV output uses
-shortest round-trip float formatting and LF line endings, so identical
-arguments produce byte-identical files.
+4 I/O failure, 5 internal failure (a self-check of the computation did not
+hold, or the quadrature did not converge, so no result is printed).  CSV
+output uses shortest round-trip float formatting and LF line endings, so
+identical arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import cartography, height, singularity
-from .errors import ConsistencyError, DegenerateSystemError, SemitoricError
+from .errors import (ConsistencyError, DegenerateSystemError,
+                     NonconvergenceError, SemitoricError)
 from .model import ModelParams, ParamGrid, ns_frame
 
 JSON_SCHEMA = "semitoric-invariants/1"
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except ConsistencyError as exc:
         print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except NonconvergenceError as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (ValueError, SemitoricError) as exc:
         print(f"error: {exc}", file=sys.stderr)

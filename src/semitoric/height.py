@@ -21,10 +21,11 @@ adaptive quadrature of the angular width 2*arccos((A - H_crit)/sqrt(B)).
 It evaluates that width from the exact factorisation of the l = 0 chart
 (``reduced.p0_factors``), 2*acos(K/sqrt((2R - p2)(2 - p2))), in which the
 common factor p2 of A - H_crit and sqrt(B) has cancelled, so it holds down
-to the degeneracy band of E.  Its cuts are the roots of the quadratic
-factor of the chart's own P_0 = B - (H_crit - A)^2
-(``reduced.p0_quadratic_roots``), never ``gamma_B`` or ``roots_P0``, and
-each is checked to be a root of that factor.
+to the degeneracy band of E.  The width is an arccos on one zone [0, z)
+and constant beyond it; z is the near root of the quadratic factor of the
+chart's own P_0 = B - (H_crit - A)^2 (``reduced.p0_quadratic_roots``),
+never ``gamma_B`` or ``roots_P0``, and is checked to be a root of that
+factor.
 
 Floats and arrays.  The closed-form functions take floats or NumPy arrays
 (broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
@@ -53,16 +54,17 @@ import numpy as np
 from . import reduced
 from .errors import ConsistencyError, DegenerateSystemError
 from .model import CASE_III_BAND, ModelParams, ParamGrid, ns_frame
-from .numerics import QuadratureSettings, integrate
+from .numerics import integrate
 from .reduced import _k_and_m, gamma_B
 from .singularity import (discriminant_E, is_degenerate, is_focus_focus,
                           is_ill_conditioned)
 
-# Largest |P_0| on the chart at an oracle cut, relative to the size of its
-# terms (see ``height_oracle``).  Measured: at most 6.3e-14 on 200 000 cuts
-# of focus-focus points with R in [1/8, 8], 6.7e-13 with s1 within 1e-3 of
-# 1/2, 4.2e-16 with -E/(r1 r2) down to 1e-10; at least 2.8e-6 with c2 of P_0
-# scaled by 1.01.
+# Largest |P_0| on the chart at the oracle's cut z, relative to the size of
+# its terms (see ``height_oracle``).  Measured on z from the factored roots,
+# both labels in the NS and the raw frame: at most 3.7e-16 on 400 000 cuts
+# of focus-focus points with R in [1/8, 8], 3.6e-16 with s1 within 1e-3 of
+# 1/2, 3.3e-16 with R within 1e-3 of 1 and 2.0e-16 with -E/(r1 r2) down to
+# 1e-10; 5.8e-5 at (1, 2, 0.3, 0.55) with K^2 of the roots scaled by 1.01.
 CUT_RESIDUAL_TOL = 1e-8
 
 
@@ -263,19 +265,17 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     the closed form, whose integrals come from the paper's partial
     fractions and gamma coefficients; the oracle stays independent of it.
 
-    The integral is cut at the roots of P_0 = p2^2 (kb q - (k/R)^2) inside
-    the physical interval: its lower end p2 = 0 and the roots of the
-    quadratic factor (``reduced.p0_quadratic_roots``), so a narrow arccos
-    zone next to p2 = 0 is never missed.  The factored form decides the
-    zone of each piece.  An arccos piece [a, b] is integrated in t on
-    [0, pi/2] with p2 = a + (b - a) sin^2 t, which smooths the width's
-    square-root ends; one loop per GK15 panel gives width times Jacobian at
-    all 15 nodes.  Raises ConsistencyError when a cut is no root of
-    kb q - (k/R)^2 or the arccos argument leaves [-1, 1].  Only the tests
-    check ``p0_factors`` against ``chart``: cuts and integrand share it.
+    q decreases on the physical interval [lo, hi], so the arccos zone
+    kb q > (k/R)^2 is exactly [lo, z) with z = min(near, hi), near the
+    smaller root of the quadratic factor of P_0 = p2^2 (kb q - (k/R)^2)
+    (``reduced.p0_quadratic_roots``); on [z, hi] the width is 2 pi or 0.
+    The zone is integrated in t on [0, pi/2] with p2 = lo + (z - lo) sin^2 t,
+    which smooths the width's square-root ends; one loop per GK15 panel
+    gives width times Jacobian at all 15 nodes.  Raises ConsistencyError
+    when z is no root of kb q - (k/R)^2 or the arccos argument leaves
+    [-1, 1].  Only the tests check ``p0_factors`` against ``chart``: z and
+    the integrand share it.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     _require_focus_focus(params)
     two_r = 2.0 * params.R
     lo, hi = reduced.physical_interval(label, 0.0, params.R)
@@ -287,35 +287,31 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     orient = 1.0 if label == "NS" else -1.0
     K = orient * kr / math.sqrt(kb)
 
-    # A wrong cut inside the arccos zone leaves no overshoot and passes the
-    # zone test at the piece's midpoint, so each cut x is checked: with
-    # q = (2R - x)(2 - x), |kb q - (k/R)^2| may not exceed CUT_RESIDUAL_TOL
-    # times kb q + (k/R)^2 plus |x d(kb q)/dx|, the change of kb q over x's
-    # own rounding, which dominates where 2 - x or 2R - x is small.
-    cuts = [lo]
-    for x in reduced.p0_quadratic_roots(label, params) or ():
-        if not lo < x < hi:
-            continue
-        q = (two_r - x) * (2.0 - x)
-        residual = abs(kb * q - kr2)
-        scale = kb * q + kr2 + kb * x * ((two_r - x) + (2.0 - x))
-        if not residual <= CUT_RESIDUAL_TOL * scale:
-            raise ConsistencyError(
-                f"P_0 root cut at p2 = {x!r} is no root of the factored "
-                f"chart: |P_0 / p2^2| = {residual:.3e} > "
-                f"{CUT_RESIDUAL_TOL:g} x {scale:.3e}")
-        cuts.append(x)
-    cuts.append(hi)
+    # A wrong z inside the arccos zone leaves no overshoot, so z is checked:
+    # with q = (2R - z)(2 - z), |kb q - (k/R)^2| may not exceed
+    # CUT_RESIDUAL_TOL times kb q + (k/R)^2 plus |z d(kb q)/dz|, the change
+    # of kb q over z's own rounding, which dominates where 2 - z or 2R - z
+    # is small.  Where z clamps to hi, q = 0 and (k/R)^2 is that change.
+    z = min(reduced.p0_quadratic_roots(label, params)[0], hi)
+    q = (two_r - z) * (2.0 - z)
+    residual = abs(kb * q - kr2)
+    scale = kb * q + kr2 + kb * z * ((two_r - z) + (2.0 - z))
+    if not residual <= CUT_RESIDUAL_TOL * scale:
+        raise ConsistencyError(
+            f"P_0 root cut at p2 = {z!r} is no root of the factored "
+            f"chart: |P_0 / p2^2| = {residual:.3e} > "
+            f"{CUT_RESIDUAL_TOL:g} x {scale:.3e}")
 
     outside = 2.0 * math.pi if K < 0 else 0.0
+    w = z - lo
     max_excess = 0.0
 
-    def panel(ts):  # in t, on the loop's arccos piece [a, a + w]
+    def panel(ts):  # in t, on the arccos zone [lo, z]
         nonlocal max_excess
         out = []
         for t in ts:
             sn, cs = math.sin(t), math.cos(t)
-            p2 = a + w * sn * sn
+            p2 = lo + w * sn * sn
             q = (two_r - p2) * (2.0 - p2)
             if q <= 0.0:
                 v = outside
@@ -328,18 +324,8 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
             out.append(v * 2.0 * w * sn * cs)
         return out
 
-    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
-    area = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        w = b - a
-        if w < 1e-14:
-            continue
-        mid = 0.5 * (a + b)
-        if kb * (two_r - mid) * (2.0 - mid) > kr2:
-            val, _ = integrate(panel, 0.0, 0.5 * math.pi, settings)
-            area += val
-        else:
-            area += outside * w
+    area, _ = integrate(panel, 0.0, 0.5 * math.pi, 0.5 * tol)
+    area += outside * (hi - z)
     if max_excess > 1e-8:
         raise ConsistencyError(
             f"arccos argument exceeded [-1, 1] by {max_excess:.3e}: "

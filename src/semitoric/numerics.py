@@ -1,6 +1,7 @@
 """Shared numerical kernels: adaptive quadrature, bisection, golden-section
 extremization and a quartic root solver.  ``integrate`` calls its integrand
-once per GK15 panel, on all 15 nodes, and maps no endpoints.
+once per GK15 panel, on all 15 nodes, maps no endpoints and takes one
+tolerance ``tol``, absolute below |value| = 1 and relative above.
 
 ``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
 package: it is the independent reference against which acceptance
@@ -41,19 +42,6 @@ _GAUSS_WEIGHTS = np.array(
     _LEFT_GAUSS + [0.417959183673469] + _LEFT_GAUSS[::-1])
 
 
-@dataclass
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be >= 8")
-
-
 def _gk15(f, a, b):
     """Single Gauss-Kronrod panel; returns (K15 value, error estimate)."""
     half = 0.5 * (b - a)
@@ -65,17 +53,20 @@ def _gk15(f, a, b):
     return k15, (200.0 * abs(k15 - g7)) ** 1.5
 
 
-def integrate(f, a, b, settings: QuadratureSettings | None = None):
+def integrate(f, a, b, tol=1e-10, max_subdivisions=2000):
     """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
 
     ``f`` takes one panel's 15 Kronrod nodes as a list of floats and returns
-    their values.  Returns ``(value, error_estimate)``.  No endpoint is
-    mapped: the caller maps an inverse-square-root end away itself.  After
+    their values.  Returns ``(value, error_estimate)`` once the estimate is
+    at most ``max(tol, tol * |value|)``.  No endpoint is mapped: the caller
+    maps an inverse-square-root end away itself.  After
     ``max_subdivisions`` splits NonconvergenceError carries the ten worst
     panels (a, b, value, error).
     """
-    if settings is None:
-        settings = QuadratureSettings()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_subdivisions < 8:
+        raise ValueError("max_subdivisions must be >= 8")
     if not a < b:
         raise ValueError("require a < b")
 
@@ -85,14 +76,14 @@ def integrate(f, a, b, settings: QuadratureSettings | None = None):
     n_splits = 0
     while True:
         total, total_err = sum(vals), sum(errs)
-        tol = max(settings.abs_tol, settings.rel_tol * abs(total))
-        if total_err <= tol:
+        bound = max(tol, tol * abs(total))
+        if total_err <= bound:
             return total, total_err
-        if n_splits >= settings.max_subdivisions:
+        if n_splits >= max_subdivisions:
             trace = sorted(zip(los, his, vals, errs), key=lambda p: -p[3])[:10]
             raise NonconvergenceError(
                 f"quadrature did not converge: error {total_err:.3e} > tol "
-                f"{tol:.3e} after {n_splits} subdivisions", trace)
+                f"{bound:.3e} after {n_splits} subdivisions", trace)
         worst = errs.index(max(errs))
         pa, pb = los.pop(worst), his.pop(worst)
         del vals[worst], errs[worst]

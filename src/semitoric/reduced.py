@@ -20,7 +20,10 @@ level's root of B_l) from the same terms, for the envelope's critical
 points.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
 ``chart``.  ``DHFunction.rho`` also takes a float or an array.
 ``gamma_B`` (shared with ``height``) gives the closed-form roots of P_0
-(``roots_P0``).
+(``roots_P0``).  ``p0_quadratic_roots`` gives the roots of P_0's quadratic
+factor from the factored l = 0 chart (``p0_factors``) with no cancellation:
+``roots_P0`` checks its closed form against them, and the height oracle's
+arccos zone ends at the near one.
 """
 
 from __future__ import annotations
@@ -148,35 +151,28 @@ def p0_factors(label: str, params: ModelParams):
     return 4 * c * c / R ** 2, k / R
 
 
-def _p0_quadratic(label: str, params: ModelParams):
-    """(c4, c3, c2), the coefficients of the quadratic factor of P_0 =
-    p2^2 (c4 p2^2 + c3 p2 + c2), expanded from ``p0_factors``."""
-    (a4, kr), R = p0_factors(label, params), params.R
-    # a4 * p2^2 * (p2^2 - 2(R+1) p2 + 4R) - (k/R)^2 p2^2
-    return a4, -2 * (R + 1) * a4, 4 * R * a4 - kr ** 2
-
-
 def p0_coefficients(label: str, params: ModelParams) -> np.ndarray:
     """Coefficients of P_0 (l = h = 0), highest degree first, expanded from
     the factored form of ``p0_factors``."""
-    return np.array([*_p0_quadratic(label, params), 0.0, 0.0])
+    (a4, kr), R = p0_factors(label, params), params.R
+    # a4 * p2^2 * (p2^2 - 2(R+1) p2 + 4R) - (k/R)^2 p2^2
+    return np.array([a4, -2 * (R + 1) * a4, 4 * R * a4 - kr ** 2, 0.0, 0.0])
 
 
 def p0_quadratic_roots(label: str, params: ModelParams):
-    """Roots (near, far) of the quadratic factor of P_0, or None.
+    """Roots (near, far) of the quadratic factor of P_0, from ``p0_factors``.
 
-    P_0 = p2^2 (c4 p2^2 + c3 p2 + c2) with the floats of ``p0_coefficients``
-    (``_p0_quadratic``); None when the quadratic's discriminant is negative.
-    c4 > 0 (the coupling vanishes only at the (s1, s2) corners) and
-    c3 = -2 (R + 1) c4 < 0, so neither root loses digits to cancellation:
-    far = (-c3 + sqrt(disc)) / (2 c4) and near = c2 / (c4 far).
+    P_0 = kb p2^2 (p2^2 - 2 (R + 1) p2 + 4R - K^2) with K^2 = (k/R)^2 / kb,
+    so far = (R + 1) + sqrt((R - 1)^2 + K^2) and near = (4R - K^2) / far.
+    The radicand is a sum of squares and far a sum of positive terms: no
+    digits are lost to cancellation, which the discriminant
+    c3^2 - 4 c4 c2 of the expanded coefficients did as (R - 1)^2 + K^2
+    went to 0.
     """
-    c4, c3, c2 = _p0_quadratic(label, params)
-    disc = c3 * c3 - 4.0 * c4 * c2
-    if disc < 0.0:
-        return None
-    far = (-c3 + math.sqrt(disc)) / (2.0 * c4)
-    return c2 / (c4 * far), far
+    (kb, kr), R = p0_factors(label, params), params.R
+    k2 = kr * kr / kb
+    far = (R + 1) + math.sqrt((R - 1) * (R - 1) + k2)
+    return (4 * R - k2) / far, far
 
 
 @dataclass(frozen=True)
@@ -208,8 +204,7 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
     chart = p0_quadratic_roots(label, params)
-    if (chart is None or not (abs(chart[0] - z3) <= 1e-9
-                              and abs(chart[1] - z4) <= 1e-9)):
+    if not (abs(chart[0] - z3) <= 1e-9 and abs(chart[1] - z4) <= 1e-9):
         raise ConsistencyError(
             f"closed-form roots {z3}, {z4} disagree with the roots {chart} of "
             f"the quadratic factor of the chart's P_0")

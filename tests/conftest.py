@@ -224,7 +224,7 @@ def scalar_golden():
 
 
 def panel_integrand(f, a, b, sin2=False):
-    """``(g, lo, hi)`` such that ``numerics.integrate(g, lo, hi, settings)``
+    """``(g, lo, hi)`` such that ``numerics.integrate(g, lo, hi, tol)``
     integrates the scalar ``f`` over (a, b): ``g`` calls ``f`` node by node
     on each panel's list of nodes.
 

@@ -14,7 +14,7 @@ import pytest
 from semitoric import cartography, height, reduced, singularity
 from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_func,
                              momentum_map)
-from semitoric.numerics import QuadratureSettings, integrate, quartic_roots
+from semitoric.numerics import integrate, quartic_roots
 
 from conftest import (gamma_A, l_flow, panel_integrand, poisson_bracket,
                       random_phase_point, record_criterion)
@@ -240,8 +240,6 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
 
     # The paper's N_A and N_B, held test-side since the package computes
     # the height from one kernel in kappa (``paper_N`` in conftest).
-    settings = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11,
-                                  max_subdivisions=4000)
     worst_n = n_done = 0
     while n_done < 100:
         p = _random_ff(rng, 1, e_below=-1e-4)[0]
@@ -260,12 +258,12 @@ def test_criterion_09_gamma_identity_and_n_integrals(rng, paper_N):
             return 1.0 / math.sqrt(alpha * x * x + beta * x + gamma)
 
         na_q, _ = integrate(*panel_integrand(q_inv, 0.0, upper, sin2=True),
-                            settings)
+                            1e-11, 4000)
         worst_n = max(worst_n, abs(paper_N.A(alpha, beta, gamma) - na_q))
         for delta in (2.0, 2.0 * R):
             nb_q, _ = integrate(*panel_integrand(
                 lambda x: q_inv(x) / (delta - x), 0.0, upper, sin2=True),
-                settings)
+                1e-11, 4000)
             worst_n = max(worst_n,
                           abs(paper_N.B(alpha, beta, gamma, delta) - nb_q))
     ok = worst_gamma <= 1e-12 and worst_n <= 1e-9

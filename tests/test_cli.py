@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from semitoric import cartography, cli, reduced
+from semitoric import cartography, cli, height, numerics, reduced
 from semitoric.cli import main
 from semitoric.height import height_oracle
 from semitoric.model import ModelParams
@@ -105,6 +105,21 @@ class TestHeight:
         assert out == ""
         assert err.startswith("internal consistency check failed: ")
         assert "no root of the factored chart" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["both", "quadrature"])
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch, method):
+        # A valid input whose quadrature does not converge (here: an
+        # unreachable tolerance and 8 subdivisions) is an internal failure,
+        # exit 5, not an invalid argument.
+        monkeypatch.setattr(height, "integrate",
+                            lambda f, a, b, tol: numerics.integrate(
+                                f, a, b, 1e-300, 8))
+        code, out, err = run(capsys, ["height", "--method", method]
+                             + BASE + FAULT_POINT)
+        assert (code, out) == (5, "")
+        assert err.startswith("internal failure: quadrature did not "
+                              "converge: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_quadrature_runs_both_oracles(self, capsys, monkeypatch):

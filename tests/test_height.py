@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from semitoric.height import (CASE_III_BAND, HeightInvariant, _height_kernel,
                               case_id, closed_form_F, gamma_B, height_both,
                               height_closed, height_oracle, height_quadrature)
 from semitoric.model import ModelParams, ns_frame
-from semitoric.numerics import QuadratureSettings, find_root_bisect, integrate
+from semitoric.numerics import find_root_bisect, integrate
 from semitoric.singularity import discriminant_E
 
 
@@ -22,10 +23,9 @@ def _quad_NB(alpha, beta, gamma, delta):
     # Reference for N_B = int 1/((delta - p) sqrt(alpha p^2 + beta p + gamma))
     # over [0, z3] where z3 is the smaller root of the radicand.
     z3 = (-beta - math.sqrt(beta * beta - 4 * alpha * gamma)) / (2 * alpha)
-    settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12)
     f = lambda p: 1.0 / ((delta - p)
                          * math.sqrt(alpha * p * p + beta * p + gamma))
-    val, _ = integrate(*panel_integrand(f, 0.0, z3, sin2=True), settings)
+    val, _ = integrate(*panel_integrand(f, 0.0, z3, sin2=True), 1e-12)
     return val
 
 
@@ -65,7 +65,6 @@ def scalar_scan_oracle(label, params, tol=1e-9):
             return 2.0 * math.pi if d < 0 else 0.0
         return 2.0 * math.acos(max(-1.0, min(1.0, d / math.sqrt(b))))
 
-    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
     area = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < 1e-14:
@@ -73,7 +72,7 @@ def scalar_scan_oracle(label, params, tol=1e-9):
         mid = 0.5 * (a + b)
         if p_of(mid) > 0.0:
             area += integrate(*panel_integrand(width, a, b, sin2=True),
-                              settings)[0]
+                              0.5 * tol)[0]
         else:
             const = 2.0 * math.pi if orient * (crit - a_of(mid)) > 0.0 else 0.0
             area += const * (b - a)
@@ -89,8 +88,7 @@ def nodewise_oracle(label, params, tol=1e-9):
     kb, kr = reduced.p0_factors(label, params)
     K = (1.0 if label == "NS" else -1.0) * kr / math.sqrt(kb)
     outside = 2.0 * math.pi if K < 0 else 0.0
-    roots = reduced.p0_quadratic_roots(label, params) or ()
-    cuts = [lo, *(x for x in roots if lo < x < hi), hi]
+    z = min(reduced.p0_quadratic_roots(label, params)[0], hi)
 
     def width(p2):
         q = (two_r - p2) * (2.0 - p2)
@@ -101,17 +99,8 @@ def nodewise_oracle(label, params, tol=1e-9):
             ratio = math.copysign(1.0, ratio)
         return 2.0 * math.acos(ratio)
 
-    settings = QuadratureSettings(abs_tol=0.5 * tol, rel_tol=0.5 * tol)
-    area = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
-            continue
-        mid = 0.5 * (a + b)
-        if kb * (two_r - mid) * (2.0 - mid) > kr * kr:
-            area += integrate(*panel_integrand(width, a, b, sin2=True),
-                              settings)[0]
-        else:
-            area += outside * (b - a)
+    area = integrate(*panel_integrand(width, lo, z, sin2=True), 0.5 * tol)[0]
+    area += outside * (hi - z)
     return area / (2.0 * math.pi)
 
 
@@ -413,17 +402,16 @@ class TestHeightValues:
                     assert err <= 1e-4 * exact
 
     def test_oracle_rejects_cut_off_the_chart(self, monkeypatch):
-        # c2 = 4 R a4 - (k/R)^2 of P_0 with (k/R)^2 off by 1 %: the cut
+        # The roots of P_0 with K^2 = (k/R)^2 / kb off by 1 %: the cut
         # moves into the arccos zone, where no other check of the oracle
         # notices (it returned h1 2.5e-6 off before the cut check).
-        true_quadratic = reduced._p0_quadratic
-
         def shifted(label, params):
-            c4, c3, c2 = true_quadratic(label, params)
-            k2 = 4 * params.R * c4 - c2
-            return c4, c3, c2 - 0.01 * k2
+            kb, kr = reduced.p0_factors(label, params)
+            R, k2 = params.R, 1.01 * (kr * kr / kb)
+            far = (R + 1) + math.sqrt((R - 1) * (R - 1) + k2)
+            return (4 * R - k2) / far, far
 
-        monkeypatch.setattr(reduced, "_p0_quadratic", shifted)
+        monkeypatch.setattr(reduced, "p0_quadratic_roots", shifted)
         for label in reduced.LABELS:
             with pytest.raises(ConsistencyError,
                                match="no root of the factored chart"):
@@ -477,6 +465,56 @@ class TestHeightValues:
             for tol in (1e-9, 1e-12):
                 assert (height_oracle(label, w, tol)
                         == nodewise_oracle(label, w, tol))
+
+    def test_one_arccos_zone(self):
+        # The oracle's premise: q = (2R - p2)(2 - p2) decreases on [lo, hi],
+        # so kb q - (k/R)^2 is positive exactly on [lo, z), z = min(near,
+        # hi), and the far root lies at or beyond hi.  The sign is taken in
+        # exact rational arithmetic on the chart's float constants.  Seeded
+        # focus-focus points, R log-uniform on [1/8, 8], a quarter next to
+        # R = 1 and a quarter next to s1 = 1/2, in the NS frame and raw (in
+        # the raw frame with R < 1 the labels swap and heights scale by R).
+        rng = np.random.default_rng(252)
+        points = []
+        while len(points) < 200:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            s1, s2 = map(float, rng.uniform(0.0, 1.0, 2))
+            side = rng.choice([-1.0, 1.0])
+            if len(points) % 4 == 0:
+                R = 1.0 + side * 10.0 ** rng.uniform(-12, -3)
+            elif len(points) % 4 == 1:
+                s1 = 0.5 + side * 10.0 ** rng.uniform(-12, -3)
+            p = ModelParams(1.0, float(R), float(s1), s2)
+            if discriminant_E(p) < -1.01e-10 * p.r1 * p.r2:
+                points.append(p)
+        assert sum(p.R < 1.0 for p in points) > 50
+        for p, label in itertools.product(points, reduced.LABELS):
+            closed = height_closed(p)
+            for w in (ns_frame(p), p):
+                lo, hi = reduced.physical_interval(label, 0.0, w.R)
+                near, far = reduced.p0_quadratic_roots(label, w)
+                assert lo < near <= np.nextafter(hi, math.inf)
+                assert far >= hi
+                kb, kr = map(Fraction, reduced.p0_factors(label, w))
+                two_r = 2 * Fraction(w.R)
+
+                def excess(x):
+                    x = Fraction(x)
+                    return kb * (two_r - x) * (2 - x) - kr * kr
+
+                z = min(near, hi)
+                assert all(excess(x) > 0 for x in
+                           np.linspace(lo, z * (1 - 1e-9), 9).tolist())
+                assert all(excess(x) < 0 for x in
+                           np.linspace(z * (1 + 1e-9), hi, 9)[:-1].tolist()
+                           if x < hi)
+                h = height_oracle(label, w)
+                if w.R < 1.0:
+                    want = closed.h2 if label == "NS" else closed.h1
+                    h /= w.R
+                else:
+                    want = closed.h1 if label == "NS" else closed.h2
+                assert abs(h - want) <= 1e-6
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

@@ -8,13 +8,13 @@ import pytest
 from conftest import panel_integrand
 from semitoric import numerics
 from semitoric.errors import NonconvergenceError
-from semitoric.numerics import (QuadratureSettings, find_root_bisect,
-                                integrate, minimize_golden, quartic_roots)
+from semitoric.numerics import (find_root_bisect, integrate, minimize_golden,
+                                quartic_roots)
 
 
-def quad(f, a, b, settings=None, sin2=False):
+def quad(f, a, b, sin2=False, **kw):
     """``integrate`` of the scalar ``f`` through conftest's panel helper."""
-    return integrate(*panel_integrand(f, a, b, sin2), settings)
+    return integrate(*panel_integrand(f, a, b, sin2), **kw)
 
 
 class TestIntegrate:
@@ -45,11 +45,10 @@ class TestIntegrate:
         assert abs(val - 2.0 * math.log(1.0 + math.sqrt(2.0))) < 1e-9
 
     def test_nonconvergence_carries_trace(self):
-        settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14,
-                                      max_subdivisions=8)
         with pytest.raises(NonconvergenceError) as exc:
             quad(lambda x: 1.0 / math.sqrt(abs(x - 0.3337)) if
-                 x != 0.3337 else 0.0, 0.0, 1.0, settings)
+                 x != 0.3337 else 0.0, 0.0, 1.0, tol=1e-14,
+                 max_subdivisions=8)
         assert exc.value.trace
 
     def test_rejects_reversed_interval(self):
@@ -57,10 +56,14 @@ class TestIntegrate:
             quad(lambda x: x, 1.0, 0.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
-    def test_settings_reject_nonpositive_tol(self, tol):
-        for kw in ({"abs_tol": tol}, {"rel_tol": tol}):
-            with pytest.raises(ValueError, match="must be positive"):
-                QuadratureSettings(**kw)
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="must be positive"):
+            quad(lambda x: x, 0.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("n", [7, 0, -1])
+    def test_rejects_few_subdivisions(self, n):
+        with pytest.raises(ValueError, match="max_subdivisions must be >= 8"):
+            quad(lambda x: x, 0.0, 1.0, max_subdivisions=n)
 
     def test_rule_is_gauss_kronrod(self):
         # The mirrored half tables give the rule: K15 integrates x^d
@@ -102,11 +105,10 @@ class TestIntegrate:
         # The panel hands f its nodes as Python floats instead of the
         # elements of an ndarray; every value must keep its bits.  With
         # ends "both", both ends go through the sin^2 map.
-        settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13)
         sin2 = ends == "both"
-        value = quad(f, a, b, settings, sin2)
+        value = quad(f, a, b, sin2, tol=1e-13)
         monkeypatch.setattr(numerics, "_gk15", ndarray_gk15)
-        assert value == quad(f, a, b, settings, sin2)
+        assert value == quad(f, a, b, sin2, tol=1e-13)
 
 
 class TestBisect:

@@ -208,19 +208,35 @@ class TestQuarticP0:
             with pytest.raises(ConsistencyError, match="chart's"):
                 reduced.roots_P0(label, params)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda c: (c[0], c[1], c[1] ** 2 / (4 * c[0]) * 1.001),
-    ], ids=["negative-discriminant"])
-    def test_chart_without_matching_roots_raises(self, monkeypatch, params,
-                                                 mutate):
-        # No real roots of the quadratic factor, whose floats come from
-        # ``_p0_quadratic``.
-        true_quadratic = reduced._p0_quadratic
-        monkeypatch.setattr(reduced, "_p0_quadratic",
-                            lambda label, params: mutate(
-                                true_quadratic(label, params)))
-        with pytest.raises(ConsistencyError):
-            reduced.roots_P0("NS", params)
+    def test_roots_near_R_one(self):
+        # Next to R = 1 and s1 = 1/2, (R - 1)^2 + K^2 goes to 0, and the
+        # discriminant c3^2 - 4 c4 c2 of the expanded quadratic lost its
+        # digits to cancellation: roots_P0 raised ConsistencyError at the
+        # first point, whose near root was 7.7e-9 off.  Both root formulas
+        # must hold to 1e-12 relative of (R + 1) -/+ sqrt((R - 1)^2 + K^2)
+        # in 50-digit mpmath, K^2 = k^2 / (4 c^2).
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(251)
+        points = [ModelParams(1.0, 1.000000034579198, 0.4999999133455969,
+                              0.39573927286324695)]
+        while len(points) < 200:
+            R = 1.0 + 10.0 ** rng.uniform(-12, -3)
+            s1 = 0.5 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
+            p = ModelParams(1.0, R, float(s1), float(rng.uniform(0.0, 1.0)))
+            if discriminant_E(p) < -1.01e-10 * p.r1 * p.r2:
+                points.append(p)
+        with mp.workdps(50):
+            for p, label in itertools.product(points, reduced.LABELS):
+                r = reduced.roots_P0(label, p)
+                R, s1, s2 = map(mp.mpf, (p.R, p.s1, p.s2))
+                k = (1 - 2 * s1) * (s2 * (1 + R) - R)
+                c = s1 + s2 - s1 * s1 - s2 * s2
+                half_span = mp.sqrt((R - 1) ** 2 + k * k / (4 * c * c))
+                exact = (R + 1 - half_span, R + 1 + half_span)
+                for got in (reduced.p0_quadratic_roots(label, p),
+                            (r.z3, r.z4)):
+                    for x, x_exact in zip(got, exact):
+                        assert abs(x - x_exact) <= 1e-12 * x_exact
 
 
 class TestDHProfile:
