@@ -164,10 +164,11 @@ def p0_quadratic_roots(label: str, params: ModelParams):
 
     P_0 = kb p2^2 (p2^2 - 2 (R + 1) p2 + 4R - K^2) with K^2 = (k/R)^2 / kb,
     so far = (R + 1) + sqrt((R - 1)^2 + K^2) and near = (4R - K^2) / far.
-    The radicand is a sum of squares and far a sum of positive terms: no
-    digits are lost to cancellation, which the discriminant
-    c3^2 - 4 c4 c2 of the expanded coefficients did as (R - 1)^2 + K^2
-    went to 0.
+    The radicand is a sum of squares and far a sum of positive terms, so
+    neither cancels, whereas the discriminant c3^2 - 4 c4 c2 of the
+    expanded coefficients does as (R - 1)^2 + K^2 goes to 0.  Only
+    4R - K^2 can cancel: next to the degeneracy band, where near itself
+    goes to 0.
     """
     (kb, kr), R = p0_factors(label, params), params.R
     k2 = kr * kr / kb

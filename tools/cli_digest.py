@@ -13,8 +13,8 @@ The list covers every README example, ``height`` with all three methods,
 ``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
 ``classify`` (also with ``--json``) at extreme radius ratios, radius pairs
 whose squares leave the float range and pairs just inside it, ``height``
-near E = 0 (where the oracle's cuts matter), ``polygon`` with all four
-cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
+near E = 0 (where the oracle's arccos zone is narrow), ``polygon`` with
+all four cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
 ``classify --json``, ``height --method quadrature|both`` next to the
 degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), ``classify`` (also with
 ``--json``) on both sides of the band's edge (-E/(r1 r2) in
