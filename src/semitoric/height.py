@@ -25,7 +25,7 @@ to the degeneracy band of E.  The width is an arccos on one zone [0, z)
 and constant beyond it; z is the near root of the quadratic factor of the
 chart's own P_0 = B - (H_crit - A)^2 (``reduced.p0_quadratic_roots``),
 never ``gamma_B`` or ``roots_P0``, and is checked to be a root of that
-factor.
+factor where it lies below the end of the physical interval.
 
 Floats and arrays.  The closed-form functions take floats or NumPy arrays
 (broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
@@ -59,12 +59,13 @@ from .reduced import _k_and_m, gamma_B
 from .singularity import (discriminant_E, is_degenerate, is_focus_focus,
                           is_ill_conditioned)
 
-# Largest |P_0| on the chart at the oracle's cut z, relative to the size of
-# its terms (see ``height_oracle``).  Measured on z from the factored roots,
-# both labels in the NS and the raw frame: at most 3.7e-16 on 400 000 cuts
-# of focus-focus points with R in [1/8, 8], 3.6e-16 with s1 within 1e-3 of
-# 1/2, 3.3e-16 with R within 1e-3 of 1 and 2.0e-16 with -E/(r1 r2) down to
-# 1e-10; 5.8e-5 at (1, 2, 0.3, 0.55) with K^2 of the roots scaled by 1.01.
+# Largest |P_0| on the chart at the oracle's cut z < hi, relative to the
+# size of its terms (see ``height_oracle``).  Measured on z from the
+# factored roots, both labels in the NS and the raw frame: at most 3.7e-16
+# on 400 000 cuts of focus-focus points with R in [1/8, 8], 3.6e-16 with s1
+# within 1e-3 of 1/2, 3.3e-16 with R within 1e-3 of 1 and 2.0e-16 with
+# -E/(r1 r2) down to 1e-10; 5.8e-5 at (1, 2, 0.3, 0.55) with K^2 of the
+# roots scaled by 1.01.
 CUT_RESIDUAL_TOL = 1e-8
 
 
@@ -272,9 +273,9 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     The zone is integrated in t on [0, pi/2] with p2 = lo + (z - lo) sin^2 t,
     which smooths the width's square-root ends; one loop per GK15 panel
     gives width times Jacobian at all 15 nodes.  Raises ConsistencyError
-    when z is no root of kb q - (k/R)^2 or the arccos argument leaves
-    [-1, 1].  Only the tests check ``p0_factors`` against ``chart``: z and
-    the integrand share it.
+    when a near root below hi is no root of kb q - (k/R)^2 or the arccos
+    argument leaves [-1, 1].  Only the tests check ``p0_factors`` against
+    ``chart``: z and the integrand share it.
     """
     _require_focus_focus(params)
     two_r = 2.0 * params.R
@@ -287,20 +288,26 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     orient = 1.0 if label == "NS" else -1.0
     K = orient * kr / math.sqrt(kb)
 
-    # A wrong z inside the arccos zone leaves no overshoot, so z is checked:
-    # with q = (2R - z)(2 - z), |kb q - (k/R)^2| may not exceed
-    # CUT_RESIDUAL_TOL times kb q + (k/R)^2 plus |z d(kb q)/dz|, the change
-    # of kb q over z's own rounding, which dominates where 2 - z or 2R - z
-    # is small.  Where z clamps to hi, q = 0 and (k/R)^2 is that change.
-    z = min(reduced.p0_quadratic_roots(label, params)[0], hi)
-    q = (two_r - z) * (2.0 - z)
-    residual = abs(kb * q - kr2)
-    scale = kb * q + kr2 + kb * z * ((two_r - z) + (2.0 - z))
-    if not residual <= CUT_RESIDUAL_TOL * scale:
-        raise ConsistencyError(
-            f"P_0 root cut at p2 = {z!r} is no root of the factored "
-            f"chart: |P_0 / p2^2| = {residual:.3e} > "
-            f"{CUT_RESIDUAL_TOL:g} x {scale:.3e}")
+    # A wrong z inside the arccos zone leaves no overshoot, so a near root
+    # below hi is checked: with q = (2R - z)(2 - z), |kb q - (k/R)^2| may
+    # not exceed CUT_RESIDUAL_TOL times kb q + (k/R)^2 plus |z d(kb q)/dz|,
+    # the change of kb q over z's own rounding, which dominates where 2 - z
+    # or 2R - z is small.  A near root at or past hi is not checked: z
+    # clamps to hi, where q may have a double root (R = 1) and no first-order
+    # change bounds the residual, and the zone is then all of [lo, hi], so a
+    # near wrongly past hi leaves K / sqrt(q) > 1 on the part it misses,
+    # which the overshoot check sees.
+    near = reduced.p0_quadratic_roots(label, params)[0]
+    z = min(near, hi)
+    if near < hi:
+        q = (two_r - z) * (2.0 - z)
+        residual = abs(kb * q - kr2)
+        scale = kb * q + kr2 + kb * z * ((two_r - z) + (2.0 - z))
+        if not residual <= CUT_RESIDUAL_TOL * scale:
+            raise ConsistencyError(
+                f"P_0 root cut at p2 = {z!r} is no root of the factored "
+                f"chart: |P_0 / p2^2| = {residual:.3e} > "
+                f"{CUT_RESIDUAL_TOL:g} x {scale:.3e}")
 
     outside = 2.0 * math.pi if K < 0 else 0.0
     w = z - lo

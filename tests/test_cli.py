@@ -154,6 +154,27 @@ class TestHeight:
         if method == "both":
             assert payload["discrepancy"] <= 1e-9
 
+    @pytest.mark.parametrize("method", ["both", "quadrature"])
+    @pytest.mark.parametrize("radii", [("1", "1.0000000000000002"),
+                                       ("1.0000000000000002", "1")],
+                             ids=["R_above_1", "R_below_1"])
+    @pytest.mark.parametrize("s1, s2", [
+        ("0.5000000000000001", "0.3"), ("0.49999999999999994", "0.3"),
+        ("0.3", "0.5000000000000001"), ("0.3", "0.49999999999999994")])
+    def test_ulp_from_R_one_and_case_III(self, capsys, method, radii, s1,
+                                         s2):
+        # R an ulp from 1 and k within ulps of 0: the near root of P_0
+        # lies at or within an ulp of hi, where q = (2R - p2)(2 - p2) is
+        # nearly a double root.  Case III, h1 = h2 = 1 in both frames.
+        code, out, err = run(capsys, [
+            "height", "--method", method, "--json", "--R1", radii[0],
+            "--R2", radii[1], "--s1", s1, "--s2", s2])
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["case"] == "III"
+        assert max(abs(payload["h1"] - 1.0),
+                   abs(payload["h2"] - 1.0)) <= 1e-12
+
     def test_crossing_point_returns(self, capsys, paper_F):
         # 1e-4 from the crossing of the case-III lines, where N_B's pole
         # once fell inside its integration interval (exit 2).  The frame

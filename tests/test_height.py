@@ -417,22 +417,31 @@ class TestHeightValues:
                                match="no root of the factored chart"):
                 height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
 
-    def test_oracle_overshoot_check(self, monkeypatch):
+    @pytest.mark.parametrize("plant", [
+        lambda near, hi: near * (1.0 + 1e-6), lambda near, hi: hi,
+        lambda near, hi: hi + 1.0], ids=["sliver", "at_hi", "past_hi"])
+    def test_oracle_overshoot_check(self, monkeypatch, plant):
         # With the cut check switched off, the near cut pushed outward by a
         # relative 1e-6 leaves a sliver outside the arccos zone inside an
-        # arccos piece: only the overshoot check sees it.
+        # arccos piece: only the overshoot check sees it.  A near root
+        # planted at or past hi is never checked as a root (the zone is
+        # then all of [lo, hi]); the overshoot check sees the part past the
+        # true one.
         true_roots = reduced.p0_quadratic_roots
 
         def shifted(label, params):
             near, far = true_roots(label, params)
-            return near * (1.0 + 1e-6), far
+            hi = reduced.physical_interval(label, 0.0, params.R)[1]
+            return plant(near, hi), far
 
         monkeypatch.setattr(height, "CUT_RESIDUAL_TOL", math.inf)
         monkeypatch.setattr(reduced, "p0_quadratic_roots", shifted)
-        for label in reduced.LABELS:
+        for label, params in itertools.product(
+                reduced.LABELS, [ModelParams(1, 2, 0.3, 0.55),
+                                 ModelParams(2, 1, 0.3, 0.55)]):
             with pytest.raises(ConsistencyError,
                                match=r"arccos argument exceeded \[-1, 1\]"):
-                height_oracle(label, ModelParams(1, 2, 0.3, 0.55))
+                height_oracle(label, params)
 
     def test_oracle_keeps_bits_of_nodewise_reference(self):
         # The fused panel loop gives every oracle value the bits of the
@@ -515,6 +524,30 @@ class TestHeightValues:
                 else:
                     want = closed.h1 if label == "NS" else closed.h2
                 assert abs(h - want) <= 1e-6
+
+    def test_near_root_at_double_root_of_q(self):
+        # At R = 1, q = (2 - p2)^2 has a double root at hi = 2: with k
+        # within an ulp of 0 (s1 or s2 an ulp from 1/2) the near root
+        # rounds to hi, where kb q - (k/R)^2 = -(k/R)^2 and the change of
+        # kb q over z's rounding is 0, and the cut check raised on this
+        # valid input.  ModelParams never holds R = 1 (it excludes r1 == r2,
+        # and r2 / r1 of two distinct floats never rounds to 1), so the
+        # chart's R = 1 is set field by field; the closed form comes from the
+        # nearest R above 1, which the CLI tests run.
+        up, down = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
+        for s1, s2 in [(up, 0.3), (down, 0.3), (0.3, up), (0.3, down),
+                       (up, 0.2), (down, 0.4), (0.2, up), (0.4, down)]:
+            at_one = object.__new__(ModelParams)
+            for name, value in zip(("r1", "r2", "s1", "s2"),
+                                   (1.0, 1.0, s1, s2)):
+                object.__setattr__(at_one, name, value)
+            for label in reduced.LABELS:
+                lo, hi = reduced.physical_interval(label, 0.0, 1.0)
+                assert reduced.p0_quadratic_roots(label, at_one)[0] == hi
+            closed = height_closed(
+                ModelParams(1.0, math.nextafter(1.0, 2.0), s1, s2))
+            for label, want in zip(reduced.LABELS, (closed.h1, closed.h2)):
+                assert abs(height_oracle(label, at_one) - want) <= 1e-6
 
     def test_oracle_labels_sum_to_two(self):
         p = ModelParams(1, 2, 0.3, 0.55)

@@ -88,12 +88,7 @@ def oracle_layers(n):
 
     # An arccos zone of the oracle: the width 2 acos(1 - 2x/R) from 1 down
     # to -1 on [0, R], integrated in t with x = R sin^2 t, one integrand
-    # call per GK15 panel.  A checkout from before the one-tolerance
-    # ``integrate`` takes the same tolerance as a QuadratureSettings.
-    tol = 5e-10
-    if hasattr(numerics, "QuadratureSettings"):
-        tol = numerics.QuadratureSettings(abs_tol=tol, rel_tol=tol)
-
+    # call per GK15 panel.
     def arccos_zone(p):
         w = p.R
 
@@ -106,7 +101,7 @@ def oracle_layers(n):
                 out.append(v * 2.0 * w * s * c)
             return out
 
-        return numerics.integrate(panel, 0.0, 0.5 * math.pi, tol)
+        return numerics.integrate(panel, 0.0, 0.5 * math.pi, 5e-10)
 
     def oracle_op(p):
         return (height.height_both(p), reduced.roots_P0("NS", p),
