@@ -10,7 +10,7 @@ reproduce the Duistermaat-Heckman profile.  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
 slope 0, scaled units); the shear and cut-flip actions relate all other
 choices.  ``Polygon.width`` takes a float or an array; the polygon's
-self-check is one call of it at the DH profile's knots.
+self-check computes its values at the DH profile's knots in plain floats.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     is converted to unscaled L = r1 (l + 1 - R); H is dimensionless and
     needs no rescaling.
     """
-    if n < 16:
-        raise ValueError("n must be >= 16")
+    if not isinstance(n, numbers.Integral) or n < 16:
+        raise ValueError(f"n must be an integer >= 16, got {n!r}")
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be <= {MAX_SAMPLES}")
     r1, R = params.r1, params.R
@@ -140,54 +140,60 @@ def _critical_points(rho_l, rho_r, c):
     a smooth function of t, so u is smooth in r but not in t.  Where that
     step leaves the bracket (or is undefined, at t = e) a Newton step in t
     is taken, and where that leaves it too, bisection.  A lane has
-    converged when u is within 8 ulps of the size of its terms or the step
-    moves t by at most 4 ulps.  All lanes step in lockstep until every one
-    has converged, or for at most ``_MAX_STEPS`` = 64 steps: bisection
-    alone would take the 1/8 bracket down to 2^-67 in that many, below the
-    float spacing of every t >= 2^-14.
+    converged, and keeps its t, when u is within 8 ulps of the size of its
+    terms or the step moves t by at most 4 ulps.  The lanes step in lockstep
+    until all have converged, at most ``_MAX_STEPS`` = 64 times (bisection
+    alone takes the 1/8 bracket to 2^-67, below the float spacing of every
+    t >= 2^-14), and stop before the step once all u are within 8 ulps.
     """
     rho_l, rho_r = rho_l[:, None], rho_r[:, None]
     s_c = np.stack([c, -c], axis=1)
     e = (s_c > 0.0).astype(float)
+    lanes = np.arange(c.size)[:, None], np.arange(2)
     with np.errstate(divide="ignore", invalid="ignore"):
         nodes = np.arange(9)[:, None, None] / 8.0
-        scan = _critical_equation(nodes, rho_l, rho_r, s_c)[0]
+        scan = _critical_equation(nodes, rho_l, rho_r, s_c, u_only=True)
         j = (scan[1:-1] > 0.0).sum(axis=0)
-        u_a, u_b = np.choose(j, scan), np.choose(j + 1, scan)
+        u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
         a = j / 8.0
         b = a + 0.125
         t = a + 0.125 * (u_a / (u_a - u_b))
         t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
         for steps in range(1, _MAX_STEPS + 1):
             u, du, size = _critical_equation(t, rho_l, rho_r, s_c)
+            small = np.abs(u) <= 8.0 * _EPS * size
+            if np.count_nonzero(small) == small.size:
+                break
             a = np.where(u > 0.0, t, a)
             b = np.where(u < 0.0, t, b)
             step = u / du
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
-            in_r = newton + step * (step / (4.0 * (t - e)))
-            nxt = np.where((a <= in_r) & (in_r <= b), in_r,
-                           np.where((a <= newton) & (newton <= b), newton,
-                                    0.5 * (a + b)))
-            done = ((np.abs(u) <= 8.0 * _EPS * size)
-                    | (np.abs(nxt - t) <= 4.0 * _EPS * t))
+            nxt = newton + step * (step / (4.0 * (t - e)))
+            in_ab = (a <= nxt) & (nxt <= b)
+            if np.count_nonzero(in_ab) < in_ab.size:
+                nxt = np.where(in_ab, nxt, np.where(
+                    (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
+            done = small | (np.abs(nxt - t) <= 4.0 * _EPS * t)
             t = np.where(done, t, nxt)
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 break
     return t, steps
 
 
-def _critical_equation(t, rho_l, rho_r, s_c):
+def _critical_equation(t, rho_l, rho_r, s_c, u_only=False):
     """(u, du/dt, size): u = beta' + 2 sigma c sqrt(beta) at t, with s_c =
     sigma c, beta = p q, p = t (t - rho_l) and q = (1 - t) (rho_r - t),
     and the sum of the magnitudes of u's terms p' q, p q' and 2 sigma c
-    sqrt(beta).  On [0, 1], p, p', q and -q' are all >= 0."""
+    sqrt(beta), or with ``u_only`` u alone.  On [0, 1], p, p', q, -q' >= 0."""
     t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
     p, q = t * t_l, one_t * t_r
     dp, neg_dq = t + t_l, one_t + t_r
     root = np.sqrt(p * q)
     dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
     d_beta = dp_q - p_dq
+    if u_only:
+        return d_beta + c_root
     du = 2.0 * (p + q - dp * neg_dq) + s_c * d_beta / root
     return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
 
@@ -271,10 +277,18 @@ def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
     # A representative's vertices are knots, so width and profile are both
     # linear between knots, and agreement there is agreement everywhere.
     ls, rho = dh.knots
-    widths = poly.width(ls).tolist()
+    widths = [_chain_at(poly.top, l) - _chain_at(poly.bottom, l) for l in ls]
     if any(abs(w - v) > WIDTH_TOL for w, v in zip(widths, rho)):
         raise ConsistencyError("polygon width disagrees with the "
                                "Duistermaat-Heckman profile")
+
+
+def _chain_at(chain, x):
+    """``np.interp(x, *zip(*chain))`` in plain floats, bit for bit."""
+    for (l0, y0), (l1, y1) in zip(chain, chain[1:]):
+        if x < l1:
+            return y0 if x == l0 else (y1 - y0) / (l1 - l0) * (x - l0) + y0
+    return chain[-1][1]
 
 
 def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:

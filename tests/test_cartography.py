@@ -10,9 +10,9 @@ import pytest
 
 from semitoric import cartography, reduced
 from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
-                                   _assert_polygon, _critical_points,
-                                   _envelope_candidates, act_flip_cut,
-                                   act_shear, image_boundary,
+                                   _assert_polygon, _chain_at,
+                                   _critical_points, _envelope_candidates,
+                                   act_flip_cut, act_shear, image_boundary,
                                    polygon_representative)
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
@@ -245,6 +245,12 @@ class TestKnotSelfChecks:
                 (poly,) = unchecked
                 assert (outcome(_assert_polygon, poly, dh)
                         == outcome(dense_checks.polygon, poly, dh)), (R, cuts)
+                # The self-check's plain-float widths are those of the
+                # array API, bit for bit, also where dedupe drops a knot.
+                ls = dh.knots[0]
+                assert np.array_equal(
+                    [_chain_at(poly.top, l) - _chain_at(poly.bottom, l)
+                     for l in ls], poly.width(np.array(ls))), (R, cuts)
         assert 0 < raised < len(ratios)
 
     @pytest.mark.parametrize("cuts", ALL_CUTS)
@@ -626,6 +632,11 @@ class TestImageBoundary:
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             image_boundary(FF_PARAMS, n=8)
+        for n in (64.0, 64.5, "64", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                image_boundary(FF_PARAMS, n=n)
+        assert image_boundary(FF_PARAMS, n=np.int64(16)) == image_boundary(
+            FF_PARAMS, n=16)
         for n in (cartography.MAX_SAMPLES + 1, 2 ** 63 - 1, 10 ** 20):
             with pytest.raises(ValueError, match="n must be <= 65536"):
                 image_boundary(FF_PARAMS, n=n)
@@ -677,6 +688,16 @@ def lemma_points():
         ModelParams(1.0, 1e6, 0.3, 0.7), ModelParams(1.0, 1e-6, 0.3, 0.7),
         ModelParams(1.0, 2.0, 0.5, 0.3), ModelParams(1.0, 0.4, 0.5, 0.9),
     ]
+
+
+# Couplings 1e-160 and 1e-155 (kb subnormal, c about 1e160), 1e-170 (kb
+# underflows to 0) and the four (s1, s2) corners (kb = 0).
+TINY_COUPLING_POINTS = [
+    ModelParams(1.0, 2.0, 1e-160, 0.0), ModelParams(1.0, 0.5, 0.0, 1e-155),
+    ModelParams(1.0, 2.0, 1e-170, 0.0),
+    ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
+    ModelParams(1.0, 2.0, 0.0, 1.0), ModelParams(1.0, 0.5, 1.0, 0.0),
+]
 
 
 def u_sides(t, rho_l, rho_r, c):
@@ -738,17 +759,10 @@ class TestEnvelopeLemma:
                               np.clip(lo[:, None] + w * t, lo[:, None],
                                       hi[:, None]))
 
-    @pytest.mark.parametrize("p", [
-        ModelParams(1.0, 2.0, 1e-160, 0.0), ModelParams(1.0, 0.5, 0.0, 1e-155),
-        ModelParams(1.0, 2.0, 1e-170, 0.0),
-        ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
-        ModelParams(1.0, 2.0, 0.0, 1.0), ModelParams(1.0, 0.5, 1.0, 0.0),
-    ], ids=repr)
+    @pytest.mark.parametrize("p", TINY_COUPLING_POINTS, ids=repr)
     def test_tiny_and_zero_coupling(self, p):
-        # Couplings 1e-160 and 1e-155 (kb subnormal, c about 1e160), 1e-170
-        # (kb underflows to 0) and the four (s1, s2) corners (kb = 0): the
-        # candidates are finite points of [lo, hi], the solve stops before
-        # its cap, and kb = 0 leaves the ends alone.
+        # The candidates are finite points of [lo, hi], the solve stops
+        # before its cap, and kb = 0 leaves the ends alone.
         for n in (16, 64, 257):
             l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
             p2 = _envelope_candidates(p, l, lo, hi)
@@ -761,3 +775,20 @@ class TestEnvelopeLemma:
                 steps = _critical_points(*solve_levels(p, l, lo, hi))[1]
                 assert steps < _MAX_STEPS
         assert np.isfinite(np.array(image_boundary(p, 64).samples)).all()
+
+    @pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS,
+                             ids=repr)
+    def test_equals_loop_without_early_exits(self, p, loop_critical_points):
+        # The early exits and the fallback taken only where a lane needs it
+        # leave every lane's float operations as they were: the same t, bit
+        # for bit, after the same number of steps, the double-root levels
+        # l = 0 and l = 2R - 2 included.
+        for n in (16, 64, 257):
+            l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
+            if reduced.chart_factors("NS", l, p)[1] == 0.0:
+                continue  # kb = 0: the ends alone, no solve
+            args = solve_levels(p, l, lo, hi)
+            t, steps = _critical_points(*args)
+            t_ref, steps_ref = loop_critical_points(*args)
+            assert np.array_equal(t, t_ref), (n, np.nonzero(t != t_ref))
+            assert steps == steps_ref, n

@@ -248,8 +248,9 @@ class TestDHProfile:
                 assert abs(dh.rho(float(l)) - (hi - lo)) < 1e-12
 
     def test_knots(self):
-        assert reduced.dh_function(2.5).knots == ([-2.0, 0.0, 3.0, 5.0],
-                                                  [0.0, 2.0, 2.0, 0.0])
+        dh = reduced.dh_function(2.5)
+        assert dh.knots == ((-2.0, 0.0, 3.0, 5.0), (0.0, 2.0, 2.0, 0.0))
+        assert dh.knots is dh.knots  # computed once per profile
 
     def test_slope_jumps_at_ff_levels(self):
         dh = reduced.dh_function(2.0)

@@ -17,7 +17,9 @@ three, one per quantity).
 - ``chart``: focus-focus and toric points outside the degeneracy band
   |E| <= 1e-10 r1 r2; the op is ``image_boundary(64)``, the polygon
   representatives (all four cuts, or the one toric shape),
-  ``check_semitoric(20)`` and ``classify_fixed_points``.
+  ``check_semitoric(20)`` and ``classify_fixed_points``.  The
+  ``_envelope_candidates`` row is the envelope's critical-point solve on
+  the levels of ``image_boundary(64)`` wider than 1e-12.
 - ``sweep``: 41 x 41 windows as in the benchmark's sweep workload (each
   axis window at least 1/4 wide, no cell within 1e-3 of a case-III line in
   the factor (2 s1 - 1)(R (s2 - 1) + s2)); the rows are ``discriminant_E``
@@ -140,9 +142,21 @@ def chart_layers(n):
                 singularity.check_semitoric(p, 20),
                 singularity.classify_fixed_points(p))
 
-    return seeded_points(n, keep), [
+    def wide_levels(p):
+        # (l, lo, hi) of the levels of image_boundary(p, 64) that it passes
+        # to _envelope_candidates: those wider than 1e-12.
+        ls = np.linspace(-2.0, 2.0 * p.R, 65)
+        lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * p.R)
+        wide = np.flatnonzero(~(hi - lo < 1e-12))
+        return ls[wide], lo[wide], hi[wide]
+
+    points = seeded_points(n, keep)
+    levels = {p: wide_levels(p) for p in points}
+    return points, [
         ("cartography.image_boundary",
          lambda p: cartography.image_boundary(p, 64)),
+        ("cartography._envelope_candidates",
+         lambda p: cartography._envelope_candidates(p, *levels[p])),
         ("cartography.polygon_representative", polygons),
         ("reduced.dh_function",
          lambda p: reduced.dh_function(model.ns_frame(p).R)),
