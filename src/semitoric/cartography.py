@@ -18,19 +18,23 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import reduced
 from .errors import ConsistencyError
-from .model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
+from .model import FIXED_POINTS, ModelParams, h_func, l_func, ns_frame
 from .singularity import discriminant_E, is_focus_focus, n_ff
 
 WIDTH_TOL = 1e-12
 MAX_SAMPLES = 65536  # most levels of an envelope: 135 MB and 0.5 s
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
+_CORNERS = tuple(astuple(FIXED_POINTS[k]) for k in ("NN", "NS", "SN", "SS"))
+_NODES = np.arange(9)[:, None, None] / 8.0  # sign scan of _critical_points
+_SIGMA = np.array([1.0, -1.0])  # its two sides, one per column
+_SIDES = np.arange(2)  # their column index
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,13 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     [max(0, l), min(2R, l + 2)]; on a level narrower than 1e-12 (the end
     levels) both are A at its left end.  Each extreme lies at an end of the
     interval or at the side's one critical point
-    (``_envelope_candidates``).  One chart call evaluates A -/+ sqrt(B) at
-    every candidate of every level, and each side of the band is the
-    min/max over a level's candidates.  Every candidate is a point of the
-    interval, so the envelope never reaches past the true extremes.  Output
-    is converted to unscaled L = r1 (l + 1 - R); H is dimensionless and
-    needs no rescaling.
+    (``_envelope_candidates``).  One set of chart terms for all levels
+    (``reduced._chart_terms``) gives A -/+ sqrt(B) at every candidate, with
+    the bits of ``reduced.chart``, and each side of the band is the min/max
+    over a level's candidates.  Every candidate is a point of the interval,
+    so the envelope never reaches past the true extremes.  Output is in
+    unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner values are
+    L and H at the four poles.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
@@ -69,29 +74,31 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     r1, R = params.r1, params.R
     ls = np.linspace(-2.0, 2.0 * R, n + 1)
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
-    h_min = reduced.chart("NS", ls, params)[0](lo)  # kept on narrow levels
+    ka, slope, base, m, kb = reduced._chart_terms("NS", ls, params)
+    h_min = ka * (base + lo * slope)  # A at lo, kept on narrow levels
     h_max = h_min.copy()
     wide = np.flatnonzero(~(hi - lo < 1e-12))
-    p2 = _envelope_candidates(params, ls[wide], lo[wide], hi[wide])
-    a_of, b_of = reduced.chart("NS", ls[wide, None], params)
-    a, b = a_of(p2), b_of(p2)
+    p2 = _envelope_candidates(ka * slope, kb, m[wide], lo[wide], hi[wide], R)
+    base, m = base[wide, None], m[wide, None]
+    # A and B as reduced.chart writes them, so they have its bits.
+    a = ka * (base + p2 * slope)
+    b = kb * p2 * (p2 - m) * (p2 - 2 * R) * (p2 - m - 2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
     h_min[wide] = (a - root_b).min(axis=1)
     h_max[wide] = (a + root_b).max(axis=1)
     samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
                         h_max.tolist()))
-    corner_values = tuple(
-        (mv.l_val, mv.h_val)
-        for mv in (momentum_map(FIXED_POINTS[k], params)
-                   for k in ("NN", "NS", "SN", "SS")))
+    corner_values = tuple((l_func(v, params), h_func(v, params))
+                          for v in _CORNERS)
     two_ff = is_focus_focus(discriminant_E(params), params)
     ff_values = corner_values[1:3] if two_ff else ()
     return ImageBoundary(samples, ff_values, corner_values)
 
 
-def _envelope_candidates(params: ModelParams, l, lo, hi):
+def _envelope_candidates(dA, kb, m, lo, hi, R):
     """Points of [lo, hi] where A + sqrt(B) and A - sqrt(B) take their
-    extremes on each level l, one row per level.
+    extremes on each level, one row per level, from the levels' factored
+    NS chart (dA, kb, m) as ``reduced.chart_factors`` gives it.
 
     In t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t) with beta(t) =
     t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval are two of
@@ -104,16 +111,18 @@ def _envelope_candidates(params: ModelParams, l, lo, hi):
     coupling below about 1e-150 (kb subnormal) only makes c large: the
     critical points move next to an end and stay finite.
     """
-    slope, kb, m = reduced.chart_factors("NS", l, params)
-    ends = np.stack([lo, hi], axis=1)
     if kb == 0.0:
-        return ends
+        return np.stack([lo, hi], axis=1)
     w = hi - lo
     rho_l = (np.minimum(0.0, m) - lo) / w
-    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
-    t, _ = _critical_points(rho_l, rho_r, slope / (math.sqrt(kb) * w))
-    p2 = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
-    return np.concatenate([p2, ends], axis=1)
+    rho_r = (np.maximum(2.0 * R, m + 2.0) - lo) / w
+    t, _ = _critical_points(rho_l, rho_r, dA / (math.sqrt(kb) * w))
+    p2 = np.empty((lo.size, 4))
+    p2[:, 2], p2[:, 3] = lo, hi
+    lo, hi = lo[:, None], hi[:, None]
+    # np.clip, bit for bit, with fewer dispatches.
+    np.minimum(np.maximum(lo + w[:, None] * t, lo), hi, out=p2[:, :2])
+    return p2
 
 
 def _critical_points(rho_l, rho_r, c):
@@ -147,12 +156,13 @@ def _critical_points(rho_l, rho_r, c):
     t >= 2^-14), and stop before the step once all u are within 8 ulps.
     """
     rho_l, rho_r = rho_l[:, None], rho_r[:, None]
-    s_c = np.stack([c, -c], axis=1)
+    s_c = c[:, None] * _SIGMA
+    two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
-    lanes = np.arange(c.size)[:, None], np.arange(2)
+    lanes = np.arange(c.size)[:, None], _SIDES
     with np.errstate(divide="ignore", invalid="ignore"):
-        nodes = np.arange(9)[:, None, None] / 8.0
-        scan = _critical_equation(nodes, rho_l, rho_r, s_c, u_only=True)
+        scan = _critical_equation(_NODES, rho_l, rho_r, s_c, two_s_c,
+                                  u_only=True)
         j = (scan[1:-1] > 0.0).sum(axis=0)
         u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
         a = j / 8.0
@@ -160,7 +170,7 @@ def _critical_points(rho_l, rho_r, c):
         t = a + 0.125 * (u_a / (u_a - u_b))
         t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
         for steps in range(1, _MAX_STEPS + 1):
-            u, du, size = _critical_equation(t, rho_l, rho_r, s_c)
+            u, du, size = _critical_equation(t, rho_l, rho_r, s_c, two_s_c)
             small = np.abs(u) <= 8.0 * _EPS * size
             if np.count_nonzero(small) == small.size:
                 break
@@ -181,16 +191,16 @@ def _critical_points(rho_l, rho_r, c):
     return t, steps
 
 
-def _critical_equation(t, rho_l, rho_r, s_c, u_only=False):
-    """(u, du/dt, size): u = beta' + 2 sigma c sqrt(beta) at t, with s_c =
-    sigma c, beta = p q, p = t (t - rho_l) and q = (1 - t) (rho_r - t),
-    and the sum of the magnitudes of u's terms p' q, p q' and 2 sigma c
+def _critical_equation(t, rho_l, rho_r, s_c, two_s_c, u_only=False):
+    """(u, du/dt, size): u = beta' + 2 sigma c sqrt(beta) at t, s_c = sigma c
+    and two_s_c = 2 s_c, beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
+    t), and the sum of the magnitudes of u's terms p' q, p q' and 2 sigma c
     sqrt(beta), or with ``u_only`` u alone.  On [0, 1], p, p', q, -q' >= 0."""
     t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
     p, q = t * t_l, one_t * t_r
     dp, neg_dq = t + t_l, one_t + t_r
     root = np.sqrt(p * q)
-    dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
+    dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
     d_beta = dp_q - p_dq
     if u_only:
         return d_beta + c_root

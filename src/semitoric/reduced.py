@@ -8,22 +8,22 @@ region.  The SN model uses the reflected coordinates (q2 -> -q2,
 p2 -> 2R - p2), so both labels share the convention that the physical
 interval starts at p2 = 0.
 
-``chart(label, l, params)`` is the one place where A_l and B_l are written
-down.  It computes the p2-independent coefficients of a level once and
+``chart(label, l, params)`` is where A_l and B_l are written down.  It
+computes the p2-independent terms of a level once (``_chart_terms``) and
 returns A_l and B_l as functions of p2.  The level and p2 broadcast as
 NumPy arrays do: a float level takes a float or an array of p2, and a
-column of levels takes one row of p2 per level.  Every element is
-evaluated with the same operations in the same order as a float call, so
-all of them give the same bits.  ``chart_factors`` gives the same chart in
-factored form (the slope of A_l, the leading coefficient of B_l and m, the
-level's root of B_l) from the same terms, for the envelope's critical
-points.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
-``chart``.  ``DHFunction.rho`` also takes a float or an array.
-``gamma_B`` (shared with ``height``) gives the closed-form roots of P_0
-(``roots_P0``).  ``p0_quadratic_roots`` gives the roots of P_0's quadratic
-factor from the factored l = 0 chart (``p0_factors``) with no cancellation:
-``roots_P0`` checks its closed form against them, and the height oracle's
-arccos zone ends at the near one.
+column of levels takes one row of p2 per level.  Every element is evaluated
+with the same operations in the same order as a float call, so all give the
+same bits; ``cartography.image_boundary`` repeats the two expressions on
+the terms of all its levels.  ``chart_factors`` gives the chart in factored
+form: the slope of A_l, the leading coefficient of B_l and m, the level's
+root of B_l.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
+``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
+(shared with ``height``) gives the closed-form roots of P_0 (``roots_P0``).
+``p0_quadratic_roots`` gives the roots of P_0's quadratic factor from the
+factored l = 0 chart (``p0_factors``) with no cancellation: ``roots_P0``
+checks its closed form against them, and the height oracle's arccos zone
+ends at the near one.
 """
 
 from __future__ import annotations
@@ -258,9 +258,9 @@ class DHFunction:
 
 def dh_function(R: float) -> DHFunction:
     """DH profile rho(l) = min(2R, l+2) - max(0, l) on [-2, 2R] for R > 1."""
-    if R <= 1.0:
-        raise ValueError("dh_function requires R > 1 (apply the sphere-swap "
-                         "symmetry for R < 1)")
+    if not (1.0 < R < math.inf):  # NaN knots would pass every check
+        raise ValueError(f"dh_function requires a finite R > 1, got R = "
+                         f"{R!r} (apply the sphere-swap symmetry for R < 1)")
     dh = DHFunction(
         breakpoints=((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0)),
         domain=(-2.0, 2.0 * R),

@@ -391,6 +391,71 @@ def loop_critical_points():
     return _loop_critical_points
 
 
+def _reference_image_boundary(params, n=64):
+    """``cartography.image_boundary`` as it was written with three chart
+    evaluations per envelope, ``np.stack``/``np.concatenate``/``np.clip``
+    candidates and corner values through ``momentum_map``.  The reference
+    for bit-identical samples, focus-focus and corner values."""
+    import numbers
+
+    from semitoric import reduced
+    from semitoric.cartography import MAX_SAMPLES, ImageBoundary
+    from semitoric.model import FIXED_POINTS, momentum_map
+    from semitoric.singularity import discriminant_E, is_focus_focus
+
+    if not isinstance(n, numbers.Integral) or n < 16:
+        raise ValueError(f"n must be an integer >= 16, got {n!r}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be <= {MAX_SAMPLES}")
+    r1, R = params.r1, params.R
+    ls = np.linspace(-2.0, 2.0 * R, n + 1)
+    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
+    h_min = reduced.chart("NS", ls, params)[0](lo)  # kept on narrow levels
+    h_max = h_min.copy()
+    wide = np.flatnonzero(~(hi - lo < 1e-12))
+    p2 = _reference_envelope_candidates(params, ls[wide], lo[wide], hi[wide])
+    a_of, b_of = reduced.chart("NS", ls[wide, None], params)
+    a, b = a_of(p2), b_of(p2)
+    root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
+    h_min[wide] = (a - root_b).min(axis=1)
+    h_max[wide] = (a + root_b).max(axis=1)
+    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
+                        h_max.tolist()))
+    corner_values = tuple(
+        (mv.l_val, mv.h_val)
+        for mv in (momentum_map(FIXED_POINTS[k], params)
+                   for k in ("NN", "NS", "SN", "SS")))
+    two_ff = is_focus_focus(discriminant_E(params), params)
+    ff_values = corner_values[1:3] if two_ff else ()
+    return ImageBoundary(samples, ff_values, corner_values)
+
+
+def _reference_envelope_candidates(params, l, lo, hi):
+    """``cartography._envelope_candidates`` of ``_reference_image_boundary``:
+    the factored chart from ``reduced.chart_factors``, critical columns
+    first, then the ends."""
+    from semitoric import reduced
+    from semitoric.cartography import _critical_points
+
+    slope, kb, m = reduced.chart_factors("NS", l, params)
+    ends = np.stack([lo, hi], axis=1)
+    if kb == 0.0:
+        return ends
+    w = hi - lo
+    rho_l = (np.minimum(0.0, m) - lo) / w
+    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
+    t, _ = _critical_points(rho_l, rho_r, slope / (math.sqrt(kb) * w))
+    p2 = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
+    return np.concatenate([p2, ends], axis=1)
+
+
+@pytest.fixture(scope="session")
+def reference_image_boundary():
+    """``reference_image_boundary(params, n)``: the momentum-map envelope as
+    computed before the chart terms were shared, for bit-identity tests."""
+    return _reference_image_boundary
+
+
 def _paper_terms(s1, s2, R):
     """alpha, beta, gamma of the quadratic under the root and the partial-
     fraction weights v1, v2, v3 of the closed form, as the paper writes them

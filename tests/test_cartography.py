@@ -660,6 +660,12 @@ def wide_levels(params, n, extra=()):
     return ls[keep], lo[keep], hi[keep]
 
 
+def candidates(params, l, lo, hi):
+    """``_envelope_candidates`` on the levels l with intervals [lo, hi]."""
+    return _envelope_candidates(*reduced.chart_factors("NS", l, params), lo,
+                                hi, params.R)
+
+
 def solve_levels(params, l, lo, hi):
     """(rho_l, rho_r, c) of each level for ``_critical_points``: B's roots
     outside [lo, hi] and A's slope in t = (p2 - lo) / (hi - lo)."""
@@ -755,7 +761,7 @@ class TestEnvelopeLemma:
         assert ok.all(), (l[np.nonzero(~ok)[0]], t[~ok], u[~ok])
         # The candidates of image_boundary are these points, mapped to p2.
         w = (hi - lo)[:, None]
-        assert np.array_equal(_envelope_candidates(p, l, lo, hi)[:, :2],
+        assert np.array_equal(candidates(p, l, lo, hi)[:, :2],
                               np.clip(lo[:, None] + w * t, lo[:, None],
                                       hi[:, None]))
 
@@ -765,7 +771,7 @@ class TestEnvelopeLemma:
         # before its cap, and kb = 0 leaves the ends alone.
         for n in (16, 64, 257):
             l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
-            p2 = _envelope_candidates(p, l, lo, hi)
+            p2 = candidates(p, l, lo, hi)
             assert np.isfinite(p2).all()
             assert ((lo[:, None] <= p2) & (p2 <= hi[:, None])).all()
             if reduced.chart_factors("NS", l, p)[1] == 0.0:
@@ -792,3 +798,18 @@ class TestEnvelopeLemma:
             t_ref, steps_ref = loop_critical_points(*args)
             assert np.array_equal(t, t_ref), (n, np.nonzero(t != t_ref))
             assert steps == steps_ref, n
+
+
+@pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS, ids=repr)
+def test_image_boundary_equals_reference_bits(p, reference_image_boundary):
+    # Chart terms shared by the whole envelope, the candidate array built in
+    # place and the corner values from L and H on the poles leave every
+    # float as it was: repr-equal samples, focus-focus and corner values
+    # (repr tells -0.0 from 0.0, which == does not).  The points are the
+    # seeded ones in both frames, R = 1e+-6, s1 = 1/2 and tiny or zero
+    # coupling.
+    for n in (16, 64, 257):
+        got, ref = image_boundary(p, n), reference_image_boundary(p, n)
+        for field in ("samples", "ff_values", "corner_values"):
+            assert (repr(getattr(got, field))
+                    == repr(getattr(ref, field))), (n, field)

@@ -1,6 +1,7 @@
 """Reduced one-degree-of-freedom models, their quartic and the DH profile."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ class TestDHProfile:
     def test_requires_r_above_one(self):
         with pytest.raises(ValueError):
             reduced.dh_function(0.5)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_rejects_non_finite_r(self, R):
+        # NaN knots or values would pass every width check of the profile.
+        with pytest.raises(ValueError, match=f"finite R > 1, got R = {R!r}"):
+            reduced.dh_function(R)
 
     def test_domain_enforced(self):
         dh = reduced.dh_function(2.0)

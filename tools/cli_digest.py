@@ -4,10 +4,17 @@ Each invocation runs in-process through ``semitoric.cli.main``.  For each
 one the script prints the exit code, the sha256 of stdout + stderr (plus
 the bytes of any ``--out`` file) and the arguments; the last line is the
 sha256 of all lines before it.  Run it on two checkouts and diff the
-printouts to show that a change leaves the CLI output byte-identical:
+printouts, or let ``--compare`` do both, to show that a change leaves the
+CLI output byte-identical:
 
     python tools/cli_digest.py                  # this checkout's src/
     python tools/cli_digest.py OTHER/src        # another checkout
+    python tools/cli_digest.py --compare OTHER/src [SRC]
+
+``--compare`` digests SRC (default: this checkout's src/) and OTHER/src,
+each in its own subprocess on this script's list of invocations, prints
+only the invocations whose exit code or digest differ, and exits 1 if any
+do, 0 if none do.
 
 The list covers every README example, ``height`` with all three methods,
 ``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
@@ -31,10 +38,12 @@ and NumPy only.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import math
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -277,11 +286,43 @@ def run_one(main, command: str, workdir: Path):
     return code, digest.hexdigest()
 
 
+def digest_lines(src: Path):
+    """The printout of this script on ``src``, run in a subprocess."""
+    out = subprocess.run([sys.executable, __file__, str(src)], check=True,
+                         capture_output=True, text=True)
+    return out.stdout.splitlines()
+
+
+def compare(src: Path, other: Path) -> int:
+    """Print the invocations whose exit code or digest differ between
+    ``src`` and ``other``; 1 if any differ, else 0."""
+    ours, theirs = digest_lines(src), digest_lines(other)
+    differ = 0
+    for a, b in zip(ours[:-1], theirs[:-1]):
+        if a != b:
+            differ += 1
+            code_a, hex_a, command = a.split(" ", 2)
+            code_b, hex_b, _ = b.split(" ", 2)
+            print(f"{command}\n  {src}: {code_a} {hex_a}\n"
+                  f"  {other}: {code_b} {hex_b}")
+    print(f"{differ} of {len(ours) - 1} invocations differ")
+    print(f"{src}: {ours[-1]}\n{other}: {theirs[-1]}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     here = Path(__file__).resolve().parents[1]
-    src = Path(argv[0]) if argv else here / "src"
-    sys.path.insert(0, str(src.resolve()))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?", type=Path, default=here / "src",
+                    help="src/ of the checkout to digest (default: this "
+                    "checkout's)")
+    ap.add_argument("--compare", type=Path, metavar="OTHER",
+                    help="src/ of a second checkout: print only the "
+                    "invocations whose output differs from SRC's")
+    args = ap.parse_args(argv)
+    if args.compare is not None:
+        return compare(args.src, args.compare)
+    sys.path.insert(0, str(args.src.resolve()))
     from semitoric.cli import main as cli_main
 
     lines = []
