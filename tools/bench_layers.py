@@ -48,6 +48,7 @@ Standard library and NumPy only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -129,8 +130,6 @@ def oracle_layers(n):
 def chart_layers(n):
     """Points of the chart workload's domain and (row name, function of
     one point) for every row, in table order."""
-    import inspect
-
     from semitoric import cartography, model, reduced, singularity
 
     def keep(p):
