@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -31,7 +30,8 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_INCONSISTENT = 5
 
-MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep took 444 MB
+MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep peaks at 275 MB
+SWEEP_BLOCK_CELLS = 1 << 14  # cells per block of sweep rows joined at once
 
 
 def _fmt(x) -> str:
@@ -172,34 +172,69 @@ def cmd_image(args) -> int:
     return EXIT_OK
 
 
-def _sweep_fields(quantity, grid: ParamGrid) -> list[str]:
-    """The CSV fields after s1,s2 of every cell, in row order.
+def _reprs(values: np.ndarray, shown: np.ndarray) -> list[str]:
+    """``repr`` of each value where ``shown`` holds, '' elsewhere."""
+    if shown.all():
+        return list(map(repr, values.tolist()))
+    column = np.full(values.size, "", dtype=object)
+    column[shown] = list(map(repr, values[shown].tolist()))
+    return column.tolist()
+
+
+def _sweep_csv(quantity, grid: ParamGrid) -> str:
+    """The text of the sweep CSV.
 
     The whole grid is evaluated with a few array calls; every value is
-    bit-identical to the ModelParams call on its cell.
+    bit-identical to the ModelParams call on its cell.  The rows are built
+    by columns: each axis value and each printed value gets one ``repr``,
+    and what follows a row's values (its flag and newline) is one of a few
+    fixed tails, picked by an integer code per cell.  The columns of a
+    block of rows are interleaved into one list by extended-slice
+    assignment and joined once, so no string is built per cell and only
+    one block's tokens are alive at a time.
     """
     with np.errstate(all="ignore"):
         e = singularity.discriminant_E(grid)
-    e_list = e.ravel().tolist()
     if quantity == "E":
-        return [f"{v!r}," for v in e_list]
-    degenerate = singularity.is_degenerate(e, grid).ravel().tolist()
-    if quantity == "nff":
-        return [",degenerate" if d else ("2," if v < 0 else "0,")
-                for d, v in zip(degenerate, e_list)]
-    inv = height.height_closed(grid)
-    fields = []
-    for d, v, h1, h2, ill in zip(degenerate, e_list, inv.h1.ravel().tolist(),
-                                 inv.h2.ravel().tolist(),
-                                 inv.ill_conditioned.ravel().tolist()):
-        if d:
-            fields.append(",,degenerate")
-        elif v < 0:
-            fields.append(f"{h1!r},{h2!r},"
-                          + ("ill-conditioned" if ill else ""))
+        header, tails, values = "s1,s2,E,flag", (",\n",), [e]
+        shown = np.ones(e.shape, bool)
+        code = np.zeros(e.shape, np.intp)
+    else:
+        shown = singularity.is_focus_focus(e, grid)
+        code = np.where(singularity.is_degenerate(e, grid), 2, 1)
+        code[shown] = 0
+        if quantity == "nff":
+            header, values = "s1,s2,n_ff,flag", []
+            tails = ("2,\n", "0,\n", ",degenerate\n")
         else:
-            fields.append(",,no-focus-focus")
-    return fields
+            header = "s1,s2,h1,h2,flag"
+            tails = (",\n", ",no-focus-focus\n", ",degenerate\n",
+                     ",ill-conditioned\n")
+            inv = height.height_closed(grid)
+            values = [inv.h1, inv.h2]
+            code[shown & inv.ill_conditioned] = 3
+    tail_strings = np.array(tails, dtype=object)
+    s1_cells = np.array([f"{a!r}," for a in grid.s1.ravel().tolist()],
+                        dtype=object)
+    s2_cells = [f"{b!r}," for b in grid.s2.ravel().tolist()]
+    n2 = len(s2_cells)
+    # Per cell: s1 and s2, each with its comma, the values with a comma
+    # between two, and the tail.  The commas are the list's filler.
+    width = 3 + max(0, 2 * len(values) - 1)
+    rows = max(1, SWEEP_BLOCK_CELLS // n2)
+    chunks = [header + "\n"]
+    for i in range(0, len(s1_cells), rows):
+        block = slice(i, i + rows)
+        s1_block = s1_cells[block]
+        body = [","] * (len(s1_block) * n2 * width)
+        body[0::width] = s1_block.repeat(n2).tolist()
+        body[1::width] = s2_cells * len(s1_block)
+        for k, v in enumerate(values):
+            body[2 + 2 * k::width] = _reprs(v[block].ravel(),
+                                            shown[block].ravel())
+        body[width - 1::width] = tail_strings[code[block].ravel()].tolist()
+        chunks.append("".join(body))
+    return "".join(chunks)
 
 
 def cmd_sweep(args) -> int:
@@ -215,15 +250,8 @@ def cmd_sweep(args) -> int:
             raise ValueError("axis ranges must be increasing within [0, 1]")
     s1s = np.linspace(args.s1_start, args.s1_stop, args.s1_count)
     s2s = np.linspace(args.s2_start, args.s2_stop, args.s2_count)
-    fields = _sweep_fields(args.quantity,
-                           ParamGrid(args.R1, args.R2, s1s, s2s))
-    cells = itertools.product([_fmt(a) for a in s1s.tolist()],
-                              [_fmt(b) for b in s2s.tolist()])
-    header = {"E": "s1,s2,E,flag",
-              "nff": "s1,s2,n_ff,flag",
-              "height": "s1,s2,h1,h2,flag"}[args.quantity]
-    lines = [header] + [f"{a},{b},{f}" for (a, b), f in zip(cells, fields)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_sweep_csv(args.quantity, ParamGrid(args.R1, args.R2, s1s, s2s)),
+          args.out)
     return EXIT_OK
 
 

@@ -159,6 +159,47 @@ class TestSweepMatchesCellLoop:
         assert (code, out, err) == reference_sweep(argv)
         assert out.splitlines()[1].endswith(",ill-conditioned")
 
+    @pytest.mark.parametrize("quantity", ["height", "nff", "E"])
+    @pytest.mark.parametrize("shape", [(2, 9), (9, 2), (3, 7)])
+    def test_non_square_grids(self, quantity, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for R, s1_window, s2_window in [
+                (2.0, (0.0, 1.0), (0.0, 1.0)),
+                (0.35, _window(rng), _window(rng)),
+                (2.5, _window(rng), _window(rng))]:
+            argv = sweep_argv(R, quantity, s1_window, s2_window, shape)
+            assert array_sweep(argv) == reference_sweep(argv), argv
+
+    def test_every_height_tail_in_one_window(self):
+        # s2 = 0 and 1 have no focus-focus points; at s2 = 0.1 the first
+        # s1 is degenerate and the second ill-conditioned.
+        argv = sweep_argv(2.0, "height",
+                          (0.14453829383418643, _ill_conditioned_s1()),
+                          (0.0, 1.0), (2, 11))
+        code, out, err = array_sweep(argv)
+        assert (code, out, err) == reference_sweep(argv)
+        flags = [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]]
+        assert {"degenerate", "no-focus-focus", "",
+                "ill-conditioned"} == set(flags)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 20])
+    @pytest.mark.parametrize("quantity", ["height", "nff", "E"])
+    def test_rows_joined_in_blocks(self, monkeypatch, quantity, block_cells):
+        # Blocks of one row, of a whole number of rows and a shorter last
+        # block.
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_CELLS", block_cells)
+        argv = sweep_argv(2.0, quantity, (0.0, 1.0), (0.0, 1.0), (9, 5))
+        assert array_sweep(argv) == reference_sweep(argv)
+
+    @pytest.mark.parametrize("quantity", ["height", "nff", "E"])
+    def test_out_file_holds_stdout_bytes(self, tmp_path, quantity):
+        argv = sweep_argv(0.35, quantity, (0.0, 1.0), (0.1, 0.9), (7, 5))
+        code, out, err = array_sweep(argv)
+        assert (code, out, err) == reference_sweep(argv)
+        path = tmp_path / "sweep.csv"
+        assert array_sweep(argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode("ascii")
+
     def test_crossing_sweep(self, paper_F):
         code, out, err = array_sweep(CROSSING_SWEEP)
         assert (code, out, err) == reference_sweep(CROSSING_SWEEP)

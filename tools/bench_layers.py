@@ -27,7 +27,8 @@ three, one per quantity).
   axis window at least 1/4 wide, no cell within 1e-3 of a case-III line in
   the factor (2 s1 - 1)(R (s2 - 1) + s2)); the rows are ``discriminant_E``
   and ``height_closed`` on the window's ``ParamGrid`` and one whole
-  ``semitoric sweep`` per quantity, its CSV written to the null device.
+  ``semitoric sweep`` per quantity, its CSV written over one file in a
+  temporary directory, as the benchmark's op overwrites its output file.
 
     python tools/bench_layers.py --out BENCH_oracle.json
     python tools/bench_layers.py --parent OTHER/src --topic chart \\
@@ -56,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -81,7 +83,7 @@ def seeded_points(n, keep):
     return points
 
 
-def oracle_layers(n):
+def oracle_layers(n, work_dir):
     """Points of the oracle workload's domain and (row name, function of
     one point) for every row, in table order."""
     from semitoric import height, model, numerics, reduced, singularity
@@ -127,7 +129,7 @@ def oracle_layers(n):
     ]
 
 
-def chart_layers(n):
+def chart_layers(n, work_dir):
     """Points of the chart workload's domain and (row name, function of
     one point) for every row, in table order."""
     from semitoric import cartography, model, reduced, singularity
@@ -183,7 +185,7 @@ def sweep_window(rng):
     return start, min(1.0, start + width)
 
 
-def sweep_layers(n):
+def sweep_layers(n, work_dir):
     """Windows of the sweep workload's domain and (row name, function of
     one window) for every row, in table order.  The windows are chosen
     without calling the package, so every checkout times the same ones."""
@@ -205,7 +207,7 @@ def sweep_layers(n):
                 "--s1-start", repr(w1[0]), "--s1-stop", repr(w1[1]),
                 "--s2-start", repr(w2[0]), "--s2-stop", repr(w2[1]),
                 "--s1-count", str(SWEEP_COUNT), "--s2-count", str(SWEEP_COUNT),
-                "--out", os.devnull]
+                "--out", os.path.join(work_dir, "sweep.csv")]
         windows.append((model.ParamGrid(1.0, R, s1, s2), argv))
 
     def sweep_op(quantity):
@@ -224,6 +226,8 @@ def sweep_layers(n):
     ]
 
 
+# Each topic takes the point count and a scratch directory that outlives
+# its calls.
 TOPICS = {"oracle": oracle_layers, "chart": chart_layers,
           "sweep": sweep_layers}
 
@@ -242,12 +246,13 @@ def run_repeat(calls, points):
 def serve(topic):
     """Worker loop: print the row names after a warm-up, then the times of
     one repeat for each line read from stdin, as JSON lines."""
-    points, calls = TOPICS[topic](N_POINTS)
-    for _ in range(2):  # warm-up: imports, caches
-        run_repeat(calls, points)
-    print(json.dumps([name for name, _ in calls]), flush=True)
-    for _ in sys.stdin:
-        print(json.dumps(run_repeat(calls, points)), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_layers-") as work_dir:
+        points, calls = TOPICS[topic](N_POINTS, work_dir)
+        for _ in range(2):  # warm-up: imports, caches
+            run_repeat(calls, points)
+        print(json.dumps([name for name, _ in calls]), flush=True)
+        for _ in sys.stdin:
+            print(json.dumps(run_repeat(calls, points)), flush=True)
 
 
 def read_json(worker):
