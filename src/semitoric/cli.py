@@ -30,7 +30,7 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_INCONSISTENT = 5
 
-MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep peaks at 275 MB
+MAX_SWEEP_CELLS = 1_000_000  # a 1000 x 1000 height sweep peaks at 223 MB
 SWEEP_BLOCK_CELLS = 1 << 14  # cells per block of sweep rows joined at once
 
 

@@ -130,7 +130,8 @@ class TestSweepMatchesCellLoop:
     @pytest.mark.parametrize("R", [0.35, 2.5])
     def test_seeded_windows(self, quantity, R):
         rng = np.random.default_rng(41 + int(R * 10))
-        for shape in [(41, 41), (41, 41), (7, 5), (2, 41), (41, 2)]:
+        for shape in [(41, 41), (41, 41), (7, 5), (2, 41), (41, 2), (2, 9),
+                      (9, 2), (3, 7)]:
             argv = sweep_argv(R, quantity, _window(rng), _window(rng), shape)
             assert array_sweep(argv) == reference_sweep(argv), argv
 
@@ -158,17 +159,6 @@ class TestSweepMatchesCellLoop:
         code, out, err = array_sweep(argv)
         assert (code, out, err) == reference_sweep(argv)
         assert out.splitlines()[1].endswith(",ill-conditioned")
-
-    @pytest.mark.parametrize("quantity", ["height", "nff", "E"])
-    @pytest.mark.parametrize("shape", [(2, 9), (9, 2), (3, 7)])
-    def test_non_square_grids(self, quantity, shape):
-        rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        for R, s1_window, s2_window in [
-                (2.0, (0.0, 1.0), (0.0, 1.0)),
-                (0.35, _window(rng), _window(rng)),
-                (2.5, _window(rng), _window(rng))]:
-            argv = sweep_argv(R, quantity, s1_window, s2_window, shape)
-            assert array_sweep(argv) == reference_sweep(argv), argv
 
     def test_every_height_tail_in_one_window(self):
         # s2 = 0 and 1 have no focus-focus points; at s2 = 0.1 the first
