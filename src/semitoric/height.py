@@ -31,10 +31,11 @@ Floats and arrays.  The closed-form functions take floats or NumPy arrays
 (broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
 or a ``ParamGrid``.  Each formula is written once, and on arrays it gives
 the float call's bits cell by cell: powers are products in one fixed
-association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), log and
-atan2 are NumPy's on floats too (``tests/test_elementwise.py`` checks
-that a float call gives the vector loop's element), and square roots are
-the correctly rounded ``math.sqrt`` and ``np.sqrt``.
+association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), and every
+elementary function is NumPy's on floats and grids (``np.sqrt``,
+``np.log``, ``np.arctan2``, ``np.copysign``;
+``tests/test_elementwise.py`` checks that a float call gives the vector
+loop's element).  Float calls return Python floats.
 
 Errors on arrays.  Where the float call raises, or may (a value it divides
 by, or takes the log of, is not finite), the array element is NaN.
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,20 +67,6 @@ from .singularity import (discriminant_E, is_degenerate, is_focus_focus,
 # -E/(r1 r2) down to 1e-10; 5.8e-5 at (1, 2, 0.3, 0.55) with K^2 of the
 # roots scaled by 1.01.
 CUT_RESIDUAL_TOL = 1e-8
-
-
-def _float_log(x):
-    """``np.log`` of a float, as a float.  ``math.log`` takes the arguments
-    it rejects (x <= 0, raising its own ``ValueError``) and NaN."""
-    return float(np.log(x)) if x > 0.0 else math.log(x)
-
-
-# The elementary functions of the closed form, for float and array inputs.
-_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, log=_float_log,
-                              atan2=lambda y, x: float(np.arctan2(y, x)),
-                              copysign=math.copysign)
-_ARRAY_MATH = SimpleNamespace(sqrt=np.sqrt, log=np.log, atan2=np.arctan2,
-                              copysign=np.copysign)
 
 
 def _nan_where(fails, value):
@@ -110,33 +96,41 @@ def _height_kernel(a, R):
     angle atan(v / (u + sqrt(u^2 + v^2))) = atan2(v, u) / 2, where
     sqrt(u^2 + v^2) is 8 S and 8 R S.  atan2 needs no branch on the sign of
     u, no term cancels, and g(0, R) = 0 for R > 1.  ``ValueError`` on
-    floats for D <= 0 (outside the focus-focus regime).
+    floats for D <= 0 (outside the focus-focus regime), and for S^2 = 0
+    (a = 0 at R = 1) or S^2 = inf (|R - 1| above about 1e154), where the log
+    is not finite; inside both bounds every term is finite.
     """
-    d = 16 * R - a * a
+    a2 = a * a
+    d, s_sq = 16 * R - a2, a2 + 4 * ((R - 1) * (R - 1))
     floats = not isinstance(d, np.ndarray)
     if floats and not d > 0:
         raise ValueError(f"16 R - kappa^2 = {d:.3e} <= 0: outside the "
                          f"focus-focus regime")
-    xm = _FLOAT_MATH if floats else _ARRAY_MATH
-    a2, sq_d = a * a, xm.sqrt(d)
+    if floats and not 0 < s_sq < math.inf:
+        raise ValueError(f"kappa^2 + 4 (R - 1)^2 = {s_sq:.3e}: the "
+                         f"kernel's log is not finite")
+    sq_d = np.sqrt(d)
     v = 2 * a * sq_d
-    g = (a * xm.log((2 * (1 + R) + sq_d)
-                    / xm.sqrt(a2 + 4 * ((R - 1) * (R - 1))))
-         + 2 * xm.atan2(v, 16 * (R - 1) - 2 * a2)
-         - 2 * R * xm.atan2(v, 16 * R * (R - 1) + 2 * a2))
+    g = (a * np.log((2 * (1 + R) + sq_d) / np.sqrt(s_sq))
+         + 2 * np.arctan2(v, 16 * (R - 1) - 2 * a2)
+         - 2 * R * np.arctan2(v, 16 * R * (R - 1) + 2 * a2))
     return g if floats else _nan_where(~(d > 0), g)
 
 
 def _signed_kernel(s1, s2, R):
     """(k, sgn(kappa), g(|kappa|, R)) with k, m of ``_k_and_m`` and kappa =
     k / |m|, for ``_t`` and ``closed_form_F``.  m = 0 (zero coupling) makes
-    kappa infinite, and so D = -inf, on floats as on arrays."""
+    kappa infinite, and so D = -inf, on floats as on arrays.  ``ValueError``
+    on floats for k = 0 (case III), ahead of the kernel."""
     k, m = _k_and_m(s1, s2, R)
     if isinstance(k, np.ndarray):
-        xm, kappa = _ARRAY_MATH, k / abs(m)
+        kappa = k / abs(m)
+    elif k == 0.0:
+        raise ValueError("on the trivial-case boundary (case III); F is not "
+                         "defined there")
     else:
-        xm, kappa = _FLOAT_MATH, k / abs(m) if m else k * math.inf
-    return k, xm.copysign(1.0, kappa), _height_kernel(abs(kappa), R)
+        kappa = k / abs(m) if m else k * math.inf
+    return k, np.copysign(1.0, kappa), _height_kernel(abs(kappa), R)
 
 
 def closed_form_F(s1, s2, R):
@@ -158,20 +152,17 @@ def closed_form_F(s1, s2, R):
     ``tests/test_closed_form_reference.py`` checks F against the paper's
     form in 100-digit mpmath.
 
-    ``ValueError`` on floats, NaN on arrays, for non-finite arguments,
-    outside the focus-focus regime (the kernel's D <= 0) and for k = 0
-    (case III, where F is not defined).
+    ``ValueError`` on floats, NaN on arrays, for non-finite arguments, for
+    k = 0 (case III, where F is not defined) and outside the kernel's
+    domain (D <= 0: outside the focus-focus regime).
     """
-    if max(map(np.ndim, (s1, s2, R))) == 0:
+    floats = max(map(np.ndim, (s1, s2, R))) == 0
+    if floats:
         _check_finite("closed_form_F", s1, s2, R)
-    k, sign, g = _signed_kernel(s1, s2, R)
-    f = sign * (2 * math.pi - g)
-    if isinstance(f, np.ndarray):
-        return _nan_where(k == 0.0, f)
-    if k == 0.0:
-        raise ValueError("on the trivial-case boundary (case III); F is not "
-                         "defined there")
-    return f
+    with np.errstate(all="ignore"):
+        k, sign, g = _signed_kernel(s1, s2, R)
+        f = sign * (2 * math.pi - g)
+    return float(f) if floats else _nan_where(k == 0.0, f)
 
 
 def case_id(params: ModelParams | ParamGrid):
@@ -194,6 +185,10 @@ def case_id(params: ModelParams | ParamGrid):
 
 @dataclass(frozen=True)
 class HeightInvariant:
+    """The height invariant in the NS frame.  ``ill_conditioned`` means that
+    E lies within 1e-6 r1 r2 below 0, so NS and SN are close to changing
+    type; it does not mean a loss of accuracy (there, both methods gave h1
+    within 4.4e-16 of 50-digit mpmath)."""
     h1: float
     h2: float
     case_ns: str
@@ -229,7 +224,7 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
     e = _require_focus_focus(params)
     work = ns_frame(params)
     case = case_id(work)
-    t = 0.0 if case == "III" else _t(work)
+    t = 0.0 if case == "III" else float(_t(work))
     return HeightInvariant(1.0 + t, 1.0 - t, case, "closed-form",
                            is_ill_conditioned(e, params))
 

@@ -68,9 +68,9 @@ class ParamGrid:
     broadcast to the n1 x n2 grid, with cell (i, j) at (s1[i], s2[j]),
     evaluate every single-variable term once per axis value, and give the
     same bits in each cell as on the ModelParams of that cell, since they
-    keep to the elementwise rule of ``height`` (powers as products, log and
-    atan2 through NumPy).  The radii and the axis values are validated once,
-    with ModelParams' messages.
+    keep to the elementwise rule of ``height`` (powers as products, NumPy's
+    functions on floats and grids).  The radii and the axis values are
+    validated once, with ModelParams' messages.
     """
 
     r1: float

@@ -526,15 +526,13 @@ def reference_closed_form_F(s1, s2, R):
     gamma_A <= 0 ahead of the kernel, and NaN on arrays also where an
     argument is not finite: the reference for the form that shares the
     height's path."""
-    from semitoric.height import (_ARRAY_MATH, _FLOAT_MATH, _check_finite,
-                                  _height_kernel)
+    from semitoric.height import _check_finite, _height_kernel
     from semitoric.reduced import _k_and_m
 
     ga = gamma_A(s1, s2, R)
     floats = not isinstance(ga, np.ndarray)
     if floats:
         _check_finite("closed_form_F", s1, s2, R)
-    xm = _FLOAT_MATH if floats else _ARRAY_MATH
     bad_ga = ga <= 0
     if floats and bad_ga:
         raise ValueError(f"gamma_A = {ga:.3e} <= 0: outside the focus-focus "
@@ -545,10 +543,10 @@ def reference_closed_form_F(s1, s2, R):
         raise ValueError("on the trivial-case boundary (case III); F is not "
                          "defined there")
     kappa = k / abs(m)
-    f = (xm.copysign(1.0, kappa)
+    f = (np.copysign(1.0, kappa)
          * (2 * math.pi - _height_kernel(abs(kappa), R)))
     if floats:
-        return f
+        return float(f)
     bad = bad_ga | bad_k | ~np.isfinite(f)
     for x in (s1, s2, R):
         bad = bad | ~np.isfinite(x)

@@ -1,14 +1,12 @@
 """The elementwise contract behind the bit-identical grids.
 
 Every formula that runs on floats and on a ``ParamGrid`` is written once:
-powers as products, log and atan2 through NumPy on floats too, square roots
-and copysign through ``math`` on floats and NumPy on arrays.  A grid
-cell then equals its float call bit for bit only if NumPy's functions give
-a Python float the same bits as the element of their vector loop, and if
-``math.sqrt`` and ``math.copysign`` equal their NumPy forms.  These tests check that premise on the
-NumPy at hand, so a build that breaks it fails here by name rather than as
-a changed sweep digest.  They also pin the float path's errors: a
-non-positive log argument raises ``math.log``'s own ``ValueError``.
+powers as products, and NumPy's functions on floats and grids
+(``np.sqrt``, ``np.log``, ``np.arctan2``, ``np.copysign``).  A grid cell
+then equals its float call bit for bit only if NumPy's functions give a
+Python float the same bits as the element of their vector loop.  These
+tests check that premise on the NumPy at hand, so a build that breaks it
+fails here by name rather than as a changed sweep digest.
 """
 
 import math
@@ -16,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from semitoric import height
+from semitoric import ModelParams, height
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5,
            5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
@@ -42,7 +40,12 @@ def mismatches(got, want):
     return np.flatnonzero(differ & ~(np.isnan(got) & np.isnan(want)))
 
 
-@pytest.mark.parametrize("ufunc", [np.log, np.sqrt],
+def copysign(x):
+    """``np.copysign(1.0, x)``, the sign of kappa in ``height``."""
+    return np.copysign(1.0, x)
+
+
+@pytest.mark.parametrize("ufunc", [np.log, np.sqrt, copysign],
                          ids=lambda f: f.__name__)
 def test_ufunc_on_float_equals_vector_loop(ufunc):
     values = premise_values()
@@ -70,44 +73,15 @@ def test_arctan2_on_float_equals_vector_loop():
     assert mismatches(grid.ravel(), vector[:n]).size == 0
 
 
-def test_math_sqrt_equals_np_sqrt():
-    values = np.abs(premise_values())
-    scalar = np.array([math.sqrt(x) for x in values.tolist()])
-    bad = mismatches(scalar, np.sqrt(values))
-    assert bad.size == 0, f"sqrt differs at {values[bad[:5]]}"
-
-
-def test_math_copysign_equals_np_copysign():
-    # The sign of kappa goes through math.copysign on floats and
-    # np.copysign on arrays; NaN and -0.0 included.
-    values = premise_values()
-    scalar = np.array([math.copysign(1.0, x) for x in values.tolist()])
-    bad = mismatches(scalar, np.copysign(1.0, values))
-    assert bad.size == 0, f"copysign differs at {values[bad[:5]]}"
-
-
-def math_log_error(x):
-    with pytest.raises(ValueError) as exc:
-        math.log(x)
-    return str(exc.value)
-
-
-class TestFloatLogErrors:
-    """The float path rejects what ``math.log`` rejects, with its
-    message."""
-
-    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -5e-324, -math.inf])
-    def test_non_positive_argument(self, x):
-        with pytest.raises(ValueError) as exc:
-            height._FLOAT_MATH.log(x)
-        assert str(exc.value) == math_log_error(x)
-
-    def test_values(self):
-        log = height._FLOAT_MATH.log
-        assert math.isnan(log(math.nan)) and log(math.inf) == math.inf
-        assert type(log(2.0)) is float and log(2.0) == float(np.log(2.0))
-
-
 def test_float_results_are_floats():
-    # Error messages and the CLI print float results with repr.
+    # Error messages and the CLI print float results with repr, and NumPy 2
+    # prints a NumPy scalar as np.float64(...).
     assert type(height.closed_form_F(0.25, 0.25, 2.0)) is float
+    for params in (ModelParams(1.0, 2.0, 0.25, 0.25),
+                   ModelParams(2.0, 1.0, 0.7, 0.4),
+                   ModelParams(1.0, 2.0, 0.5, 0.25)):    # case III: t = 0
+        for method in (height.height_closed, height.height_quadrature,
+                       height.height_both):
+            inv = method(params)
+            for value in (inv.h1, inv.h2, inv.discrepancy):
+                assert type(value) is float, (method.__name__, params)

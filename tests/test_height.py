@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,28 @@ class TestClosedForm:
         with np.errstate(all="ignore"):
             got = closed_form_F(*cols)
         assert np.isnan(got[0]) and got[1] == closed_form_F(*good)
+
+    @pytest.mark.parametrize("bad, message", [
+        # k = 0 with S = 0: the case-III check runs ahead of the kernel.
+        ((0.5, 0.3, 1.0), "case III"),
+        ((0.3, 0.5, 1.0), "case III"),
+        # m overflows, so kappa = -0.0 and S = 0 at R = 1.
+        ((0.3, 1e200, 1.0), "kernel's log"),
+        # (R - 1)^2 overflows, so S = inf.
+        ((0.3, 1.0, 1e200), "kernel's log"),
+    ], ids=["s1_half", "s2_half", "m_overflow", "R_overflow"])
+    def test_F_raises_where_the_log_is_not_finite(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form_F(*bad)
+
+    def test_F_on_arrays_does_not_warn(self):
+        # NaN cells for m = 0 (kappa infinite) and k = 0 (case III).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = closed_form_F(np.array([0.0, 0.3, 0.5]),
+                                np.array([0.0, 0.3, 0.3]), 2.0)
+        assert np.isnan(got[[0, 2]]).all()
+        assert got[1] == closed_form_F(0.3, 0.3, 2.0)
 
     def test_antisymmetric_in_s1(self):
         rng = np.random.default_rng(33)
