@@ -154,7 +154,8 @@ def closed_form_F(s1, s2, R):
 
     ``ValueError`` on floats, NaN on arrays, for non-finite arguments, for
     k = 0 (case III, where F is not defined) and outside the kernel's
-    domain (D <= 0: outside the focus-focus regime).
+    domain (D <= 0, outside the focus-focus regime, or a log that is not
+    finite).
     """
     floats = max(map(np.ndim, (s1, s2, R))) == 0
     if floats:
