@@ -309,10 +309,9 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     a polygon and ``cuts`` is ignored: in the R > 1 frame its shape is
     (+1, -1) when (s1 - 1/2)(s2 - R/(R+1)) > 0 and (-1, +1) otherwise.
     The rule is exact because E < 0 on both case lines, so no component of
-    the toric region E > 0 leaves its quadrant:
-
-        E(s1 = 1/2)     = -r1 r2 (4 s2^2 - 4 s2 - 1)^2 <= -r1 r2,
-        E(s2 = R/(R+1)) = -16 r1 r2 ((R+1)^2 s1 (s1 - 1) - R)^2 / (R+1)^4 < 0.
+    the toric region E > 0 leaves its quadrant: k = 0 on both, and m < 0
+    there, so E = (r1 k)^2 - 16 r1 r2 m^2 = -16 r1 r2 m^2 < 0
+    (``singularity.discriminant_E``).
     """
     work = ns_frame(params)
     R = work.R

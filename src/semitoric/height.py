@@ -30,10 +30,9 @@ factor where it lies below the end of the physical interval.
 Floats and arrays.  The closed-form functions take floats or NumPy arrays
 (broadcast together); ``case_id`` and ``height_closed`` take a ModelParams
 or a ``ParamGrid``.  Each formula is written once, and on arrays it gives
-the float call's bits cell by cell: powers are products in one fixed
-association (``x * x``, ``x * x * x``, ``(x * x) * (x * x)``), and every
-elementary function is NumPy's on floats and grids (``np.sqrt``,
-``np.log``, ``np.arctan2``, ``np.copysign``;
+the float call's bits cell by cell: squares are products (``x * x``),
+and every elementary function is NumPy's on floats and grids
+(``np.sqrt``, ``np.log``, ``np.arctan2``, ``np.copysign``;
 ``tests/test_elementwise.py`` checks that a float call gives the vector
 loop's element).  Float calls return Python floats.
 

@@ -10,9 +10,8 @@ and the system fails to be semitoric.
 ``is_ill_conditioned``) also take a ``ParamGrid`` (one pair of radii, s1 as
 a column and s2 as a row) and then return arrays over its grid, identical
 cell by cell to the ModelParams calls.  Like every formula in the package
-that runs on floats and arrays, each is written once, with powers as
-products in one fixed association (``x * x``, ``x * x * x``,
-``(x * x) * (x * x)``): every operation is then one correctly rounded IEEE
+that runs on floats and arrays, each is written once, with squares as
+products (``x * x``): every operation is then one correctly rounded IEEE
 operation on floats and on arrays alike.
 
 ``rank1_margin`` is one formula in (z1, z2) under the same rule.  Its
@@ -40,16 +39,17 @@ POINT_IDS = ("NN", "NS", "SN", "SS")
 
 
 def discriminant_E(params: ModelParams | ParamGrid) -> float | np.ndarray:
-    """Discriminant deciding the type of the NS and SN singularities."""
+    """Discriminant deciding the type of the NS and SN singularities.  With
+    k, m of ``reduced._k_and_m``, R = r2 / r1, kappa = k / |m| and the
+    paper's gamma_A, it is a difference of two squares:
+    E = (r1 k)^2 - 16 r1 r2 m^2 = -r1^2 gamma_A = -r1^2 m^2 (16 R - kappa^2),
+    so NS and SN are focus-focus exactly where the height kernel's
+    D = 16 R - kappa^2 > 0.  The sphere swap (r1, r2, s2) -> (r2, r1, 1 - s2)
+    negates r1 k and keeps m, so it keeps E."""
     r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
-    u, v, w = 1 - 2 * s1, s1 - 1, s2 - 1
-    return (r2 * r2 * (u * u) * (w * w)
-            + r1 * r1 * (u * u) * (s2 * s2)
-            - 2 * r1 * r2 * (8 * (v * v) * (s1 * s1) + s2
-                             - 12 * v * s1 * s2
-                             + (7 + 12 * v * s1) * (s2 * s2)
-                             - 16 * (s2 * s2 * s2)
-                             + 8 * ((s2 * s2) * (s2 * s2))))
+    r1k = (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2)
+    m = s1 * s1 - s1 + s2 * s2 - s2
+    return r1k * r1k - 16 * r1 * r2 * (m * m)
 
 
 def is_degenerate(e, params: ModelParams | ParamGrid):

@@ -590,7 +590,7 @@ class TestHeightValues:
         (0.05, 0.05, "E = 2.483425e+00 >= 0: no focus-focus points, height "
                      "undefined"),
         # A root of E in floats, inside the degeneracy band.
-        (0.14453829383418643, 0.1, "E = -6.661338e-16 inside the degeneracy "
+        (0.14453829383418643, 0.1, "E = -4.440892e-16 inside the degeneracy "
                                    "band: no focus-focus points, height "
                                    "undefined"),
     ], ids=["positive", "in_band"])

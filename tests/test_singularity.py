@@ -1,8 +1,12 @@
 """Fixed-point classification, the discriminant E and the rank-1 criterion."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from conftest import gamma_A
 from semitoric import cartography
 from semitoric.errors import DegenerateSystemError
 from semitoric.model import ModelParams, ParamGrid
@@ -31,6 +35,126 @@ class TestDiscriminant:
             a = discriminant_E(ModelParams(1.0, r2, s1, s2))
             b = discriminant_E(ModelParams(1.0, r2, 1.0 - s1, s2))
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+def _expanded_E(r1, r2, s1, s2):
+    """The paper's expanded polynomial for E, powers as products."""
+    u, v, w = 1 - 2 * s1, s1 - 1, s2 - 1
+    return (r2 * r2 * (u * u) * (w * w)
+            + r1 * r1 * (u * u) * (s2 * s2)
+            - 2 * r1 * r2 * (8 * (v * v) * (s1 * s1) + s2
+                             - 12 * v * s1 * s2
+                             + (7 + 12 * v * s1) * (s2 * s2)
+                             - 16 * (s2 * s2 * s2)
+                             + 8 * ((s2 * s2) * (s2 * s2))))
+
+
+def _exact_E(r1, r2, s1, s2):
+    """E in exact rational arithmetic at float inputs."""
+    r1, r2, s1, s2 = map(Fraction, (r1, r2, s1, s2))
+    r1k = (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2)
+    m = s1 * s1 - s1 + s2 * s2 - s2
+    return r1k * r1k - 16 * r1 * r2 * m * m
+
+
+def _rounding_bound(r1, r2, s1, s2):
+    """A bound on |fl(E) - E| for ``discriminant_E`` at float inputs.
+
+    With u = 2^-53, gamma_n = n u / (1 - n u), a = 2 s1 - 1,
+    B = r2 |s2 - 1| + r1 s2 (so |r1 k| <= |a| B) and
+    M = s1^2 + s1 + s2^2 + s2 (so |m| <= M), the standard model
+    fl(x op y) = (x op y)(1 + d), |d| <= u, gives, operation by operation:
+    |fl(r2 (s2 - 1) + r1 s2) - b| <= gamma_3 B; |fl(r1 k) - r1 k| <=
+    gamma_5 |a| B; |fl((r1 k)^2) - (r1 k)^2| <= gamma_11 a^2 B^2;
+    |fl(m) - m| <= gamma_4 M (four terms summed left to right);
+    |fl(m^2) - m^2| <= gamma_9 M^2; |fl(16 r1 r2 m^2) - 16 r1 r2 m^2| <=
+    gamma_11 16 r1 r2 M^2; and the last subtraction adds u times the sum
+    of the two terms, so
+
+        |fl(E) - E| <= gamma_12 (a^2 B^2 + 16 r1 r2 M^2).
+
+    Exact in rationals, barring underflow and overflow.
+    """
+    r1, r2, s1, s2 = map(Fraction, (r1, r2, s1, s2))
+    u = Fraction(1, 2 ** 53)
+    gamma_12 = 12 * u / (1 - 12 * u)
+    a = 2 * s1 - 1
+    big_b = r2 * abs(s2 - 1) + r1 * s2
+    big_m = s1 * s1 + s1 + s2 * s2 + s2
+    return gamma_12 * (a * a * big_b * big_b + 16 * r1 * r2 * big_m * big_m)
+
+
+def _near_root_s1(rng, R):
+    """An s1 within a few ulps of a root of E at a random s2, or None.
+
+    With x = 2 s1 - 1, c = s2 (R + 1) - R and q = 1/4 + s2 (1 - s2),
+    k = x c and m = x^2 / 4 - q < 0, so E = 0 is
+    sqrt(R) x^2 + |c| |x| - 4 sqrt(R) q = 0, a quadratic in |x|."""
+    s2 = float(rng.uniform(0, 1))
+    c, q = s2 * (R + 1) - R, 0.25 + s2 * (1 - s2)
+    x = (math.sqrt(c * c + 16 * R * q) - abs(c)) / (2 * math.sqrt(R))
+    if not x < 1.0:
+        return None
+    s1 = 0.5 * (1.0 + float(rng.choice((-1.0, 1.0))) * x)
+    return s1 + int(rng.integers(-4, 5)) * math.ulp(s1), s2
+
+
+class TestTwoSquares:
+    """E = (r1 k)^2 - 16 r1 r2 m^2, checked symbolically and against exact
+    rational arithmetic."""
+
+    def test_paper_gamma_expands_to_two_squares(self):
+        sp = pytest.importorskip("sympy")
+        s1, s2, r1, r2 = sp.symbols("s1 s2 r1 r2", positive=True)
+        r1k = (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2)
+        m = s1 * s1 - s1 + s2 * s2 - s2
+        two_squares = r1k ** 2 - 16 * r1 * r2 * m ** 2
+        assert sp.expand(-r1 ** 2 * gamma_A(s1, s2, r2 / r1)
+                         - two_squares) == 0
+        assert sp.expand(_expanded_E(r1, r2, s1, s2) - two_squares) == 0
+
+    @staticmethod
+    def _errors(points):
+        """Worst |E - exact| / (r1 r2) of ``discriminant_E`` and of the
+        expanded form, after checking the rounding bound at every point."""
+        worst_new = worst_old = 0.0
+        for r1, r2, s1, s2 in points:
+            exact = _exact_E(r1, r2, s1, s2)
+            new = discriminant_E(ModelParams(r1, r2, s1, s2))
+            err = abs(Fraction(new) - exact)
+            assert err <= _rounding_bound(r1, r2, s1, s2), (r1, r2, s1, s2)
+            scale = Fraction(r1) * Fraction(r2)
+            worst_new = max(worst_new, float(err / scale))
+            old = _expanded_E(r1, r2, s1, s2)
+            worst_old = max(worst_old,
+                            float(abs(Fraction(old) - exact) / scale))
+        return worst_new, worst_old
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_error_against_exact(self, scale):
+        rng = np.random.default_rng(4301)
+        points = []
+        for _ in range(2000):
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            s1, s2 = map(float, rng.uniform(0, 1, 2))
+            points.append((scale, scale * R, s1, s2))
+        worst_new, worst_old = self._errors(points)
+        assert worst_new <= worst_old, (worst_new, worst_old)
+
+    def test_error_next_to_roots(self):
+        rng = np.random.default_rng(4302)
+        points = []
+        while len(points) < 300:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            at = _near_root_s1(rng, R)
+            if at is not None:
+                scale = (1.0, 1e-100, 1e100)[len(points) % 3]
+                points.append((scale, scale * R, *at))
+        for r1, r2, s1, s2 in points:
+            exact = _exact_E(r1, r2, s1, s2)
+            assert abs(exact) <= 1e-13 * Fraction(r1) * Fraction(r2)
+        worst_new, worst_old = self._errors(points)
+        assert worst_new <= worst_old, (worst_new, worst_old)
 
 
 class TestClassification:

@@ -20,9 +20,7 @@ three, one per quantity).
   ``check_semitoric(20)`` and ``classify_fixed_points``, each also a row.
   The ``_envelope_candidates`` row is the envelope's critical-point solve
   on the levels of ``image_boundary(64)`` wider than 1e-12, from their
-  factored chart (dA, kb, m) computed outside the timed call.  A parent
-  checkout whose solve still takes (params, l, lo, hi) is timed on those
-  arguments, with its own ``chart_factors`` call inside.
+  factored chart (dA, kb, m) computed outside the timed call.
 - ``sweep``: 41 x 41 windows as in the benchmark's sweep workload (each
   axis window at least 1/4 wide, no cell within 1e-3 of a case-III line in
   the factor (2 s1 - 1)(R (s2 - 1) + s2)); the rows are ``discriminant_E``
@@ -49,7 +47,6 @@ Standard library and NumPy only.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -149,7 +146,6 @@ def chart_layers(n, work_dir):
                 singularity.classify_fixed_points(p))
 
     solve = cartography._envelope_candidates
-    takes_params = "params" in inspect.signature(solve).parameters
 
     def solve_args(p):
         # The arguments of _envelope_candidates on the levels of
@@ -158,8 +154,6 @@ def chart_layers(n, work_dir):
         lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * p.R)
         wide = np.flatnonzero(~(hi - lo < 1e-12))
         l, lo, hi = ls[wide], lo[wide], hi[wide]
-        if takes_params:
-            return p, l, lo, hi
         return (*reduced.chart_factors("NS", l, p), lo, hi, p.R)
 
     points = seeded_points(n, keep)
