@@ -125,10 +125,12 @@ def physical_interval(label: str, l: float, R: float):
     return lo, hi
 
 
-def _k_and_m(s1, s2, R):
-    """k = (2 s1 - 1)(R (s2 - 1) + s2), zero on both case-III lines, and
-    m = s1^2 - s1 + s2^2 - s2."""
-    return (2 * s1 - 1) * (R * (s2 - 1) + s2), s1 * s1 - s1 + s2 * s2 - s2
+def _k_and_m(s1, s2, r2, r1=1):
+    """(r1 k, m) = ((2 s1 - 1)(r2 (s2 - 1) + r1 s2), s1^2 - s1 + s2^2 - s2).
+    Called as (s1, s2, R) it gives k itself (1 * s2 is s2 exactly), zero on
+    both case-III lines; with the radii it needs no division by r1."""
+    m = s1 * s1 - s1 + s2 * s2 - s2
+    return (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2), m
 
 
 def gamma_B(s1: float, s2: float, R: float) -> float:

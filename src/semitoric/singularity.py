@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DegenerateSystemError
 from .model import ModelParams, ParamGrid
+from .reduced import _k_and_m
 
 # |E| below DEGENERACY_BAND * r1 * r2 is treated as degenerate.
 DEGENERACY_BAND = 1e-10
@@ -46,10 +47,9 @@ def discriminant_E(params: ModelParams | ParamGrid) -> float | np.ndarray:
     so NS and SN are focus-focus exactly where the height kernel's
     D = 16 R - kappa^2 > 0.  The sphere swap (r1, r2, s2) -> (r2, r1, 1 - s2)
     negates r1 k and keeps m, so it keeps E."""
-    r1, r2, s1, s2 = params.r1, params.r2, params.s1, params.s2
-    r1k = (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2)
-    m = s1 * s1 - s1 + s2 * s2 - s2
-    return r1k * r1k - 16 * r1 * r2 * (m * m)
+    r1k, m = _k_and_m(params.s1, params.s2, params.r2, params.r1)
+    # 16 scales m^2 exactly; r1 r2 < max(r1^2, r2^2) cannot overflow.
+    return r1k * r1k - params.r1 * params.r2 * (16 * (m * m))
 
 
 def is_degenerate(e, params: ModelParams | ParamGrid):

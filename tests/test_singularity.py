@@ -1,6 +1,7 @@
 """Fixed-point classification, the discriminant E and the rank-1 criterion."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +68,8 @@ def _rounding_bound(r1, r2, s1, s2):
     |fl(r2 (s2 - 1) + r1 s2) - b| <= gamma_3 B; |fl(r1 k) - r1 k| <=
     gamma_5 |a| B; |fl((r1 k)^2) - (r1 k)^2| <= gamma_11 a^2 B^2;
     |fl(m) - m| <= gamma_4 M (four terms summed left to right);
-    |fl(m^2) - m^2| <= gamma_9 M^2; |fl(16 r1 r2 m^2) - 16 r1 r2 m^2| <=
-    gamma_11 16 r1 r2 M^2; and the last subtraction adds u times the sum
+    |fl(m^2) - m^2| <= gamma_9 M^2; |fl(r1 r2 (16 m^2)) - 16 r1 r2 m^2|
+    <= gamma_11 16 r1 r2 M^2 (the factor 16 is exact); and the last subtraction adds u times the sum
     of the two terms, so
 
         |fl(E) - E| <= gamma_12 (a^2 B^2 + 16 r1 r2 M^2).
@@ -155,6 +156,39 @@ class TestTwoSquares:
             assert abs(exact) <= 1e-13 * Fraction(r1) * Fraction(r2)
         worst_new, worst_old = self._errors(points)
         assert worst_new <= worst_old, (worst_new, worst_old)
+
+    def test_top_of_the_radius_range(self):
+        """Radii whose squares are near the top of the float range, which
+        ``ModelParams`` accepts.  r1 r2 is formed before the factor 16, so
+        E is finite, within the rounding bound and of the exact sign
+        wherever 16 r1 r2 m^2 is in the float range: at seeded points, at
+        points near a root and at the m = 0 corners.  Beyond it E is -inf,
+        and there the exact E lies below -0.8 times the largest float."""
+        rng = np.random.default_rng(4303)
+        points = [(1e154, 2e153, 0.0, 0.01), (1e154, 2e153, 0.0, 0.0),
+                  (1e154, 2e153, 0.0, 1.0), (1e154, 2e153, 1.0, 0.0),
+                  (1e154, 2e153, 1.0, 1.0)]
+        while len(points) < 405:
+            R = float(rng.uniform(1 / 8, 1.3))
+            at = _near_root_s1(rng, R) if len(points) % 2 else None
+            points.append((1e154, 1e154 * R,
+                           *(at or map(float, rng.uniform(0, 1, 2)))))
+        top = Fraction(sys.float_info.max)
+        beyond = 0
+        for r1, r2, s1, s2 in points:
+            p = ModelParams(r1, r2, s1, s2)
+            exact, e = _exact_E(r1, r2, s1, s2), discriminant_E(p)
+            f1, f2 = Fraction(s1), Fraction(s2)
+            m = f1 * f1 - f1 + f2 * f2 - f2
+            if 16 * Fraction(r1) * Fraction(r2) * m * m >= top:
+                beyond += 1
+                assert e == -math.inf and exact < -top * 4 / 5
+                assert n_ff(p) == 2
+                continue
+            assert abs(Fraction(e) - exact) <= _rounding_bound(r1, r2, s1, s2)
+            if abs(exact) > DEGENERACY_BAND * Fraction(r1) * Fraction(r2):
+                assert (e < 0) == (exact < 0) == (n_ff(p) == 2)
+        assert 0 < beyond < len(points) // 2
 
 
 class TestClassification:
