@@ -9,8 +9,8 @@ straightens that band into a convex rational polygon whose vertical widths
 reproduce the Duistermaat-Heckman profile.  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
 slope 0, scaled units); the shear and cut-flip actions relate all other
-choices.  ``Polygon.width`` takes a float or an array; the polygon's
-self-check computes its values at the DH profile's knots in plain floats.
+choices.  ``Polygon.width`` takes a float or an array; the self-check takes
+one pass per chain, and one walk for its values at the DH profile's knots.
 """
 
 from __future__ import annotations
@@ -66,26 +66,37 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     so the envelope never reaches past the true extremes.  Output is in
     unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner values are
     L and H at the four poles.
+
+    The levels are ``np.linspace``'s, bit for bit.  Those wider than 1e-12
+    form one slice: the width min(2R, l + 2) - max(0, l) is concave in l,
+    and in floats it rises up to l = 0 (min(2R, l + 2)), falls where l + 2
+    rounds to 2R or more (2R - l), and is (l + 2) - l in between: >= 1 for
+    l < 2^54, and 0 beyond, where a level is x - 2 rounded and l + 2 rounds
+    back to l.  So the levels run narrow, wide, narrow.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be <= {MAX_SAMPLES}")
     r1, R = params.r1, params.R
-    ls = np.linspace(-2.0, 2.0 * R, n + 1)
+    ls = np.arange(n + 1.0) * ((2.0 * R + 2.0) / n) - 2.0
+    ls[-1] = 2.0 * R
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
     ka, slope, base, m, kb = reduced._chart_terms("NS", ls, params)
     h_min = ka * (base + lo * slope)  # A at lo, kept on narrow levels
     h_max = h_min.copy()
-    wide = np.flatnonzero(~(hi - lo < 1e-12))
-    p2 = _envelope_candidates(ka * slope, kb, m[wide], lo[wide], hi[wide], R)
-    base, m = base[wide, None], m[wide, None]
-    # A and B as reduced.chart writes them, so they have its bits.
+    wide = hi - lo >= 1e-12
+    first = wide.argmax()
+    run = slice(first, first + np.count_nonzero(wide))
+    p2 = _envelope_candidates(ka * slope, kb, m[run], lo[run], hi[run], R)
+    base, m = base[run, None], m[run, None]
+    # A and B as reduced.chart writes them (p2 - m - 2 is p2_m - 2).
     a = ka * (base + p2 * slope)
-    b = kb * p2 * (p2 - m) * (p2 - 2 * R) * (p2 - m - 2)
+    p2_m = p2 - m
+    b = kb * p2 * p2_m * (p2 - 2 * R) * (p2_m - 2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
-    h_min[wide] = (a - root_b).min(axis=1)
-    h_max[wide] = (a + root_b).max(axis=1)
+    h_min[run] = np.minimum.reduce(a - root_b, axis=1)
+    h_max[run] = np.maximum.reduce(a + root_b, axis=1)
     samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
                         h_max.tolist()))
     corner_values = tuple((l_func(v, params), h_func(v, params))
@@ -252,19 +263,7 @@ def _build_polygon(cuts, ff_l, R: float) -> Polygon:
         y += slope * (l1 - l0)
         bottom.append((l1, y))
     top = [(l, yb + v) for (l, yb), v in zip(bottom, rho)]
-
-    def dedupe(chain):
-        # Keep only genuine kinks (and both endpoints).
-        out = [chain[0]]
-        for prev, cur, nxt in zip(chain[:-2], chain[1:-1], chain[2:]):
-            s_in = (cur[1] - prev[1]) / (cur[0] - prev[0])
-            s_out = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
-            if abs(s_in - s_out) > 1e-12:
-                out.append(cur)
-        out.append(chain[-1])
-        return out
-
-    bottom, top = dedupe(bottom), dedupe(top)
+    bottom, top = _dedupe(bottom), _dedupe(top)
     vertices = tuple(bottom) + tuple(reversed(top[1:-1]))
 
     poly = Polygon(vertices, tuple(cuts), tuple(ff_l),
@@ -273,32 +272,53 @@ def _build_polygon(cuts, ff_l, R: float) -> Polygon:
     return poly
 
 
+def _dedupe(chain):
+    """The chain with only its genuine kinks (and both endpoints)."""
+    out = [chain[0]]
+    for prev, cur, nxt in zip(chain[:-2], chain[1:-1], chain[2:]):
+        s_in = (cur[1] - prev[1]) / (cur[0] - prev[0])
+        s_out = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
+        if abs(s_in - s_out) > 1e-12:
+            out.append(cur)
+    out.append(chain[-1])
+    return out
+
+
 def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):
+    """Integer slopes, then convexity (bottom slopes non-decreasing, top
+    non-increasing) in one pass per chain, then widths at the DH knots."""
     for chain, sense in ((poly.bottom, 1.0), (poly.top, -1.0)):
-        slopes = [(y1 - y0) / (l1 - l0)
-                  for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:])]
-        for s in slopes:
+        s0, bent = -sense * math.inf, False
+        for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:]):
+            s = (y1 - y0) / (l1 - l0)
             if abs(s - round(s)) > 1e-9:
                 raise ConsistencyError(f"non-integer edge slope {s}")
-        # Bottom slopes non-decreasing, top slopes non-increasing: convexity.
-        for s0, s1 in zip(slopes[:-1], slopes[1:]):
-            if sense * (s1 - s0) < -1e-9:
-                raise ConsistencyError("polygon is not convex")
+            bent |= sense * (s - s0) < -1e-9
+            s0 = s
+        if bent:
+            raise ConsistencyError("polygon is not convex")
     # A representative's vertices are knots, so width and profile are both
     # linear between knots, and agreement there is agreement everywhere.
     ls, rho = dh.knots
-    widths = [_chain_at(poly.top, l) - _chain_at(poly.bottom, l) for l in ls]
-    if any(abs(w - v) > WIDTH_TOL for w, v in zip(widths, rho)):
-        raise ConsistencyError("polygon width disagrees with the "
-                               "Duistermaat-Heckman profile")
+    for t, b, v in zip(_chain_at(poly.top, ls), _chain_at(poly.bottom, ls),
+                       rho):
+        if abs(t - b - v) > WIDTH_TOL:
+            raise ConsistencyError("polygon width disagrees with the "
+                                   "Duistermaat-Heckman profile")
 
 
-def _chain_at(chain, x):
-    """``np.interp(x, *zip(*chain))`` in plain floats, bit for bit."""
-    for (l0, y0), (l1, y1) in zip(chain, chain[1:]):
-        if x < l1:
-            return y0 if x == l0 else (y1 - y0) / (l1 - l0) * (x - l0) + y0
-    return chain[-1][1]
+def _chain_at(chain, xs):
+    """``np.interp(xs, *zip(*chain))`` for ascending xs, bit for bit."""
+    out, i, last = [], 0, len(chain) - 1
+    for x in xs:
+        while i < last and not x < chain[i + 1][0]:
+            i += 1
+        l0, y0 = chain[i]
+        if i < last and x != l0:
+            l1, y1 = chain[i + 1]
+            y0 = (y1 - y0) / (l1 - l0) * (x - l0) + y0
+        out.append(y0)
+    return out
 
 
 def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:

@@ -210,7 +210,7 @@ def _sweep_csv(quantity, grid: ParamGrid) -> str:
             header = "s1,s2,h1,h2,flag"
             tails = (",\n", ",no-focus-focus\n", ",degenerate\n",
                      ",ill-conditioned\n")
-            inv = height.height_closed(grid)
+            inv = height.height_closed(grid, _e=e)
             values = [inv.h1, inv.h2]
             code[shown & inv.ill_conditioned] = 3
     tail_strings = np.array(tails, dtype=object)

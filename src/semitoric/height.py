@@ -32,9 +32,9 @@ Floats and arrays.  The closed-form functions take floats or NumPy arrays
 or a ``ParamGrid``.  Each formula is written once, and on arrays it gives
 the float call's bits cell by cell: squares are products (``x * x``),
 and every elementary function is NumPy's on floats and grids
-(``np.sqrt``, ``np.log``, ``np.arctan2``, ``np.copysign``;
-``tests/test_elementwise.py`` checks that a float call gives the vector
-loop's element).  Float calls return Python floats.
+(``np.sqrt``, ``np.log``, ``np.arctan2``; ``tests/test_elementwise.py``
+checks that a float call gives the vector loop's element); sgn(kappa) is
+1 - 2 (k < 0), kappa's sign for k != 0.  Float calls return Python floats.
 
 Errors on arrays.  Where the float call raises, or may (a value it divides
 by, or takes the log of, is not finite), the array element is NaN.
@@ -129,7 +129,7 @@ def _signed_kernel(s1, s2, R):
                          "defined there")
     else:
         kappa = k / abs(m) if m else k * math.inf
-    return k, np.copysign(1.0, kappa), _height_kernel(abs(kappa), R)
+    return k, 1.0 - 2.0 * (k < 0), _height_kernel(abs(kappa), R)
 
 
 def closed_form_F(s1, s2, R):
@@ -213,14 +213,16 @@ def _t(work):
     return sign * g / (2 * math.pi)
 
 
-def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
+def height_closed(params: ModelParams | ParamGrid, *,
+                  _e=None) -> HeightInvariant:
     """Height invariant from the closed form, with t = 0 in case III.
 
     On a ParamGrid the fields are arrays over the grid (case_ns holds the
-    labels), and h1 and h2 are NaN in the cells without focus-focus points.
+    labels), and h1 and h2 are NaN in the cells without focus-focus points;
+    a caller that holds the grid's ``discriminant_E`` passes it as ``_e``.
     """
     if isinstance(params, ParamGrid):
-        return _height_closed_grid(params)
+        return _height_closed_grid(params, _e)
     e = _require_focus_focus(params)
     work = ns_frame(params)
     case = case_id(work)
@@ -229,10 +231,10 @@ def height_closed(params: ModelParams | ParamGrid) -> HeightInvariant:
                            is_ill_conditioned(e, params))
 
 
-def _height_closed_grid(grid: ParamGrid) -> HeightInvariant:
+def _height_closed_grid(grid: ParamGrid, e=None) -> HeightInvariant:
     """``height_closed`` in every cell of a grid with a few array calls."""
     with np.errstate(all="ignore"):
-        e = discriminant_E(grid)
+        e = discriminant_E(grid) if e is None else e
         work = ns_frame(grid)
         case = case_id(work)
         t = np.where(case == "III", 0.0, _t(work))

@@ -28,9 +28,8 @@ ends at the near one.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,16 +225,15 @@ class DHFunction:
 
     breakpoints: tuple
     domain: tuple
+    knots: tuple = field(init=False, repr=False, compare=False)  # (ls, rho)
 
-    @functools.cached_property
-    def knots(self):
-        """(ls, values): the knots, left to right, and the profile there."""
+    def __post_init__(self):
         lo, hi = self.domain
         ls = [lo] + [bp[0] for bp in self.breakpoints[1:]] + [hi]
         values = [0.0]
         for (_, slope), x0, x1 in zip(self.breakpoints, ls, ls[1:]):
             values.append(values[-1] + slope * (x1 - x0))
-        return tuple(ls), tuple(values)
+        object.__setattr__(self, "knots", (tuple(ls), tuple(values)))
 
     def rho(self, l):
         """The profile at ``l``, a float or an array (NaN is outside), by

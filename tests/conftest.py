@@ -332,6 +332,97 @@ def dense_checks():
     return SimpleNamespace(dh=_dense_dh_check, polygon=_dense_polygon_check)
 
 
+def _reference_knots(dh):
+    """``DHFunction.knots`` as the lazily computed property gave them:
+    (ls, values), summed from the breakpoints and the domain."""
+    lo, hi = dh.domain
+    ls = [lo] + [bp[0] for bp in dh.breakpoints[1:]] + [hi]
+    values = [0.0]
+    for (_, slope), x0, x1 in zip(dh.breakpoints, ls, ls[1:]):
+        values.append(values[-1] + slope * (x1 - x0))
+    return tuple(ls), tuple(values)
+
+
+def _reference_build_polygon(cuts, ff_l, R):
+    """``cartography._build_polygon`` as it was written with a nested
+    ``dedupe``, the knots of ``_reference_knots`` and the self-check of
+    ``_reference_assert_polygon``."""
+    from semitoric import reduced
+    from semitoric.cartography import Polygon
+
+    dh = reduced.dh_function(R)
+    ls, rho = _reference_knots(dh)
+    bottom, y, slope = [(ls[0], 0.0)], 0.0, 0.0
+    for i, (l0, l1) in enumerate(zip(ls[:-1], ls[1:])):
+        if i and cuts[i - 1] == -1:  # cuts[j] belongs to interior knot j + 1
+            slope += 1.0
+        y += slope * (l1 - l0)
+        bottom.append((l1, y))
+    top = [(l, yb + v) for (l, yb), v in zip(bottom, rho)]
+
+    def dedupe(chain):
+        # Keep only genuine kinks (and both endpoints).
+        out = [chain[0]]
+        for prev, cur, nxt in zip(chain[:-2], chain[1:-1], chain[2:]):
+            s_in = (cur[1] - prev[1]) / (cur[0] - prev[0])
+            s_out = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
+            if abs(s_in - s_out) > 1e-12:
+                out.append(cur)
+        out.append(chain[-1])
+        return out
+
+    bottom, top = dedupe(bottom), dedupe(top)
+    vertices = tuple(bottom) + tuple(reversed(top[1:-1]))
+    poly = Polygon(vertices, tuple(cuts), tuple(ff_l),
+                   tuple(bottom), tuple(top))
+    _reference_assert_polygon(poly, dh)
+    return poly
+
+
+def _reference_assert_polygon(poly, dh):
+    """``cartography._assert_polygon`` as it was written: all slopes of a
+    chain, their integrality, then their convexity, and the width at each
+    knot by its own ``_reference_chain_at`` scan of both chains."""
+    from semitoric.cartography import WIDTH_TOL
+    from semitoric.errors import ConsistencyError
+
+    for chain, sense in ((poly.bottom, 1.0), (poly.top, -1.0)):
+        slopes = [(y1 - y0) / (l1 - l0)
+                  for (l0, y0), (l1, y1) in zip(chain[:-1], chain[1:])]
+        for s in slopes:
+            if abs(s - round(s)) > 1e-9:
+                raise ConsistencyError(f"non-integer edge slope {s}")
+        for s0, s1 in zip(slopes[:-1], slopes[1:]):
+            if sense * (s1 - s0) < -1e-9:
+                raise ConsistencyError("polygon is not convex")
+    ls, rho = _reference_knots(dh)
+    widths = [_reference_chain_at(poly.top, l)
+              - _reference_chain_at(poly.bottom, l) for l in ls]
+    if any(abs(w - v) > WIDTH_TOL for w, v in zip(widths, rho)):
+        raise ConsistencyError("polygon width disagrees with the "
+                               "Duistermaat-Heckman profile")
+
+
+def _reference_chain_at(chain, x):
+    """``np.interp(x, *zip(*chain))`` in plain floats by one scan from the
+    chain's left end."""
+    for (l0, y0), (l1, y1) in zip(chain, chain[1:]):
+        if x < l1:
+            return y0 if x == l0 else (y1 - y0) / (l1 - l0) * (x - l0) + y0
+    return chain[-1][1]
+
+
+@pytest.fixture(scope="session")
+def reference_polygon_path():
+    """The polygon path before its self-check took one pass per chain:
+    ``build(cuts, ff_l, R)``, ``assert_polygon(poly, dh)``,
+    ``chain_at(chain, x)`` and ``knots(dh)``."""
+    return SimpleNamespace(build=_reference_build_polygon,
+                           assert_polygon=_reference_assert_polygon,
+                           chain_at=_reference_chain_at,
+                           knots=_reference_knots)
+
+
 def _loop_critical_points(rho_l, rho_r, c):
     """``cartography._critical_points`` as it was written before its early
     exits: every lane takes the nested ``np.where`` step each time, and the

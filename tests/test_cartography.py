@@ -249,8 +249,9 @@ class TestKnotSelfChecks:
                 # array API, bit for bit, also where dedupe drops a knot.
                 ls = dh.knots[0]
                 assert np.array_equal(
-                    [_chain_at(poly.top, l) - _chain_at(poly.bottom, l)
-                     for l in ls], poly.width(np.array(ls))), (R, cuts)
+                    [t - b for t, b in zip(_chain_at(poly.top, ls),
+                                           _chain_at(poly.bottom, ls))],
+                    poly.width(np.array(ls))), (R, cuts)
         assert 0 < raised < len(ratios)
 
     @pytest.mark.parametrize("cuts", ALL_CUTS)
@@ -269,6 +270,48 @@ class TestKnotSelfChecks:
                 with pytest.raises(ConsistencyError,
                                    match="Duistermaat-Heckman"):
                     check(moved, dh)
+
+
+    def test_equals_reference_polygon_path(self, reference_polygon_path):
+        # R log-uniform on [1 + 1e-9, 1e15], with both ends, and the
+        # inverses of those R through the sphere swap: every cut at a
+        # focus-focus point and both toric shapes give the reference's
+        # Polygon and knots, and doctored copies (a vertex moved up by
+        # 1e-10, 0.5 or 1) the reference's self-check outcome.
+        ref = reference_polygon_path
+        rng = np.random.default_rng(20261020)
+        ratios = [1.0 + 1e-9, 1e15] + [
+            math.exp(u) for u in rng.uniform(math.log1p(1e-9),
+                                             math.log(1e15), 60)]
+        for R in ratios:
+            for r2 in (R, 1.0 / R):
+                params = ModelParams(1.0, r2, 0.5, 0.5)
+                R_ns = ns_frame(params).R
+                dh = dh_function(R_ns)
+                assert dh.knots == ref.knots(dh), R_ns
+                polys = [(polygon_representative(params, cuts),
+                          ref.build(cuts, reduced.ff_levels(R_ns), R_ns))
+                         for cuts in ALL_CUTS]
+                polys += [(cartography._build_polygon(shape, (), R_ns),
+                           ref.build(shape, (), R_ns))
+                          for shape in ((1, -1), (-1, 1))]
+                for poly, want in polys:
+                    assert poly == want, (R_ns, poly.cuts)
+                    for moved in doctored_copies(poly):
+                        assert (outcome(_assert_polygon, moved, dh)
+                                == outcome(ref.assert_polygon, moved, dh)), \
+                            (R_ns, moved)
+
+
+def doctored_copies(poly):
+    """Copies of ``poly`` with one chain vertex moved up by 1e-10, 0.5 or
+    1, for each vertex of either chain."""
+    for name in ("bottom", "top"):
+        chain = getattr(poly, name)
+        for i, (l, y) in enumerate(chain):
+            for dy in (1e-10, 0.5, 1.0):
+                moved = chain[:i] + ((l, y + dy),) + chain[i + 1:]
+                yield dataclasses.replace(poly, **{name: moved})
 
 
 class TestToricType:
@@ -800,14 +843,26 @@ class TestEnvelopeLemma:
             assert steps == steps_ref, n
 
 
-@pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS, ids=repr)
+# The ends of the width range of image_boundary's levels: R = 4e-13, where
+# every level is narrower than 1e-12, R = 1 +- 1e-9, R = 1e3, and R = 3e16,
+# where l + 2 rounds back to l on the upper levels and only some of the
+# interior levels are wide.
+WIDTH_END_POINTS = [
+    ModelParams(1.0, 4e-13, 0.3, 0.7), ModelParams(1.0, 1.0 + 1e-9, 0.3, 0.7),
+    ModelParams(1.0, 1.0 - 1e-9, 0.6, 0.2), ModelParams(1.0, 1e3, 0.3, 0.45),
+    ModelParams(1.0, 3e16, 0.3, 0.7),
+]
+
+
+@pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS
+                         + WIDTH_END_POINTS, ids=repr)
 def test_image_boundary_equals_reference_bits(p, reference_image_boundary):
     # Chart terms shared by the whole envelope, the candidate array built in
-    # place and the corner values from L and H on the poles leave every
-    # float as it was: repr-equal samples, focus-focus and corner values
-    # (repr tells -0.0 from 0.0, which == does not).  The points are the
-    # seeded ones in both frames, R = 1e+-6, s1 = 1/2 and tiny or zero
-    # coupling.
+    # place, the wide levels taken as one slice and the corner values from
+    # L and H on the poles leave every float as it was: repr-equal samples,
+    # focus-focus and corner values (repr tells -0.0 from 0.0, which ==
+    # does not).  The points are the seeded ones in both frames, R = 1e+-6,
+    # s1 = 1/2, tiny or zero coupling and the ends of the width range.
     for n in (16, 64, 257):
         got, ref = image_boundary(p, n), reference_image_boundary(p, n)
         for field in ("samples", "ff_values", "corner_values"):

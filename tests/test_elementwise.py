@@ -2,9 +2,10 @@
 
 Every formula that runs on floats and on a ``ParamGrid`` is written once:
 powers as products, and NumPy's functions on floats and grids
-(``np.sqrt``, ``np.log``, ``np.arctan2``, ``np.copysign``).  A grid cell
-then equals its float call bit for bit only if NumPy's functions give a
-Python float the same bits as the element of their vector loop.  These
+(``np.sqrt``, ``np.log``, ``np.arctan2``; the sign of kappa is plain
+arithmetic with copysign's bits).  A grid cell then equals its float call
+bit for bit only if NumPy's functions give a Python float the same bits as
+the element of their vector loop.  These
 tests check that premise on the NumPy at hand, so a build that breaks it
 fails here by name rather than as a changed sweep digest.
 """
@@ -41,11 +42,17 @@ def mismatches(got, want):
 
 
 def copysign(x):
-    """``np.copysign(1.0, x)``, the sign of kappa in ``height``."""
+    """``np.copysign(1.0, x)``, the sign that ``sign`` stands for."""
     return np.copysign(1.0, x)
 
 
-@pytest.mark.parametrize("ufunc", [np.log, np.sqrt, copysign],
+def sign(x):
+    """``1 - 2 (x < 0)``: at x = k, the sign of kappa = k / |m| in
+    ``height._signed_kernel``."""
+    return 1.0 - 2.0 * (x < 0)
+
+
+@pytest.mark.parametrize("ufunc", [np.log, np.sqrt, copysign, sign],
                          ids=lambda f: f.__name__)
 def test_ufunc_on_float_equals_vector_loop(ufunc):
     values = premise_values()
@@ -57,6 +64,11 @@ def test_ufunc_on_float_equals_vector_loop(ufunc):
     bad = mismatches(scalar, vector)
     assert bad.size == 0, f"{ufunc.__name__} differs at {values[bad[:5]]}"
     assert mismatches(grid.ravel(), vector[:n]).size == 0
+    if ufunc is sign:
+        # copysign's bits wherever the sign is used: x != 0, infinities too.
+        used = (values != 0.0) & ~np.isnan(values)
+        assert np.isinf(values[used]).sum() == 2
+        assert mismatches(vector[used], copysign(values[used])).size == 0
 
 
 def test_arctan2_on_float_equals_vector_loop():
