@@ -271,7 +271,6 @@ class TestKnotSelfChecks:
                                    match="Duistermaat-Heckman"):
                     check(moved, dh)
 
-
     def test_equals_reference_polygon_path(self, reference_polygon_path):
         # R log-uniform on [1 + 1e-9, 1e15], with both ends, and the
         # inverses of those R through the sphere swap: every cut at a
