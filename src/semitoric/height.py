@@ -46,7 +46,7 @@ finite t, and a self-check raises ``ConsistencyError`` where one is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,8 +197,8 @@ class HeightInvariant:
     discrepancy: float = float("nan")  # |closed - oracle|, method 'both' only
 
 
-def _require_focus_focus(params: ModelParams) -> float:
-    e = discriminant_E(params)
+def _require_focus_focus(params: ModelParams, e=None) -> float:
+    e = discriminant_E(params) if e is None else e
     if not is_focus_focus(e, params):
         where = ("inside the degeneracy band" if is_degenerate(e, params)
                  else ">= 0")
@@ -223,12 +223,17 @@ def height_closed(params: ModelParams | ParamGrid, *,
     """
     if isinstance(params, ParamGrid):
         return _height_closed_grid(params, _e)
+    e, _, case, t = _closed_parts(params)
+    return HeightInvariant(1.0 + t, 1.0 - t, case, "closed-form",
+                           is_ill_conditioned(e, params))
+
+
+def _closed_parts(params: ModelParams):
+    """(E, NS frame, case, t) of ``height_closed`` at one point."""
     e = _require_focus_focus(params)
     work = ns_frame(params)
     case = case_id(work)
-    t = 0.0 if case == "III" else float(_t(work))
-    return HeightInvariant(1.0 + t, 1.0 - t, case, "closed-form",
-                           is_ill_conditioned(e, params))
+    return e, work, case, 0.0 if case == "III" else float(_t(work))
 
 
 def _height_closed_grid(grid: ParamGrid, e=None) -> HeightInvariant:
@@ -247,7 +252,8 @@ def _height_closed_grid(grid: ParamGrid, e=None) -> HeightInvariant:
                            is_ill_conditioned(e, grid))
 
 
-def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
+def height_oracle(label: str, params: ModelParams, tol: float = 1e-9, *,
+                  _e=None) -> float:
     """Height of one singularity by direct area quadrature.
 
     Works on the reduced l = 0 phase space: the level-set area below the
@@ -272,9 +278,10 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9) -> float:
     gives width times Jacobian at all 15 nodes.  Raises ConsistencyError
     when a near root below hi is no root of kb q - (k/R)^2 or the arccos
     argument leaves [-1, 1].  Only the tests check ``p0_factors`` against
-    ``chart``: z and the integrand share it.
+    ``chart``: z and the integrand share it.  A caller that holds E of
+    ``params`` passes it as ``_e``.
     """
-    _require_focus_focus(params)
+    _require_focus_focus(params, _e)
     two_r = 2.0 * params.R
     lo, hi = reduced.physical_interval(label, 0.0, params.R)
     kb, kr = reduced.p0_factors(label, params)
@@ -349,7 +356,14 @@ def height_quadrature(params: ModelParams, tol=1e-9) -> HeightInvariant:
 
 
 def height_both(params: ModelParams, tol: float = 1e-9) -> HeightInvariant:
-    """Closed form and oracle together, with their discrepancy recorded."""
-    closed, oracle = height_closed(params), height_quadrature(params, tol)
-    return replace(closed, method="both", discrepancy=max(
-        abs(closed.h1 - oracle.h1), abs(closed.h2 - oracle.h2)))
+    """Closed form and oracle together, with their discrepancy recorded:
+    ``height_closed`` and ``height_quadrature``'s record and errors, with
+    E, the NS frame, the case and t computed once.  The oracles share E of
+    the NS frame, which is E itself unless the swap applies (R <= 1)."""
+    e, work, case, t = _closed_parts(params)
+    e_work = e if work is params else discriminant_E(work)
+    q1 = height_oracle("NS", work, tol, _e=e_work)
+    q2 = height_oracle("SN", work, tol, _e=e_work)
+    return HeightInvariant(1.0 + t, 1.0 - t, case, "both",
+                           is_ill_conditioned(e, params),
+                           max(abs((1.0 + t) - q1), abs((1.0 - t) - q2)))

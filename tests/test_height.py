@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import gamma_A, panel_integrand, reference_closed_form_F
-from semitoric import height, reduced
+from semitoric import height, reduced, singularity
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, HeightInvariant, _height_kernel,
                               case_id, closed_form_F, gamma_B, height_both,
@@ -675,3 +675,69 @@ class TestHeightValues:
         b = height_closed(ModelParams(1.0, 2.0, 0.3, 0.6))
         assert abs(a.h1 - b.h1) < 1e-12
         assert abs(a.h2 - b.h2) < 1e-12
+
+
+def _near_band_edge(r1, r2, s2, depth):
+    """s1 in (0, 1/2) at which -E / (r1 r2) is ``depth``, by bisection."""
+    f = lambda s1: (discriminant_E(ModelParams(r1, r2, s1, s2))
+                    + depth * r1 * r2)
+    return ModelParams(r1, r2, find_root_bisect(f, 1e-3, 0.5 - 1e-3,
+                                                tol=1e-16), s2)
+
+
+class TestHeightBoth:
+    """``height_both`` computes E, the NS frame, the case and t once per
+    point; its record is the one built from ``height_closed`` and
+    ``height_quadrature``."""
+
+    @staticmethod
+    def points():
+        yield from (ModelParams(*p) for p in (
+            (1, 2, 0.3, 0.55), (2, 1, 0.3, 0.4), (1, 2, 0.3, 0.7),
+            (2, 1, 0.3, 0.25), (1, 2, 0.7, 0.6), (3, 1, 0.6, 0.2),
+            (1, 8, 0.7, 0.95), (0.125, 1, 0.35, 0.8),
+            # Case III: on s1 = 1/2, and on s2 = R/(R+1) in both frames.
+            (1, 2, 0.5, 0.3), (1, 2, 0.25, 2 / 3), (2, 1, 0.25, 1 / 3)))
+        # Next to the degeneracy band's edge, and in the ill-conditioned
+        # band, in both frames.
+        for r1, r2, s2 in ((1, 2, 0.1), (2, 1, 0.9), (1, 3, 0.05)):
+            for depth in (2e-10, 1e-9, 5e-7):
+                yield _near_band_edge(r1, r2, s2, depth)
+
+    def test_equals_closed_and_quadrature_records(self):
+        for p in self.points():
+            closed, quad = height_closed(p), height_quadrature(p)
+            want = HeightInvariant(
+                closed.h1, closed.h2, closed.case_ns, "both",
+                closed.ill_conditioned, max(abs(closed.h1 - quad.h1),
+                                            abs(closed.h2 - quad.h2)))
+            got = height_both(p)
+            assert quad.case_ns == closed.case_ns
+            assert got == want
+            for name in ("h1", "h2", "discrepancy"):
+                assert (getattr(got, name).hex()
+                        == getattr(want, name).hex()), (p, name)
+            assert type(got.ill_conditioned) is type(want.ill_conditioned)
+
+    def test_covers_case_iii_and_the_bands(self):
+        seen = [(height_closed(p).case_ns, height_closed(p).ill_conditioned,
+                 p.R > 1) for p in self.points()]
+        assert {case for case, _, _ in seen} >= {"I", "II", "III", "IV", "V"}
+        assert {(flag, big) for _, flag, big in seen} == {
+            (False, True), (False, False), (True, True), (True, False)}
+
+    def test_one_discriminant_per_point(self, monkeypatch):
+        # E of the point once, and E of the NS frame once more only where
+        # the sphere swap applies; the oracle checks that second value.
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return discriminant_E(params)
+
+        monkeypatch.setattr(height, "discriminant_E", counted)
+        monkeypatch.setattr(singularity, "discriminant_E", counted)
+        for p in self.points():
+            calls.clear()
+            height_both(p)
+            assert calls == ([p] if p.R > 1 else [p, ns_frame(p)])
