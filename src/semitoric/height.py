@@ -359,7 +359,9 @@ def height_both(params: ModelParams, tol: float = 1e-9) -> HeightInvariant:
     """Closed form and oracle together, with their discrepancy recorded:
     ``height_closed`` and ``height_quadrature``'s record and errors, with
     E, the NS frame, the case and t computed once.  The oracles share E of
-    the NS frame, which is E itself unless the swap applies (R <= 1)."""
+    the NS frame, which is E itself unless the swap applies (R <= 1).
+    Their panels are summed by ``math.fsum``, not ``@`` or ``sum()``, so no
+    BLAS build and no Python version moves a panel's bits (``numerics``)."""
     e, work, case, t = _closed_parts(params)
     e_work = e if work is params else discriminant_E(work)
     q1 = height_oracle("NS", work, tol, _e=e_work)

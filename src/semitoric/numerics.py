@@ -1,16 +1,19 @@
 """Shared numerical kernels: adaptive quadrature, bisection, golden-section
 extremization and a quartic root solver.  ``integrate`` calls its integrand
 once per GK15 panel, on all 15 nodes, maps no endpoints and takes one
-tolerance ``tol``, absolute below |value| = 1 and relative above.
+tolerance ``tol``, absolute below |value| = 1 and relative above.  A
+panel's K15 and G7 are ``math.fsum`` of the rounded products w_i f_i,
+correctly rounded: a dot product (``@``) takes the order and bits of the
+BLAS build, and ``sum()`` is compensated from Python 3.12 on, so either
+would tie the oracle's last bits to the machine.
 
 ``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
 package: it is the independent reference against which acceptance
-criterion 7 checks the closed-form roots of P_0.  At run time
-``reduced.roots_P0`` checks them against the quadratic factor of the
-chart's own P_0 instead.  Nor has ``minimize_golden``, which takes one
-float bracket and calls its objective on one float at a time: the image
-envelope takes its extremes from a bracketed Newton solve for each side's
-one critical point (``cartography``).
+criterion 7 checks the closed-form roots of P_0 (``reduced.roots_P0``
+checks them at run time against the chart's own P_0).  Nor has
+``minimize_golden``, which takes one float bracket and calls its
+objective on one float at a time (the image envelope solves for its
+critical points, ``cartography``).
 
 All routines are deterministic and free of global state.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -36,10 +40,20 @@ _LEFT_WEIGHTS = [0.022935322010529, 0.063092092629979, 0.104790010322250,
                  0.204432940075298]
 _LEFT_GAUSS = [0.129484966168870, 0.279705391489277, 0.381830050505119]
 _KRONROD_NODES = _LEFT_NODES + [0.0] + [-x for x in _LEFT_NODES[::-1]]
-_KRONROD_WEIGHTS = np.array(
-    _LEFT_WEIGHTS + [0.209482141084728] + _LEFT_WEIGHTS[::-1])
-_GAUSS_WEIGHTS = np.array(
-    _LEFT_GAUSS + [0.417959183673469] + _LEFT_GAUSS[::-1])
+_KRONROD_WEIGHTS = _LEFT_WEIGHTS + [0.209482141084728] + _LEFT_WEIGHTS[::-1]
+_GAUSS_WEIGHTS = _LEFT_GAUSS + [0.417959183673469] + _LEFT_GAUSS[::-1]
+
+
+def _weighted_sum(weights, values):
+    """``math.fsum`` of the rounded products w_i v_i, with NaN for inf - inf
+    and +-inf past the float range where fsum raises: on an overflowing
+    partial sum it sums at 1/16 scale, exact, where 16 terms cannot."""
+    try:
+        return math.fsum(map(mul, weights, values))
+    except OverflowError:
+        return 16.0 * _weighted_sum(weights, [v * 0.0625 for v in values])
+    except ValueError:  # inf - inf
+        return math.nan
 
 
 def _gk15(f, a, b):
@@ -47,9 +61,9 @@ def _gk15(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     # Plain floats, not NumPy scalars, whose arithmetic is slower.
-    fx = np.array(f([mid + half * x for x in _KRONROD_NODES]))
-    k15 = half * float(_KRONROD_WEIGHTS @ fx)
-    g7 = half * float(_GAUSS_WEIGHTS @ fx[1::2])
+    fx = f([mid + half * x for x in _KRONROD_NODES])
+    k15 = half * _weighted_sum(_KRONROD_WEIGHTS, fx)
+    g7 = half * _weighted_sum(_GAUSS_WEIGHTS, fx[1::2])
     return k15, (200.0 * abs(k15 - g7)) ** 1.5
 
 

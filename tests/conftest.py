@@ -248,16 +248,19 @@ def panel_integrand(f, a, b, sin2=False):
 
 
 def _ndarray_gk15(f, a, b):
-    """One Gauss-Kronrod panel exactly as ``numerics._gk15`` computed it
-    when it took its nodes from an ndarray: ``f`` gets the nodes as NumPy
-    scalars, the elements of mid + half * (the Kronrod nodes)."""
+    """One Gauss-Kronrod panel as ``numerics._gk15`` computes it, with its
+    nodes taken from an ndarray: ``f`` gets the nodes as NumPy scalars, the
+    elements of mid + half * (the Kronrod nodes).  K15 and G7 are the
+    ``math.fsum`` of the rounded products w_i f_i."""
     from semitoric import numerics
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * np.array(numerics._KRONROD_NODES)
-    fx = np.array(f(list(x)))
-    k15 = half * float(numerics._KRONROD_WEIGHTS @ fx)
-    g7 = half * float(numerics._GAUSS_WEIGHTS @ fx[1::2])
+    fx = [float(v) for v in f(list(x))]
+    k15 = half * math.fsum(
+        w * v for w, v in zip(numerics._KRONROD_WEIGHTS, fx))
+    g7 = half * math.fsum(
+        w * v for w, v in zip(numerics._GAUSS_WEIGHTS, fx[1::2]))
     return k15, (200.0 * abs(k15 - g7)) ** 1.5
 
 

@@ -1,6 +1,7 @@
 """Numerical kernels: quadrature, bisection, golden section, quartic roots."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,119 @@ class TestIntegrate:
         value = quad(f, a, b, sin2, tol=1e-13)
         monkeypatch.setattr(numerics, "_gk15", ndarray_gk15)
         assert value == quad(f, a, b, sin2, tol=1e-13)
+
+
+def _panel_pairs(n, seed):
+    """``n`` seeded panels of 15 values of mixed sign over 16 decades,
+    where a left-to-right sum or a BLAS dot rounds differently from the
+    exact sum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (rng.choice([-1.0, 1.0], 15)
+               * 10.0 ** rng.uniform(-8.0, 8.0, 15)).tolist()
+
+
+def _rounded_once(weights, values):
+    """The exact sum of the rounded products w_i v_i, rounded once."""
+    return float(sum(Fraction(w * v) for w, v in zip(weights, values)))
+
+
+class TestPanelSums:
+    """K15 and G7 are the ``math.fsum`` of the rounded products w_i f_i:
+    the exact sum rounded once, whatever the order of its terms."""
+
+    def test_sums_are_the_exact_sum_rounded_once(self):
+        naive_differs = 0
+        for fx in _panel_pairs(300, 41):
+            for weights, values in ((numerics._KRONROD_WEIGHTS, fx),
+                                    (numerics._GAUSS_WEIGHTS, fx[1::2])):
+                want = _rounded_once(weights, values)
+                assert numerics._weighted_sum(weights, values) == want
+                naive_differs += sum(
+                    w * v for w, v in zip(weights, values)) != want
+            # On [-1, 1] half is 1, so the panel's K15 is the sum itself.
+            k15, _ = numerics._gk15(lambda xs: fx, -1.0, 1.0)
+            assert k15 == _rounded_once(numerics._KRONROD_WEIGHTS, fx)
+        assert naive_differs > 0
+
+    def test_bits_keep_under_permutation(self):
+        rng = np.random.default_rng(42)
+        for fx in _panel_pairs(200, 43):
+            for weights, values in ((numerics._KRONROD_WEIGHTS, fx),
+                                    (numerics._GAUSS_WEIGHTS, fx[1::2])):
+                pairs = list(zip(weights, values))
+                want = numerics._weighted_sum(weights, values)
+                for _ in range(5):
+                    w, v = zip(*(pairs[i]
+                                 for i in rng.permutation(len(pairs))))
+                    assert numerics._weighted_sum(w, v) == want
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _values(pattern):
+    """A panel integrand returning ``pattern`` (15 values) on any panel."""
+    return lambda xs: list(pattern)
+
+
+INF, NAN, BIG = math.inf, math.nan, 1e308
+
+
+class TestNonFinitePanels:
+    """NaN, +-inf and sums beyond the float range give what the ndarray
+    dot of the earlier panel gave (NaN or +-inf), with no exception from
+    ``math.fsum`` and no warning.  ``want`` is (K15, error) of the panel
+    on [-1, 1] and the outcome of ``integrate`` on [0, 1] (tol 1e-9, 8
+    subdivisions), as the ndarray panel had them."""
+
+    @pytest.mark.parametrize("pattern, want, outcome", [
+        ([NAN] * 15, (NAN, NAN), NonconvergenceError),
+        ([INF] * 15, (INF, NAN), NonconvergenceError),
+        ([-INF] * 15, (-INF, NAN), NonconvergenceError),
+        ([INF] + [1.0] * 14, (INF, INF), (INF, INF)),
+        ([1.0] * 7 + [-INF] + [1.0] * 7, (-INF, NAN), NonconvergenceError),
+        ([1.0] * 3 + [NAN] + [1.0] * 11, (NAN, NAN), NonconvergenceError),
+        ([INF] + [1.0] * 13 + [-INF], (NAN, NAN), NonconvergenceError),
+        ([1.0, INF, 1.0, -INF] + [1.0] * 11, (NAN, NAN),
+         NonconvergenceError),
+        ([BIG] * 15, (INF, NAN), NonconvergenceError),
+        ([-BIG] * 15, (-INF, NAN), NonconvergenceError),
+        ([1.7976931348623157e308] * 15, (INF, NAN), NonconvergenceError),
+        ([BIG] * 14 + [INF], (INF, NAN), NonconvergenceError),
+        ([BIG] * 14 + [NAN], (NAN, NAN), NonconvergenceError),
+        ([-INF] + [BIG] * 14, (-INF, INF), (-INF, INF)),
+        ([1.0] * 7 + [BIG] + [1.0] * 7, (2.0948214108472801e+307, INF),
+         OverflowError),
+    ], ids=["nan", "inf", "-inf", "inf_at_0", "-inf_at_7", "nan_at_3",
+            "inf-inf", "inf-inf_gauss", "1e308", "-1e308", "max",
+            "1e308+inf", "1e308+nan", "-inf+1e308", "1e308_at_7"])
+    def test_panel_and_integrate(self, pattern, want, outcome):
+        f = _values(pattern)
+        k15, err = numerics._gk15(f, -1.0, 1.0)
+        assert _same(k15, want[0]) and _same(err, want[1])
+        if isinstance(outcome, tuple):
+            value, err = integrate(f, 0.0, 1.0, 1e-9, 8)
+            assert _same(value, outcome[0]) and _same(err, outcome[1])
+        else:
+            with pytest.raises(outcome):
+                integrate(f, 0.0, 1.0, 1e-9, 8)
+
+    def test_overflowing_partial_sums(self):
+        # Partial sums of 1e308-sized terms leave the float range inside
+        # fsum; at 1/16 scale they do not, and the sum is still the exact
+        # one rounded once: finite where it fits, +-inf where it does not.
+        for pattern in ([BIG] * 15, [-BIG] * 15, [BIG, BIG, -BIG] * 5,
+                        [BIG] * 8 + [-BIG] * 7, [BIG] * 7 + [-BIG] * 8):
+            for weights in (numerics._KRONROD_WEIGHTS, [1.0] * 15):
+                exact = sum(Fraction(w * v) for w, v in zip(weights,
+                                                            pattern))
+                try:  # int / int is rounded once, or raises past the range
+                    want = float(exact)
+                except OverflowError:
+                    want = INF if exact > 0 else -INF
+                assert numerics._weighted_sum(weights, pattern) == want
 
 
 class TestBisect:
