@@ -28,6 +28,11 @@ from .model import FIXED_POINTS, ModelParams, h_func, l_func, ns_frame
 from .singularity import discriminant_E, is_focus_focus, n_ff
 
 WIDTH_TOL = 1e-12
+# A representative's vertices have l in {-2, 0, 2R - 2, 2R} and y in {0, 2,
+# 2R - 2, 2R, 2R + 2}.  From R = 2^52 on, floats are integers and 2R + 2 is
+# one iff 2R + 2 <= 2^54: at R = 2^53 it rounds to 2R (cuts (-1, -1) lose
+# their second bend), and above, 2R - 2 rounds too (the DH knots break).
+POLYGON_R_LIMIT = 2.0 ** 53
 MAX_SAMPLES = 65536  # most levels of an envelope: 135 MB and 0.5 s
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
@@ -331,10 +336,15 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     The rule is exact because E < 0 on both case lines, so no component of
     the toric region E > 0 leaves its quadrant: k = 0 on both, and m < 0
     there, so E = (r1 k)^2 - 16 r1 r2 m^2 = -16 r1 r2 m^2 < 0
-    (``singularity.discriminant_E``).
+    (``singularity.discriminant_E``).  ``ValueError`` unless the ratio
+    R = max(r1, r2) / min(r1, r2) is below 2^53 (``POLYGON_R_LIMIT``).
     """
     work = ns_frame(params)
     R = work.R
+    if not R < POLYGON_R_LIMIT:
+        raise ValueError(f"radius ratio R = {R!r} is too large for a polygon "
+                         f"representative: from R = 2^53 on, 2R - 2 or "
+                         f"2R + 2 is no float")
     nff = n_ff(work)  # raises on the degenerate band
     if nff == 2:
         try:

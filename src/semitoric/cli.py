@@ -62,7 +62,7 @@ def cmd_classify(args) -> int:
     params = _params_from(args)
     reports = singularity.classify_fixed_points(params)
     e = reports[0].e_value
-    verdict = singularity.check_semitoric(params)
+    verdict = singularity.check_semitoric(params, _e=e)
     if args.json:
         payload = {
             "schema": JSON_SCHEMA,

@@ -133,7 +133,8 @@ class SemitoricVerdict:
     degenerate: bool
 
 
-def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
+def check_semitoric(params: ModelParams, grid_n: int = 50, *,
+                    _e=None) -> SemitoricVerdict:
     """Aggregate verdict from one discriminant E.
 
     Degenerate means E inside the degeneracy band; otherwise n_ff is 2 for
@@ -141,9 +142,10 @@ def check_semitoric(params: ModelParams, grid_n: int = 50) -> SemitoricVerdict:
     (``classify_fixed_points``).  Every rank-1 point is non-degenerate too,
     since ``rank1_margin`` is negative on the whole open strip, so
     semitoric means not degenerate.  ``grid_n`` is accepted for
-    compatibility and has no effect.
+    compatibility and has no effect; a caller that holds E passes it as
+    ``_e``.
     """
-    e = discriminant_E(params)
+    e = discriminant_E(params) if _e is None else _e
     degenerate = is_degenerate(e, params)
     return SemitoricVerdict(is_semitoric=not degenerate,
                             n_ff=2 if is_focus_focus(e, params) else 0,

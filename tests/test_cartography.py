@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from semitoric.reduced import dh_function
-from semitoric.singularity import discriminant_E
+from semitoric.singularity import discriminant_E, n_ff
 
 
 FF_PARAMS = ModelParams(1.0, 2.0, 0.5, 0.5)
@@ -201,6 +202,59 @@ class TestPolygonVertices:
                        (0.0, 2.0), bottom, top)
         with pytest.raises(ConsistencyError, match="not convex"):
             _assert_polygon(poly, dh)
+
+
+def exact_vertices(cuts, R):
+    """The representative's vertices for an integer R, built in integer
+    arithmetic on the DH knots -2, 0, 2R - 2 and 2R."""
+    ls = (-2, 0, 2 * R - 2, 2 * R)
+    bottom, slope = [(-2, 0)], 0
+    for i, (l0, l1) in enumerate(zip(ls, ls[1:])):
+        slope += i > 0 and cuts[i - 1] == -1
+        bottom.append((l1, bottom[-1][1] + slope * (l1 - l0)))
+    top = [(l, y + v) for (l, y), v in zip(bottom, (0, 2, 2, 0))]
+
+    def kinks(chain):
+        return [chain[0]] + [b for a, b, c in zip(chain, chain[1:], chain[2:])
+                             if (b[1] - a[1]) * (c[0] - b[0])
+                             != (c[1] - b[1]) * (b[0] - a[0])] + [chain[-1]]
+
+    bottom, top = kinks(bottom), kinks(top)
+    return tuple(bottom) + tuple(reversed(top[1:-1]))
+
+
+class TestPolygonRange:
+    """From R = 2^53 on, 2R - 2 or 2R + 2 is no float: at 2^53 cuts
+    (-1, -1) lost their second bend without an error, and above it the DH
+    self-check failed (exit 5).  Such a ratio is a ValueError naming R."""
+
+    @pytest.mark.parametrize("r1, r2", [
+        (1.0, 2.0 ** 53), (1.0, 1e16), (1.0, 1e20), (1.0, 1e150),
+        (2.0 ** 53, 1.0), (1e16, 1.0), (3e-150, 1e-133)])
+    def test_large_ratio_raises(self, r1, r2):
+        for s1 in (0.3, 0.5 + 1e-9):  # toric, and focus-focus at 2^53
+            p = ModelParams(r1, r2, s1, 0.4)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"radius ratio R = {ns_frame(p).R!r} is too large")):
+                polygon_representative(p)
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 2.0 ** 53 - 1),
+                                        (2.0 ** 53 - 1, 1.0)])
+    def test_largest_ratio_builds_exact_vertices(self, r1, r2):
+        # 2^53 - 1 is the largest float ratio below the limit; every
+        # representative is exact there, in both frames.
+        R = int(2.0 ** 53 - 1)
+        s2 = 0.4 if r2 > r1 else 0.6
+        ff, toric = ModelParams(r1, r2, 0.5 + 1e-9, s2), ModelParams(
+            r1, r2, 0.3, s2)
+        assert (n_ff(ff), n_ff(toric), ns_frame(ff).R) == (2, 0, R)
+        for cuts in ALL_CUTS:
+            poly = polygon_representative(ff, cuts)
+            assert poly.ff_l == (0.0, 2 * R - 2)
+            assert poly.vertices == exact_vertices(cuts, R), cuts
+        poly = polygon_representative(toric)
+        assert poly.ff_l == ()
+        assert poly.vertices == exact_vertices(poly.cuts, R)
 
 
 def outcome(check, *args):

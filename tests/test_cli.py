@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from semitoric import cartography, cli, height, numerics, reduced
+from semitoric import cartography, cli, height, numerics, reduced, singularity
 from semitoric.cli import main
 from semitoric.height import height_oracle
 from semitoric.model import ModelParams
@@ -50,6 +50,19 @@ class TestClassify:
         assert payload["n_ff"] == 2
         kinds = {r["id"]: r["kind"] for r in payload["fixed_points"]}
         assert kinds["NS"] == "focus-focus"
+
+    def test_one_discriminant(self, capsys, monkeypatch):
+        # The fixed-point kinds and the verdict share one E.
+        calls = []
+        real = singularity.discriminant_E
+        monkeypatch.setattr(singularity, "discriminant_E",
+                            lambda p: calls.append(p) or real(p))
+        for argv in (FF, BASE + ["--s1", "0.05", "--s2", "0.05"],
+                     BASE + ["--s1", "0.14453829383418643", "--s2", "0.1"]):
+            for flags in ([], ["--json"]):
+                calls.clear()
+                run(capsys, ["classify"] + flags + argv)
+                assert len(calls) == 1
 
     def test_degenerate_exit_code(self, capsys):
         # E = 0 to machine precision at this root of the discriminant.
@@ -219,6 +232,16 @@ class TestPolygon:
         code, spaced, _ = run(capsys, ["polygon", "--cuts", cuts] + FF)
         assert code == 0
         assert spaced == joined
+
+    @pytest.mark.parametrize("radii", [["--R1=1", "--R2=1e16"],
+                                       ["--R1=1", "--R2=1e20"],
+                                       ["--R1=1e16", "--R2=1"]])
+    def test_radius_ratio_too_large(self, capsys, radii):
+        code, out, err = run(capsys, ["polygon"] + radii
+                             + ["--s1=0.3", "--s2=0.4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: radius ratio R = 1e+")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bad_cut_string(self, capsys):
         code, _, err = run(capsys, ["polygon", "--cuts", "xx"] + FF)
