@@ -11,9 +11,9 @@ three, one per quantity).
 
 - ``oracle``: focus-focus points outside the bands -E <= 1e-2 r1 r2 and
   |case-III factor| <= 1e-3 that the benchmark leaves out; the op is
-  ``height_both`` plus ``roots_P0`` for both labels.  The ``integrate``
-  row integrates one arccos zone through a panel integrand with the sin^2
-  map in its loop.
+  ``height_both`` plus ``roots_P0`` for both labels, and ``height_both``
+  is also a row.  The ``integrate`` row integrates one arccos zone through
+  a panel integrand with the sin^2 map in its loop.
 - ``chart``: focus-focus and toric points outside the degeneracy band
   |E| <= 1e-10 r1 r2; the op is ``image_boundary(64)``, the polygon
   representatives (all four cuts, or the one toric shape),
@@ -119,6 +119,7 @@ def oracle_layers(n, work_dir):
         ("height.height_oracle SN",
          lambda p: height.height_oracle("SN", model.ns_frame(p))),
         ("height.height_closed", height.height_closed),
+        ("height.height_both", height.height_both),
         ("numerics.quartic_roots",
          lambda p: numerics.quartic_roots(reduced.p0_coefficients("NS", p))),
         ("numerics.integrate", arccos_zone),
