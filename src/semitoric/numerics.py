@@ -9,11 +9,12 @@ would tie the oracle's last bits to the machine.
 
 ``quartic_roots`` (companion-matrix eigenvalues) has no caller in the
 package: it is the independent reference against which acceptance
-criterion 7 checks the closed-form roots of P_0 (``reduced.roots_P0``
-checks them at run time against the chart's own P_0).  Nor has
-``minimize_golden``, which takes one float bracket and calls its
-objective on one float at a time (the image envelope solves for its
-critical points, ``cartography``).
+criterion 7 checks the closed-form roots of P_0.  At run time
+``reduced.roots_P0`` checks them against the quadratic factor of the
+chart's own P_0 instead.  Nor has ``minimize_golden``, which takes one
+float bracket and calls its objective on one float at a time: the image
+envelope takes its extremes from a bracketed Newton solve for each side's
+one critical point (``cartography``).
 
 All routines are deterministic and free of global state.
 """
