@@ -112,7 +112,7 @@ class TestIntegrate:
         assert value == quad(f, a, b, sin2, tol=1e-13)
 
 
-def _panel_pairs(n, seed):
+def _seeded_panels(n, seed):
     """``n`` seeded panels of 15 values of mixed sign over 16 decades,
     where a left-to-right sum or a BLAS dot rounds differently from the
     exact sum."""
@@ -133,7 +133,7 @@ class TestPanelSums:
 
     def test_sums_are_the_exact_sum_rounded_once(self):
         naive_differs = 0
-        for fx in _panel_pairs(300, 41):
+        for fx in _seeded_panels(300, 41):
             for weights, values in ((numerics._KRONROD_WEIGHTS, fx),
                                     (numerics._GAUSS_WEIGHTS, fx[1::2])):
                 want = _rounded_once(weights, values)
@@ -147,7 +147,7 @@ class TestPanelSums:
 
     def test_bits_keep_under_permutation(self):
         rng = np.random.default_rng(42)
-        for fx in _panel_pairs(200, 43):
+        for fx in _seeded_panels(200, 43):
             for weights, values in ((numerics._KRONROD_WEIGHTS, fx),
                                     (numerics._GAUSS_WEIGHTS, fx[1::2])):
                 pairs = list(zip(weights, values))
