@@ -9,8 +9,13 @@ straightens that band into a convex rational polygon whose vertical widths
 reproduce the Duistermaat-Heckman profile.  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
 slope 0, scaled units); the shear and cut-flip actions relate all other
-choices.  ``Polygon.width`` takes a float or an array; the self-check takes
-one pass per chain, and one walk for its values at the DH profile's knots.
+choices.  Their vertices follow a closed rule: with s_i = 1 where cut i is
+-1 and 0 otherwise, the bottom chain has slopes 0, s_1 and s_1 + s_2
+between the DH knots -2, 0, 2R - 2 and 2R, and the top chain is the bottom
+raised by the DH profile, so at ff level i only the bottom bends (s_i = 1)
+or only the top (s_i = 0).  ``Polygon.width`` takes a float or an array;
+the self-check takes one pass per chain, and one walk for its values at the
+DH profile's knots.
 """
 
 from __future__ import annotations
@@ -257,36 +262,23 @@ class Polygon:
 
 
 def _build_polygon(cuts, ff_l, R: float) -> Polygon:
-    """Assemble the canonical representative from cut signs and ff levels,
-    whose chains have their vertices at knots of the DH profile."""
+    """Assemble the canonical representative from cut signs and ff levels
+    by the closed vertex rule of the module docstring, on the DH knots."""
     dh = reduced.dh_function(R)
     ls, rho = dh.knots
-    bottom, y, slope = [(ls[0], 0.0)], 0.0, 0.0
-    for i, (l0, l1) in enumerate(zip(ls[:-1], ls[1:])):
-        if i and cuts[i - 1] == -1:  # cuts[j] belongs to interior knot j + 1
-            slope += 1.0
-        y += slope * (l1 - l0)
-        bottom.append((l1, y))
-    top = [(l, yb + v) for (l, yb), v in zip(bottom, rho)]
-    bottom, top = _dedupe(bottom), _dedupe(top)
-    vertices = tuple(bottom) + tuple(reversed(top[1:-1]))
+    s1, s2 = (1.0 if c == -1 else 0.0 for c in cuts)
+    y2 = s1 * (ls[2] - ls[1])
+    ys = (0.0, 0.0, y2, y2 + (s1 + s2) * (ls[3] - ls[2]))
+    # Knot i + 1 is ff level i: a bottom vertex when s_i = 1, else a top one.
+    bottom = tuple((l, y) for l, y, bent in zip(ls, ys, (1, s1, s2, 1))
+                   if bent)
+    top = tuple((l, y + v) for l, y, v, bent
+                in zip(ls, ys, rho, (1, 1 - s1, 1 - s2, 1)) if bent)
+    vertices = bottom + tuple(reversed(top[1:-1]))
 
-    poly = Polygon(vertices, tuple(cuts), tuple(ff_l),
-                   tuple(bottom), tuple(top))
+    poly = Polygon(vertices, tuple(cuts), tuple(ff_l), bottom, top)
     _assert_polygon(poly, dh)
     return poly
-
-
-def _dedupe(chain):
-    """The chain with only its genuine kinks (and both endpoints)."""
-    out = [chain[0]]
-    for prev, cur, nxt in zip(chain[:-2], chain[1:-1], chain[2:]):
-        s_in = (cur[1] - prev[1]) / (cur[0] - prev[0])
-        s_out = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
-        if abs(s_in - s_out) > 1e-12:
-            out.append(cur)
-    out.append(chain[-1])
-    return out
 
 
 def _assert_polygon(poly: Polygon, dh: reduced.DHFunction):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,8 +206,8 @@ class TestPolygonVertices:
 
 
 def exact_vertices(cuts, R):
-    """The representative's vertices for an integer R, built in integer
-    arithmetic on the DH knots -2, 0, 2R - 2 and 2R."""
+    """The representative's vertices for an integer or ``Fraction`` R,
+    built in exact arithmetic on the DH knots -2, 0, 2R - 2 and 2R."""
     ls = (-2, 0, 2 * R - 2, 2 * R)
     bottom, slope = [(-2, 0)], 0
     for i, (l0, l1) in enumerate(zip(ls, ls[1:])):
@@ -255,6 +256,69 @@ class TestPolygonRange:
         poly = polygon_representative(toric)
         assert poly.ff_l == ()
         assert poly.vertices == exact_vertices(poly.cuts, R)
+
+
+def bends_at_ff_levels(poly, R):
+    """For each ff level, whether the bottom and whether the top chain has
+    a vertex there."""
+    bottom, top = dict(poly.bottom), dict(poly.top)
+    return [(l in bottom, l in top) for l in reduced.ff_levels(R)]
+
+
+def collinear(a, b, c):
+    """Whether the float points a, b, c lie on one line, exactly."""
+    (l0, y0), (l1, y1), (l2, y2) = (map(Fraction, p) for p in (a, b, c))
+    return (y1 - y0) * (l2 - l1) == (y2 - y1) * (l1 - l0)
+
+
+class TestVertexRule:
+    """The closed vertex rule: with s_i = 1 where cut i is -1, bottom slopes
+    0, s_1 and s_1 + s_2, the top raised by the DH profile, and at ff level
+    i a bottom vertex when s_i = 1, else a top one."""
+
+    # All four cut representatives and both toric shapes.
+    SHAPES = [(cuts, True) for cuts in ALL_CUTS] + [((1, -1), False),
+                                                    ((-1, 1), False)]
+
+    def build(self, cuts, ff, R):
+        return cartography._build_polygon(
+            cuts, reduced.ff_levels(R) if ff else (), R)
+
+    def test_vertices_equal_exact_arithmetic(self):
+        # R log-uniform on (1, 2^52) where 2R - 2 and 2R + 2 are floats.
+        rng = np.random.default_rng(20261021)
+        ratios = []
+        while len(ratios) < 300:
+            R = math.exp(rng.uniform(0.0, 52.0 * math.log(2.0)))
+            if R > 1.0 and all(Fraction(2.0 * R + d) == 2 * Fraction(R) + d
+                               for d in (-2, 2)):
+                ratios.append(R)
+        for R in ratios:
+            for cuts, ff in self.SHAPES:
+                poly = self.build(cuts, ff, R)
+                assert poly.vertices == exact_vertices(cuts, Fraction(R))
+                for chain in (poly.bottom, poly.top):
+                    assert not any(itertools.starmap(collinear, zip(
+                        chain, chain[1:], chain[2:]))), (R, cuts, chain)
+                assert bends_at_ff_levels(poly, R) == [
+                    (c == -1, c == 1) for c in cuts], (R, cuts)
+
+    def test_one_chain_bends_where_2R_plus_2_rounds(self):
+        # Just below 2^k, 2R + 2 rounds up a binade.  The knot walk kept a
+        # top vertex at ff level 2 for cuts (-1, -1) from k = 14 to 23,
+        # where the float slopes of a straight top differ by more than
+        # 1e-12; the rule gives one vertex per ff level, and that top is
+        # one edge of slope exactly 1.  From k = 24 on, cuts (-1, -1) fail
+        # the integer-slope check (the last vertex rounds by ulp(2R)).
+        for k in range(1, 24):
+            R = math.nextafter(2.0 ** k, 0.0)
+            assert 2.0 * R + 2.0 != 2 * Fraction(R) + 2
+            for cuts, ff in self.SHAPES:
+                poly = self.build(cuts, ff, R)
+                assert bends_at_ff_levels(poly, R) == [
+                    (c == -1, c == 1) for c in cuts], (R, cuts)
+            (l0, y0), (l1, y1) = self.build((-1, -1), True, R).top
+            assert (y1 - y0) / (l1 - l0) == 1.0, R
 
 
 def outcome(check, *args):
