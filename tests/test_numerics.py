@@ -175,7 +175,10 @@ class TestNonFinitePanels:
     dot of the earlier panel gave (NaN or +-inf), with no exception from
     ``math.fsum`` and no warning.  ``want`` is (K15, error) of the panel
     on [-1, 1] and the outcome of ``integrate`` on [0, 1] (tol 1e-9, 8
-    subdivisions), as the ndarray panel had them."""
+    subdivisions), as the ndarray panel had them, except that an error
+    estimate past the float range (|K15 - G7| above about 1e203) is inf
+    where ``** 1.5`` raised ``OverflowError`` (``1e308_at_7``, ``5e307``):
+    ``integrate`` splits on to its documented NonconvergenceError."""
 
     @pytest.mark.parametrize("pattern, want, outcome", [
         ([NAN] * 15, (NAN, NAN), NonconvergenceError),
@@ -194,10 +197,11 @@ class TestNonFinitePanels:
         ([BIG] * 14 + [NAN], (NAN, NAN), NonconvergenceError),
         ([-INF] + [BIG] * 14, (-INF, INF), (-INF, INF)),
         ([1.0] * 7 + [BIG] + [1.0] * 7, (2.0948214108472801e+307, INF),
-         OverflowError),
+         NonconvergenceError),
+        ([5e307] * 15, (9.99999999999997e+307, INF), NonconvergenceError),
     ], ids=["nan", "inf", "-inf", "inf_at_0", "-inf_at_7", "nan_at_3",
             "inf-inf", "inf-inf_gauss", "1e308", "-1e308", "max",
-            "1e308+inf", "1e308+nan", "-inf+1e308", "1e308_at_7"])
+            "1e308+inf", "1e308+nan", "-inf+1e308", "1e308_at_7", "5e307"])
     def test_panel_and_integrate(self, pattern, want, outcome):
         f = _values(pattern)
         k15, err = numerics._gk15(f, -1.0, 1.0)
