@@ -21,7 +21,8 @@ The list covers every README example, ``height`` with all three methods,
 ``classify`` (also with ``--json``) at extreme radius ratios, radius pairs
 whose squares leave the float range and pairs just inside it, ``height``
 near E = 0 (where the oracle's arccos zone is narrow), ``polygon`` with
-all four cuts (also at R = 1 +- 1e-9 and R = 8) and at the toric corners,
+all four cuts (also at R = 1 +- 1e-9 and R = 8, and at four R where
+vertex values round) and at the toric corners,
 ``classify --json``, ``height --method quadrature|both`` next to the
 degeneracy band (-E/(r1 r2) in [1e-9, 2e-6]), ``classify`` (also with
 ``--json``) on both sides of the band's edge (-E/(r1 r2) in
@@ -76,6 +77,13 @@ EDGE_POINTS = [(1, 2, 0.14453829383418643, 0.1),
 # rounding noise next to 0, and at R = 8, in both frames.
 POLYGON_POINTS = [(1, 1.000000001, 0.3, 0.4), (1, 0.999999999, 0.3, 0.4),
                   (1, 8, 0.3, 0.4), (8, 1, 0.3, 0.4)]
+# Focus-focus polygons where vertex values round: R = 1 + 2^-52 (2R - 2
+# is one ulp), R = 2^14 - 2^-39 (2R + 2 rounds up a binade, and the knot
+# walk kept a float kink at ff level 2 there), and two such R at which
+# cuts (-1, -1) fail the integer-slope check (exit 5).
+ROUNDING_POLYGON_POINTS = [(1, R, 0.500000001, 0.4) for R in (
+    1.0000000000000002, 16383.999999999998, 16777215.000000002,
+    4503599627370495.5)]
 # Image envelopes at R < 1, R near 1 and R = 1e3, focus-focus and toric.
 IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
                 (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
@@ -202,6 +210,9 @@ def invocations():
         for cuts in ("++", "+-", "-+", "--"):
             out.append(f"polygon --cuts={cuts} {flags(p)}")
         out.append(f"polygon --cuts=-+ --json {flags(p)}")
+    for p in ROUNDING_POLYGON_POINTS:
+        for cuts in ("++", "+-", "-+", "--"):
+            out.append(f"polygon --cuts={cuts} {flags(p)}")
     for p in TORIC_POINTS:
         out.append(f"polygon {flags(p)}")
         out.append(f"polygon --json {flags(p)}")
