@@ -33,18 +33,18 @@ from .model import FIXED_POINTS, ModelParams, h_func, l_func, ns_frame
 from .singularity import discriminant_E, is_focus_focus, n_ff
 
 WIDTH_TOL = 1e-12
-# A representative's vertices have l in {-2, 0, 2R - 2, 2R} and y in {0, 2,
-# 2R - 2, 2R, 2R + 2}.  From R = 2^52 on, floats are integers and 2R + 2 is
-# one iff 2R + 2 <= 2^54: at R = 2^53 it rounds to 2R (cuts (-1, -1) lose
-# their second bend), and above, 2R - 2 rounds too (the DH knots break).
+# Vertices: l in {-2, 0, 2R - 2, 2R}, y in {0, 2, 2R - 2, 2R, 2R + 2}.  From
+# R = 2^53 on, 2R + 2 rounds, and above it 2R - 2 (the DH knots break).
 POLYGON_R_LIMIT = 2.0 ** 53
 MAX_SAMPLES = 65536  # most levels of an envelope: 135 MB and 0.5 s
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
 _CORNERS = tuple(astuple(FIXED_POINTS[k]) for k in ("NN", "NS", "SN", "SS"))
 _NODES = np.arange(9)[:, None, None] / 8.0  # sign scan of _critical_points
-_SIGMA = np.array([1.0, -1.0])  # its two sides, one per column
-_SIDES = np.arange(2)  # their column index
+_SIGMA = np.array([[1.0], [-1.0]])  # its two sides, one per row
+# The solve's constants, as 0-d arrays: ufuncs take them 0.2 us faster.
+_ZERO, _ONE, _TWO, _FOUR, _U_TOL, _T_TOL = map(
+    np.array, (0.0, 1.0, 2.0, 4.0, 8.0 * _EPS, 4.0 * _EPS))
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,8 @@ def _envelope_candidates(dA, kb, m, lo, hi, R):
     t, _ = _critical_points(rho_l, rho_r, dA / (math.sqrt(kb) * w))
     p2 = np.empty((lo.size, 4))
     p2[:, 2], p2[:, 3] = lo, hi
-    lo, hi = lo[:, None], hi[:, None]
-    # np.clip, bit for bit, with fewer dispatches.
-    np.minimum(np.maximum(lo + w[:, None] * t, lo), hi, out=p2[:, :2])
+    # np.clip, bit for bit, with fewer dispatches, one row per side.
+    np.minimum(np.maximum(lo + w * t.T, lo), hi, out=p2[:, :2].T)
     return p2
 
 
@@ -174,59 +173,54 @@ def _critical_points(rho_l, rho_r, c):
     terms or the step moves t by at most 4 ulps.  The lanes step in lockstep
     until all have converged, at most ``_MAX_STEPS`` = 64 times (bisection
     alone takes the 1/8 bracket to 2^-67, below the float spacing of every
-    t >= 2^-14), and stop before the step once all u are within 8 ulps.
+    t >= 2^-14).  A step forms du/dt only where a lane moves on.  The lanes
+    are one row per side.  u's terms are p' q, p (-q') and 2 sigma c sqrt(p
+    q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r - t), and p,
+    p', q, -q' >= 0 on [0, 1].
     """
-    rho_l, rho_r = rho_l[:, None], rho_r[:, None]
-    s_c = c[:, None] * _SIGMA
+    s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
-    lanes = np.arange(c.size)[:, None], _SIDES
+    lanes = np.arange(2)[:, None], np.arange(c.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scan = _critical_equation(_NODES, rho_l, rho_r, s_c, two_s_c,
-                                  u_only=True)
+        t_l, t_r, one_t = _NODES - rho_l, rho_r - _NODES, 1.0 - _NODES
+        p, q = _NODES * t_l, one_t * t_r
+        scan = ((_NODES + t_l) * q - p * (one_t + t_r)
+                + two_s_c * np.sqrt(p * q))
         j = (scan[1:-1] > 0.0).sum(axis=0)
         u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
         a = j / 8.0
         b = a + 0.125
         t = a + 0.125 * (u_a / (u_a - u_b))
         t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
+        rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
         for steps in range(1, _MAX_STEPS + 1):
-            u, du, size = _critical_equation(t, rho_l, rho_r, s_c, two_s_c)
-            small = np.abs(u) <= 8.0 * _EPS * size
+            t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
+            p, q = t * t_l, one_t * t_r
+            dp, neg_dq = t + t_l, one_t + t_r
+            root = np.sqrt(p * q)
+            dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
+            d_beta = dp_q - p_dq
+            u = d_beta + c_root
+            small = np.abs(u) <= _U_TOL * (dp_q + p_dq + np.abs(c_root))
             if np.count_nonzero(small) == small.size:
                 break
-            a = np.where(u > 0.0, t, a)
-            b = np.where(u < 0.0, t, b)
-            step = u / du
+            np.copyto(a, t, where=u > _ZERO)
+            np.copyto(b, t, where=u < _ZERO)
+            step = u / (_TWO * (p + q - dp * neg_dq) + s_c * d_beta / root)
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
-            nxt = newton + step * (step / (4.0 * (t - e)))
+            nxt = newton + step * (step / (_FOUR * (t - e)))
             in_ab = (a <= nxt) & (nxt <= b)
             if np.count_nonzero(in_ab) < in_ab.size:
                 nxt = np.where(in_ab, nxt, np.where(
                     (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
-            done = small | (np.abs(nxt - t) <= 4.0 * _EPS * t)
-            t = np.where(done, t, nxt)
+            done = small | (np.abs(nxt - t) <= _T_TOL * t)
+            np.copyto(nxt, t, where=done)
+            t = nxt
             if np.count_nonzero(done) == done.size:
                 break
-    return t, steps
-
-
-def _critical_equation(t, rho_l, rho_r, s_c, two_s_c, u_only=False):
-    """(u, du/dt, size): u = beta' + 2 sigma c sqrt(beta) at t, s_c = sigma c
-    and two_s_c = 2 s_c, beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
-    t), and the sum of the magnitudes of u's terms p' q, p q' and 2 sigma c
-    sqrt(beta), or with ``u_only`` u alone.  On [0, 1], p, p', q, -q' >= 0."""
-    t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
-    p, q = t * t_l, one_t * t_r
-    dp, neg_dq = t + t_l, one_t + t_r
-    root = np.sqrt(p * q)
-    dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
-    d_beta = dp_q - p_dq
-    if u_only:
-        return d_beta + c_root
-    du = 2.0 * (p + q - dp * neg_dq) + s_c * d_beta / root
-    return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
+    return t.T, steps
 
 
 @dataclass(frozen=True)
@@ -265,16 +259,16 @@ def _build_polygon(cuts, ff_l, R: float) -> Polygon:
     """Assemble the canonical representative from cut signs and ff levels
     by the closed vertex rule of the module docstring, on the DH knots."""
     dh = reduced.dh_function(R)
-    ls, rho = dh.knots
-    s1, s2 = (1.0 if c == -1 else 0.0 for c in cuts)
-    y2 = s1 * (ls[2] - ls[1])
-    ys = (0.0, 0.0, y2, y2 + (s1 + s2) * (ls[3] - ls[2]))
+    (l0, l1, l2, l3), (v0, v1, v2, v3) = dh.knots
+    s1, s2 = float(cuts[0] == -1), float(cuts[1] == -1)
+    y2 = s1 * (l2 - l1)
+    y3 = y2 + (s1 + s2) * (l3 - l2)
     # Knot i + 1 is ff level i: a bottom vertex when s_i = 1, else a top one.
-    bottom = tuple((l, y) for l, y, bent in zip(ls, ys, (1, s1, s2, 1))
-                   if bent)
-    top = tuple((l, y + v) for l, y, v, bent
-                in zip(ls, ys, rho, (1, 1 - s1, 1 - s2, 1)) if bent)
-    vertices = bottom + tuple(reversed(top[1:-1]))
+    b1, t1 = (((l1, 0.0),), ()) if s1 else ((), ((l1, v1),))
+    b2, t2 = (((l2, y2),), ()) if s2 else ((), ((l2, y2 + v2),))
+    bottom = ((l0, 0.0),) + b1 + b2 + ((l3, y3),)
+    top = ((l0, v0),) + t1 + t2 + ((l3, y3 + v3),)
+    vertices = bottom + t2 + t1
 
     poly = Polygon(vertices, tuple(cuts), tuple(ff_l), bottom, top)
     _assert_polygon(poly, dh)
@@ -329,7 +323,10 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     the toric region E > 0 leaves its quadrant: k = 0 on both, and m < 0
     there, so E = (r1 k)^2 - 16 r1 r2 m^2 = -16 r1 r2 m^2 < 0
     (``singularity.discriminant_E``).  ``ValueError`` unless the ratio
-    R = max(r1, r2) / min(r1, r2) is below 2^53 (``POLYGON_R_LIMIT``).
+    R = max(r1, r2) / min(r1, r2) is below 2^53 (``POLYGON_R_LIMIT``), and
+    for cuts (-1, -1) where their vertex y = 2R + 2 rounds by more than 2e-9
+    (d = fl(2R + 2) - 2R - 2 is exact): their last slope 2 + d/2 would fail
+    the self-check's 1e-9.
     """
     work = ns_frame(params)
     R = work.R
@@ -346,6 +343,8 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
         if signs not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValueError(f"cuts must be signs, got {cuts!r}")
         signs = tuple(map(int, signs))  # (True, 1.0) is stored as (1, 1)
+        if signs == (-1, -1) and abs(2.0 * R + 2.0 - 2.0 * R - 2.0) > 2e-9:
+            raise ValueError(f"radius ratio R = {R!r}: 2R + 2 is no float")
         return _build_polygon(signs, reduced.ff_levels(R), R)
     same_side = (work.s1 - 0.5) * (work.s2 - R / (R + 1.0)) > 0
     return _build_polygon((1, -1) if same_side else (-1, 1), (), R)

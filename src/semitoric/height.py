@@ -151,18 +151,21 @@ def closed_form_F(s1, s2, R):
     ``tests/test_closed_form_reference.py`` checks F against the paper's
     form in 100-digit mpmath.
 
-    ``ValueError`` on floats, NaN on arrays, for non-finite arguments, for
-    k = 0 (case III, where F is not defined) and outside the kernel's
-    domain (D <= 0, outside the focus-focus regime, or a log that is not
-    finite).
+    ``ValueError`` on floats, NaN on arrays, for non-finite arguments, s1
+    or s2 outside [0, 1], k = 0 (case III, where F is not defined) and
+    outside the kernel's domain (D <= 0, outside the focus-focus regime, or
+    a log that is not finite).
     """
     floats = max(map(np.ndim, (s1, s2, R))) == 0
+    outside = (s1 < 0.0) | (s1 > 1.0) | (s2 < 0.0) | (s2 > 1.0)
     if floats:
         _check_finite("closed_form_F", s1, s2, R)
+        if outside:
+            raise ValueError("s1 and s2 must lie in [0, 1]")
     with np.errstate(all="ignore"):
         k, sign, g = _signed_kernel(s1, s2, R)
         f = sign * (2 * math.pi - g)
-    return float(f) if floats else _nan_where(k == 0.0, f)
+    return float(f) if floats else _nan_where((k == 0.0) | outside, f)
 
 
 def case_id(params: ModelParams | ParamGrid):

@@ -267,7 +267,8 @@ def dh_function(R: float) -> DHFunction:
     )
     # Both are linear between the knots, so this checks the whole domain.
     for l, value in zip(*dh.knots):
-        if abs(value - (min(2.0 * R, l + 2.0) - max(0.0, l))) > 1e-12:
+        hi = l + 2.0 if l + 2.0 < 2.0 * R else 2.0 * R
+        if abs(value - (hi - (l if l > 0.0 else 0.0))) > 1e-12:
             raise ConsistencyError("DH profile disagrees with interval length")
     return dh
 

@@ -19,7 +19,7 @@ from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.model import FIXED_POINTS, ModelParams, momentum_map, ns_frame
 from semitoric.reduced import dh_function
-from semitoric.singularity import discriminant_E, n_ff
+from semitoric.singularity import DEGENERACY_BAND, discriminant_E, n_ff
 
 
 FF_PARAMS = ModelParams(1.0, 2.0, 0.5, 0.5)
@@ -239,6 +239,32 @@ class TestPolygonRange:
                     f"radius ratio R = {ns_frame(p).R!r} is too large")):
                 polygon_representative(p)
 
+    def test_rounded_vertex_raises_value_error(self):
+        # R = 2^k - ulp for k = 1 .. 52, where 2R + 2 crosses a power of
+        # two, and R = 16777215.000000002: in both frames every cut and the
+        # toric shape return a representative or raise ValueError naming R,
+        # never ConsistencyError.  Cuts (-1, -1) raise exactly where their
+        # vertex y = 2R + 2 rounds by more than 2e-9, from k = 24 on.
+        ratios = [math.nextafter(2.0 ** k, 0.0) for k in range(1, 53)]
+        raised = []
+        for R in ratios + [16777215.000000002]:
+            off = Fraction(2.0 * R + 2.0) - 2 * Fraction(R) - 2
+            for r1, r2, s2 in ((1.0, R, 0.4), (R, 1.0, 0.6)):
+                ff = ModelParams(r1, r2, 0.5 + 1e-9, s2)
+                toric = ModelParams(r1, r2, 0.05, 0.02 if r2 > r1 else 0.98)
+                assert (n_ff(ff), n_ff(toric)) == (2, 0)
+                polygon_representative(toric)
+                for cuts in ALL_CUTS:
+                    if cuts != (-1, -1) or abs(off) <= 2e-9:
+                        polygon_representative(ff, cuts)
+                        continue
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"radius ratio R = {R!r}: 2R + 2 is no float")):
+                        polygon_representative(ff, cuts)
+                    raised.append(R)
+        assert raised == [R for R in ratios[23:] + [16777215.000000002]
+                          for _ in range(2)]
+
     @pytest.mark.parametrize("r1, r2", [(1.0, 2.0 ** 53 - 1),
                                         (2.0 ** 53 - 1, 1.0)])
     def test_largest_ratio_builds_exact_vertices(self, r1, r2):
@@ -309,7 +335,8 @@ class TestVertexRule:
         # where the float slopes of a straight top differ by more than
         # 1e-12; the rule gives one vertex per ff level, and that top is
         # one edge of slope exactly 1.  From k = 24 on, cuts (-1, -1) fail
-        # the integer-slope check (the last vertex rounds by ulp(2R)).
+        # the integer-slope check (the last vertex rounds by ulp(2R)), and
+        # ``polygon_representative`` raises ValueError there.
         for k in range(1, 24):
             R = math.nextafter(2.0 ** k, 0.0)
             assert 2.0 * R + 2.0 != 2 * Fraction(R) + 2
@@ -856,6 +883,23 @@ def lemma_points():
     ]
 
 
+def slow_solve_points():
+    """Seeded chart-domain points (R log-uniform on [1/8, 8], so both
+    frames; |E| above the degeneracy band) whose solve on the levels of
+    ``image_boundary(p, 64)`` takes 6 or more lockstep steps: 28 of 1500."""
+    rng = np.random.default_rng(20261022)
+    points = []
+    for _ in range(1500):
+        R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+        p = ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
+        l, lo, hi = wide_levels(p, 64)
+        if (abs(discriminant_E(p)) > DEGENERACY_BAND * R
+                and reduced.chart_factors("NS", l, p)[1] > 0.0
+                and _critical_points(*solve_levels(p, l, lo, hi))[1] >= 6):
+            points.append(p)
+    return points
+
+
 # Couplings 1e-160 and 1e-155 (kb subnormal, c about 1e160), 1e-170 (kb
 # underflows to 0) and the four (s1, s2) corners (kb = 0).
 TINY_COUPLING_POINTS = [
@@ -942,13 +986,14 @@ class TestEnvelopeLemma:
                 assert steps < _MAX_STEPS
         assert np.isfinite(np.array(image_boundary(p, 64).samples)).all()
 
-    @pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS,
-                             ids=repr)
+    @pytest.mark.parametrize("p", lemma_points() + TINY_COUPLING_POINTS
+                             + slow_solve_points(), ids=repr)
     def test_equals_loop_without_early_exits(self, p, loop_critical_points):
-        # The early exits and the fallback taken only where a lane needs it
-        # leave every lane's float operations as they were: the same t, bit
-        # for bit, after the same number of steps, the double-root levels
-        # l = 0 and l = 2R - 2 included.
+        # The early exits, the fallback taken only where a lane needs it and
+        # du/dt formed only where a lane moves leave every lane's float
+        # operations as they were: the same t, bit for bit, after the same
+        # number of steps, the double-root levels l = 0 and l = 2R - 2
+        # included, and on points whose solve takes 6 to 9 steps.
         for n in (16, 64, 257):
             l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
             if reduced.chart_factors("NS", l, p)[1] == 0.0:

@@ -218,7 +218,12 @@ class TestClosedForm:
         ((0.0, 0.0, 2.0), "16 R - kappa^2 = -inf <= 0"),
         # s1 = 1/2: k = 0, case III.
         ((0.5, 0.25, 2.0), "case III"),
-    ], ids=["outside_focus_focus", "zero_coupling", "case_III"])
+        # s2 outside [0, 1], which ModelParams rejects: F was -2 pi (m
+        # overflows, so kappa = -0.0) and -3.2506.
+        ((0.0, 1e300, 2.0), "s1 and s2 must lie in [0, 1]"),
+        ((0.3, 1.5, 2.0), "s1 and s2 must lie in [0, 1]"),
+    ], ids=["outside_focus_focus", "zero_coupling", "case_III", "s2_huge",
+            "s2_above_one"])
     def test_F_undefined(self, bad, message):
         good = (0.25, 0.25, 2.0)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -232,8 +237,9 @@ class TestClosedForm:
         # k = 0 with S = 0: the case-III check runs ahead of the kernel.
         ((0.5, 0.3, 1.0), "case III"),
         ((0.3, 0.5, 1.0), "case III"),
-        # m overflows, so kappa = -0.0 and S = 0 at R = 1.
-        ((0.3, 1e200, 1.0), "kernel's log"),
+        # m overflows only for s2 outside [0, 1] (kappa = -0.0 and S = 0 at
+        # R = 1), which is rejected ahead of the kernel.
+        ((0.3, 1e200, 1.0), "s1 and s2 must lie in [0, 1]"),
         # (R - 1)^2 overflows, so S = inf.
         ((0.3, 1.0, 1e200), "kernel's log"),
     ], ids=["s1_half", "s2_half", "m_overflow", "R_overflow"])
@@ -315,16 +321,22 @@ class TestFOnTheHeightPath:
 
     @pytest.mark.parametrize("R", [0.3, 2.0, 7.0, 50.0, math.inf, math.nan])
     def test_grids_with_non_finite_cells(self, R):
+        # Cells with s1 or s2 outside [0, 1] (infinite ones too) are NaN,
+        # and their float calls raise; the reference returned a number for
+        # some of them.
         axis = np.concatenate([[math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0,
                                 -0.25, 1.5, 1e300], np.linspace(0.0, 1.0, 41)])
+        out = (axis < 0.0) | (axis > 1.0)
         with np.errstate(all="ignore"):
             got = closed_form_F(axis[:, None], axis[None, :], R)
             ref = reference_closed_form_F(axis[:, None], axis[None, :], R)
+        ref = np.where(out[:, None] | out[None, :], np.nan, ref)
         assert got.tobytes() == ref.tobytes()
         assert np.isfinite(got).any() == math.isfinite(R)
         for s1, s2 in itertools.product(axis.tolist(), repeat=2):
-            assert (_bits_or_raise(closed_form_F, s1, s2, R)
-                    == _bits_or_raise(reference_closed_form_F, s1, s2, R))
+            want = (None if not (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0)
+                    else _bits_or_raise(reference_closed_form_F, s1, s2, R))
+            assert _bits_or_raise(closed_form_F, s1, s2, R) == want
 
 
 class TestNonFiniteArguments:
