@@ -173,10 +173,10 @@ def _critical_points(rho_l, rho_r, c):
     terms or the step moves t by at most 4 ulps.  The lanes step in lockstep
     until all have converged, at most ``_MAX_STEPS`` = 64 times (bisection
     alone takes the 1/8 bracket to 2^-67, below the float spacing of every
-    t >= 2^-14).  A step forms du/dt only where a lane moves on.  The lanes
-    are one row per side.  u's terms are p' q, p (-q') and 2 sigma c sqrt(p
-    q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r - t), and p,
-    p', q, -q' >= 0 on [0, 1].
+    t >= 2^-14).  A step forms du/dt only if some lane has not converged.
+    The lanes are one row per side.  u's terms are p' q, p (-q') and 2 sigma
+    c sqrt(p q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
+    t), and p, p', q, -q' >= 0 on [0, 1].
     """
     s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
