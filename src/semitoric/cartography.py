@@ -41,10 +41,11 @@ _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
 _CORNERS = tuple(astuple(FIXED_POINTS[k]) for k in ("NN", "NS", "SN", "SS"))
 _NODES = np.arange(9)[:, None, None] / 8.0  # sign scan of _critical_points
+_ONE_NODES, _SIDES = 1.0 - _NODES, np.arange(2)[:, None]
 _SIGMA = np.array([[1.0], [-1.0]])  # its two sides, one per row
 # The solve's constants, as 0-d arrays: ufuncs take them 0.2 us faster.
-_ZERO, _ONE, _TWO, _FOUR, _U_TOL, _T_TOL = map(
-    np.array, (0.0, 1.0, 2.0, 4.0, 8.0 * _EPS, 4.0 * _EPS))
+_ZERO, _EIGHTH, _HALF, _ONE, _TWO, _FOUR, _U_TOL, _T_TOL = map(
+    np.array, (0.0, 0.125, 0.5, 1.0, 2.0, 4.0, 8.0 * _EPS, 4.0 * _EPS))
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,12 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     levels) both are A at its left end.  Each extreme lies at an end of the
     interval or at the side's one critical point
     (``_envelope_candidates``).  One set of chart terms for all levels
-    (``reduced._chart_terms``) gives A -/+ sqrt(B) at every candidate, with
-    the bits of ``reduced.chart``, and each side of the band is the min/max
-    over a level's candidates.  Every candidate is a point of the interval,
-    so the envelope never reaches past the true extremes.  Output is in
-    unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner values are
-    L and H at the four poles.
+    (``reduced._chart_terms``) gives A -/+ sqrt(B) on the candidate rows,
+    with the bits of ``reduced.chart``, and each side of the band is the
+    min/max down a level's column.  Every candidate is a point of the
+    interval, so the envelope never reaches past the true extremes.  Output
+    is in unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner
+    values are L and H at the four poles.
 
     The levels are ``np.linspace``'s, bit for bit.  Those wider than 1e-12
     form one slice: the width min(2R, l + 2) - max(0, l) is concave in l,
@@ -99,14 +100,14 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     first = wide.argmax()
     run = slice(first, first + np.count_nonzero(wide))
     p2 = _envelope_candidates(ka * slope, kb, m[run], lo[run], hi[run], R)
-    base, m = base[run, None], m[run, None]
+    base, m = base[run], m[run]
     # A and B as reduced.chart writes them (p2 - m - 2 is p2_m - 2).
     a = ka * (base + p2 * slope)
     p2_m = p2 - m
     b = kb * p2 * p2_m * (p2 - 2 * R) * (p2_m - 2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
-    h_min[run] = np.minimum.reduce(a - root_b, axis=1)
-    h_max[run] = np.maximum.reduce(a + root_b, axis=1)
+    h_min[run] = np.minimum.reduce(a - root_b)
+    h_max[run] = np.maximum.reduce(a + root_b)
     samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
                         h_max.tolist()))
     corner_values = tuple((l_func(v, params), h_func(v, params))
@@ -118,30 +119,30 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
 
 def _envelope_candidates(dA, kb, m, lo, hi, R):
     """Points of [lo, hi] where A + sqrt(B) and A - sqrt(B) take their
-    extremes on each level, one row per level, from the levels' factored
-    NS chart (dA, kb, m) as ``reduced.chart_factors`` gives it.
+    extremes on each level, as rows with one column per level, from the
+    levels' factored NS chart (dA, kb, m) as ``reduced.chart_factors`` gives.
 
     In t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t) with beta(t) =
     t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval are two of
     B's roots (0, m, 2R, m + 2), and the other two, mapped to rho_l <= 0
     and rho_r >= 1, lie one on each side of it.  With kb > 0 the extremes
     are the ends and one critical point per side (``_critical_points``):
-    column 0 holds the maximiser of A + sqrt(B), column 1 the minimiser of
-    A - sqrt(B), columns 2 and 3 the exact ends.  At zero coupling (kb = 0,
-    the (s1, s2) corners) B vanishes and the ends alone are returned.  A
-    coupling below about 1e-150 (kb subnormal) only makes c large: the
+    row 0 holds the maximiser of A + sqrt(B), row 1 the minimiser of
+    A - sqrt(B), rows 2 and 3 the exact ends.  At zero coupling (kb = 0,
+    the (s1, s2) corners) B vanishes and the two rows of ends are returned.
+    A coupling below about 1e-150 (kb subnormal) only makes c large: the
     critical points move next to an end and stay finite.
     """
     if kb == 0.0:
-        return np.stack([lo, hi], axis=1)
+        return np.stack([lo, hi])
     w = hi - lo
     rho_l = (np.minimum(0.0, m) - lo) / w
     rho_r = (np.maximum(2.0 * R, m + 2.0) - lo) / w
     t, _ = _critical_points(rho_l, rho_r, dA / (math.sqrt(kb) * w))
-    p2 = np.empty((lo.size, 4))
-    p2[:, 2], p2[:, 3] = lo, hi
+    p2 = np.empty((4, lo.size))
+    p2[2], p2[3] = lo, hi
     # np.clip, bit for bit, with fewer dispatches, one row per side.
-    np.minimum(np.maximum(lo + w * t.T, lo), hi, out=p2[:, :2].T)
+    np.minimum(np.maximum(lo + w * t.T, lo), hi, out=p2[:2])
     return p2
 
 
@@ -181,18 +182,18 @@ def _critical_points(rho_l, rho_r, c):
     s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
-    lanes = np.arange(2)[:, None], np.arange(c.size)
+    lanes = _SIDES, np.arange(c.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_l, t_r, one_t = _NODES - rho_l, rho_r - _NODES, 1.0 - _NODES
-        p, q = _NODES * t_l, one_t * t_r
-        scan = ((_NODES + t_l) * q - p * (one_t + t_r)
+        t_l, t_r = _NODES - rho_l, rho_r - _NODES
+        p, q = _NODES * t_l, _ONE_NODES * t_r
+        scan = ((_NODES + t_l) * q - p * (_ONE_NODES + t_r)
                 + two_s_c * np.sqrt(p * q))
-        j = (scan[1:-1] > 0.0).sum(axis=0)
+        j = (scan[1:-1] > _ZERO).sum(axis=0)
         u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
-        a = j / 8.0
-        b = a + 0.125
-        t = a + 0.125 * (u_a / (u_a - u_b))
-        t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
+        a = j * _EIGHTH
+        b = a + _EIGHTH
+        t = a + _EIGHTH * (u_a / (u_a - u_b))
+        t = np.where((a <= t) & (t <= b), t, _HALF * (a + b))
         rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
         for steps in range(1, _MAX_STEPS + 1):
             t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
@@ -214,7 +215,7 @@ def _critical_points(rho_l, rho_r, c):
             in_ab = (a <= nxt) & (nxt <= b)
             if np.count_nonzero(in_ab) < in_ab.size:
                 nxt = np.where(in_ab, nxt, np.where(
-                    (a <= newton) & (newton <= b), newton, 0.5 * (a + b)))
+                    (a <= newton) & (newton <= b), newton, _HALF * (a + b)))
             done = small | (np.abs(nxt - t) <= _T_TOL * t)
             np.copyto(nxt, t, where=done)
             t = nxt

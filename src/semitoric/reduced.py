@@ -28,6 +28,7 @@ ends at the near one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -256,8 +257,10 @@ class DHFunction:
         raise ValueError(f"no interior breakpoint at l = {l}")
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def dh_function(R: float) -> DHFunction:
-    """DH profile rho(l) = min(2R, l+2) - max(0, l) on [-2, 2R] for R > 1."""
+    """DH profile rho(l) = min(2R, l+2) - max(0, l) on [-2, 2R] for R > 1,
+    memoised per R and its type; a rejected R raises on every call."""
     if not (1.0 < R < math.inf):  # NaN knots would pass every check
         raise ValueError(f"dh_function requires a finite R > 1, got R = "
                          f"{R!r} (apply the sphere-swap symmetry for R < 1)")

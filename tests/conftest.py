@@ -154,6 +154,100 @@ def random_phase_point(rng):
     return PhasePoint.from_array(v)
 
 
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def linearised_flow(params):
+    """{point_id: (b, c, eigenvalues, mu)} of the flow of H + mu L
+    linearised at each fixed point NN, NS, SN, SS, from ``model.h_func``
+    and ``model.l_func`` alone: an oracle for the Williamson types that
+    ``classify_fixed_points`` reads off E.
+
+    The parameters are taken as exact ``Fraction``s.  H and L are
+    polynomials of degree at most 2 on R^6, so differences of their values
+    at 0, +-e_i and e_i + e_j give their gradient g at 0 and Hessian A
+    exactly.  With the bracket of ``l_flow``, the vector field of F is
+    X_i = -(1/r_i) grad_i F x n_i, and at a pole n its derivative along a
+    tangent vector w is -(1/r_i) ((A w)_i x n_i + (g + A n)_i x w_i).  The
+    4 x 4 Jacobian J in the tangent coordinates (x1, y1, x2, y2) is exact;
+    its trace and that of J^3 vanish, so its characteristic polynomial is
+    lambda^4 + b lambda^2 + c, with b = -tr(J^2) / 2 and c = (2 b^2 -
+    tr(J^4)) / 4 as exact rationals.  ``eigenvalues`` are those of J in
+    floats.
+
+    mu is twice the largest |lambda| of H's own Jacobian.  At mu = 0 the
+    quadruple +-alpha +- i beta of a focus-focus point collapses to +-alpha
+    on s1 = 1/2, where b^2 - 4c = 0; a mu far above H's eigenvalues, such
+    as (r1 + r2) / (r1 r2) at R = 1e150, leaves alpha below their rounding.
+    """
+    from fractions import Fraction
+
+    from semitoric.model import FIXED_POINTS, ModelParams, h_func, l_func
+
+    exact = ModelParams(*map(Fraction, (params.r1, params.r2, params.s1,
+                                         params.s2)))
+    tangent = (0, 1, 3, 4)
+
+    def at(f, *ks):
+        # f at the sum of the unit vectors +-e_|k| (1-based, sign of k).
+        v = [0] * 6
+        for k in ks:
+            v[abs(k) - 1] += 1 if k > 0 else -1
+        return f(v, exact)
+
+    def taylor(f):
+        f0 = at(f)
+        fp = [at(f, k) for k in range(1, 7)]
+        fm = [at(f, -k) for k in range(1, 7)]
+        g = [(p - m) / 2 for p, m in zip(fp, fm)]
+        A = [[fp[i] + fm[i] - 2 * f0 if i == j else None for j in range(6)]
+             for i in range(6)]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                A[i][j] = A[j][i] = at(f, i + 1, j + 1) - fp[i] - fp[j] + f0
+        return g, A
+
+    def jacobian(g, A, n):
+        grad = [g[i] + sum(A[i][j] * n[j] for j in range(6))
+                for i in range(6)]
+        cols = []
+        for k in tangent:
+            w = [int(i == k) for i in range(6)]
+            col = []
+            for s, r in ((slice(0, 3), exact.r1), (slice(3, 6), exact.r2)):
+                col += [-(x + y) / r for x, y in zip(
+                    _cross([row[k] for row in A[s]], n[s]),
+                    _cross(grad[s], w[s]))]
+            cols.append([col[i] for i in tangent])
+        return [list(row) for row in zip(*cols)]
+
+    def floats(m):
+        return np.array(m, dtype=float)
+
+    h_taylor, l_taylor = taylor(h_func), taylor(l_func)
+    out = {}
+    for pid, point in FIXED_POINTS.items():
+        n = [int(x) for x in point.as_array()]
+        jh, jl = jacobian(*h_taylor, n), jacobian(*l_taylor, n)
+        mu = Fraction(2.0 * np.abs(np.linalg.eigvals(floats(jh))).max())
+        J = [[a + mu * b for a, b in zip(ra, rb)] for ra, rb in zip(jh, jl)]
+        J2 = [[sum(J[i][k] * J[k][j] for k in range(4)) for j in range(4)]
+              for i in range(4)]
+        traces = [sum(J[i][i] for i in range(4))] + [
+            sum(J2[i][k] * M[k][i] for i in range(4) for k in range(4))
+            for M in (J, J2)]
+        if traces[0] != 0 or traces[1] != 0:
+            raise AssertionError(f"J is not Hamiltonian at {pid}: traces "
+                                 f"of J and J^3 {traces[:2]}")
+        b = -sum(J2[i][i] for i in range(4)) / 2
+        out[pid] = SimpleNamespace(b=b, c=(2 * b * b - traces[2]) / 4,
+                                   eigenvalues=np.linalg.eigvals(floats(J)),
+                                   mu=mu)
+    return out
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

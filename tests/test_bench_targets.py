@@ -64,7 +64,9 @@ def test_traced_oracle_op_keeps_its_output():
 
 def test_traced_chart_op_keeps_its_output():
     # The benchmark's chart op at a focus-focus point: every polygon
-    # representative builds its own DH profile through reduced.dh_function.
+    # representative still goes through reduced.dh_function, which builds
+    # the DH profile once per R; the other representatives of the point
+    # look it up in its memo.
     tracing = load_tracing()
     for qual, _ in tracing.TARGETS:
         importlib.import_module(f"{tracing.PACKAGE}.{qual.rsplit('.', 1)[0]}")

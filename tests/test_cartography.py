@@ -848,9 +848,10 @@ def wide_levels(params, n, extra=()):
 
 
 def candidates(params, l, lo, hi):
-    """``_envelope_candidates`` on the levels l with intervals [lo, hi]."""
+    """``_envelope_candidates`` on the levels l with intervals [lo, hi], one
+    row per level: the transpose of its candidate rows."""
     return _envelope_candidates(*reduced.chart_factors("NS", l, params), lo,
-                                hi, params.R)
+                                hi, params.R).T
 
 
 def solve_levels(params, l, lo, hi):

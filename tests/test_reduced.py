@@ -312,9 +312,30 @@ class TestDHProfile:
             (l0, s0), (l1, s1), (l2, s2) = breakpoints
             return real(((l0, s0), (l1, s1), (l2 - 1e-9, s2)), domain)
 
+        reduced.dh_function.cache_clear()  # else R = 2 is a cached lookup
         monkeypatch.setattr(reduced, "DHFunction", shifted)
         with pytest.raises(ConsistencyError, match="interval length"):
             reduced.dh_function(2.0)
+
+    def test_same_r_returns_the_cached_profile(self):
+        assert reduced.dh_function(2.5) is reduced.dh_function(2.5)
+
+    def test_cache_keeps_the_type_of_r(self):
+        # 2, 2.0 and np.float64(2.0) hash and compare equal; each gets a
+        # profile built from its own type, not one cached for another.
+        for R in (2, 2.0, np.float64(2.0), 2.0, 2):
+            dh = reduced.dh_function(R)
+            assert dh.knots == ((-2.0, 0.0, 2.0, 4.0), (0.0, 2.0, 2.0, 0.0))
+            assert type(dh.knots[0][-1]) is type(2.0 * R)
+        assert reduced.dh_function(2) is not reduced.dh_function(2.0)
+        assert (reduced.dh_function(np.float64(2.0))
+                is not reduced.dh_function(2.0))
+
+    @pytest.mark.parametrize("R", [1.0, 0.5, math.inf, math.nan])
+    def test_rejected_r_is_not_cached(self, R):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite R > 1"):
+                reduced.dh_function(R)
 
     def test_ff_levels(self):
         assert reduced.ff_levels(2.0) == (0.0, 2.0)
