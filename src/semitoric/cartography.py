@@ -119,8 +119,8 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
 
 def _envelope_candidates(dA, kb, m, lo, hi, R):
     """Points of [lo, hi] where A + sqrt(B) and A - sqrt(B) take their
-    extremes on each level, as rows with one column per level, from the
-    levels' factored NS chart (dA, kb, m) as ``reduced.chart_factors`` gives.
+    extremes on each level, one column per level, from the levels'
+    factored NS chart (dA, kb, m) as ``reduced.chart_factors`` gives it.
 
     In t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t) with beta(t) =
     t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval are two of

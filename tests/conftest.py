@@ -6,7 +6,9 @@ each criterion is visible even under output capture.
 
 The phase-space helpers (gradients of L and H, the Poisson bracket, the flow
 of L, the discrete symmetries and uniform random phase points) serve
-criterion 6 and ``test_model``; the package itself only evaluates L and H.
+criterion 6 and ``test_model``, and ``linearised_flow`` (the flow linearised
+at the fixed points) criterion 5's companion; the package itself only
+evaluates L and H.
 """
 
 import functools

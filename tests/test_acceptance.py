@@ -7,7 +7,6 @@ grid sweeps) at the stated tolerance.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from semitoric.model import (FIXED_POINTS, ModelParams, h_func, l_func,
                              momentum_map)
 from semitoric.numerics import integrate, quartic_roots
 
-from conftest import (gamma_A, l_flow, linearised_flow, panel_integrand,
-                      poisson_bracket, random_phase_point, record_criterion)
+from conftest import (gamma_A, l_flow, panel_integrand, poisson_bracket,
+                      random_phase_point, record_criterion)
 
 GRID_RS = (1.5, 2.0, 3.0, 4.0, 8.0)
 
@@ -147,62 +146,6 @@ def test_criterion_05_nff_classification():
         ok, f"E(1,2,1/2,1/2) = {e_ref}, E(1,2,0,0) = {e_corner}, "
             f"region cells = {int(mask.sum())}")
     assert ok
-
-
-def williamson_type(b, c, eigenvalues):
-    """The Williamson type of lambda^4 + b lambda^2 + c, which must agree
-    with the pattern of the eigenvalues: all on the imaginary axis for
-    elliptic-elliptic, a quadruple +-alpha +- i beta off both axes for
-    focus-focus (to 1e-7 of the largest |lambda|)."""
-    d = b * b - 4 * c
-    kind = ("focus-focus" if d < 0 else "elliptic-elliptic"
-            if d > 0 and b > 0 and c > 0 else "other")
-    size = 1e-7 * np.abs(eigenvalues).max()
-    off_real = np.abs(eigenvalues.real) > size
-    off_imag = np.abs(eigenvalues.imag) > size
-    pattern = ("elliptic-elliptic" if off_imag.all() and not off_real.any()
-               else "focus-focus" if off_imag.all() and off_real.all()
-               else "other")
-    return kind if kind == pattern else f"{kind} / {pattern}"
-
-
-def test_criterion_05_williamson_types():
-    # Companion of criterion 5: the types of classify_fixed_points, read off
-    # E, against those of the linearised flow, built from h_func and l_func
-    # alone.  R = r2 (r1 = 1) is log-uniform on [2^-511, 2^511], every R
-    # with R^2 and R^-2 finite and normal; every second point has s1 within
-    # sqrt(min(R, 1/R)) / 2 of 1/2, where the focus-focus region lies at
-    # extreme R.  Outside the degeneracy band.  In exact rationals, b^2 - 4c
-    # at NS and SN is E (2 mu r1 r2 + (1 - 2 s1)(r1 s2 + r2 (1 - s2)))^2 /
-    # (r1 r2)^4, with E = (r1 k)^2 - 16 r1 r2 m^2.
-    rng = np.random.default_rng(20261020)
-    kinds = []
-    while len(kinds) < 120:
-        R = float(2.0 ** rng.uniform(-511.0, 511.0))
-        half = 0.5 * math.sqrt(min(R, 1.0 / R))
-        s1 = float(rng.uniform(0.0, 1.0) if len(kinds) % 2 else
-                   0.5 + half * rng.uniform(-1.0, 1.0))
-        p = ModelParams(1.0, R, s1, float(rng.uniform(0.0, 1.0)))
-        if singularity.is_degenerate(singularity.discriminant_E(p), p):
-            continue
-        flow = linearised_flow(p)
-        want = {r.point_id: r.kind
-                for r in singularity.classify_fixed_points(p)}
-        got = {pid: williamson_type(f.b, f.c, f.eigenvalues)
-               for pid, f in flow.items()}
-        assert got == want, p
-        r1, r2, s1, s2 = map(Fraction, (p.r1, p.r2, p.s1, p.s2))
-        r1k = (2 * s1 - 1) * (r2 * (s2 - 1) + r1 * s2)
-        m = s1 * s1 - s1 + s2 * s2 - s2
-        e = r1k * r1k - 16 * r1 * r2 * m * m
-        for pid in ("NS", "SN"):
-            f = flow[pid]
-            factor = 2 * f.mu * r1 * r2 + (1 - 2 * s1) * (r1 * s2
-                                                          + r2 * (1 - s2))
-            assert f.b * f.b - 4 * f.c == e * factor ** 2 / (r1 * r2) ** 4
-        kinds.append(want["NS"])
-    # Both types of NS and SN occur.
-    assert 0.2 < kinds.count("focus-focus") / len(kinds) < 0.8
 
 
 def test_criterion_06_integrability(rng):

@@ -2,12 +2,13 @@
 
 import math
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import gamma_A
+from conftest import gamma_A, linearised_flow
 from semitoric import cartography
 from semitoric.errors import DegenerateSystemError
 from semitoric.model import ModelParams, ParamGrid
@@ -189,6 +190,66 @@ class TestTwoSquares:
             if abs(exact) > DEGENERACY_BAND * Fraction(r1) * Fraction(r2):
                 assert (e < 0) == (exact < 0) == (n_ff(p) == 2)
         assert 0 < beyond < len(points) // 2
+
+
+def williamson_type(b, c, eigenvalues):
+    """The Williamson type of lambda^4 + b lambda^2 + c, which must agree
+    with the pattern of the eigenvalues: all on the imaginary axis for
+    elliptic-elliptic, a quadruple +-alpha +- i beta off both axes for
+    focus-focus (to 1e-7 of the largest |lambda|)."""
+    d = b * b - 4 * c
+    kind = ("focus-focus" if d < 0 else "elliptic-elliptic"
+            if d > 0 and b > 0 and c > 0 else "other")
+    size = 1e-7 * np.abs(eigenvalues).max()
+    off_real = np.abs(eigenvalues.real) > size
+    off_imag = np.abs(eigenvalues.imag) > size
+    pattern = ("elliptic-elliptic" if off_imag.all() and not off_real.any()
+               else "focus-focus" if off_imag.all() and off_real.all()
+               else "other")
+    return kind if kind == pattern else f"{kind} / {pattern}"
+
+
+class TestWilliamsonTypes:
+    """Criterion 5's companion: the types that ``classify_fixed_points``
+    reads off E against those of the linearised flow, built from h_func
+    and l_func alone (``conftest.linearised_flow``)."""
+
+    def test_types_and_e_agree_with_the_linearised_flow(self):
+        # R = r2 (r1 = 1) log-uniform on [2^-511, 2^511], every R with R^2
+        # and R^-2 finite and normal; every second point has s1 within
+        # sqrt(min(R, 1/R)) / 2 of 1/2, where the focus-focus region lies
+        # at extreme R.  Outside the degeneracy band.  At NS and SN,
+        # b^2 - 4c = E (2 mu r1 r2 + (1 - 2 s1)(r1 s2 + r2 (1 - s2)))^2 /
+        # (r1 r2)^4: E from the flow is E exactly, and discriminant_E
+        # within its rounding bound of it.
+        rng = np.random.default_rng(20261020)
+        kinds = []
+        while len(kinds) < 120:
+            R = float(2.0 ** rng.uniform(-511.0, 511.0))
+            half = 0.5 * math.sqrt(min(R, 1.0 / R))
+            s1 = float(rng.uniform(0.0, 1.0) if len(kinds) % 2 else
+                       0.5 + half * rng.uniform(-1.0, 1.0))
+            p = ModelParams(1.0, R, s1, float(rng.uniform(0.0, 1.0)))
+            e = discriminant_E(p)
+            if is_degenerate(e, p):
+                continue
+            flow = linearised_flow(p)
+            got = {pid: williamson_type(f.b, f.c, f.eigenvalues)
+                   for pid, f in flow.items()}
+            assert got == {r.point_id: r.kind
+                           for r in classify_fixed_points(p)}, p
+            r1, r2, s1, s2 = map(Fraction, (p.r1, p.r2, p.s1, p.s2))
+            x = (1 - 2 * s1) * (r1 * s2 + r2 * (1 - s2))
+            for pid in ("NS", "SN"):
+                f = flow[pid]
+                e_flow = ((f.b * f.b - 4 * f.c) * (r1 * r2) ** 4
+                          / (2 * f.mu * r1 * r2 + x) ** 2)
+                assert e_flow == _exact_E(*astuple(p)), (p, pid)
+                assert abs(Fraction(e) - e_flow) <= _rounding_bound(
+                    *astuple(p)), (p, pid)
+            kinds.append(got["NS"])
+        # Both types of NS and SN occur.
+        assert 0.2 < kinds.count("focus-focus") / len(kinds) < 0.8
 
 
 class TestClassification:
