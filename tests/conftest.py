@@ -162,9 +162,9 @@ def _cross(a, b):
 
 
 def linearised_flow(params):
-    """{point_id: (b, c, eigenvalues, mu)} of the flow of H + mu L
-    linearised at each fixed point NN, NS, SN, SS, from ``model.h_func``
-    and ``model.l_func`` alone: an oracle for the Williamson types that
+    """{point_id: namespace of b, c, eigenvalues, mu} of the flow of
+    H + mu L linearised at each fixed point NN, NS, SN, SS, from ``h_func``
+    and ``l_func`` of ``model`` alone: an oracle for the Williamson types that
     ``classify_fixed_points`` reads off E.
 
     The parameters are taken as exact ``Fraction``s.  H and L are
