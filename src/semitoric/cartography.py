@@ -72,8 +72,8 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     interval or at the side's one critical point
     (``_envelope_candidates``).  One set of chart terms for all levels
     (``reduced._chart_terms``) gives A -/+ sqrt(B) on the candidate rows,
-    with the bits of ``reduced.chart``, and each side of the band is the
-    min/max down a level's column.  Every candidate is a point of the
+    through ``reduced.chart``'s own evaluators, and each side of the band
+    is the min/max down a level's column.  Every candidate is a point of the
     interval, so the envelope never reaches past the true extremes.  Output
     is in unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner
     values are L and H at the four poles.
@@ -94,17 +94,14 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     ls[-1] = 2.0 * R
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
     ka, slope, base, m, kb = reduced._chart_terms("NS", ls, params)
-    h_min = ka * (base + lo * slope)  # A at lo, kept on narrow levels
+    h_min = reduced._chart_a(ka, slope, base, lo)  # kept on narrow levels
     h_max = h_min.copy()
     wide = hi - lo >= 1e-12
     first = wide.argmax()
     run = slice(first, first + np.count_nonzero(wide))
     p2 = _envelope_candidates(ka * slope, kb, m[run], lo[run], hi[run], R)
-    base, m = base[run], m[run]
-    # A and B as reduced.chart writes them (p2 - m - 2 is p2_m - 2).
-    a = ka * (base + p2 * slope)
-    p2_m = p2 - m
-    b = kb * p2 * p2_m * (p2 - 2 * R) * (p2_m - 2)
+    a = reduced._chart_a(ka, slope, base[run], p2)
+    b = reduced._chart_b(kb, m[run], 2 * R, p2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
     h_min[run] = np.minimum.reduce(a - root_b)
     h_max[run] = np.maximum.reduce(a + root_b)

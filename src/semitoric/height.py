@@ -350,12 +350,13 @@ def height_oracle(label: str, params: ModelParams, tol: float = 1e-9, *,
 def height_quadrature(params: ModelParams, tol=1e-9) -> HeightInvariant:
     """Height invariant from the oracle: h1 from the NS and h2 from the SN
     ``height_oracle`` in the NS frame, with the case and the
-    ill-conditioned flag from the same E as ``height_closed``."""
-    e = _require_focus_focus(params)
-    work = ns_frame(params)
-    return HeightInvariant(height_oracle("NS", work, tol),
-                           height_oracle("SN", work, tol), case_id(work),
-                           "quadrature", is_ill_conditioned(e, params))
+    ill-conditioned flag from the same E as ``height_closed``.  The oracles
+    share E of the NS frame, as in ``height_both``."""
+    e, work = _require_focus_focus(params), ns_frame(params)
+    e_work = e if work is params else discriminant_E(work)
+    h1, h2 = (height_oracle(x, work, tol, _e=e_work) for x in ("NS", "SN"))
+    return HeightInvariant(h1, h2, case_id(work), "quadrature",
+                           is_ill_conditioned(e, params))
 
 
 def height_both(params: ModelParams, tol: float = 1e-9) -> HeightInvariant:

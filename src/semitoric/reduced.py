@@ -8,16 +8,15 @@ region.  The SN model uses the reflected coordinates (q2 -> -q2,
 p2 -> 2R - p2), so both labels share the convention that the physical
 interval starts at p2 = 0.
 
-``chart(label, l, params)`` is where A_l and B_l are written down.  It
-computes the p2-independent terms of a level once (``_chart_terms``) and
-returns A_l and B_l as functions of p2.  The level and p2 broadcast as
-NumPy arrays do: a float level takes a float or an array of p2, and a
-column of levels takes one row of p2 per level.  Every element is evaluated
-with the same operations in the same order as a float call, so all give the
-same bits; ``cartography.image_boundary`` repeats the two expressions on
-the terms of all its levels.  ``chart_factors`` gives the chart in factored
-form: the slope of A_l, the leading coefficient of B_l and m, the level's
-root of B_l.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
+A_l and B_l are written down once, in ``_chart_a`` and ``_chart_b``, on the
+p2-independent terms of a level (``_chart_terms``): ``chart(label, l,
+params)`` returns them as functions of p2, and
+``cartography.image_boundary`` calls them on all its levels.  The level and
+p2 broadcast as NumPy arrays do, each element with the operations of a
+float call in the same order, so all give the same bits; mpf parameters
+give mpf values.  ``chart_factors`` gives the chart in factored form: the
+slope of A_l, the leading coefficient of B_l and m, the level's root of
+B_l.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
 ``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
 (shared with ``height``) gives the closed-form roots of P_0 (``roots_P0``).
 ``p0_quadratic_roots`` gives the roots of P_0's quadratic factor from the
@@ -67,6 +66,16 @@ def _chart_terms(label: str, l, params: ModelParams):
     return ka, slope, base, m, kb
 
 
+def _chart_a(ka, slope, base, p2):
+    return ka * (base + p2 * slope)
+
+
+def _chart_b(kb, m, two_r, p2):
+    # Left to right: p2 - m - 2 is (p2 - m) - 2; folding m + 2 changes bits.
+    p2_m = p2 - m
+    return kb * p2 * p2_m * (p2 - two_r) * (p2_m - 2)
+
+
 def chart(label: str, l, params: ModelParams):
     """The reduced chart at level offset ``l`` as a pair of functions (A, B).
 
@@ -76,16 +85,8 @@ def chart(label: str, l, params: ModelParams):
     a column of levels against one row of p2 values per level.
     """
     ka, slope, base, m, kb = _chart_terms(label, l, params)
-    two_r = 2 * params.R
-
-    def A(p2):
-        return ka * (base + p2 * slope)
-
-    def B(p2):
-        # Left to right, as written: folding m + 2 would change the bits.
-        return kb * p2 * (p2 - m) * (p2 - two_r) * (p2 - m - 2)
-
-    return A, B
+    return (functools.partial(_chart_a, ka, slope, base),
+            functools.partial(_chart_b, kb, m, 2 * params.R))
 
 
 def chart_factors(label: str, l, params: ModelParams):

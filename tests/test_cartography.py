@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from references import exact_vertices, mp_envelope
 from semitoric import cartography, reduced
 from semitoric.cartography import (_MAX_STEPS, ImageBoundary, Polygon,
                                    _assert_polygon, _chain_at,
@@ -203,25 +204,6 @@ class TestPolygonVertices:
                        (0.0, 2.0), bottom, top)
         with pytest.raises(ConsistencyError, match="not convex"):
             _assert_polygon(poly, dh)
-
-
-def exact_vertices(cuts, R):
-    """The representative's vertices for an integer or ``Fraction`` R,
-    built in exact arithmetic on the DH knots -2, 0, 2R - 2 and 2R."""
-    ls = (-2, 0, 2 * R - 2, 2 * R)
-    bottom, slope = [(-2, 0)], 0
-    for i, (l0, l1) in enumerate(zip(ls, ls[1:])):
-        slope += i > 0 and cuts[i - 1] == -1
-        bottom.append((l1, bottom[-1][1] + slope * (l1 - l0)))
-    top = [(l, y + v) for (l, y), v in zip(bottom, (0, 2, 2, 0))]
-
-    def kinks(chain):
-        return [chain[0]] + [b for a, b, c in zip(chain, chain[1:], chain[2:])
-                             if (b[1] - a[1]) * (c[0] - b[0])
-                             != (c[1] - b[1]) * (b[0] - a[0])] + [chain[-1]]
-
-    bottom, top = kinks(bottom), kinks(top)
-    return tuple(bottom) + tuple(reversed(top[1:-1]))
 
 
 class TestPolygonRange:
@@ -642,44 +624,6 @@ def dense_envelope(params, n, m=2001):
     return (a - root_b).min(axis=1), (a + root_b).max(axis=1), hi - lo >= 1e-12
 
 
-def mp_envelope(params, n, levels, dps=50):
-    """(h_min, h_max) on the given level indices in mpmath: the chart's A
-    and B at the float level l, taken as exact, and their extremes over the
-    ends and the real roots in [lo, hi] of the sextic B'^2 - 4 A'^2 B
-    (``mpmath.polyroots``)."""
-    mpmath = pytest.importorskip("mpmath")
-    mpf = mpmath.mpf
-    ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
-    out = []
-    with mpmath.workdps(dps):
-        R, s1, s2 = mpf(params.R), mpf(params.s1), mpf(params.s2)
-        c = s1 + s2 - s1 ** 2 - s2 ** 2
-        ka, slope, kb = (1 - 2 * s1) / R, s2 - R + R * s2, 4 * c * c / R ** 2
-        for i in levels:
-            l = mpf(float(ls[i]))
-            lo, hi = max(mpf(0), l), min(2 * R, l + 2)
-            base = R * (1 + l - 2 * s2 - l * s2)
-            b = [kb]  # B's coefficients, highest degree first
-            for r in (0, l, 2 * R, l + 2):
-                b = [x - r * y for x, y in zip(b + [0], [0] + b)]
-            db = [(4 - j) * b[j] for j in range(4)]
-            sextic = [sum(db[i] * db[k - i]
-                          for i in range(max(0, k - 3), min(k, 3) + 1))
-                      for k in range(7)]
-            for j in range(5):
-                sextic[j + 2] -= 4 * (ka * slope) ** 2 * b[j]
-            xs = [lo, hi]
-            if kb != 0:
-                xs += [mpmath.re(z) for z in mpmath.polyroots(
-                    sextic, maxsteps=400, extraprec=2 * dps)
-                    if lo <= mpmath.re(z) <= hi]
-            vals = [(ka * (base + x * slope),
-                     mpmath.sqrt(max(mpmath.polyval(b, x), 0))) for x in xs]
-            out.append((float(min(a - rb for a, rb in vals)),
-                        float(max(a + rb for a, rb in vals))))
-    return out
-
-
 # Edge points of the envelope, with n = 16 and n = 257 each: s1 = 1/2 (A' =
 # 0, the critical points are those of B), the zero-coupling corners (B =
 # 0), R = 1 +- 1e-9 (the middle level within 1e-9 of both focus-focus
@@ -776,6 +720,7 @@ class TestImageBoundary:
         # [1/8, 8] and 4.4e-16 on 10 with R - 1 down to 1e-13, and 7.7e-11
         # and 5.2e-11 at R = 1e6, where the scalar golden section is
         # 8.4e-11 and 9.7e-11 away: the float chart's rounding.
+        pytest.importorskip("mpmath")
         n, levels = 16, [1, 5, 8, 11, 15]
         ref = mp_envelope(p, n, levels)
         got = np.array(image_boundary(p, n).samples)[levels, 1:]

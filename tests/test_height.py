@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import gamma_A, panel_integrand, reference_closed_form_F
+from references import mp_chart_height
 from semitoric import height, reduced, singularity
 from semitoric.errors import ConsistencyError, DegenerateSystemError
 from semitoric.height import (CASE_III_BAND, HeightInvariant, _height_kernel,
@@ -103,32 +104,6 @@ def nodewise_oracle(label, params, tol=1e-9):
     area = integrate(*panel_integrand(width, lo, z, sin2=True), 0.5 * tol)[0]
     area += outside * (hi - z)
     return area / (2.0 * math.pi)
-
-
-def mp_chart_height(mp, label, params):
-    """Height of one singularity at mpmath's working precision, from the
-    chart's own A and B at l = 0 (``reduced.chart`` on mpf parameters), not
-    from the factored form the oracle uses, so that it checks the algebra as
-    well as the quadrature."""
-    exact = ModelParams(*(mp.mpf(v) for v in (params.r1, params.r2,
-                                              params.s1, params.s2)))
-    orient = 1 if label == "NS" else -1
-    hi = min(2 * exact.R, 2)
-    a_of, b_of = reduced.chart(label, 0.0, exact)
-    crit = orient * (1 - 2 * exact.s1) * (1 - 2 * exact.s2)
-    # P_0 = B - (H_crit - A)^2 > 0 (the arccos zone) on (0, near), < 0 on
-    # (near, hi): bisect for near.
-    lo, up = hi * mp.mpf(10) ** -30, hi
-    for _ in range(200):
-        mid = (lo + up) / 2
-        if b_of(mid) - (crit - a_of(mid)) ** 2 > 0:
-            lo = mid
-        else:
-            up = mid
-    zone = mp.quad(lambda x: 2 * mp.acos(max(-1, min(1, (
-        orient * (a_of(x) - crit) / mp.sqrt(b_of(x)))))), [0, lo])
-    const = 2 * mp.pi if orient * (crit - a_of((lo + hi) / 2)) > 0 else 0
-    return (zone + const * (hi - lo)) / (2 * mp.pi)
 
 
 class TestGammaPolynomials:
@@ -740,7 +715,8 @@ class TestHeightBoth:
 
     def test_one_discriminant_per_point(self, monkeypatch):
         # E of the point once, and E of the NS frame once more only where
-        # the sphere swap applies; the oracle checks that second value.
+        # the sphere swap applies; both oracles share that second value, in
+        # height_quadrature as in height_both.
         calls = []
 
         def counted(params):
@@ -749,7 +725,8 @@ class TestHeightBoth:
 
         monkeypatch.setattr(height, "discriminant_E", counted)
         monkeypatch.setattr(singularity, "discriminant_E", counted)
-        for p in self.points():
-            calls.clear()
-            height_both(p)
-            assert calls == ([p] if p.R > 1 else [p, ns_frame(p)])
+        for method in (height_both, height_quadrature):
+            for p in self.points():
+                calls.clear()
+                method(p)
+                assert calls == ([p] if p.R > 1 else [p, ns_frame(p)])

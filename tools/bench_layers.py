@@ -44,8 +44,11 @@ repeats: each package runs in its own subprocess, the two take turns one
 repeat at a time (ABBA order), so drift of a shared host lands on both
 sides instead of reading as a change.  The parent's label, environment and
 rows go into the record under ``previous``, and each row gets the ratio of
-the medians and the median of the per-repeat ratios, parent over SRC.
-Standard library and NumPy only.
+the medians, the median and quartiles of the per-repeat ratios, parent
+over SRC, and ``wins``, the number of repeats in which SRC was faster: a
+change of a few percent whose paired quartiles straddle 1, or that wins
+about half the repeats, cannot be told from host drift.  Standard library
+and NumPy only.
 """
 
 from __future__ import annotations
@@ -382,19 +385,25 @@ def main(argv=None) -> int:
         for r, old in zip(rows, record["previous"]["rows"]):
             paired = [a / b for a, b in zip(samples[1][r["layer"]],
                                             samples[0][r["layer"]])]
+            q1, median, q3 = statistics.quantiles(paired, n=4,
+                                                  method="inclusive")
             r["ratio"] = round(old["median_us"] / r["median_us"], 3)
-            r["paired_ratio"] = round(statistics.median(paired), 3)
+            r["paired_ratio"] = round(median, 3)
+            r["paired_q1"], r["paired_q3"] = round(q1, 3), round(q3, 3)
+            r["wins"] = sum(x > 1.0 for x in paired)
 
     print(f"{'layer':<36} {'median us':>10} {'q1':>9} {'q3':>9}"
-          + (f" {'parent':>10} {'ratio':>6} {'paired':>6}"
-             if args.parent else ""))
+          + (f" {'parent':>10} {'ratio':>6} {'paired':>6} "
+             f"{'paired q1-q3':>13} {'wins':>5}" if args.parent else ""))
     for i, r in enumerate(rows):
         line = (f"{r['layer']:<36} {r['median_us']:>10.2f} "
                 f"{r['q1_us']:>9.2f} {r['q3_us']:>9.2f}")
         if args.parent is not None:
             old = record["previous"]["rows"][i]["median_us"]
             line += (f" {old:>10.2f} {r['ratio']:>5.2f}x "
-                     f"{r['paired_ratio']:>5.2f}x")
+                     f"{r['paired_ratio']:>5.2f}x "
+                     f"{r['paired_q1']:>6.3f}-{r['paired_q3']:<6.3f} "
+                     f"{r['wins']:>2}/{REPEATS}")
         print(line)
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n")

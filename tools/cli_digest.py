@@ -270,8 +270,9 @@ def invocations():
     return out
 
 
-def run_one(main, command: str, workdir: Path):
-    """(exit code, sha256 hex) of one in-process CLI run."""
+def capture(main, command: str, workdir: Path):
+    """(exit code, stdout, stderr, bytes of the ``--out`` file or None) of
+    one in-process CLI run; an uncaught exception is exit code 1."""
     argv = command.split()
     out_file = None
     if "--out" in argv:
@@ -289,11 +290,19 @@ def run_one(main, command: str, workdir: Path):
         except Exception as exc:  # an uncaught error is output too
             print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
             code = 1
+    written = (out_file.read_bytes() if out_file is not None
+               and out_file.exists() else None)
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+def run_one(main, command: str, workdir: Path):
+    """(exit code, sha256 hex) of one in-process CLI run."""
+    code, stdout, stderr, written = capture(main, command, workdir)
     digest = hashlib.sha256()
-    digest.update(stdout.getvalue().encode())
-    digest.update(stderr.getvalue().encode())
-    if out_file is not None and out_file.exists():
-        digest.update(out_file.read_bytes())
+    digest.update(stdout.encode())
+    digest.update(stderr.encode())
+    if written is not None:
+        digest.update(written)
     return code, digest.hexdigest()
 
 
