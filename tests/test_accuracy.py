@@ -60,9 +60,10 @@ def test_worst_errors_within_tolerance(accuracy, refs, tmp_path):
 
 
 def test_a_wrong_value_is_beyond_tolerance(accuracy, refs, tmp_path):
-    # E = -8 exactly at this point; a printout off in its tenth digit fails.
+    # E = -8 exactly at r1 r2 = 2, criterion 5's point, where E's scale is
+    # 1: a printout off by 2e-12 breaks the criterion and fails the gate.
     def wrong(argv):
-        print("E = -8.000000001")
+        print("E = -8.000000000002")
         return 0
 
     command = SUBSET[0]

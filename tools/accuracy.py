@@ -34,11 +34,11 @@ gives, per command, quantity and decade of R = r2/r1 (the input's ratio,
 not the NS frame's: ``image`` does not swap the spheres), the values
 checked, the worst of each error and the count beyond the tolerance; the
 gate is each command's worst scaled error for R in [1/8, 8] against its
-tolerance (``--check`` exits 1 where it fails).  The previous file's label
-and rows go into the record under ``previous``.
+tolerance; the script exits 1 where a gate fails.  The previous file's
+label and rows go into the record under ``previous``.
 
-    python tools/accuracy.py                     # writes ACCURACY.json
-    python tools/accuracy.py --out FILE --check
+    python tools/accuracy.py                # writes ACCURACY.json
+    python tools/accuracy.py --out FILE
 
 Standard library, NumPy and mpmath only.
 """
@@ -52,7 +52,6 @@ import json
 import math
 import platform
 import re
-import subprocess
 import sys
 import tempfile
 import time
@@ -67,9 +66,10 @@ GATE_R = (0.125, 8.0)
 
 # quantity: (tolerance of the scaled error, its scale, its source)
 TOLERANCES = {
-    "E": (1e-12, "max(|E|, r1 r2): relative, or in units of the "
-          "degeneracy band's r1 r2 next to E = 0",
-          "criterion 5: |E + 8| < 1e-12 at r1 r2 = 2"),
+    "E": (1e-12, "max(|E|, 4 r1 r2) / 8: in units of r1 r2 / 2 where "
+          "|E| <= 4 r1 r2 (the degeneracy band and criterion 5's point), "
+          "|E| / 8 beyond",
+          "criterion 5: |E + 8| < 1e-12 at r1 r2 = 2, where the scale is 1"),
     "h": (1e-6, "1", "criterion 1: |closed - oracle| <= 1e-6"),
     "vertex": (1e-12, "max(1, R) scaled, r1 max(1, R) unscaled (NS frame)",
                "criterion 8: polygon widths within 1e-12"),
@@ -217,7 +217,7 @@ def check(command: str, stdout: str, written, refs: References):
 
 
 def e_value(R, printed, exact, r1_r2):
-    return "E", R, printed, exact, max(abs(float(exact)), r1_r2)
+    return "E", R, printed, exact, max(abs(float(exact)), 4 * r1_r2) / 8
 
 
 def polygon_values(text, as_json, r1, r2, refs):
@@ -320,31 +320,11 @@ def fmt(x: float) -> str:
     return f"{x:.2e}" if math.isfinite(x) else str(x)
 
 
-def label() -> str:
-    """The short git commit of this checkout, with ``-dirty`` appended when
-    src/, tests/ or tools/ has uncommitted changes."""
-    def git(*args):
-        try:
-            out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                                 text=True, timeout=10)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    commit = git("rev-parse", "--short", "HEAD")
-    if commit is None:
-        return "unknown"
-    status = git("status", "--porcelain", "--", "src", "tests", "tools")
-    return commit if status == "" else f"{commit}-dirty"
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=ROOT / "ACCURACY.json",
                     help="the JSON record (default: ACCURACY.json); its "
                     "previous rows go under 'previous'")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 1 if a gate over R in [1/8, 8] fails")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "tests"))
@@ -359,8 +339,10 @@ def main(argv=None) -> int:
         results = run(cli_main, commands, refs, Path(tmp))
     seconds = time.monotonic() - t0
     rows, gate = table(results)
+    bench_layers = load("bench_layers", ROOT / "tools" / "bench_layers.py")
     record = {
-        "label": label(),
+        "label": bench_layers.checkout_label(
+            ROOT / "src", (":/src", ":/tests", ":/tools")),
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "mpmath": mpmath.__version__},
@@ -392,7 +374,7 @@ def main(argv=None) -> int:
     print(f"{record['checked_invocations']} of {len(commands)} invocations "
           f"checked in {seconds:.1f} s")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 1 if args.check and not all(g["ok"] for g in gate.values()) else 0
+    return 0 if all(g["ok"] for g in gate.values()) else 1
 
 
 if __name__ == "__main__":

@@ -305,12 +305,13 @@ def summary(samples):
     return rows
 
 
-def checkout_label(src: Path) -> str:
+def checkout_label(src: Path, paths=(".",)) -> str:
     """The short git commit of the checkout that holds ``src``, with
-    ``-dirty`` appended when ``src`` has uncommitted changes, or the name of
-    the checkout's directory when that is no git checkout (a copy made with
-    ``git archive`` or ``cp``), so no path of the machine enters a record.
-    A parent made with ``git clone`` gets its commit label."""
+    ``-dirty`` appended when ``paths`` (git pathspecs, relative to ``src``)
+    have uncommitted changes, or the name of the checkout's directory when
+    that is no git checkout (a copy made with ``git archive`` or ``cp``), so
+    no path of the machine enters a record.  A parent made with
+    ``git clone`` gets its commit label."""
     def git(*args):
         try:
             out = subprocess.run(["git", *args], cwd=src, capture_output=True,
@@ -322,7 +323,7 @@ def checkout_label(src: Path) -> str:
     commit = git("rev-parse", "--short", "HEAD")
     if commit is None:
         return src.resolve().parent.name
-    status = git("status", "--porcelain", "--", ".")
+    status = git("status", "--porcelain", "--", *paths)
     return commit if status == "" else f"{commit}-dirty"
 
 
