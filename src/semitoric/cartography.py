@@ -65,48 +65,46 @@ class ImageBoundary:
 def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     """Envelope of the momentum-map image on n+1 evenly spaced levels.
 
-    The reduced chart is exact: on the level with scaled offset l, H ranges
-    over [min(A - sqrt(B)), max(A + sqrt(B))] across the physical interval
-    [max(0, l), min(2R, l + 2)]; on a level narrower than 1e-12 (the end
-    levels) both are A at its left end.  Each extreme lies at an end of the
-    interval or at the side's one critical point
-    (``_envelope_candidates``).  One set of chart terms for all levels
-    (``reduced._chart_terms``) gives A -/+ sqrt(B) on the candidate rows,
-    through ``reduced.chart``'s own evaluators, and each side of the band
-    is the min/max down a level's column.  Every candidate is a point of the
+    The reduced chart is exact.  It is taken in the NS frame (``ns_frame``:
+    the sphere swap maps the image of (L, H) onto itself), on spin 1's
+    level offset x = p2 - l: on the level with scaled offset l, H ranges
+    over [min(A - sqrt(B)), max(A + sqrt(B))] across [max(0, -l),
+    min(2, 2R - l)].  Every interior level has a positive width there,
+    and only the end levels l = -2 and l = 2R are points, where B = 0.
+    Each extreme lies at an end of the interval or at the side's one
+    critical point (``_envelope_candidates``).  One set of chart terms for
+    all levels (``reduced._chart_terms``) gives A -/+ sqrt(B) on the
+    candidate rows, through ``reduced.chart``'s own evaluators, with
+    p2 - 2R formed as x - (2R - l), and each side of the band is the
+    min/max down a level's column.  Every candidate is a point of the
     interval, so the envelope never reaches past the true extremes.  Output
-    is in unscaled L = r1 (l + 1 - R); H is dimensionless.  The corner
-    values are L and H at the four poles.
-
-    The levels are ``np.linspace``'s, bit for bit.  Those wider than 1e-12
-    form one slice: the width min(2R, l + 2) - max(0, l) is concave in l,
-    and in floats it rises up to l = 0 (min(2R, l + 2)), falls where l + 2
-    rounds to 2R or more (2R - l), and is (l + 2) - l in between: >= 1 for
-    l < 2^54, and 0 beyond, where a level is x - 2 rounded and l + 2 rounds
-    back to l.  So the levels run narrow, wide, narrow.
+    is in unscaled L = r1 (l + 1 - R) of the NS frame; H is dimensionless.
+    The corner values are L and H at the four poles of ``params``.
+    The levels are ``np.linspace``'s, bit for bit.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be <= {MAX_SAMPLES}")
-    r1, R = params.r1, params.R
+    work = ns_frame(params)
+    r1, R, s2 = work.r1, work.R, work.s2
     ls = np.arange(n + 1.0) * ((2.0 * R + 2.0) / n) - 2.0
     ls[-1] = 2.0 * R
-    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
-    ka, slope, base, m, kb = reduced._chart_terms("NS", ls, params)
-    h_min = reduced._chart_a(ka, slope, base, lo)  # kept on narrow levels
-    h_max = h_min.copy()
-    wide = hi - lo >= 1e-12
-    first = wide.argmax()
-    run = slice(first, first + np.count_nonzero(wide))
-    p2 = _envelope_candidates(ka * slope, kb, m[run], lo[run], hi[run], R)
-    a = reduced._chart_a(ka, slope, base[run], p2)
-    b = reduced._chart_b(kb, m[run], 2 * R, p2)
+    r_l = 2.0 * R - ls  # x at p2 = 2R
+    lo, hi = np.maximum(-ls, 0.0), np.minimum(r_l, 2.0)
+    k, base, _, c4 = reduced._chart_terms("NS", ls, work)
+    inner = _envelope_candidates(k * (s2 / R - (1 - s2)), c4, ls[1:-1],
+                                 r_l[1:-1], lo[1:-1], hi[1:-1], R)
+    x = np.empty((len(inner), n + 1))
+    x[:, 1:-1] = inner
+    x[:, 0], x[:, -1] = lo[0], lo[-1]  # the end levels are points
+    p2 = x + ls
+    a = reduced._chart_a(k, base, s2, R, x, p2)
+    b = reduced._chart_b(c4, R, x, p2, x - r_l)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
-    h_min[run] = np.minimum.reduce(a - root_b)
-    h_max[run] = np.maximum.reduce(a + root_b)
-    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
-                        h_max.tolist()))
+    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(),
+                        np.minimum.reduce(a - root_b).tolist(),
+                        np.maximum.reduce(a + root_b).tolist()))
     corner_values = tuple((l_func(v, params), h_func(v, params))
                           for v in _CORNERS)
     two_ff = is_focus_focus(discriminant_E(params), params)
@@ -114,51 +112,58 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     return ImageBoundary(samples, ff_values, corner_values)
 
 
-def _envelope_candidates(dA, kb, m, lo, hi, R):
+def _envelope_candidates(dA, c4, l, r_l, lo, hi, R):
     """Points of [lo, hi] where A + sqrt(B) and A - sqrt(B) take their
-    extremes on each level, one column per level, from the levels'
-    factored NS chart (dA, kb, m) as ``reduced.chart_factors`` gives it.
+    extremes on each level, one column per level, from the levels' NS chart
+    in the offset x = p2 - l: A has slope dA in x, and B = (c4/R^2) x
+    (x - 2) (x + l) (x - r_l) with r_l = 2R - l (``reduced._chart_terms``).
 
-    In t = (p2 - lo) / w, w = hi - lo, B = kb w^4 beta(t) with beta(t) =
-    t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval are two of
-    B's roots (0, m, 2R, m + 2), and the other two, mapped to rho_l <= 0
-    and rho_r >= 1, lie one on each side of it.  With kb > 0 the extremes
-    are the ends and one critical point per side (``_critical_points``):
-    row 0 holds the maximiser of A + sqrt(B), row 1 the minimiser of
-    A - sqrt(B), rows 2 and 3 the exact ends.  At zero coupling (kb = 0,
-    the (s1, s2) corners) B vanishes and the two rows of ends are returned.
-    A coupling below about 1e-150 (kb subnormal) only makes c large: the
-    critical points move next to an end and stay finite.
+    The ends of the interval are two of B's roots (0, 2, -l, r_l), and the
+    other two, x_l <= lo and x_r >= hi, lie one on each side of it.  In
+    t = (x - lo) / w, w = hi - lo, B = kb w^2 (hi - x_l) (x_r - lo)
+    beta(t) with kb = c4/R^2 and beta(t) = t (a_1 + a t) (1 - t) (b_1 +
+    b (1 - t)), where a = w / (hi - x_l) and b = w / (x_r - lo) lie in
+    (0, 1], and a_1 = 1 - a = |l| / (hi - x_l) and b_1 = 1 - b =
+    |r_l - 2| / (x_r - lo) are formed without cancellation; so beta and its
+    derivatives are of order 1 at every R.  With c4 > 0 the
+    extremes are the ends and one critical point per side
+    (``_critical_points``): row 0 holds the maximiser of A + sqrt(B), row 1
+    the minimiser of A - sqrt(B), rows 2 and 3 the exact ends.  At zero
+    coupling (c4 = 0, the (s1, s2) corners) B vanishes and the two rows of
+    ends are returned.  A coupling below about 1e-150 (c4 subnormal) only
+    makes c large: the critical points move next to an end and stay finite.
     """
-    if kb == 0.0:
+    if c4 == 0.0:
         return np.stack([lo, hi])
     w = hi - lo
-    rho_l = (np.minimum(0.0, m) - lo) / w
-    rho_r = (np.maximum(2.0 * R, m + 2.0) - lo) / w
-    t, _ = _critical_points(rho_l, rho_r, dA / (math.sqrt(kb) * w))
-    p2 = np.empty((4, lo.size))
-    p2[2], p2[3] = lo, hi
+    span_l, span_r = hi - np.minimum(0.0, -l), np.maximum(2.0, r_l) - lo
+    c = dA * R / (math.sqrt(c4) * (np.sqrt(span_l) * np.sqrt(span_r)))
+    t, _ = _critical_points(np.abs(l) / span_l, np.abs(r_l - 2.0) / span_r,
+                            c)
+    x = np.empty((4, lo.size))
+    x[2], x[3] = lo, hi
     # np.clip, bit for bit, with fewer dispatches, one row per side.
-    np.minimum(np.maximum(lo + w * t.T, lo), hi, out=p2[:2])
-    return p2
+    np.minimum(np.maximum(lo + w * t.T, lo), hi, out=x[:2])
+    return x
 
 
-def _critical_points(rho_l, rho_r, c):
+def _critical_points(a_1, b_1, c):
     """(t, steps): for each level, the root in [0, 1] of u(t) = beta'(t) +
     2 sigma c sqrt(beta(t)) for sigma = +1 (column 0) and sigma = -1
     (column 1), and the number of lockstep steps taken.
 
-    beta(t) = t (t - rho_l) (1 - t) (rho_r - t) with rho_l <= 0 and rho_r
-    >= 1, and c = A' / (sqrt(kb) w) is A's slope in the units of
-    ``_envelope_candidates``; then dH/dt has the sign of u for H = A +
-    sqrt(B) (sigma = +1) and of -u for H = A - sqrt(B) (sigma = -1).
+    beta(t) = p q with p = t (a_1 + a t) and q = (1 - t) (b_1 + b (1 - t)),
+    a_1 = 1 - a and b_1 = 1 - b in [0, 1), and c = A' / (sqrt(kb (hi -
+    x_l) (x_r - lo))) is A's
+    slope in the units of ``_envelope_candidates``; then dH/dt has the sign
+    of u for H = A + sqrt(B) (sigma = +1) and of -u for H = A - sqrt(B)
+    (sigma = -1).
 
-    Lemma: sqrt(beta) = F G with F = sqrt(t (t - rho_l)) increasing and
-    concave and G = sqrt((1 - t) (rho_r - t)) decreasing and concave on
-    [0, 1], so (F G)'' = F'' G + 2 F' G' + F G'' < 0.  A + sqrt(B) is
-    therefore strictly concave and A - sqrt(B) strictly convex, and u
-    changes sign once, from u(0) = -rho_l rho_r >= 0 to u(1) = (1 - rho_l)
-    (1 - rho_r) <= 0: each side has exactly one critical point.
+    Lemma: sqrt(beta) = F G with F = sqrt(p) increasing and concave and
+    G = sqrt(q) decreasing and concave on [0, 1], so (F G)'' = F'' G + 2 F'
+    G' + F G'' < 0.  A + sqrt(B) is therefore strictly concave and
+    A - sqrt(B) strictly convex, and u changes sign once, from u(0) = a_1
+    >= 0 to u(1) = -b_1 <= 0: each side has exactly one critical point.
 
     A sign scan of u at t = 0, 1/8, ..., 1 brackets it, and the start is
     the secant point of the bracketing nodes.  Each step is a Newton step
@@ -173,29 +178,32 @@ def _critical_points(rho_l, rho_r, c):
     alone takes the 1/8 bracket to 2^-67, below the float spacing of every
     t >= 2^-14).  A step forms du/dt only if some lane has not converged.
     The lanes are one row per side.  u's terms are p' q, p (-q') and 2 sigma
-    c sqrt(p q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
-    t), and p, p', q, -q' >= 0 on [0, 1].
+    c sqrt(p q), and p, p', q, -q' >= 0 on [0, 1]; p'' = 2a and q'' = 2b.
     """
     s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
     lanes = _SIDES, np.arange(c.size)
+    a, b = 1.0 - a_1, 1.0 - b_1
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_l, t_r = _NODES - rho_l, rho_r - _NODES
+        a_t, b_t = a * _NODES, b * _ONE_NODES
+        t_l, t_r = a_1 + a_t, b_1 + b_t
         p, q = _NODES * t_l, _ONE_NODES * t_r
-        scan = ((_NODES + t_l) * q - p * (_ONE_NODES + t_r)
+        scan = ((t_l + a_t) * q - p * (t_r + b_t)
                 + two_s_c * np.sqrt(p * q))
         j = (scan[1:-1] > _ZERO).sum(axis=0)
         u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
-        a = j * _EIGHTH
-        b = a + _EIGHTH
-        t = a + _EIGHTH * (u_a / (u_a - u_b))
-        t = np.where((a <= t) & (t <= b), t, _HALF * (a + b))
-        rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
+        lo = j * _EIGHTH
+        hi = lo + _EIGHTH
+        t = lo + _EIGHTH * (u_a / (u_a - u_b))
+        t = np.where((lo <= t) & (t <= hi), t, _HALF * (lo + hi))
+        a, b, a_1, b_1 = (np.array((v, v)) for v in (a, b, a_1, b_1))
         for steps in range(1, _MAX_STEPS + 1):
-            t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
+            one_t = _ONE - t
+            a_t, b_t = a * t, b * one_t
+            t_l, t_r = a_1 + a_t, b_1 + b_t
             p, q = t * t_l, one_t * t_r
-            dp, neg_dq = t + t_l, one_t + t_r
+            dp, neg_dq = t_l + a_t, t_r + b_t
             root = np.sqrt(p * q)
             dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
             d_beta = dp_q - p_dq
@@ -203,16 +211,18 @@ def _critical_points(rho_l, rho_r, c):
             small = np.abs(u) <= _U_TOL * (dp_q + p_dq + np.abs(c_root))
             if np.count_nonzero(small) == small.size:
                 break
-            np.copyto(a, t, where=u > _ZERO)
-            np.copyto(b, t, where=u < _ZERO)
-            step = u / (_TWO * (p + q - dp * neg_dq) + s_c * d_beta / root)
+            np.copyto(lo, t, where=u > _ZERO)
+            np.copyto(hi, t, where=u < _ZERO)
+            step = u / (_TWO * (a * q + b * p - dp * neg_dq)
+                        + s_c * d_beta / root)
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
             nxt = newton + step * (step / (_FOUR * (t - e)))
-            in_ab = (a <= nxt) & (nxt <= b)
+            in_ab = (lo <= nxt) & (nxt <= hi)
             if np.count_nonzero(in_ab) < in_ab.size:
                 nxt = np.where(in_ab, nxt, np.where(
-                    (a <= newton) & (newton <= b), newton, _HALF * (a + b)))
+                    (lo <= newton) & (newton <= hi), newton,
+                    _HALF * (lo + hi)))
             done = small | (np.abs(nxt - t) <= _T_TOL * t)
             np.copyto(nxt, t, where=done)
             t = nxt

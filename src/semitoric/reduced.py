@@ -39,41 +39,32 @@ from .model import ModelParams
 LABELS = ("NS", "SN")
 
 
-def _check_label(label: str):
+def _check_label(label: str) -> int:
+    """sigma of the label: +1 for NS, -1 for SN."""
     if label not in LABELS:
         raise ValueError(f"label must be 'NS' or 'SN', got {label!r}")
+    return 1 if label == "NS" else -1
 
 
 def _chart_terms(label: str, l, params: ModelParams):
-    """(ka, slope, base, m, kb): the p2-independent terms of the chart.
-
-    A_l(p2) = ka (base + p2 slope) and B_l(p2) = kb p2 (p2 - m) (p2 - 2R)
-    (p2 - m - 2); ``base`` and ``m`` have the shape of ``l``.
+    """(k, base, m, c4): the p2-independent terms of the chart, with
+    k = 1 - 2 s1, base = sigma (1 - 2 s2), m = sigma l in the shape of ``l``
+    and c4 = 4 c^2, so that A_l = k (base - (1 - s2)(p2 - l) + s2 p2/R)
+    and B_l = c4 (p2/R) ((p2 - 2R)/R) x (x - 2) with x = p2 - m.
     """
-    _check_label(label)
-    R, s1, s2 = params.R, params.s1, params.s2
+    sigma = _check_label(label)
     c = params.coupling
-    ka = (1.0 / R) * (1 - 2 * s1)
-    slope = s2 - R + R * s2
-    if label == "NS":
-        base = R * (1 + l - 2 * s2 - l * s2)
-        m = l
-    else:
-        # p2 - (-l) is p2 + l to the last bit, so SN shares B's expression.
-        base = R * (-1 + l + 2 * s2 - l * s2)
-        m = -l
-    kb = 4 * c * c / R ** 2
-    return ka, slope, base, m, kb
+    return 1 - 2 * params.s1, sigma * (1 - 2 * params.s2), sigma * l, 4 * c * c
 
 
-def _chart_a(ka, slope, base, p2):
-    return ka * (base + p2 * slope)
+def _chart_a(k, base, s2, R, x, p2):
+    # x = p2 - l: each term is of order 1, so nothing cancels.
+    return k * (base - (1 - s2) * x + s2 * (p2 / R))
 
 
-def _chart_b(kb, m, two_r, p2):
-    # Left to right: p2 - m - 2 is (p2 - m) - 2; folding m + 2 changes bits.
-    p2_m = p2 - m
-    return kb * p2 * p2_m * (p2 - two_r) * (p2_m - 2)
+def _chart_b(c4, R, x, p2, p2_2r):
+    # x = p2 - m and p2_2r = p2 - 2R, formed by the caller.
+    return c4 * (p2 / R) * (p2_2r / R) * x * (x - 2)
 
 
 def chart(label: str, l, params: ModelParams):
@@ -84,20 +75,10 @@ def chart(label: str, l, params: ModelParams):
     ``l`` and ``p2`` broadcast: a float or an array of either, for example
     a column of levels against one row of p2 values per level.
     """
-    ka, slope, base, m, kb = _chart_terms(label, l, params)
-    return (functools.partial(_chart_a, ka, slope, base),
-            functools.partial(_chart_b, kb, m, 2 * params.R))
-
-
-def chart_factors(label: str, l, params: ModelParams):
-    """(dA, kb, m): the chart at level offset ``l`` in factored form.
-
-    A_l is linear in p2 with slope dA, and B_l(p2) = kb p2 (p2 - m)
-    (p2 - 2R) (p2 - m - 2), with m = l for NS and -l for SN in the shape of
-    ``l`` (a float or an array of levels).
-    """
-    ka, slope, _, m, kb = _chart_terms(label, l, params)
-    return ka * slope, kb, m
+    k, base, m, c4 = _chart_terms(label, l, params)
+    R, s2 = params.R, params.s2
+    return (lambda p2: _chart_a(k, base, s2, R, p2 - l, p2),
+            lambda p2: _chart_b(c4, R, p2 - m, p2, p2 - 2 * R))
 
 
 def reduced_A(label: str, l: float, p2: float, params: ModelParams) -> float:
@@ -111,16 +92,13 @@ def reduced_B(label: str, l: float, p2: float, params: ModelParams) -> float:
 
 
 def physical_interval(label: str, l: float, R: float):
-    """p2-interval of the physical region at level offset ``l``."""
-    _check_label(label)
-    if label == "NS":
-        if not -2.0 <= l <= 2.0 * R:
-            raise ValueError(f"l = {l} outside [-2, 2R] for NS")
-        lo, hi = max(0.0, l), min(2.0 * R, l + 2.0)
-    else:
-        if not -2.0 * R <= l <= 2.0:
-            raise ValueError(f"l = {l} outside [-2R, 2] for SN")
-        lo, hi = max(0.0, -l), min(2.0 * R, -l + 2.0)
+    """p2-interval [max(0, m), min(2R, m + 2)] of the physical region at
+    level offset ``l``, with m = l for NS and -l for SN."""
+    m = _check_label(label) * l
+    if not -2.0 <= m <= 2.0 * R:
+        span = "[-2, 2R]" if label == "NS" else "[-2R, 2]"
+        raise ValueError(f"l = {l} outside {span} for {label}")
+    lo, hi = max(0.0, m), min(2.0 * R, m + 2.0)
     if lo > hi:
         raise ValueError("empty physical interval")
     return lo, hi

@@ -522,7 +522,7 @@ def reference_polygon_path():
                            knots=_reference_knots)
 
 
-def _loop_critical_points(rho_l, rho_r, c):
+def _loop_critical_points(a_1, b_1, c):
     """``cartography._critical_points`` as it was written before its early
     exits: every lane takes the nested ``np.where`` step each time, and the
     loop stops only on the combined convergence test.  The reference for
@@ -530,29 +530,29 @@ def _loop_critical_points(rho_l, rho_r, c):
     from semitoric.cartography import _MAX_STEPS
 
     eps = np.finfo(float).eps
-    rho_l, rho_r = rho_l[:, None], rho_r[:, None]
+    a_1, b_1 = a_1[:, None], b_1[:, None]
     s_c = np.stack([c, -c], axis=1)
     e = (s_c > 0.0).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         nodes = np.arange(9)[:, None, None] / 8.0
-        scan = _loop_critical_equation(nodes, rho_l, rho_r, s_c)[0]
+        scan = _loop_critical_equation(nodes, a_1, b_1, s_c)[0]
         j = (scan[1:-1] > 0.0).sum(axis=0)
         u_a, u_b = np.choose(j, scan), np.choose(j + 1, scan)
-        a = j / 8.0
-        b = a + 0.125
-        t = a + 0.125 * (u_a / (u_a - u_b))
-        t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
+        lo = j / 8.0
+        hi = lo + 0.125
+        t = lo + 0.125 * (u_a / (u_a - u_b))
+        t = np.where((lo <= t) & (t <= hi), t, 0.5 * (lo + hi))
         for steps in range(1, _MAX_STEPS + 1):
-            u, du, size = _loop_critical_equation(t, rho_l, rho_r, s_c)
-            a = np.where(u > 0.0, t, a)
-            b = np.where(u < 0.0, t, b)
+            u, du, size = _loop_critical_equation(t, a_1, b_1, s_c)
+            lo = np.where(u > 0.0, t, lo)
+            hi = np.where(u < 0.0, t, hi)
             step = u / du
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
             in_r = newton + step * (step / (4.0 * (t - e)))
-            nxt = np.where((a <= in_r) & (in_r <= b), in_r,
-                           np.where((a <= newton) & (newton <= b), newton,
-                                    0.5 * (a + b)))
+            nxt = np.where((lo <= in_r) & (in_r <= hi), in_r,
+                           np.where((lo <= newton) & (newton <= hi), newton,
+                                    0.5 * (lo + hi)))
             done = ((np.abs(u) <= 8.0 * eps * size)
                     | (np.abs(nxt - t) <= 4.0 * eps * t))
             t = np.where(done, t, nxt)
@@ -561,56 +561,65 @@ def _loop_critical_points(rho_l, rho_r, c):
     return t, steps
 
 
-def _loop_critical_equation(t, rho_l, rho_r, s_c):
-    """(u, du/dt, size) of ``_loop_critical_points``, as
-    ``cartography._critical_equation`` computed them."""
-    t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
+def _loop_critical_equation(t, a_1, b_1, s_c):
+    """(u, du/dt, size) of ``_loop_critical_points``, with beta = p q,
+    p = t (a_1 + a t), q = (1 - t) (b_1 + b (1 - t)), a = 1 - a_1 and
+    b = 1 - b_1."""
+    a, b, one_t = 1.0 - a_1, 1.0 - b_1, 1.0 - t
+    a_t, b_t = a * t, b * one_t
+    t_l, t_r = a_1 + a_t, b_1 + b_t
     p, q = t * t_l, one_t * t_r
-    dp, neg_dq = t + t_l, one_t + t_r
+    dp, neg_dq = t_l + a_t, t_r + b_t
     root = np.sqrt(p * q)
     dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
     d_beta = dp_q - p_dq
-    du = 2.0 * (p + q - dp * neg_dq) + s_c * d_beta / root
+    du = 2.0 * (a * q + b * p - dp * neg_dq) + s_c * d_beta / root
     return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
 
 
 @pytest.fixture(scope="session")
 def loop_critical_points():
-    """``loop_critical_points(rho_l, rho_r, c)``: the envelope's lockstep
+    """``loop_critical_points(a_1, b_1, c)``: the envelope's lockstep
     critical-point solve without early exits, returning (t, steps)."""
     return _loop_critical_points
 
 
 def _reference_image_boundary(params, n=64):
-    """``cartography.image_boundary`` as it was written with three chart
-    evaluations per envelope, ``np.stack``/``np.concatenate``/``np.clip``
-    candidates and corner values through ``momentum_map``.  The reference
-    for bit-identical samples, focus-focus and corner values."""
+    """``cartography.image_boundary`` written out on its own: the NS
+    frame, the levels of ``np.linspace``, the offset chart
+    A = (1 - 2 s1) ((1 - 2 s2) - (1 - s2) x + s2 p2/R) and
+    B = 4 c^2 (p2/R) ((x - (2R - l))/R) x (x - 2) with p2 = x + l,
+    ``np.stack``/``np.concatenate``/``np.clip`` candidates and corner values
+    through ``momentum_map``.  The reference for bit-identical samples,
+    focus-focus and corner values."""
     import numbers
 
-    from semitoric import reduced
     from semitoric.cartography import MAX_SAMPLES, ImageBoundary
-    from semitoric.model import FIXED_POINTS, momentum_map
+    from semitoric.model import FIXED_POINTS, momentum_map, ns_frame
     from semitoric.singularity import discriminant_E, is_focus_focus
 
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be <= {MAX_SAMPLES}")
-    r1, R = params.r1, params.R
+    work = ns_frame(params)
+    r1, R, s1, s2, c = work.r1, work.R, work.s1, work.s2, work.coupling
     ls = np.linspace(-2.0, 2.0 * R, n + 1)
-    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * R)
-    h_min = reduced.chart("NS", ls, params)[0](lo)  # kept on narrow levels
-    h_max = h_min.copy()
-    wide = np.flatnonzero(~(hi - lo < 1e-12))
-    p2 = _reference_envelope_candidates(params, ls[wide], lo[wide], hi[wide])
-    a_of, b_of = reduced.chart("NS", ls[wide, None], params)
-    a, b = a_of(p2), b_of(p2)
+    r_l = 2.0 * R - ls
+    lo, hi = np.maximum(-ls, 0.0), np.minimum(r_l, 2.0)
+    slope = (1 - 2 * s1) * (s2 / R - (1 - s2))
+    inner = _reference_envelope_candidates(
+        slope, 4 * c * c, ls[1:-1], r_l[1:-1], lo[1:-1], hi[1:-1], R)
+    ends = np.repeat(lo[[0, -1], None], inner.shape[1], axis=1)
+    x = np.concatenate([ends[:1], inner, ends[1:]])
+    l, r_l = ls[:, None], r_l[:, None]
+    p2 = x + l
+    a = (1 - 2 * s1) * ((1 - 2 * s2) - (1 - s2) * x + s2 * (p2 / R))
+    b = 4 * c * c * (p2 / R) * ((x - r_l) / R) * x * (x - 2)
     root_b = np.sqrt(np.where(b > 0.0, b, 0.0))
-    h_min[wide] = (a - root_b).min(axis=1)
-    h_max[wide] = (a + root_b).max(axis=1)
-    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(), h_min.tolist(),
-                        h_max.tolist()))
+    samples = tuple(zip((r1 * (ls + 1.0 - R)).tolist(),
+                        (a - root_b).min(axis=1).tolist(),
+                        (a + root_b).max(axis=1).tolist()))
     corner_values = tuple(
         (mv.l_val, mv.h_val)
         for mv in (momentum_map(FIXED_POINTS[k], params)
@@ -620,29 +629,27 @@ def _reference_image_boundary(params, n=64):
     return ImageBoundary(samples, ff_values, corner_values)
 
 
-def _reference_envelope_candidates(params, l, lo, hi):
-    """``cartography._envelope_candidates`` of ``_reference_image_boundary``:
-    the factored chart from ``reduced.chart_factors``, critical columns
-    first, then the ends."""
-    from semitoric import reduced
+def _reference_envelope_candidates(slope, c4, l, r_l, lo, hi, R):
+    """``cartography._envelope_candidates`` of ``_reference_image_boundary``,
+    one row per level: critical columns first, then the ends."""
     from semitoric.cartography import _critical_points
 
-    slope, kb, m = reduced.chart_factors("NS", l, params)
     ends = np.stack([lo, hi], axis=1)
-    if kb == 0.0:
+    if c4 == 0.0:
         return ends
     w = hi - lo
-    rho_l = (np.minimum(0.0, m) - lo) / w
-    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
-    t, _ = _critical_points(rho_l, rho_r, slope / (math.sqrt(kb) * w))
-    p2 = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
-    return np.concatenate([p2, ends], axis=1)
+    span_l, span_r = hi - np.minimum(0.0, -l), np.maximum(2.0, r_l) - lo
+    c = slope * R / (math.sqrt(c4) * (np.sqrt(span_l) * np.sqrt(span_r)))
+    t, _ = _critical_points(np.abs(l) / span_l, np.abs(r_l - 2.0) / span_r,
+                            c)
+    x = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
+    return np.concatenate([x, ends], axis=1)
 
 
 @pytest.fixture(scope="session")
 def reference_image_boundary():
-    """``reference_image_boundary(params, n)``: the momentum-map envelope as
-    computed before the chart terms were shared, for bit-identity tests."""
+    """``reference_image_boundary(params, n)``: the momentum-map envelope
+    written out on its own, for bit-identity tests."""
     return _reference_image_boundary
 
 

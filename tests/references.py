@@ -10,10 +10,12 @@ representative in exact arithmetic.  ``tests/test_height.py``,
 here.  The first two need mpmath; callers skip without it.
 """
 
+import math
+
 import numpy as np
 
 from semitoric import reduced
-from semitoric.model import ModelParams
+from semitoric.model import ModelParams, ns_frame
 
 
 def mp_chart_height(mp, label, params):
@@ -44,15 +46,17 @@ def mp_chart_height(mp, label, params):
 
 def mp_envelope(params, n, levels, dps=50):
     """(h_min, h_max) on the given level indices in mpmath: the chart's A
-    and B at the float level l, taken as exact, and their extremes over the
-    ends and the real roots in [lo, hi] of the sextic B'^2 - 4 A'^2 B
-    (``mpmath.polyroots``)."""
+    and B of the NS frame at the float level l, taken as exact, and their
+    extremes over the ends and the real roots in [lo, hi] of the sextic
+    B'^2 - 4 A'^2 B (``mpmath.polyroots``).  The p2 chart's terms are of
+    size R and cancel, so the working precision grows with |log10 R|."""
     import mpmath
 
     mpf = mpmath.mpf
+    params = ns_frame(params)
     ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
     out = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(dps + 2 * math.ceil(math.log10(params.R))):
         R, s1, s2 = mpf(params.R), mpf(params.s1), mpf(params.s2)
         c = s1 + s2 - s1 ** 2 - s2 ** 2
         ka, slope, kb = (1 - 2 * s1) / R, s2 - R + R * s2, 4 * c * c / R ** 2
@@ -75,7 +79,7 @@ def mp_envelope(params, n, levels, dps=50):
                 # roots polyroots may not converge on: take B''s roots.
                 xs += [mpmath.re(z) for z in mpmath.polyroots(
                     sextic if ka * slope else db, maxsteps=400,
-                    extraprec=2 * dps)
+                    extraprec=400)
                     if lo <= mpmath.re(z) <= hi]
             vals = [(ka * (base + x * slope),
                      mpmath.sqrt(max(mpmath.polyval(b, x), 0))) for x in xs]

@@ -16,8 +16,13 @@ pytest.importorskip("mpmath")
 
 ACCURACY = Path(__file__).resolve().parents[1] / "tools" / "accuracy.py"
 
-# README examples and small sweeps, in both frames, every command: the
-# full tool run covers all of the digest's invocations.
+# At R = 1e8 a chart in p2 cancels two terms of size R: it printed bands
+# about 1e-8 off.
+LARGE_RATIO_IMAGE = (
+    "image --samples 16 --R1=1 --R2=100000000.0 --s1=0.3 --s2=0.7")
+# README examples and small sweeps, in both frames, every command, and one
+# large-ratio image: the full tool run covers all of the digest's
+# invocations.
 SUBSET = [
     "classify --R1 1 --R2 2 --s1 0.5 --s2 0.5",
     "classify --json --R1=2 --R2=1 --s1=0.3 --s2=0.4",
@@ -29,6 +34,7 @@ SUBSET = [
     "image --samples 16 --R1=3 --R2=1 --s1=0.6 --s2=0.2",
     "sweep --R1 1 --R2 2 --quantity E --s1-count 7 --s2-count 5",
     "sweep --R1 2 --R2 1 --quantity height --s1-count 7 --s2-count 5",
+    LARGE_RATIO_IMAGE,
 ]
 
 
@@ -72,3 +78,13 @@ def test_a_wrong_value_is_beyond_tolerance(accuracy, refs, tmp_path):
     _, gate = accuracy.table(accuracy.run(main, [command], refs, tmp_path))
     assert gate["classify E"] == {"values": 1, "worst_scaled": 0.0,
                                   "tol": 1e-12, "ok": True}
+
+
+def test_large_ratio_image_within_tolerance(accuracy, refs, tmp_path):
+    # Outside the gate's R range, but the offset chart keeps criterion 8's
+    # 1e-12 there too.
+    rows, _ = accuracy.table(accuracy.run(main, [LARGE_RATIO_IMAGE], refs,
+                                          tmp_path))
+    assert [(r["decade"], r["no_reference"]) for r in rows] == [(8, 0)]
+    assert rows[0]["values"] == 34
+    assert rows[0]["worst_scaled"] <= accuracy.TOLERANCES["envelope"][0]

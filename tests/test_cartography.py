@@ -554,15 +554,16 @@ class TestGroupActions:
 
 
 def scalar_envelope(params, n, scalar_golden):
-    """Reference envelope by multi-start golden section on each level, one
-    float bracket at a time: a search that shares nothing with the exact
-    envelope but the chart."""
+    """Reference envelope by multi-start golden section on each level of
+    the NS frame, one float bracket at a time: a search that shares nothing
+    with the exact envelope but the chart."""
+    params = ns_frame(params)
     samples = []
     for l in np.linspace(-2.0, 2.0 * params.R, n + 1):
         l = float(l)
         lo, hi = reduced.physical_interval("NS", l, params.R)
         a_of, b_of = reduced.chart("NS", l, params)
-        if hi - lo < 1e-12:
+        if hi == lo:  # the end levels
             h_min = h_max = a_of(lo)
         else:
             def lower(p2):
@@ -575,6 +576,26 @@ def scalar_envelope(params, n, scalar_golden):
             h_max = -scalar_golden(upper_neg, lo, hi)[1]
         samples.append((params.r1 * (l + 1.0 - params.R), h_min, h_max))
     return tuple(samples)
+
+
+def mp_search_band(mpmath, params, l, steps=200):
+    """(h_min, h_max) on level l of the NS chart at mpmath's working
+    precision, by golden-section search of A - sqrt(B) (convex) and
+    A + sqrt(B) (concave) over the level's physical p2 interval."""
+    a_of, b_of = reduced.chart("NS", l, params)
+    lo, hi = max(0, l), min(2 * params.R, l + 2)
+    g = (mpmath.sqrt(5) - 1) / 2
+    out = []
+    for sign in (-1, 1):
+        def f(p2):
+            return sign * (a_of(p2) + sign * mpmath.sqrt(max(b_of(p2), 0)))
+
+        x0, x1 = lo, hi
+        for _ in range(steps):
+            u, v = x1 - g * (x1 - x0), x0 + g * (x1 - x0)
+            x0, x1 = (u, x1) if f(u) < f(v) else (x0, v)
+        out.append(float(sign * max(f(lo), f(hi), f((x0 + x1) / 2))))
+    return out
 
 
 def _envelope_points(per_kind=5):
@@ -612,25 +633,25 @@ def _relative_gap(samples, ref):
 
 
 def dense_envelope(params, n, m=2001):
-    """(h_min, h_max, wide) per level: A -/+ sqrt(max(B, 0)) at ``m`` evenly
-    spaced points of each level's physical interval, ends included, and
-    whether the level is wider than 1e-12."""
+    """(h_min, h_max) per level of the NS frame: A -/+ sqrt(max(B, 0)) at
+    ``m`` evenly spaced points of each level's physical interval, ends
+    included."""
+    params = ns_frame(params)
     ls = np.linspace(-2.0, 2.0 * params.R, n + 1)
     lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * params.R)
     p2 = np.linspace(lo, hi, m, axis=1)
     a_of, b_of = reduced.chart("NS", ls[:, None], params)
     a = a_of(p2)
     root_b = np.sqrt(np.maximum(b_of(p2), 0.0))
-    return (a - root_b).min(axis=1), (a + root_b).max(axis=1), hi - lo >= 1e-12
+    return (a - root_b).min(axis=1), (a + root_b).max(axis=1)
 
 
 # Edge points of the envelope, with n = 16 and n = 257 each: s1 = 1/2 (A' =
 # 0, the critical points are those of B), the zero-coupling corners (B =
 # 0), R = 1 +- 1e-9 (the middle level within 1e-9 of both focus-focus
 # levels, where B has a root just outside each end), R = 1e+-6, R = 1e-12
-# (levels both narrower and just wider than 1e-12), R = 1e-13 (all levels
-# narrower than 1e-12) and a coupling whose square is subnormal (c about
-# 1e160).
+# and 1e-13 (where the p2 chart of R < 1 once left only levels narrower
+# than 1e-12) and a coupling whose square is subnormal (c about 1e160).
 EDGE_POINTS = [
     ModelParams(1.0, 2.0, 0.5, 0.3), ModelParams(1.0, 0.4, 0.5, 0.9),
     ModelParams(1.0, 2.0, 0.0, 0.0), ModelParams(1.0, 2.0, 1.0, 1.0),
@@ -644,13 +665,9 @@ EDGE_POINTS = [
 ]
 
 
-def chart_rtol(params):
-    """Relative rounding of the float chart A -/+ sqrt(B), with room.  It
-    grows like R: the two terms of A, each about R in size, cancel.
-    Measured shortfall of the envelope against dense sampling on 200
-    seeded points, R log-uniform on [1e-6, 1e6]: none below R = 1e4, at
-    most 8e-17 R above."""
-    return 2e-15 * max(1.0, params.R)
+# Relative rounding of the float chart A -/+ sqrt(B), with room: every term
+# of the offset chart is of order 1, so it does not grow with R.
+CHART_RTOL = 2e-15
 
 
 class TestImageBoundary:
@@ -671,30 +688,28 @@ class TestImageBoundary:
             assert short <= 1e-13 and diff <= 5e-13, (p, diff, short)
 
     def test_large_ratio_equals_scalar_loop(self, scalar_golden):
-        # At R = 1e6 both are about 1e-10 from mpmath, the float chart's
-        # own rounding (``test_matches_mpmath``); measured 1.0e-10 apart.
+        # At R = 1e6 the offset chart loses no digits to R, so the bound of
+        # the moderate ratios holds.
         p = ModelParams(1, 1e6, 0, 0.5)
-        diff, _ = _relative_gap(image_boundary(p, 16).samples,
-                                scalar_envelope(p, 16, scalar_golden))
-        assert diff <= 5e-10
+        diff, short = _relative_gap(image_boundary(p, 16).samples,
+                                    scalar_envelope(p, 16, scalar_golden))
+        assert short <= 1e-13 and diff <= 5e-13, (diff, short)
 
     @pytest.mark.parametrize("n", [16, 257])
     @pytest.mark.parametrize("p", EDGE_POINTS, ids=repr)
     def test_never_narrower_than_dense_sampling(self, p, n):
         samples = np.array(image_boundary(p, n).samples)
         assert np.isfinite(samples).all()
-        h_min, h_max, wide = dense_envelope(p, n)
-        scale = max(1.0, float(np.abs(samples[:, 1:]).max()))
-        tol = chart_rtol(p) * scale
-        assert (samples[wide, 1] <= h_min[wide] + tol).all()
-        assert (samples[wide, 2] >= h_max[wide] - tol).all()
-        # Levels narrower than 1e-12 are A at the left end, on both sides.
-        ls = np.linspace(-2.0, 2.0 * p.R, n + 1)
-        narrow = np.flatnonzero(~wide)
-        a_of, _ = reduced.chart("NS", ls[narrow], p)
-        assert narrow.size >= 2
-        assert (samples[narrow, 1] == a_of(np.maximum(ls[narrow], 0.0))).all()
-        assert (samples[narrow, 2] == samples[narrow, 1]).all()
+        h_min, h_max = dense_envelope(p, n)
+        tol = CHART_RTOL * max(1.0, float(np.abs(samples[:, 1:]).max()))
+        assert (samples[:, 1] <= h_min + tol).all()
+        assert (samples[:, 2] >= h_max - tol).all()
+        # The end levels l = -2 and 2R are points: A there, on both sides.
+        R = ns_frame(p).R
+        ends = np.array([-2.0, 2.0 * R])
+        a_of, _ = reduced.chart("NS", ends, ns_frame(p))
+        assert (samples[[0, -1], 1] == a_of(np.array([0.0, 2.0 * R]))).all()
+        assert (samples[[0, -1], 2] == samples[[0, -1], 1]).all()
 
     def test_seeded_points_never_narrower_than_dense_sampling(self):
         rng = np.random.default_rng(20261018)
@@ -702,33 +717,56 @@ class TestImageBoundary:
             R = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
             p = ModelParams(1.0, R, *(float(v) for v in rng.uniform(0, 1, 2)))
             samples = np.array(image_boundary(p, 64).samples)
-            h_min, h_max, wide = dense_envelope(p, 64, m=801)
-            tol = chart_rtol(p) * max(1.0, float(np.abs(samples[:, 1:]).max()))
-            assert (samples[wide, 1] <= h_min[wide] + tol).all(), p
-            assert (samples[wide, 2] >= h_max[wide] - tol).all(), p
+            h_min, h_max = dense_envelope(p, 64, m=801)
+            tol = CHART_RTOL * max(1.0, float(np.abs(samples[:, 1:]).max()))
+            assert (samples[:, 1] <= h_min + tol).all(), p
+            assert (samples[:, 2] >= h_max - tol).all(), p
 
-    @pytest.mark.parametrize("p, rtol", [
-        (ModelParams(1.0, 2.0, 0.3, 0.6), 1e-14),
-        (ModelParams(1.0, 0.2, 0.7, 0.1), 1e-14),
-        (ModelParams(1.0, 2.0, 0.5, 0.3), 1e-14),
-        (ModelParams(1.0, 1.0 - 1e-9, 0.9, 0.05), 1e-14),
-        (ModelParams(1.0, 1e6, 0.3, 0.7), 5e-10),
-        (ModelParams(1, 1e6, 0, 0.5), 5e-10),
+    @pytest.mark.parametrize("p", [
+        ModelParams(1.0, 2.0, 0.3, 0.6), ModelParams(1.0, 0.2, 0.7, 0.1),
+        ModelParams(1.0, 2.0, 0.5, 0.3),
+        ModelParams(1.0, 1.0 - 1e-9, 0.9, 0.05),
+        ModelParams(1.0, 1e6, 0.3, 0.7), ModelParams(1, 1e6, 0, 0.5),
+        ModelParams(1.0, 1e12, 0.3, 0.7), ModelParams(1.0, 1e16, 0.3, 0.4),
+        ModelParams(1.0, 1e-13, 0.3, 0.7),
     ], ids=repr)
-    def test_matches_mpmath(self, p, rtol, scalar_golden):
+    def test_matches_mpmath(self, p, scalar_golden):
         # Measured: at most 1.5e-15 relative on 30 seeded points with R in
-        # [1/8, 8] and 4.4e-16 on 10 with R - 1 down to 1e-13, and 7.7e-11
-        # and 5.2e-11 at R = 1e6, where the scalar golden section is
-        # 8.4e-11 and 9.7e-11 away: the float chart's rounding.
+        # [1/8, 8] and 4.4e-16 on 10 with R - 1 down to 1e-13; the offset
+        # chart keeps that at R = 1e6 to 1e16 and 1e-13.
         pytest.importorskip("mpmath")
         n, levels = 16, [1, 5, 8, 11, 15]
         ref = mp_envelope(p, n, levels)
         got = np.array(image_boundary(p, n).samples)[levels, 1:]
         scale = max(1.0, float(np.abs(np.array(ref)).max()))
-        assert np.abs(got - ref).max() <= rtol * scale
-        if p.R > 1e3:
+        assert np.abs(got - ref).max() <= 1e-14 * scale
+        if 1e3 < p.R < 1e9:
+            # The golden section searches p2, whose float spacing is about
+            # R eps: from R of about 1e9 on it no longer resolves the band.
             gold = np.array(scalar_envelope(p, n, scalar_golden))[levels, 1:]
-            assert np.abs(gold - ref).max() <= rtol * scale
+            assert np.abs(gold - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("R, s2", [
+        (2.0 ** 511, 0.7), (2.0 ** -511, 0.4), (1e100, 0.4), (1e-100, 0.7)],
+        ids=repr)
+    def test_top_of_the_ratio_range(self, R, s2):
+        # The solve's beta and its slope c are of order 1 and sqrt(R) in
+        # every level's units, so no product overflows (a RuntimeWarning is
+        # an error here) up to the largest ratio ModelParams accepts.  The
+        # sextic of ``mp_envelope`` does not converge there: the reference
+        # is a golden-section search of each side, which is unimodal.
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(1.0, R, 0.3, s2)
+        levels = [1, 8, 15]
+        got = np.array(image_boundary(p, 16).samples)[levels, 1:]
+        work = ns_frame(p)
+        ls = np.linspace(-2.0, 2.0 * work.R, 17)
+        with mpmath.workdps(40 + 2 * math.ceil(math.log10(work.R))):
+            exact = ModelParams(*map(mpmath.mpf, (work.r1, work.r2, work.s1,
+                                                  work.s2)))
+            ref = [mp_search_band(mpmath, exact, mpmath.mpf(float(ls[i])))
+                   for i in levels]
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_corner_values_on_envelope(self):
         p = ModelParams(1.0, 2.0, 0.4, 0.5)
@@ -774,39 +812,47 @@ class TestImageBoundary:
                 image_boundary(FF_PARAMS, n=n)
 
     def test_small_ratio_equivalent(self):
-        # Swapping the spheres leaves the envelope of the image unchanged up
-        # to the symmetry itself; widths h_max - h_min agree per level.
+        # Swapping the spheres maps the image of (L, H) onto itself, and
+        # both inputs have one NS frame: the same samples, bit for bit.
         a = image_boundary(ModelParams(2.0, 1.0, 0.3, 0.4), n=32)
         b = image_boundary(ModelParams(1.0, 2.0, 0.3, 0.6), n=32)
-        wa = sorted(s[2] - s[1] for s in a.samples)
-        wb = sorted(s[2] - s[1] for s in b.samples)
-        assert np.max(np.abs(np.array(wa) - np.array(wb))) < 1e-7
+        assert a.samples == b.samples
 
 
-def wide_levels(params, n, extra=()):
-    """(l, lo, hi) of the levels of ``image_boundary(params, n)`` wider than
-    1e-12, and of the ``extra`` levels."""
-    ls = np.concatenate([np.linspace(-2.0, 2.0 * params.R, n + 1), extra])
-    lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * params.R)
-    keep = hi - lo >= 1e-12
-    return ls[keep], lo[keep], hi[keep]
+def interior_levels(params, n, extra=()):
+    """(l, r_l, lo, hi) of the interior levels of ``image_boundary(params,
+    n)`` and of the ``extra`` levels, in the NS frame: the offset x = p2 - l
+    ranges over [lo, hi], and r_l = 2R - l."""
+    R = ns_frame(params).R
+    ls = np.concatenate([np.linspace(-2.0, 2.0 * R, n + 1)[1:-1], extra])
+    r_l = 2.0 * R - ls
+    return ls, r_l, np.maximum(-ls, 0.0), np.minimum(r_l, 2.0)
 
 
-def candidates(params, l, lo, hi):
-    """``_envelope_candidates`` on the levels l with intervals [lo, hi], one
-    row per level: the transpose of its candidate rows."""
-    return _envelope_candidates(*reduced.chart_factors("NS", l, params), lo,
-                                hi, params.R).T
+def slope_and_c4(params):
+    """(dA, c4) of the NS frame's chart, as ``image_boundary`` passes them to
+    ``_envelope_candidates``."""
+    work = ns_frame(params)
+    k, _, _, c4 = reduced._chart_terms("NS", 0.0, work)
+    return k * (work.s2 / work.R - (1 - work.s2)), c4
 
 
-def solve_levels(params, l, lo, hi):
-    """(rho_l, rho_r, c) of each level for ``_critical_points``: B's roots
-    outside [lo, hi] and A's slope in t = (p2 - lo) / (hi - lo)."""
-    slope, kb, m = reduced.chart_factors("NS", l, params)
-    w = hi - lo
-    rho_l = (np.minimum(0.0, m) - lo) / w
-    rho_r = (np.maximum(2.0 * params.R, m + 2.0) - lo) / w
-    return rho_l, rho_r, slope / (math.sqrt(kb) * w)
+def candidates(params, l, r_l, lo, hi):
+    """``_envelope_candidates`` on the levels l, one row per level: the
+    transpose of its candidate rows."""
+    return _envelope_candidates(*slope_and_c4(params), l, r_l, lo, hi,
+                                ns_frame(params).R).T
+
+
+def solve_levels(params, l, r_l, lo, hi):
+    """(a_1, b_1, c) of each level for ``_critical_points``: a_1 = (lo -
+    x_l) / (hi - x_l) and b_1 = (x_r - hi) / (x_r - lo) from B's roots x_l
+    and x_r outside [lo, hi], and A's slope in the solve's units."""
+    dA, c4 = slope_and_c4(params)
+    x_l, x_r = np.minimum(0.0, -l), np.maximum(2.0, r_l)
+    c = dA * ns_frame(params).R / (math.sqrt(c4) * (np.sqrt(hi - x_l)
+                                                    * np.sqrt(x_r - lo)))
+    return (lo - x_l) / (hi - x_l), (x_r - hi) / (x_r - lo), c
 
 
 def lemma_points():
@@ -838,10 +884,10 @@ def slow_solve_points():
     for _ in range(1500):
         R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
         p = ModelParams(1.0, R, *map(float, rng.uniform(0, 1, 2)))
-        l, lo, hi = wide_levels(p, 64)
+        levels = interior_levels(p, 64)
         if (abs(discriminant_E(p)) > DEGENERACY_BAND * R
-                and reduced.chart_factors("NS", l, p)[1] > 0.0
-                and _critical_points(*solve_levels(p, l, lo, hi))[1] >= 6):
+                and slope_and_c4(p)[1] > 0.0
+                and _critical_points(*solve_levels(p, *levels))[1] >= 6):
             points.append(p)
     return points
 
@@ -856,15 +902,19 @@ TINY_COUPLING_POINTS = [
 ]
 
 
-def u_sides(t, rho_l, rho_r, c):
+def u_sides(t, a_1, b_1, c):
     """(u, size) at t (one column per side, sigma = +1 then -1): u = beta'
-    + 2 sigma c sqrt(beta), beta = t (t - rho_l) (t - 1) (t - rho_r), with
-    beta' as the sum of the four products of three factors, and the sum of
-    the magnitudes of those products and of 2 c sqrt(beta)."""
-    rho = np.stack([rho_l, 0.0 * rho_l, 1.0 + 0.0 * rho_l, rho_r], axis=1)
-    d = t[:, :, None] - rho[:, None, :]
-    cof = np.stack([np.delete(d, i, axis=2).prod(axis=2) for i in range(4)],
-                   axis=2)
+    + 2 sigma c sqrt(beta), beta = t (a_1 + a t) (1 - t) (b_1 + b (1 - t))
+    with a = 1 - a_1 and b = 1 - b_1, beta' as the sum of the four products
+    of three factors and one derivative, and the sum of the magnitudes of
+    those products and of 2 c sqrt(beta)."""
+    a_1, b_1 = a_1[:, None], b_1[:, None]
+    a, b = 1.0 - a_1, 1.0 - b_1
+    d = np.stack([t, a_1 + a * t, 1.0 - t, b_1 + b * (1.0 - t)], axis=2)
+    slopes = np.stack([np.ones_like(t), a + 0.0 * t, -np.ones_like(t),
+                       -b + 0.0 * t], axis=2)
+    cof = np.stack([slopes[:, :, i] * np.delete(d, i, axis=2).prod(axis=2)
+                    for i in range(4)], axis=2)
     c_root = (2.0 * np.array([1.0, -1.0]) * c[:, None]
               * np.sqrt(np.maximum(d.prod(axis=2), 0.0)))
     return (cof.sum(axis=2) + c_root,
@@ -877,12 +927,13 @@ class TestEnvelopeLemma:
 
     @pytest.mark.parametrize("p", lemma_points(), ids=repr)
     def test_single_extreme_per_side(self, p):
-        l, lo, hi = wide_levels(p, 64, [0.0, 2.0 * p.R - 2.0])
-        p2 = np.linspace(lo, hi, 2001, axis=1)
-        a_of, b_of = reduced.chart("NS", l[:, None], p)
+        R = ns_frame(p).R
+        l, _, lo, hi = interior_levels(p, 64, [0.0, 2.0 * R - 2.0])
+        p2 = l[:, None] + np.linspace(lo, hi, 2001, axis=1)
+        a_of, b_of = reduced.chart("NS", l[:, None], ns_frame(p))
         a = a_of(p2)
         root_b = np.sqrt(np.maximum(b_of(p2), 0.0))
-        tol = chart_rtol(p) * max(1.0, float(np.abs(a).max() + root_b.max()))
+        tol = CHART_RTOL * max(1.0, float(np.abs(a).max() + root_b.max()))
         for h in (a + root_b, -(a - root_b)):
             # Once a side has fallen by more than rounding, it never rises
             # again by more than rounding: one local maximum.
@@ -897,21 +948,22 @@ class TestEnvelopeLemma:
         # where rounding blurs that sign, u is within 1e-12 of the size of
         # its terms (measured: the other 225, at most 1.8e-15).  The
         # double-root levels l = 0 and l = 2R - 2 are included.
-        l, lo, hi = wide_levels(p, 64, [0.0, 2.0 * p.R - 2.0])
-        rho_l, rho_r, c = solve_levels(p, l, lo, hi)
-        t, steps = _critical_points(rho_l, rho_r, c)
+        levels = interior_levels(p, 64, [0.0, 2.0 * ns_frame(p).R - 2.0])
+        l, r_l, lo, hi = levels
+        args = solve_levels(p, *levels)
+        t, steps = _critical_points(*args)
         assert steps < _MAX_STEPS
         assert ((0.0 <= t) & (t <= 1.0)).all()
-        u, size = u_sides(t, rho_l, rho_r, c)
+        u, size = u_sides(t, *args)
         gap = 4.0 * np.spacing(t)
-        left = u_sides(np.maximum(t - gap, 0.0), rho_l, rho_r, c)[0]
-        right = u_sides(np.minimum(t + gap, 1.0), rho_l, rho_r, c)[0]
+        left = u_sides(np.maximum(t - gap, 0.0), *args)[0]
+        right = u_sides(np.minimum(t + gap, 1.0), *args)[0]
         ok = ((np.abs(u) <= 1e-12 * size) | ((left >= 0.0) & (right <= 0.0))
               | (t == 0.0) | (t == 1.0))
         assert ok.all(), (l[np.nonzero(~ok)[0]], t[~ok], u[~ok])
         # The candidates of image_boundary are these points, mapped to p2.
         w = (hi - lo)[:, None]
-        assert np.array_equal(candidates(p, l, lo, hi)[:, :2],
+        assert np.array_equal(candidates(p, *levels)[:, :2],
                               np.clip(lo[:, None] + w * t, lo[:, None],
                                       hi[:, None]))
 
@@ -920,15 +972,16 @@ class TestEnvelopeLemma:
         # The candidates are finite points of [lo, hi], the solve stops
         # before its cap, and kb = 0 leaves the ends alone.
         for n in (16, 64, 257):
-            l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
-            p2 = candidates(p, l, lo, hi)
-            assert np.isfinite(p2).all()
-            assert ((lo[:, None] <= p2) & (p2 <= hi[:, None])).all()
-            if reduced.chart_factors("NS", l, p)[1] == 0.0:
-                assert np.array_equal(p2, np.stack([lo, hi], axis=1))
+            levels = interior_levels(p, n, [0.0, 2.0 * ns_frame(p).R - 2.0])
+            l, _, lo, hi = levels
+            x = candidates(p, *levels)
+            assert np.isfinite(x).all()
+            assert ((lo[:, None] <= x) & (x <= hi[:, None])).all()
+            if slope_and_c4(p)[1] == 0.0:
+                assert np.array_equal(x, np.stack([lo, hi], axis=1))
             else:
-                assert p2.shape == (l.size, 4)
-                steps = _critical_points(*solve_levels(p, l, lo, hi))[1]
+                assert x.shape == (l.size, 4)
+                steps = _critical_points(*solve_levels(p, *levels))[1]
                 assert steps < _MAX_STEPS
         assert np.isfinite(np.array(image_boundary(p, 64).samples)).all()
 
@@ -941,20 +994,19 @@ class TestEnvelopeLemma:
         # number of steps, the double-root levels l = 0 and l = 2R - 2
         # included, and on points whose solve takes 6 to 9 steps.
         for n in (16, 64, 257):
-            l, lo, hi = wide_levels(p, n, [0.0, 2.0 * p.R - 2.0])
-            if reduced.chart_factors("NS", l, p)[1] == 0.0:
-                continue  # kb = 0: the ends alone, no solve
-            args = solve_levels(p, l, lo, hi)
+            levels = interior_levels(p, n, [0.0, 2.0 * ns_frame(p).R - 2.0])
+            if slope_and_c4(p)[1] == 0.0:
+                continue  # c4 = 0: the ends alone, no solve
+            args = solve_levels(p, *levels)
             t, steps = _critical_points(*args)
             t_ref, steps_ref = loop_critical_points(*args)
             assert np.array_equal(t, t_ref), (n, np.nonzero(t != t_ref))
             assert steps == steps_ref, n
 
 
-# The ends of the width range of image_boundary's levels: R = 4e-13, where
-# every level is narrower than 1e-12, R = 1 +- 1e-9, R = 1e3, and R = 3e16,
-# where l + 2 rounds back to l on the upper levels and only some of the
-# interior levels are wide.
+# Ratios at which the p2 chart's levels once degenerated: R = 4e-13, where
+# every level was narrower than 1e-12, R = 1 +- 1e-9, R = 1e3, and R = 3e16,
+# where l + 2 rounds back to l on the upper levels.
 WIDTH_END_POINTS = [
     ModelParams(1.0, 4e-13, 0.3, 0.7), ModelParams(1.0, 1.0 + 1e-9, 0.3, 0.7),
     ModelParams(1.0, 1.0 - 1e-9, 0.6, 0.2), ModelParams(1.0, 1e3, 0.3, 0.45),
@@ -966,11 +1018,12 @@ WIDTH_END_POINTS = [
                          + WIDTH_END_POINTS, ids=repr)
 def test_image_boundary_equals_reference_bits(p, reference_image_boundary):
     # Chart terms shared by the whole envelope, the candidate array built in
-    # place, the wide levels taken as one slice and the corner values from
-    # L and H on the poles leave every float as it was: repr-equal samples,
-    # focus-focus and corner values (repr tells -0.0 from 0.0, which ==
-    # does not).  The points are the seeded ones in both frames, R = 1e+-6,
-    # s1 = 1/2, tiny or zero coupling and the ends of the width range.
+    # place, the end levels set in that array and the corner values from L
+    # and H on the poles give the floats of the reference written out on
+    # its own: repr-equal samples, focus-focus and corner values (repr tells
+    # -0.0 from 0.0, which == does not).  The points are the seeded ones in
+    # both frames, R = 1e+-6, s1 = 1/2, tiny or zero coupling and ratios at
+    # which the p2 chart's levels degenerated.
     for n in (16, 64, 257):
         got, ref = image_boundary(p, n), reference_image_boundary(p, n)
         for field in ("samples", "ff_values", "corner_values"):

@@ -17,7 +17,8 @@ only the invocations whose exit code or digest differ, and exits 1 if any
 do, 0 if none do.
 
 The list covers every README example, ``height`` with all three methods,
-``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3),
+``image`` at 16, 64 and 257 samples (R < 1, R near 1, R = 1e3) and at
+16 samples for R from 1e-16 to 1e16,
 ``classify`` (also with ``--json``) at extreme radius ratios, radius pairs
 whose squares leave the float range and pairs just inside it, ``height``
 near E = 0 (where the oracle's arccos zone is narrow), ``polygon`` with
@@ -87,6 +88,11 @@ ROUNDING_POLYGON_POINTS = [(1, R, 0.500000001, 0.4) for R in (
 # Image envelopes at R < 1, R near 1 and R = 1e3, focus-focus and toric.
 IMAGE_POINTS = [(3, 1, 0.6, 0.2), (2, 1, 0, 0), (1, 1.001, 0.3, 0.4),
                 (1, 1e3, 0.3, 0.4), (1, 1e3, 0, 0.5)]
+# Image envelopes at large and small ratios, where a chart in p2 loses its
+# digits to two cancelling terms of size R (and below R of about 5e-13 its
+# levels collapse to points).
+IMAGE_RATIO_POINTS = [(1, R, 0.3, s2) for R in (1e4, 1e8, 1e12, 1e16, 1e-13,
+                                                1e-16) for s2 in (0.7, 0.4)]
 # Radius ratios of 1e+-17, at which an offset of r2 next to r1 z1 is lost to
 # rounding (a rank-1 grid built in levels l instead of z2 failed there), and
 # radii whose squares overflow or underflow.
@@ -221,6 +227,8 @@ def invocations():
         out.append(f"image --samples 64 {flags(p)} --out image.csv")
     for p in FF_POINTS[:1] + IMAGE_POINTS[:1]:
         out.append(f"image --samples 257 {flags(p)}")
+    for p in IMAGE_RATIO_POINTS:
+        out.append(f"image --samples 16 {flags(p)}")
     for p in EXTREME_RADII:
         out.append(f"classify {flags(p)}")
     for p in RATIO_RADII:
