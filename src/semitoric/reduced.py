@@ -8,15 +8,17 @@ region.  The SN model uses the reflected coordinates (q2 -> -q2,
 p2 -> 2R - p2), so both labels share the convention that the physical
 interval starts at p2 = 0.
 
-A_l and B_l are written down once, in ``_chart_a`` and ``_chart_b``, on the
-p2-independent terms of a level (``_chart_terms``): ``chart(label, l,
+A_l and B_l are written down once for both labels, in ``_chart_a`` and
+``_chart_b``, on the p2-independent terms of a level (``_chart_terms``)
+and spin 1's level offset: with sigma = +1 for NS and -1 for SN,
+A_l = (1 - 2 s1)(sigma (1 - 2 s2) - (1 - s2)(p2 - l) + s2 p2/R) and
+B_l = 4 c^2 (p2/R)((p2 - 2R)/R) x (x - 2) with x = p2 - sigma l, so every
+term is of order 1 and none cancels at large R.  ``chart(label, l,
 params)`` returns them as functions of p2, and
-``cartography.image_boundary`` calls them on all its levels.  The level and
-p2 broadcast as NumPy arrays do, each element with the operations of a
-float call in the same order, so all give the same bits; mpf parameters
-give mpf values.  ``chart_factors`` gives the chart in factored form: the
-slope of A_l, the leading coefficient of B_l and m, the level's root of
-B_l.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
+``cartography.image_boundary`` calls them on all its levels.  The level
+and p2 broadcast as NumPy arrays do, each element with the operations of
+a float call in the same order, so all give the same bits; mpf parameters
+give mpf values.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
 ``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
 (shared with ``height``) gives the closed-form roots of P_0 (``roots_P0``).
 ``p0_quadratic_roots`` gives the roots of P_0's quadratic factor from the
