@@ -125,10 +125,10 @@ def _envelope_candidates(dA, c4, l, r_l, lo, hi, R):
     b (1 - t)), where a = w / (hi - x_l) and b = w / (x_r - lo) lie in
     (0, 1], and a_1 = 1 - a = |l| / (hi - x_l) and b_1 = 1 - b =
     |r_l - 2| / (x_r - lo) are formed without cancellation; so beta and its
-    derivatives are of order 1 at every R.  With c4 > 0 the
-    extremes are the ends and one critical point per side
-    (``_critical_points``): row 0 holds the maximiser of A + sqrt(B), row 1
-    the minimiser of A - sqrt(B), rows 2 and 3 the exact ends.  At zero
+    derivatives are of order 1 at every R.  With c4 > 0 the extremes are
+    the ends and one critical point per side (``_critical_points``): row 0
+    holds the maximiser of A + sqrt(B), row 1 the minimiser of
+    A - sqrt(B), rows 2 and 3 the exact ends.  At zero
     coupling (c4 = 0, the (s1, s2) corners) B vanishes and the two rows of
     ends are returned.  A coupling below about 1e-150 (c4 subnormal) only
     makes c large: the critical points move next to an end and stay finite.
@@ -153,11 +153,10 @@ def _critical_points(a_1, b_1, c):
     (column 1), and the number of lockstep steps taken.
 
     beta(t) = p q with p = t (a_1 + a t) and q = (1 - t) (b_1 + b (1 - t)),
-    a_1 = 1 - a and b_1 = 1 - b in [0, 1), and c = A' / (sqrt(kb (hi -
-    x_l) (x_r - lo))) is A's
-    slope in the units of ``_envelope_candidates``; then dH/dt has the sign
-    of u for H = A + sqrt(B) (sigma = +1) and of -u for H = A - sqrt(B)
-    (sigma = -1).
+    a_1 = 1 - a and b_1 = 1 - b in [0, 1), and c = A' / sqrt(kb (hi - x_l)
+    (x_r - lo)) is A's slope in the units of ``_envelope_candidates``; then
+    dH/dt has the sign of u for H = A + sqrt(B) (sigma = +1) and of -u for
+    H = A - sqrt(B) (sigma = -1).
 
     Lemma: sqrt(beta) = F G with F = sqrt(p) increasing and concave and
     G = sqrt(q) decreasing and concave on [0, 1], so (F G)'' = F'' G + 2 F'

@@ -12,14 +12,13 @@ A_l and B_l are written down once for both labels, in ``_chart_a`` and
 ``_chart_b``, on the p2-independent terms of a level (``_chart_terms``)
 and spin 1's level offset: with sigma = +1 for NS and -1 for SN,
 A_l = (1 - 2 s1)(sigma (1 - 2 s2) - (1 - s2)(p2 - l) + s2 p2/R) and
-B_l = 4 c^2 (p2/R)((p2 - 2R)/R) x (x - 2) with x = p2 - sigma l, so every
-term is of order 1 and none cancels at large R.  ``chart(label, l,
-params)`` returns them as functions of p2, and
-``cartography.image_boundary`` calls them on all its levels.  The level
-and p2 broadcast as NumPy arrays do, each element with the operations of
-a float call in the same order, so all give the same bits; mpf parameters
-give mpf values.  ``reduced_A`` and ``reduced_B`` are scalar conveniences over
-``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
+B_l = 4 c^2 (p2/R)((p2 - 2R)/R) x (x - 2) with x = p2 - sigma l, so no two
+terms of size R cancel.  ``chart(label, l, params)`` returns them as
+functions of p2, and ``cartography.image_boundary`` calls them on all its
+levels.  The level and p2 broadcast as NumPy arrays do, each element with
+the operations of a float call in the same order, so all give the same
+bits; mpf parameters give mpf values.  ``reduced_A`` and ``reduced_B`` are
+scalar conveniences over ``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
 (shared with ``height``) gives the closed-form roots of P_0 (``roots_P0``).
 ``p0_quadratic_roots`` gives the roots of P_0's quadratic factor from the
 factored l = 0 chart (``p0_factors``) with no cancellation: ``roots_P0``
@@ -60,7 +59,7 @@ def _chart_terms(label: str, l, params: ModelParams):
 
 
 def _chart_a(k, base, s2, R, x, p2):
-    # x = p2 - l: each term is of order 1, so nothing cancels.
+    # x = p2 - l: no two terms of size R cancel.
     return k * (base - (1 - s2) * x + s2 * (p2 / R))
 
 
