@@ -80,7 +80,10 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     interval, so the envelope never reaches past the true extremes.  Output
     is in unscaled L = r1 (l + 1 - R) of the NS frame; H is dimensionless.
     The corner values are L and H at the four poles of ``params``.
-    The levels are ``np.linspace``'s, bit for bit.
+    The levels are ``np.linspace``'s, bit for bit.  ``ValueError`` where
+    the critical-point solve overflows: its terms reach about
+    R^2 / coupling, and next to an end R / (coupling sqrt(t)), so past
+    R = 2^511 at coupling 1/4 and from about R = 1e50 at coupling 1e-160.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
@@ -93,8 +96,13 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     r_l = 2.0 * R - ls  # x at p2 = 2R
     lo, hi = np.maximum(-ls, 0.0), np.minimum(r_l, 2.0)
     k, base, _, c4 = reduced._chart_terms("NS", ls, work)
-    inner = _envelope_candidates(k * (s2 / R - (1 - s2)), c4, ls[1:-1],
-                                 r_l[1:-1], lo[1:-1], hi[1:-1], R)
+    try:
+        inner = _envelope_candidates(k * (s2 / R - (1 - s2)), c4, ls[1:-1],
+                                     r_l[1:-1], lo[1:-1], hi[1:-1], R)
+    except FloatingPointError:
+        raise ValueError(f"the image's critical-point solve overflows at "
+                         f"radius ratio R = {R!r} and coupling "
+                         f"{work.coupling!r}") from None
     x = np.empty((len(inner), n + 1))
     x[:, 1:-1] = inner
     x[:, 0], x[:, -1] = lo[0], lo[-1]  # the end levels are points
@@ -118,28 +126,28 @@ def _envelope_candidates(dA, c4, l, r_l, lo, hi, R):
     in the offset x = p2 - l: A has slope dA in x, and B = (c4/R^2) x
     (x - 2) (x + l) (x - r_l) with r_l = 2R - l (``reduced._chart_terms``).
 
-    The ends of the interval are two of B's roots (0, 2, -l, r_l), and the
-    other two, x_l <= lo and x_r >= hi, lie one on each side of it.  In
-    t = (x - lo) / w, w = hi - lo, B = kb w^2 (hi - x_l) (x_r - lo)
-    beta(t) with kb = c4/R^2 and beta(t) = t (a_1 + a t) (1 - t) (b_1 +
-    b (1 - t)), where a = w / (hi - x_l) and b = w / (x_r - lo) lie in
-    (0, 1], and a_1 = 1 - a = |l| / (hi - x_l) and b_1 = 1 - b =
-    |r_l - 2| / (x_r - lo) are formed without cancellation; so beta and its
-    derivatives are of order 1 at every R.  With c4 > 0 the extremes are
-    the ends and one critical point per side (``_critical_points``): row 0
-    holds the maximiser of A + sqrt(B), row 1 the minimiser of
-    A - sqrt(B), rows 2 and 3 the exact ends.  At zero
-    coupling (c4 = 0, the (s1, s2) corners) B vanishes and the two rows of
-    ends are returned.  A coupling below about 1e-150 (c4 subnormal) only
-    makes c large: the critical points move next to an end and stay finite.
+    In t = (x - lo) / w, w = hi - lo, B = (c4/R^2) w^4 beta(t) with
+    beta(t) = t (t - rho_l) (1 - t) (rho_r - t): the ends of the interval
+    are two of B's roots (0, 2, -l, r_l), and the other two, min(0, -l) and
+    max(2, r_l), mapped to rho_l <= 0 and rho_r >= 1, lie one on each side
+    of it.  With c4 > 0 the extremes are the ends and one critical point
+    per side (``_critical_points``): row 0 holds the maximiser of
+    A + sqrt(B), row 1 the minimiser of A - sqrt(B), rows 2 and 3 the exact
+    ends.  At zero coupling (c4 = 0, the (s1, s2) corners) B vanishes and
+    the two rows of ends are returned.  A coupling below about 1e-150 (c4
+    subnormal) only makes c large: the critical points move next to an end
+    and stay finite.  ``FloatingPointError`` where c or a term of the solve
+    overflows: rho_l and rho_r reach about R and c about R / coupling, so
+    u's terms reach about R^2 / coupling.
     """
     if c4 == 0.0:
         return np.stack([lo, hi])
     w = hi - lo
-    span_l, span_r = hi - np.minimum(0.0, -l), np.maximum(2.0, r_l) - lo
-    c = dA * R / (math.sqrt(c4) * (np.sqrt(span_l) * np.sqrt(span_r)))
-    t, _ = _critical_points(np.abs(l) / span_l, np.abs(r_l - 2.0) / span_r,
-                            c)
+    rho_l = (np.minimum(0.0, -l) - lo) / w
+    rho_r = (np.maximum(2.0, r_l) - lo) / w
+    with np.errstate(over="raise"):
+        c = dA * R / (math.sqrt(c4) * w)
+    t, _ = _critical_points(rho_l, rho_r, c)
     x = np.empty((4, lo.size))
     x[2], x[3] = lo, hi
     # np.clip, bit for bit, with fewer dispatches, one row per side.
@@ -147,22 +155,22 @@ def _envelope_candidates(dA, c4, l, r_l, lo, hi, R):
     return x
 
 
-def _critical_points(a_1, b_1, c):
+def _critical_points(rho_l, rho_r, c):
     """(t, steps): for each level, the root in [0, 1] of u(t) = beta'(t) +
     2 sigma c sqrt(beta(t)) for sigma = +1 (column 0) and sigma = -1
     (column 1), and the number of lockstep steps taken.
 
-    beta(t) = p q with p = t (a_1 + a t) and q = (1 - t) (b_1 + b (1 - t)),
-    a_1 = 1 - a and b_1 = 1 - b in [0, 1), and c = A' / sqrt(kb (hi - x_l)
-    (x_r - lo)) is A's slope in the units of ``_envelope_candidates``; then
-    dH/dt has the sign of u for H = A + sqrt(B) (sigma = +1) and of -u for
-    H = A - sqrt(B) (sigma = -1).
+    beta(t) = t (t - rho_l) (1 - t) (rho_r - t) with rho_l <= 0 and rho_r
+    >= 1, and c = A' / (sqrt(kb) w) is A's slope in the units of
+    ``_envelope_candidates``; then dH/dt has the sign of u for H = A +
+    sqrt(B) (sigma = +1) and of -u for H = A - sqrt(B) (sigma = -1).
 
-    Lemma: sqrt(beta) = F G with F = sqrt(p) increasing and concave and
-    G = sqrt(q) decreasing and concave on [0, 1], so (F G)'' = F'' G + 2 F'
-    G' + F G'' < 0.  A + sqrt(B) is therefore strictly concave and
-    A - sqrt(B) strictly convex, and u changes sign once, from u(0) = a_1
-    >= 0 to u(1) = -b_1 <= 0: each side has exactly one critical point.
+    Lemma: sqrt(beta) = F G with F = sqrt(t (t - rho_l)) increasing and
+    concave and G = sqrt((1 - t) (rho_r - t)) decreasing and concave on
+    [0, 1], so (F G)'' = F'' G + 2 F' G' + F G'' < 0.  A + sqrt(B) is
+    therefore strictly concave and A - sqrt(B) strictly convex, and u
+    changes sign once, from u(0) = -rho_l rho_r >= 0 to u(1) = (1 - rho_l)
+    (1 - rho_r) <= 0: each side has exactly one critical point.
 
     A sign scan of u at t = 0, 1/8, ..., 1 brackets it, and the start is
     the secant point of the bracketing nodes.  Each step is a Newton step
@@ -177,32 +185,32 @@ def _critical_points(a_1, b_1, c):
     alone takes the 1/8 bracket to 2^-67, below the float spacing of every
     t >= 2^-14).  A step forms du/dt only if some lane has not converged.
     The lanes are one row per side.  u's terms are p' q, p (-q') and 2 sigma
-    c sqrt(p q), and p, p', q, -q' >= 0 on [0, 1]; p'' = 2a and q'' = 2b.
+    c sqrt(p q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
+    t), and p, p', q, -q' >= 0 on [0, 1].  du/dt's term sigma c beta' /
+    sqrt(beta) is formed as sigma c (beta' / sqrt(beta)), so c never
+    multiplies a term of size R^2.  ``FloatingPointError`` where a term
+    overflows.
     """
     s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
     lanes = _SIDES, np.arange(c.size)
-    a, b = 1.0 - a_1, 1.0 - b_1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_t, b_t = a * _NODES, b * _ONE_NODES
-        t_l, t_r = a_1 + a_t, b_1 + b_t
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        t_l, t_r = _NODES - rho_l, rho_r - _NODES
         p, q = _NODES * t_l, _ONE_NODES * t_r
-        scan = ((t_l + a_t) * q - p * (t_r + b_t)
+        scan = ((_NODES + t_l) * q - p * (_ONE_NODES + t_r)
                 + two_s_c * np.sqrt(p * q))
         j = (scan[1:-1] > _ZERO).sum(axis=0)
         u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
-        lo = j * _EIGHTH
-        hi = lo + _EIGHTH
-        t = lo + _EIGHTH * (u_a / (u_a - u_b))
-        t = np.where((lo <= t) & (t <= hi), t, _HALF * (lo + hi))
-        a, b, a_1, b_1 = (np.array((v, v)) for v in (a, b, a_1, b_1))
+        a = j * _EIGHTH
+        b = a + _EIGHTH
+        t = a + _EIGHTH * (u_a / (u_a - u_b))
+        t = np.where((a <= t) & (t <= b), t, _HALF * (a + b))
+        rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
         for steps in range(1, _MAX_STEPS + 1):
-            one_t = _ONE - t
-            a_t, b_t = a * t, b * one_t
-            t_l, t_r = a_1 + a_t, b_1 + b_t
+            t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
             p, q = t * t_l, one_t * t_r
-            dp, neg_dq = t_l + a_t, t_r + b_t
+            dp, neg_dq = t + t_l, one_t + t_r
             root = np.sqrt(p * q)
             dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
             d_beta = dp_q - p_dq
@@ -210,18 +218,16 @@ def _critical_points(a_1, b_1, c):
             small = np.abs(u) <= _U_TOL * (dp_q + p_dq + np.abs(c_root))
             if np.count_nonzero(small) == small.size:
                 break
-            np.copyto(lo, t, where=u > _ZERO)
-            np.copyto(hi, t, where=u < _ZERO)
-            step = u / (_TWO * (a * q + b * p - dp * neg_dq)
-                        + s_c * d_beta / root)
+            np.copyto(a, t, where=u > _ZERO)
+            np.copyto(b, t, where=u < _ZERO)
+            step = u / (_TWO * (p + q - dp * neg_dq) + s_c * (d_beta / root))
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
             nxt = newton + step * (step / (_FOUR * (t - e)))
-            in_ab = (lo <= nxt) & (nxt <= hi)
+            in_ab = (a <= nxt) & (nxt <= b)
             if np.count_nonzero(in_ab) < in_ab.size:
                 nxt = np.where(in_ab, nxt, np.where(
-                    (lo <= newton) & (newton <= hi), newton,
-                    _HALF * (lo + hi)))
+                    (a <= newton) & (newton <= b), newton, _HALF * (a + b)))
             done = small | (np.abs(nxt - t) <= _T_TOL * t)
             np.copyto(nxt, t, where=done)
             t = nxt

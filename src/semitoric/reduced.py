@@ -18,12 +18,12 @@ functions of p2, and ``cartography.image_boundary`` calls them on all its
 levels.  The level and p2 broadcast as NumPy arrays do, each element with
 the operations of a float call in the same order, so all give the same
 bits; mpf parameters give mpf values.  ``reduced_A`` and ``reduced_B`` are
-scalar conveniences over ``chart``.  ``DHFunction.rho`` also takes a float or an array.  ``gamma_B``
-(shared with ``height``) gives the closed-form roots of P_0 (``roots_P0``).
-``p0_quadratic_roots`` gives the roots of P_0's quadratic factor from the
-factored l = 0 chart (``p0_factors``) with no cancellation: ``roots_P0``
-checks its closed form against them, and the height oracle's arccos zone
-ends at the near one.
+scalar conveniences over ``chart``.  ``DHFunction.rho`` also takes a float
+or an array.  ``gamma_B`` (shared with ``height``) gives the closed-form
+roots of P_0 (``roots_P0``).  ``p0_quadratic_roots`` gives the roots of
+P_0's quadratic factor from the factored l = 0 chart (``p0_factors``) with
+no cancellation: ``roots_P0`` checks its closed form against them, and the
+height oracle's arccos zone ends at the near one.
 """
 
 from __future__ import annotations

@@ -522,7 +522,7 @@ def reference_polygon_path():
                            knots=_reference_knots)
 
 
-def _loop_critical_points(a_1, b_1, c):
+def _loop_critical_points(rho_l, rho_r, c):
     """``cartography._critical_points`` as it was written before its early
     exits: every lane takes the nested ``np.where`` step each time, and the
     loop stops only on the combined convergence test.  The reference for
@@ -530,29 +530,29 @@ def _loop_critical_points(a_1, b_1, c):
     from semitoric.cartography import _MAX_STEPS
 
     eps = np.finfo(float).eps
-    a_1, b_1 = a_1[:, None], b_1[:, None]
+    rho_l, rho_r = rho_l[:, None], rho_r[:, None]
     s_c = np.stack([c, -c], axis=1)
     e = (s_c > 0.0).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         nodes = np.arange(9)[:, None, None] / 8.0
-        scan = _loop_critical_equation(nodes, a_1, b_1, s_c)[0]
+        scan = _loop_critical_equation(nodes, rho_l, rho_r, s_c)[0]
         j = (scan[1:-1] > 0.0).sum(axis=0)
         u_a, u_b = np.choose(j, scan), np.choose(j + 1, scan)
-        lo = j / 8.0
-        hi = lo + 0.125
-        t = lo + 0.125 * (u_a / (u_a - u_b))
-        t = np.where((lo <= t) & (t <= hi), t, 0.5 * (lo + hi))
+        a = j / 8.0
+        b = a + 0.125
+        t = a + 0.125 * (u_a / (u_a - u_b))
+        t = np.where((a <= t) & (t <= b), t, 0.5 * (a + b))
         for steps in range(1, _MAX_STEPS + 1):
-            u, du, size = _loop_critical_equation(t, a_1, b_1, s_c)
-            lo = np.where(u > 0.0, t, lo)
-            hi = np.where(u < 0.0, t, hi)
+            u, du, size = _loop_critical_equation(t, rho_l, rho_r, s_c)
+            a = np.where(u > 0.0, t, a)
+            b = np.where(u < 0.0, t, b)
             step = u / du
             newton = t - step
             # The Newton step in r = sqrt(|t - e|), mapped back to t.
             in_r = newton + step * (step / (4.0 * (t - e)))
-            nxt = np.where((lo <= in_r) & (in_r <= hi), in_r,
-                           np.where((lo <= newton) & (newton <= hi), newton,
-                                    0.5 * (lo + hi)))
+            nxt = np.where((a <= in_r) & (in_r <= b), in_r,
+                           np.where((a <= newton) & (newton <= b), newton,
+                                    0.5 * (a + b)))
             done = ((np.abs(u) <= 8.0 * eps * size)
                     | (np.abs(nxt - t) <= 4.0 * eps * t))
             t = np.where(done, t, nxt)
@@ -561,25 +561,23 @@ def _loop_critical_points(a_1, b_1, c):
     return t, steps
 
 
-def _loop_critical_equation(t, a_1, b_1, s_c):
-    """(u, du/dt, size) of ``_loop_critical_points``, with beta = p q,
-    p = t (a_1 + a t), q = (1 - t) (b_1 + b (1 - t)), a = 1 - a_1 and
-    b = 1 - b_1."""
-    a, b, one_t = 1.0 - a_1, 1.0 - b_1, 1.0 - t
-    a_t, b_t = a * t, b * one_t
-    t_l, t_r = a_1 + a_t, b_1 + b_t
+def _loop_critical_equation(t, rho_l, rho_r, s_c):
+    """(u, du/dt, size) of ``_loop_critical_points``, as
+    ``cartography._critical_equation`` computed them but for du/dt's last
+    term, formed as sigma c (beta' / sqrt(beta))."""
+    t_l, t_r, one_t = t - rho_l, rho_r - t, 1.0 - t
     p, q = t * t_l, one_t * t_r
-    dp, neg_dq = t_l + a_t, t_r + b_t
+    dp, neg_dq = t + t_l, one_t + t_r
     root = np.sqrt(p * q)
     dp_q, p_dq, c_root = dp * q, p * neg_dq, 2.0 * s_c * root
     d_beta = dp_q - p_dq
-    du = 2.0 * (a * q + b * p - dp * neg_dq) + s_c * d_beta / root
+    du = 2.0 * (p + q - dp * neg_dq) + s_c * (d_beta / root)
     return d_beta + c_root, du, dp_q + p_dq + np.abs(c_root)
 
 
 @pytest.fixture(scope="session")
 def loop_critical_points():
-    """``loop_critical_points(a_1, b_1, c)``: the envelope's lockstep
+    """``loop_critical_points(rho_l, rho_r, c)``: the envelope's lockstep
     critical-point solve without early exits, returning (t, steps)."""
     return _loop_critical_points
 
@@ -638,10 +636,9 @@ def _reference_envelope_candidates(slope, c4, l, r_l, lo, hi, R):
     if c4 == 0.0:
         return ends
     w = hi - lo
-    span_l, span_r = hi - np.minimum(0.0, -l), np.maximum(2.0, r_l) - lo
-    c = slope * R / (math.sqrt(c4) * (np.sqrt(span_l) * np.sqrt(span_r)))
-    t, _ = _critical_points(np.abs(l) / span_l, np.abs(r_l - 2.0) / span_r,
-                            c)
+    rho_l = (np.minimum(0.0, -l) - lo) / w
+    rho_r = (np.maximum(2.0, r_l) - lo) / w
+    t, _ = _critical_points(rho_l, rho_r, slope * R / (math.sqrt(c4) * w))
     x = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
     return np.concatenate([x, ends], axis=1)
 

@@ -750,11 +750,12 @@ class TestImageBoundary:
         (2.0 ** 511, 0.7), (2.0 ** -511, 0.4), (1e100, 0.4), (1e-100, 0.7)],
         ids=repr)
     def test_top_of_the_ratio_range(self, R, s2):
-        # The solve's beta and its slope c are of order 1 and sqrt(R) in
-        # every level's units, so no product overflows (a RuntimeWarning is
-        # an error here) up to the largest ratio ModelParams accepts.  The
-        # sextic of ``mp_envelope`` does not converge there: the reference
-        # is a golden-section search of each side, which is unimodal.
+        # The solve's terms reach about R^2 / coupling, 1e307 at R = 2^511
+        # and coupling 0.45 here, so up to the largest ratio ModelParams
+        # accepts no product overflows (a RuntimeWarning is an error here)
+        # and the call returns.  The sextic of ``mp_envelope`` does not
+        # converge there: the reference is a golden-section search of each
+        # side, which is unimodal.
         mpmath = pytest.importorskip("mpmath")
         p = ModelParams(1.0, R, 0.3, s2)
         levels = [1, 8, 15]
@@ -768,8 +769,22 @@ class TestImageBoundary:
                    for i in levels]
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
-    def test_corner_values_on_envelope(self):
-        p = ModelParams(1.0, 2.0, 0.4, 0.5)
+    @pytest.mark.parametrize("p", [
+        ModelParams(1.0, 2.0 ** 511, 0.9, 0.05),
+        ModelParams(1.0, 1e150, 1e-10, 0.0),
+        ModelParams(1.0, 1e100, 1e-160, 0.0)], ids=repr)
+    def test_overflowing_solve_raises(self, p):
+        # Where the solve's terms, about R^2 / coupling, or du/dt next to an
+        # end leave the float range: ValueError naming R, and no
+        # RuntimeWarning.
+        with pytest.raises(ValueError, match=f"R = {re.escape(repr(p.R))} "):
+            image_boundary(p, 16)
+
+    @pytest.mark.parametrize("p", [ModelParams(1.0, 2.0, 0.4, 0.5),
+                                   ModelParams(1.0, 0.5, 0.4, 0.5)], ids=repr)
+    def test_corner_values_on_envelope(self, p):
+        # The corners come from momentum_map on the input's own frame, the
+        # band from the NS frame, which for R < 1 swaps the spheres.
         bnd = image_boundary(p, n=64)
         ls = np.array([s[0] for s in bnd.samples])
         for name in ("NN", "SS"):
@@ -818,6 +833,19 @@ class TestImageBoundary:
         b = image_boundary(ModelParams(1.0, 2.0, 0.3, 0.6), n=32)
         assert a.samples == b.samples
 
+    def test_small_ratio_matches_own_frame(self):
+        # For R < 1 the band comes from the NS frame.  A reference that
+        # never swaps: the input's own p2 chart at 40 digits, searched on
+        # each interior sample's level l = L / r1 - (1 - R) of that frame.
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(1.0, 0.4, 0.3, 0.7)
+        got = np.array(image_boundary(p, 16).samples)[1:-1]
+        with mpmath.workdps(40):
+            exact = ModelParams(*map(mpmath.mpf, dataclasses.astuple(p)))
+            ref = [mp_search_band(mpmath, exact, mpmath.mpf(L) / exact.r1
+                                  - (1 - exact.R)) for L in got[:, 0]]
+        assert np.abs(got[:, 1:] - ref).max() <= 1e-12
+
 
 def interior_levels(params, n, extra=()):
     """(l, r_l, lo, hi) of the interior levels of ``image_boundary(params,
@@ -845,14 +873,13 @@ def candidates(params, l, r_l, lo, hi):
 
 
 def solve_levels(params, l, r_l, lo, hi):
-    """(a_1, b_1, c) of each level for ``_critical_points``: a_1 = (lo -
-    x_l) / (hi - x_l) and b_1 = (x_r - hi) / (x_r - lo) from B's roots x_l
-    and x_r outside [lo, hi], and A's slope in the solve's units."""
+    """(rho_l, rho_r, c) of each level for ``_critical_points``: B's roots
+    outside [lo, hi] and A's slope in t = (x - lo) / (hi - lo)."""
     dA, c4 = slope_and_c4(params)
-    x_l, x_r = np.minimum(0.0, -l), np.maximum(2.0, r_l)
-    c = dA * ns_frame(params).R / (math.sqrt(c4) * (np.sqrt(hi - x_l)
-                                                    * np.sqrt(x_r - lo)))
-    return (lo - x_l) / (hi - x_l), (x_r - hi) / (x_r - lo), c
+    w = hi - lo
+    rho_l = (np.minimum(0.0, -l) - lo) / w
+    rho_r = (np.maximum(2.0, r_l) - lo) / w
+    return rho_l, rho_r, dA * ns_frame(params).R / (math.sqrt(c4) * w)
 
 
 def lemma_points():
@@ -902,19 +929,15 @@ TINY_COUPLING_POINTS = [
 ]
 
 
-def u_sides(t, a_1, b_1, c):
+def u_sides(t, rho_l, rho_r, c):
     """(u, size) at t (one column per side, sigma = +1 then -1): u = beta'
-    + 2 sigma c sqrt(beta), beta = t (a_1 + a t) (1 - t) (b_1 + b (1 - t))
-    with a = 1 - a_1 and b = 1 - b_1, beta' as the sum of the four products
-    of three factors and one derivative, and the sum of the magnitudes of
-    those products and of 2 c sqrt(beta)."""
-    a_1, b_1 = a_1[:, None], b_1[:, None]
-    a, b = 1.0 - a_1, 1.0 - b_1
-    d = np.stack([t, a_1 + a * t, 1.0 - t, b_1 + b * (1.0 - t)], axis=2)
-    slopes = np.stack([np.ones_like(t), a + 0.0 * t, -np.ones_like(t),
-                       -b + 0.0 * t], axis=2)
-    cof = np.stack([slopes[:, :, i] * np.delete(d, i, axis=2).prod(axis=2)
-                    for i in range(4)], axis=2)
+    + 2 sigma c sqrt(beta), beta = t (t - rho_l) (t - 1) (t - rho_r), with
+    beta' as the sum of the four products of three factors, and the sum of
+    the magnitudes of those products and of 2 c sqrt(beta)."""
+    rho = np.stack([rho_l, 0.0 * rho_l, 1.0 + 0.0 * rho_l, rho_r], axis=1)
+    d = t[:, :, None] - rho[:, None, :]
+    cof = np.stack([np.delete(d, i, axis=2).prod(axis=2) for i in range(4)],
+                   axis=2)
     c_root = (2.0 * np.array([1.0, -1.0]) * c[:, None]
               * np.sqrt(np.maximum(d.prod(axis=2), 0.0)))
     return (cof.sum(axis=2) + c_root,

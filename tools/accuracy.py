@@ -17,9 +17,10 @@ shares no code with the closed forms or the oracles it checks:
   unfactored l = 0 chart in 50-digit mpmath, at the exact inputs in the NS
   frame (R > 1, by the sphere swap (r1, r2, s2) -> (r2, r1, 1 - s2));
 - ``image`` samples (h_min and h_max of the ``sample`` rows):
-  ``mp_envelope`` of ``tests/references.py``, the extremes of the chart's
-  A +/- sqrt(B) in 50-digit mpmath at the printed float levels and the
-  float R = r2/r1, as ``tests/test_cartography.py`` uses it.
+  ``mp_envelope`` of ``tests/references.py``, the extremes of the NS
+  frame's p2 chart A +/- sqrt(B) in mpmath at 50 + 2 ceil(log10 R) digits,
+  at the float levels and ratio of that frame, as
+  ``tests/test_cartography.py`` uses it.
 
 Not checked: ``height``'s |closed - oracle| (itself an error), the axis
 values of a sweep (its inputs), and the level column and the focus-focus
@@ -31,11 +32,11 @@ absolute over the quantity's natural size, which the acceptance criteria's
 tolerance bounds (``TOLERANCES``).  A printed value that is no finite float
 where the reference is finite has infinite error.  ``ACCURACY.json``
 gives, per command, quantity and decade of R = r2/r1 (the input's ratio,
-not the NS frame's: ``image`` does not swap the spheres), the values
-checked, the worst of each error and the count beyond the tolerance; the
-gate is each command's worst scaled error for R in [1/8, 8] against its
-tolerance; the script exits 1 where a gate fails.  The previous file's
-label and rows go into the record under ``previous``.
+not the NS frame's), the values checked, the worst of each error and the
+count beyond the tolerance; the gate is each command's worst scaled error
+for R in [1/8, 8] against its tolerance; the script exits 1 where a gate
+fails.  The previous file's label and rows go into the record under
+``previous``.
 
     python tools/accuracy.py                # writes ACCURACY.json
     python tools/accuracy.py --out FILE

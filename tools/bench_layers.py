@@ -19,10 +19,8 @@ three, one per quantity).
   representatives (all four cuts, or the one toric shape),
   ``check_semitoric(20)`` and ``classify_fixed_points``, each also a row.
   The ``_envelope_candidates`` row is the envelope's critical-point solve
-  on the interior levels of ``image_boundary(64)`` in the NS frame, from
-  the offset chart's terms computed outside the timed call.  A parent
-  checkout whose solve still takes the factored p2 chart (dA, kb, m) is
-  timed on its levels wider than 1e-12, with its own ``chart_factors``.  The
+  on the arguments that ``image_boundary(64)`` passes it, recorded outside
+  the timed call, so each checkout times its own solve's signature.  The
   ``reduced.dh_function`` row builds and checks a profile, past the memo
   where the package has one (``dh_function.__wrapped__``); the ``(cached)``
   row looks up the last point's R, which the representatives row leaves
@@ -56,7 +54,6 @@ and NumPy only.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -157,23 +154,21 @@ def chart_layers(n, work_dir):
                 singularity.classify_fixed_points(p))
 
     solve = cartography._envelope_candidates
-    offsets = "c4" in inspect.signature(solve).parameters
 
     def solve_args(p):
-        # The arguments of _envelope_candidates on the levels of
-        # image_boundary(p, 64) that it solves.
-        if not offsets:  # a parent's: those wider than 1e-12, in p2
-            ls = np.linspace(-2.0, 2.0 * p.R, 65)
-            lo, hi = np.maximum(ls, 0.0), np.minimum(ls + 2.0, 2.0 * p.R)
-            wide = np.flatnonzero(~(hi - lo < 1e-12))
-            l, lo, hi = ls[wide], lo[wide], hi[wide]
-            return (*reduced.chart_factors("NS", l, p), lo, hi, p.R)
-        w = model.ns_frame(p)
-        k, _, _, c4 = reduced._chart_terms("NS", 0.0, w)
-        ls = np.linspace(-2.0, 2.0 * w.R, 65)[1:-1]
-        r_l = 2.0 * w.R - ls
-        return (k * (w.s2 / w.R - (1 - w.s2)), c4, ls, r_l,
-                np.maximum(-ls, 0.0), np.minimum(r_l, 2.0), w.R)
+        # The arguments that image_boundary(p, 64) passes to the solve.
+        seen = []
+
+        def record(*args):
+            seen.append(args)
+            return solve(*args)
+
+        cartography._envelope_candidates = record
+        try:
+            cartography.image_boundary(p, 64)
+        finally:
+            cartography._envelope_candidates = solve
+        return seen[0]
 
     points = seeded_points(n, keep)
     args = {p: solve_args(p) for p in points}
