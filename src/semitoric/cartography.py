@@ -145,9 +145,9 @@ def _envelope_candidates(dA, c4, l, r_l, lo, hi, R):
     w = hi - lo
     rho_l = (np.minimum(0.0, -l) - lo) / w
     rho_r = (np.maximum(2.0, r_l) - lo) / w
-    with np.errstate(over="raise"):
-        c = dA * R / (math.sqrt(c4) * w)
-    t, _ = _critical_points(rho_l, rho_r, c)
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        t, _ = _critical_points(rho_l, rho_r,
+                                dA * R / (math.sqrt(c4) * w))
     x = np.empty((4, lo.size))
     x[2], x[3] = lo, hi
     # np.clip, bit for bit, with fewer dispatches, one row per side.
@@ -188,51 +188,54 @@ def _critical_points(rho_l, rho_r, c):
     c sqrt(p q), where beta = p q, p = t (t - rho_l), q = (1 - t) (rho_r -
     t), and p, p', q, -q' >= 0 on [0, 1].  du/dt's term sigma c beta' /
     sqrt(beta) is formed as sigma c (beta' / sqrt(beta)), so c never
-    multiplies a term of size R^2.  ``FloatingPointError`` where a term
-    overflows.
+    multiplies a term of size R^2.
+
+    Call it under ``np.errstate(divide="ignore", invalid="ignore",
+    over="raise")``, as ``_envelope_candidates`` does: a lane at t = e
+    divides by zero and falls back, and an overflow raises
+    ``FloatingPointError``.
     """
     s_c = _SIGMA * c
     two_s_c = 2.0 * s_c
     e = (s_c > 0.0).astype(float)
     lanes = _SIDES, np.arange(c.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
-        t_l, t_r = _NODES - rho_l, rho_r - _NODES
-        p, q = _NODES * t_l, _ONE_NODES * t_r
-        scan = ((_NODES + t_l) * q - p * (_ONE_NODES + t_r)
-                + two_s_c * np.sqrt(p * q))
-        j = (scan[1:-1] > _ZERO).sum(axis=0)
-        u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
-        a = j * _EIGHTH
-        b = a + _EIGHTH
-        t = a + _EIGHTH * (u_a / (u_a - u_b))
-        t = np.where((a <= t) & (t <= b), t, _HALF * (a + b))
-        rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
-        for steps in range(1, _MAX_STEPS + 1):
-            t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
-            p, q = t * t_l, one_t * t_r
-            dp, neg_dq = t + t_l, one_t + t_r
-            root = np.sqrt(p * q)
-            dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
-            d_beta = dp_q - p_dq
-            u = d_beta + c_root
-            small = np.abs(u) <= _U_TOL * (dp_q + p_dq + np.abs(c_root))
-            if np.count_nonzero(small) == small.size:
-                break
-            np.copyto(a, t, where=u > _ZERO)
-            np.copyto(b, t, where=u < _ZERO)
-            step = u / (_TWO * (p + q - dp * neg_dq) + s_c * (d_beta / root))
-            newton = t - step
-            # The Newton step in r = sqrt(|t - e|), mapped back to t.
-            nxt = newton + step * (step / (_FOUR * (t - e)))
-            in_ab = (a <= nxt) & (nxt <= b)
-            if np.count_nonzero(in_ab) < in_ab.size:
-                nxt = np.where(in_ab, nxt, np.where(
-                    (a <= newton) & (newton <= b), newton, _HALF * (a + b)))
-            done = small | (np.abs(nxt - t) <= _T_TOL * t)
-            np.copyto(nxt, t, where=done)
-            t = nxt
-            if np.count_nonzero(done) == done.size:
-                break
+    t_l, t_r = _NODES - rho_l, rho_r - _NODES
+    p, q = _NODES * t_l, _ONE_NODES * t_r
+    scan = ((_NODES + t_l) * q - p * (_ONE_NODES + t_r)
+            + two_s_c * np.sqrt(p * q))
+    j = (scan[1:-1] > _ZERO).sum(axis=0)
+    u_a, u_b = scan[(j, *lanes)], scan[(j + 1, *lanes)]
+    a = j * _EIGHTH
+    b = a + _EIGHTH
+    t = a + _EIGHTH * (u_a / (u_a - u_b))
+    t = np.where((a <= t) & (t <= b), t, _HALF * (a + b))
+    rho_l, rho_r = np.array((rho_l, rho_l)), np.array((rho_r, rho_r))
+    for steps in range(1, _MAX_STEPS + 1):
+        t_l, t_r, one_t = t - rho_l, rho_r - t, _ONE - t
+        p, q = t * t_l, one_t * t_r
+        dp, neg_dq = t + t_l, one_t + t_r
+        root = np.sqrt(p * q)
+        dp_q, p_dq, c_root = dp * q, p * neg_dq, two_s_c * root
+        d_beta = dp_q - p_dq
+        u = d_beta + c_root
+        small = np.abs(u) <= _U_TOL * (dp_q + p_dq + np.abs(c_root))
+        if np.count_nonzero(small) == small.size:
+            break
+        np.copyto(a, t, where=u > _ZERO)
+        np.copyto(b, t, where=u < _ZERO)
+        step = u / (_TWO * (p + q - dp * neg_dq) + s_c * (d_beta / root))
+        newton = t - step
+        # The Newton step in r = sqrt(|t - e|), mapped back to t.
+        nxt = newton + step * (step / (_FOUR * (t - e)))
+        in_ab = (a <= nxt) & (nxt <= b)
+        if np.count_nonzero(in_ab) < in_ab.size:
+            nxt = np.where(in_ab, nxt, np.where(
+                (a <= newton) & (newton <= b), newton, _HALF * (a + b)))
+        done = small | (np.abs(nxt - t) <= _T_TOL * t)
+        np.copyto(nxt, t, where=done)
+        t = nxt
+        if np.count_nonzero(done) == done.size:
+            break
     return t.T, steps
 
 

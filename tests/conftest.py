@@ -638,7 +638,9 @@ def _reference_envelope_candidates(slope, c4, l, r_l, lo, hi, R):
     w = hi - lo
     rho_l = (np.minimum(0.0, -l) - lo) / w
     rho_r = (np.maximum(2.0, r_l) - lo) / w
-    t, _ = _critical_points(rho_l, rho_r, slope * R / (math.sqrt(c4) * w))
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        t, _ = _critical_points(rho_l, rho_r,
+                                slope * R / (math.sqrt(c4) * w))
     x = np.clip(lo[:, None] + w[:, None] * t, lo[:, None], hi[:, None])
     return np.concatenate([x, ends], axis=1)
 

@@ -284,6 +284,13 @@ class TestImage:
                                     str(cartography.MAX_SAMPLES)] + FF)
         assert (code, out) == (0, "l,h_min,h_max,kind\n")
 
+    def test_overflowing_solve_exits_2(self, capsys):
+        code, out, err = run(capsys, ["image", "--R1=1", "--R2=1e100",
+                                      "--s1=1e-160", "--s2=0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: the image's critical-point solve overflows "
+                       "at radius ratio R = 1e+100 and coupling 1e-160\n")
+
 
 class TestSweep:
     ARGS = ["sweep"] + BASE + ["--quantity", "nff",
