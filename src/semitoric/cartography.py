@@ -82,8 +82,9 @@ def image_boundary(params: ModelParams, n: int = 64) -> ImageBoundary:
     The corner values are L and H at the four poles of ``params``.
     The levels are ``np.linspace``'s, bit for bit.  ``ValueError`` where
     the critical-point solve overflows: its terms reach about
-    R^2 / coupling, and next to an end R / (coupling sqrt(t)), so past
-    R = 2^511 at coupling 1/4 and from about R = 1e50 at coupling 1e-160.
+    R^2 / coupling, and next to an end R / (coupling sqrt(t)); R = 2^511
+    returns at coupling 0.42 and raises at 0.14, and R = 1e100 raises at
+    coupling 1e-160.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
