@@ -750,10 +750,10 @@ class TestImageBoundary:
         (2.0 ** 511, 0.7), (2.0 ** -511, 0.4), (1e100, 0.4), (1e-100, 0.7)],
         ids=repr)
     def test_top_of_the_ratio_range(self, R, s2):
-        # The solve's terms reach about R^2 / coupling, 1e307 at R = 2^511
-        # and coupling 0.45 here, so up to the largest ratio ModelParams
-        # accepts no product overflows (a RuntimeWarning is an error here)
-        # and the call returns.  The sextic of ``mp_envelope`` does not
+        # The solve's terms reach about R^2 / coupling, 1e308 at R = 2^511
+        # and couplings 0.42 and 0.45 here, just inside the float range, so
+        # no product overflows (a RuntimeWarning is an error here) and the
+        # call returns.  The sextic of ``mp_envelope`` does not
         # converge there: the reference is a golden-section search of each
         # side, which is unimodal.
         mpmath = pytest.importorskip("mpmath")
