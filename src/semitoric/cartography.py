@@ -6,12 +6,14 @@ strictly convex on each level's physical interval, so each side's extreme
 lies at an end or at its one critical point: one bracketed Newton solve,
 in lockstep over all levels, finds both.  The polygon invariant
 straightens that band into a convex rational polygon whose vertical widths
-reproduce the Duistermaat-Heckman profile.  Representatives are
+reproduce the Duistermaat-Heckman profile, the length of each level's
+physical interval (``reduced.dh_function``).  Representatives are
 normalized to a canonical anchor (left corner at (-2, 0), initial bottom
 slope 0, scaled units); the shear and cut-flip actions relate all other
 choices.  Their vertices follow a closed rule: with s_i = 1 where cut i is
 -1 and 0 otherwise, the bottom chain has slopes 0, s_1 and s_1 + s_2
-between the DH knots -2, 0, 2R - 2 and 2R, and the top chain is the bottom
+between the DH knots -2, 0, 2R - 2 and 2R (the ends and the focus-focus
+levels, where alone the profile kinks), and the top chain is the bottom
 raised by the DH profile, so at ff level i only the bottom bends (s_i = 1)
 or only the top (s_i = 0).  ``Polygon.width`` takes a float or an array;
 the self-check takes one pass per chain, and one walk for its values at the
@@ -33,9 +35,6 @@ from .model import FIXED_POINTS, ModelParams, h_func, l_func, ns_frame
 from .singularity import discriminant_E, is_focus_focus, n_ff
 
 WIDTH_TOL = 1e-12
-# Vertices: l in {-2, 0, 2R - 2, 2R}, y in {0, 2, 2R - 2, 2R, 2R + 2}.  From
-# R = 2^53 on, 2R + 2 rounds, and above it 2R - 2 (the DH knots break).
-POLYGON_R_LIMIT = 2.0 ** 53
 MAX_SAMPLES = 65536  # most levels of an envelope: 135 MB and 0.5 s
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 64  # cap of the envelope's lockstep critical-point solve
@@ -340,14 +339,14 @@ def polygon_representative(params: ModelParams, cuts=(1, 1)) -> Polygon:
     the toric region E > 0 leaves its quadrant: k = 0 on both, and m < 0
     there, so E = (r1 k)^2 - 16 r1 r2 m^2 = -16 r1 r2 m^2 < 0
     (``singularity.discriminant_E``).  ``ValueError`` unless the ratio
-    R = max(r1, r2) / min(r1, r2) is below 2^53 (``POLYGON_R_LIMIT``), and
+    R = max(r1, r2) / min(r1, r2) is below 2^53 (``reduced.R_LIMIT``), and
     for cuts (-1, -1) where their vertex y = 2R + 2 rounds by more than 2e-9
     (d = fl(2R + 2) - 2R - 2 is exact): their last slope 2 + d/2 would fail
     the self-check's 1e-9.
     """
     work = ns_frame(params)
     R = work.R
-    if not R < POLYGON_R_LIMIT:
+    if not R < reduced.R_LIMIT:
         raise ValueError(f"radius ratio R = {R!r} is too large for a polygon "
                          f"representative: from R = 2^53 on, 2R - 2 or "
                          f"2R + 2 is no float")

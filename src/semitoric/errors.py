@@ -6,7 +6,8 @@ class SemitoricError(Exception):
 
 
 class DegenerateSystemError(SemitoricError):
-    """The discriminant lies inside the degeneracy band; the system is not semitoric."""
+    """The discriminant lies inside the degeneracy band; the system is not
+    semitoric."""
 
 
 class NonconvergenceError(SemitoricError):

@@ -11,6 +11,7 @@ discrete symmetries) are written in the test suite, ``tests/conftest.py``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,15 @@ def _check_radii(r1, r2):
         raise ValueError("r1 and r2 must be positive")
     if r1 == r2:
         raise ValueError("r1 == r2 (non-simple case) is excluded")
-    # The formulas square r1, r2 and R in both frames (see ns_frame).
+    # The formulas square r1, r2 and R in both frames (see ns_frame).  E is
+    # of order r1 r2, so a subnormal square leaves it too few digits.
     for x in (r1, r2, r2 / r1, r1 / r2):
-        if not 0.0 < x * x < math.inf:
+        if not sys.float_info.min <= x * x < math.inf:
+            want = ("nonzero" if x * x in (0.0, math.inf)
+                    else f"at least {sys.float_info.min!r}")
             raise ValueError(f"r1 = {r1!r} and r2 = {r2!r} are out of range: "
                              f"r1^2, r2^2 and (r2/r1)^(+-2) must be finite "
-                             f"and nonzero")
+                             f"and {want}")
 
 
 @dataclass(frozen=True)

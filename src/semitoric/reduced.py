@@ -18,19 +18,21 @@ functions of p2, and ``cartography.image_boundary`` calls them on all its
 levels.  The level and p2 broadcast as NumPy arrays do, each element with
 the operations of a float call in the same order, so all give the same
 bits; mpf parameters give mpf values.  ``reduced_A`` and ``reduced_B`` are
-scalar conveniences over ``chart``.  ``DHFunction.rho`` also takes a float
-or an array.  ``gamma_B`` (shared with ``height``) gives the closed-form
-roots of P_0 (``roots_P0``).  ``p0_quadratic_roots`` gives the roots of
-P_0's quadratic factor from the factored l = 0 chart (``p0_factors``) with
-no cancellation: ``roots_P0`` checks its closed form against them, and the
-height oracle's arccos zone ends at the near one.
+scalar conveniences over ``chart``.  The Duistermaat-Heckman profile
+(``dh_function``) is the length of the physical interval, held at the ends
+and the focus-focus levels, where alone it kinks; ``DHFunction.rho`` takes
+a float or an array.  ``gamma_B`` (shared with ``height``) gives the
+closed-form roots of P_0 (``roots_P0``).  ``p0_quadratic_roots`` gives the
+roots of P_0's quadratic factor from the factored l = 0 chart
+(``p0_factors``) with no cancellation: ``roots_P0`` checks its closed form
+against them, and the height oracle's arccos zone ends at the near one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +185,8 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
     R, s1, s2 = params.R, params.s1, params.s2
     c = params.coupling
     if c == 0.0:
-        raise ValueError("coupling vanishes at (s1, s2) corners; P0 is degenerate")
+        raise ValueError("coupling vanishes at (s1, s2) corners; "
+                         "P0 is degenerate")
     half_span = math.sqrt(gamma_B(s1, s2, R)) / (2 * c)
     z3 = 1 + R - half_span
     z4 = 1 + R + half_span
@@ -199,27 +202,20 @@ def roots_P0(label: str, params: ModelParams) -> QuarticRoots:
 class DHFunction:
     """Piecewise-linear Duistermaat-Heckman profile in scaled NS units.
 
-    ``breakpoints`` is a list of (l, slope-after) pairs; the profile is zero
-    at both ends of ``domain`` and the slope drops by one at each interior
-    breakpoint (the focus-focus levels); it is linear between its ``knots``.
+    ``knots`` is the pair (ls, rho) of levels and profile values; the
+    profile is linear between them and zero at both ends of ``domain``.
     """
 
-    breakpoints: tuple
-    domain: tuple
-    knots: tuple = field(init=False, repr=False, compare=False)  # (ls, rho)
+    knots: tuple
 
-    def __post_init__(self):
-        lo, hi = self.domain
-        ls = [lo] + [bp[0] for bp in self.breakpoints[1:]] + [hi]
-        values = [0.0]
-        for (_, slope), x0, x1 in zip(self.breakpoints, ls, ls[1:]):
-            values.append(values[-1] + slope * (x1 - x0))
-        object.__setattr__(self, "knots", (tuple(ls), tuple(values)))
+    @property
+    def domain(self):
+        return self.knots[0][0], self.knots[0][-1]
 
     def rho(self, l):
         """The profile at ``l``, a float or an array (NaN is outside), by
         ``np.interp`` over the knots: its slopes are exactly 1, 0 and -1 (the
-        last by Sterbenz), so every value has the bits of the knots' sum."""
+        last by Sterbenz), so every value is the slope sum's, bit for bit."""
         lo, hi = self.domain
         x = np.asarray(l, dtype=float)
         inside = (lo <= x) & (x <= hi)
@@ -229,31 +225,25 @@ class DHFunction:
         y = np.interp(x, *self.knots)
         return float(y) if y.ndim == 0 else y
 
-    def slope_jump(self, l: float) -> float:
-        """Change of slope at an interior breakpoint."""
-        for i, (bl, slope_after) in enumerate(self.breakpoints):
-            if bl == l and i > 0:
-                return slope_after - self.breakpoints[i - 1][1]
-        raise ValueError(f"no interior breakpoint at l = {l}")
+
+# DH knots l in {-2, 0, 2R - 2, 2R}, polygon vertices y up to 2R + 2: from
+# R = 2^53 on, 2R + 2 rounds, and above it 2R - 2.
+R_LIMIT = 2.0 ** 53
 
 
 @functools.lru_cache(maxsize=16, typed=True)
 def dh_function(R: float) -> DHFunction:
-    """DH profile rho(l) = min(2R, l+2) - max(0, l) on [-2, 2R] for R > 1,
-    memoised per R and its type; a rejected R raises on every call."""
-    if not (1.0 < R < math.inf):  # NaN knots would pass every check
+    """DH profile rho(l) = min(2R, l+2) - max(0, l) on [-2, 2R] for
+    1 < R < 2^53 (``R_LIMIT``), the interval lengths at its knots, memoised
+    per R and its type; a rejected R raises on every call."""
+    if not (1.0 < R < R_LIMIT):  # NaN knots would pass width checks
         raise ValueError(f"dh_function requires a finite R > 1, got R = "
-                         f"{R!r} (apply the sphere-swap symmetry for R < 1)")
-    dh = DHFunction(
-        breakpoints=((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0)),
-        domain=(-2.0, 2.0 * R),
-    )
-    # Both are linear between the knots, so this checks the whole domain.
-    for l, value in zip(*dh.knots):
-        hi = l + 2.0 if l + 2.0 < 2.0 * R else 2.0 * R
-        if abs(value - (hi - (l if l > 0.0 else 0.0))) > 1e-12:
-            raise ConsistencyError("DH profile disagrees with interval length")
-    return dh
+                         f"{R!r} (below 2^53; apply the sphere-swap symmetry "
+                         f"for R < 1)")
+    ls = (-2.0, *ff_levels(R), 2.0 * R)
+    rho = tuple(hi - lo for lo, hi in
+                (physical_interval("NS", l, R) for l in ls))
+    return DHFunction((ls, rho))
 
 
 def ff_levels(R: float):

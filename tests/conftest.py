@@ -367,14 +367,22 @@ def ndarray_gk15():
     return _ndarray_gk15
 
 
-def _loop_rho(dh, l):
-    """The DH profile at float ``l``, summed segment by segment as
-    ``DHFunction.rho`` once did, as a reference for its ``np.interp``."""
-    lo, hi = dh.domain
+def _dh_breakpoints(R):
+    """The DH profile on [-2, 2R] by the paper's slope rule, as (l,
+    slope-after) pairs: slope 1 from l = -2, dropping by 1 at each
+    focus-focus level 0 and 2R - 2."""
+    return ((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0))
+
+
+def _loop_rho(R, l):
+    """The DH profile at float ``l``, summed segment by segment along the
+    slope rule, as a reference for the ``np.interp`` of ``DHFunction.rho``."""
+    lo, hi = -2.0, 2.0 * R
     if not lo <= l <= hi:
-        raise ValueError(f"l = {l} outside domain {dh.domain}")
-    pts = [bp[0] for bp in dh.breakpoints] + [hi]
-    slopes = [bp[1] for bp in dh.breakpoints]
+        raise ValueError(f"l = {l} outside domain {(lo, hi)}")
+    breakpoints = _dh_breakpoints(R)
+    pts = [bp[0] for bp in breakpoints] + [hi]
+    slopes = [bp[1] for bp in breakpoints]
     value, x = 0.0, lo
     for seg_end, slope in zip(pts[1:], slopes):
         if l <= seg_end:
@@ -384,11 +392,24 @@ def _loop_rho(dh, l):
     return value
 
 
+def _reference_knots(R):
+    """The DH profile's (ls, values) summed along the slope rule, as
+    ``DHFunction`` once summed its breakpoints."""
+    breakpoints = _dh_breakpoints(R)
+    ls = [-2.0] + [bp[0] for bp in breakpoints[1:]] + [2.0 * R]
+    values = [0.0]
+    for (_, slope), x0, x1 in zip(breakpoints, ls, ls[1:]):
+        values.append(values[-1] + slope * (x1 - x0))
+    return tuple(ls), tuple(values)
+
+
 @pytest.fixture(scope="session")
-def loop_rho():
-    """``loop_rho(dh, l)``: the DH profile of ``dh`` at a float ``l`` by a
-    segment-by-segment loop, without ``np.interp``."""
-    return _loop_rho
+def dh_slope_rule():
+    """The DH profile by the paper's slope rule, built from R alone:
+    ``breakpoints(R)``, ``knots(R)`` and ``rho(R, l)`` at a float ``l`` by
+    a segment-by-segment loop, without ``np.interp``."""
+    return SimpleNamespace(breakpoints=_dh_breakpoints,
+                           knots=_reference_knots, rho=_loop_rho)
 
 
 def _dense_dh_check(dh, R):
@@ -431,17 +452,6 @@ def dense_checks():
     return SimpleNamespace(dh=_dense_dh_check, polygon=_dense_polygon_check)
 
 
-def _reference_knots(dh):
-    """``DHFunction.knots`` as the lazily computed property gave them:
-    (ls, values), summed from the breakpoints and the domain."""
-    lo, hi = dh.domain
-    ls = [lo] + [bp[0] for bp in dh.breakpoints[1:]] + [hi]
-    values = [0.0]
-    for (_, slope), x0, x1 in zip(dh.breakpoints, ls, ls[1:]):
-        values.append(values[-1] + slope * (x1 - x0))
-    return tuple(ls), tuple(values)
-
-
 def _reference_build_polygon(cuts, ff_l, R):
     """``cartography._build_polygon`` as it was written with a nested
     ``dedupe``, the knots of ``_reference_knots`` and the self-check of
@@ -450,7 +460,7 @@ def _reference_build_polygon(cuts, ff_l, R):
     from semitoric.cartography import Polygon
 
     dh = reduced.dh_function(R)
-    ls, rho = _reference_knots(dh)
+    ls, rho = _reference_knots(R)
     bottom, y, slope = [(ls[0], 0.0)], 0.0, 0.0
     for i, (l0, l1) in enumerate(zip(ls[:-1], ls[1:])):
         if i and cuts[i - 1] == -1:  # cuts[j] belongs to interior knot j + 1
@@ -494,7 +504,7 @@ def _reference_assert_polygon(poly, dh):
         for s0, s1 in zip(slopes[:-1], slopes[1:]):
             if sense * (s1 - s0) < -1e-9:
                 raise ConsistencyError("polygon is not convex")
-    ls, rho = _reference_knots(dh)
+    ls, rho = _reference_knots(dh.domain[1] / 2.0)  # 2R / 2 is R exactly
     widths = [_reference_chain_at(poly.top, l)
               - _reference_chain_at(poly.bottom, l) for l in ls]
     if any(abs(w - v) > WIDTH_TOL for w, v in zip(widths, rho)):
@@ -515,7 +525,7 @@ def _reference_chain_at(chain, x):
 def reference_polygon_path():
     """The polygon path before its self-check took one pass per chain:
     ``build(cuts, ff_l, R)``, ``assert_polygon(poly, dh)``,
-    ``chain_at(chain, x)`` and ``knots(dh)``."""
+    ``chain_at(chain, x)`` and ``knots(R)``."""
     return SimpleNamespace(build=_reference_build_polygon,
                            assert_polygon=_reference_assert_polygon,
                            chain_at=_reference_chain_at,

@@ -1,24 +1,35 @@
-"""The benchmark tracer's targets exist in the package, and tracing an op
-leaves its output unchanged.
+"""The benchmark tracer's targets exist in the package, tracing an op
+leaves its output unchanged, and the workloads' ops pass their own output
+checks.
 
 ``perfbench/tracing.py`` wraps every name of its ``TARGETS`` after a
 ``getattr`` on a ``semitoric`` module, so a deletion from the package that
-the tracer still names breaks ``perfbench/run.py --trace``.  These tests
-load the tracer module from its file, without changing it, and name the
-missing target in the ordinary test run.
+the tracer still names breaks ``perfbench/run.py --trace``; a change of
+the package API that ``perfbench/workloads.py`` calls shows in a benchmark
+run only as a lower ``ok_frac``.  These tests load both modules from their
+files, without changing them, and name the failure in the ordinary test
+run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import numpy as np
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH_DIR / f"{name}.py")
+    return importlib.util.module_from_spec(spec), spec
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+    tracing, spec = load_bench_module("tracing")
     spec.loader.exec_module(tracing)
     return tracing
 
@@ -93,3 +104,21 @@ def test_traced_chart_op_keeps_its_output():
     assert traced == plain
     assert calls["cartography.polygon_representative"] == 4
     assert calls["reduced.dh_function"] >= 1
+
+
+@pytest.mark.parametrize("name", ["oracle", "sweep", "chart"])
+def test_workload_ops_pass_their_checks(name, monkeypatch, tmp_path):
+    # 20 seeded inputs of each workload through its op and its checks.
+    # Dataclasses look their module up in sys.modules while it executes.
+    workloads, spec = load_bench_module("workloads")
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setenv("SEMITORIC_THREADS", "1")  # make_context sets it
+    wl = workloads.WORKLOADS[name]
+    ctx = workloads.make_context(name, str(tmp_path))
+    inputs = wl.inputs(np.random.default_rng(20261022))
+    for _ in range(20):
+        inp = next(inputs)
+        results = wl.checks(inp, wl.op(inp, ctx), ctx)
+        failed = {k: v for k, v in results.items() if v is not None}
+        assert results and not failed, (str(inp), failed)

@@ -64,11 +64,10 @@ def flood_fill_cuts(params, grid_n=257):
 
 def reference_vertices(cuts, ff_l, R, loop_rho):
     """Vertices of the canonical representative, assembled point by point
-    with the DH profile of ``loop_rho``: a copy of the construction before
-    widths and profiles were evaluated with ``np.interp``."""
+    with the DH profile ``loop_rho(R, l)``: a copy of the construction
+    before widths and profiles were evaluated with ``np.interp``."""
     la, lb = 0.0, 2.0 * R - 2.0
     breaks = [-2.0, la, lb, 2.0 * R]
-    dh = dh_function(R)
     bottom_slopes = []
     slope = 0.0
     for left in breaks[:-1]:
@@ -81,7 +80,7 @@ def reference_vertices(cuts, ff_l, R, loop_rho):
     for (l0, l1), s in zip(zip(breaks[:-1], breaks[1:]), bottom_slopes):
         y += s * (l1 - l0)
         bottom.append((l1, y))
-    top = [(l, yb + loop_rho(dh, l)) for l, yb in bottom]
+    top = [(l, yb + loop_rho(R, l)) for l, yb in bottom]
 
     def dedupe(chain):
         out = [chain[0]]
@@ -118,14 +117,15 @@ def seeded_polygons(n_each):
 
 
 class TestPolygonVertices:
-    def test_vertices_equal_pointwise_construction(self, loop_rho):
+    def test_vertices_equal_pointwise_construction(self, dh_slope_rule):
         polys = seeded_polygons(30)
         assert {p.R > 1 for p, _ in polys} == {True, False}
         assert sum(1 for _, poly in polys if poly.ff_l) == 30
         for p, poly in polys:
             R = ns_frame(p).R
             assert poly.vertices == reference_vertices(poly.cuts, poly.ff_l,
-                                                       R, loop_rho), p
+                                                       R,
+                                                       dh_slope_rule.rho), p
 
     def test_array_width_equals_float_calls(self):
         for p, poly in seeded_polygons(10):
@@ -341,31 +341,28 @@ def outcome(check, *args):
 
 
 class TestKnotSelfChecks:
-    """The self-checks of ``dh_function`` and ``_assert_polygon`` at the
+    """The DH profile and the self-check of ``_assert_polygon`` at the
     knots of the DH profile against the dense-grid checks they replaced
     (``dense_checks``)."""
 
     def test_agree_with_dense_checks(self, monkeypatch, dense_checks):
         # R - 1 log-uniform on [1e-15, 1e20], with the ends, 2^53 (the
-        # largest R at which 2R - 2 is two below 2R in floats) and 1e16.
+        # first R that dh_function rejects) and 1e16.
         rng = np.random.default_rng(20261019)
         ratios = [1.0 + 1e-15, 2.0 ** 53, 1e16, 1e20] + [
             1.0 + 10.0 ** u for u in rng.uniform(-15.0, 20.0, 400)]
         unchecked = []
         monkeypatch.setattr(cartography, "_assert_polygon",
                             lambda poly, dh: unchecked.append(poly))
-        raised = 0
+        rejected = 0
         for R in ratios:
-            # The profile as dh_function builds it, before its check.
-            dh = reduced.DHFunction(
-                ((-2.0, 1.0), (0.0, 0.0), (2.0 * R - 2.0, -1.0)),
-                (-2.0, 2.0 * R))
-            knot = outcome(dh_function, R)
-            assert knot == outcome(dense_checks.dh, dh, R), R
-            if knot is not None:
-                raised += 1
+            if not R < reduced.R_LIMIT:
+                with pytest.raises(ValueError, match="finite R > 1"):
+                    dh_function(R)
+                rejected += 1
                 continue
-            assert dh_function(R) == dh
+            dh = dh_function(R)
+            assert outcome(dense_checks.dh, dh, R) is None, R
             for cuts in ALL_CUTS:
                 unchecked.clear()
                 cartography._build_polygon(cuts, (), R)
@@ -379,7 +376,7 @@ class TestKnotSelfChecks:
                     [t - b for t, b in zip(_chain_at(poly.top, ls),
                                            _chain_at(poly.bottom, ls))],
                     poly.width(np.array(ls))), (R, cuts)
-        assert 0 < raised < len(ratios)
+        assert 0 < rejected < len(ratios)
 
     @pytest.mark.parametrize("cuts", ALL_CUTS)
     def test_rejects_top_shift_at_each_knot(self, cuts, dense_checks):
@@ -414,7 +411,7 @@ class TestKnotSelfChecks:
                 params = ModelParams(1.0, r2, 0.5, 0.5)
                 R_ns = ns_frame(params).R
                 dh = dh_function(R_ns)
-                assert dh.knots == ref.knots(dh), R_ns
+                assert dh.knots == ref.knots(R_ns), R_ns
                 polys = [(polygon_representative(params, cuts),
                           ref.build(cuts, reduced.ff_levels(R_ns), R_ns))
                          for cuts in ALL_CUTS]

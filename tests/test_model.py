@@ -37,7 +37,8 @@ class TestModelParams:
     def test_squared_radii_stay_in_float_range(self):
         for r1, r2 in ((1e-150, 1e-149), (1e153, 1e152)):
             ModelParams(r1, r2, 0.3, 0.4)
-        for r1, r2 in ((1e200, 1.0), (1e-300, 1e-299), (1e100, 1e-100)):
+        for r1, r2 in ((1e200, 1.0), (1e-300, 1e-299), (1e100, 1e-100),
+                       (1.4e-154, 1e-153), (1e-160, 1e-159)):
             with pytest.raises(ValueError, match="are out of range"):
                 ModelParams(r1, r2, 0.3, 0.4)
             with pytest.raises(ValueError, match="are out of range"):

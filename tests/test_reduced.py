@@ -275,17 +275,20 @@ class TestDHProfile:
     def test_knots(self):
         dh = reduced.dh_function(2.5)
         assert dh.knots == ((-2.0, 0.0, 3.0, 5.0), (0.0, 2.0, 2.0, 0.0))
-        assert dh.knots is dh.knots  # computed once per profile
+        assert dh.domain == (-2.0, 5.0)
 
-    def test_slope_jumps_at_ff_levels(self):
-        dh = reduced.dh_function(2.0)
-        for l in reduced.ff_levels(2.0):
-            assert dh.slope_jump(l) == -1.0
-
-    def test_no_jump_elsewhere(self):
-        dh = reduced.dh_function(2.0)
-        with pytest.raises(ValueError):
-            dh.slope_jump(1.0)
+    @pytest.mark.parametrize("R", [1.0 + 2.0 ** -52, 1.3, 2, np.float64(3.0),
+                                   8.0, 1e15, 2.0 ** 53 - 2.0])
+    def test_slope_jumps_at_ff_levels(self, R, dh_slope_rule):
+        # Slope 1, 0, -1 with a jump of -1 at each focus-focus level: the
+        # knots are the slope sum's, bit for bit and of the same types.
+        dh = reduced.dh_function(R)
+        assert repr(dh.knots) == repr(dh_slope_rule.knots(R))
+        ls, rho = dh.knots
+        assert ls[1:-1] == reduced.ff_levels(R)
+        slopes = [(v1 - v0) / (l1 - l0) for l0, l1, v0, v1
+                  in zip(ls, ls[1:], rho, rho[1:])]
+        assert slopes == [bp[1] for bp in dh_slope_rule.breakpoints(R)]
 
     def test_requires_r_above_one(self):
         with pytest.raises(ValueError):
@@ -303,12 +306,12 @@ class TestDHProfile:
             dh.rho(5.0)
 
     @pytest.mark.parametrize("R", [1.0 + 1e-9, 1.3, 2.0, 8.0])
-    def test_array_rho_equals_loop(self, R, loop_rho):
+    def test_array_rho_equals_loop(self, R, dh_slope_rule):
         dh = reduced.dh_function(R)
         rng = np.random.default_rng(int(100 * R))
         ls = np.concatenate([rng.uniform(-2.0, 2.0 * R, 200),
                              [-2.0, 0.0, 2.0 * R - 2.0, 2.0 * R]])
-        expect = np.array([loop_rho(dh, float(l)) for l in ls])
+        expect = np.array([dh_slope_rule.rho(R, float(l)) for l in ls])
         assert (dh.rho(ls) == expect).all()
         assert [dh.rho(float(l)) for l in ls] == expect.tolist()
         assert (dh.rho(ls.reshape(4, -1)) == expect.reshape(4, -1)).all()
@@ -327,20 +330,6 @@ class TestDHProfile:
         with pytest.raises(ValueError, match="outside domain"):
             dh.rho(bad)
 
-    def test_shifted_breakpoint_fails_self_check(self, monkeypatch):
-        # A DH profile whose last breakpoint sits 1e-9 to the left of the
-        # focus-focus level disagrees with the interval length there.
-        real = reduced.DHFunction
-
-        def shifted(breakpoints, domain):
-            (l0, s0), (l1, s1), (l2, s2) = breakpoints
-            return real(((l0, s0), (l1, s1), (l2 - 1e-9, s2)), domain)
-
-        reduced.dh_function.cache_clear()  # else R = 2 is a cached lookup
-        monkeypatch.setattr(reduced, "DHFunction", shifted)
-        with pytest.raises(ConsistencyError, match="interval length"):
-            reduced.dh_function(2.0)
-
     def test_same_r_returns_the_cached_profile(self):
         assert reduced.dh_function(2.5) is reduced.dh_function(2.5)
 
@@ -351,11 +340,15 @@ class TestDHProfile:
             dh = reduced.dh_function(R)
             assert dh.knots == ((-2.0, 0.0, 2.0, 4.0), (0.0, 2.0, 2.0, 0.0))
             assert type(dh.knots[0][-1]) is type(2.0 * R)
+            assert type(dh.knots[1][-1]) is type(2.0 * R)
         assert reduced.dh_function(2) is not reduced.dh_function(2.0)
         assert (reduced.dh_function(np.float64(2.0))
                 is not reduced.dh_function(2.0))
 
-    @pytest.mark.parametrize("R", [1.0, 0.5, math.inf, math.nan])
+    # From R = 2^53 on, 2R + 2 rounds, and above it 2R - 2: a ValueError
+    # that names R, not an internal failure.
+    @pytest.mark.parametrize("R", [1.0, 0.5, math.inf, math.nan, 2.0 ** 53,
+                                   1e16])
     def test_rejected_r_is_not_cached(self, R):
         for _ in range(2):
             with pytest.raises(ValueError, match="finite R > 1"):

@@ -283,6 +283,34 @@ class TestClassification:
         kinds = {r.point_id: r.kind for r in classify_fixed_points(p)}
         assert kinds["NS"] == "degenerate"
 
+    def test_types_keep_down_to_the_smallest_radii(self):
+        # E scales as r1 r2.  Seeded points with -E/(r1 r2) log-uniform on
+        # [1e-9, 1e-2], focus-focus at r1 = 1, keep their types when both
+        # radii are scaled by a power of two until the smaller is 2^-511,
+        # the smallest with a normal square.  Scaled further, where E is
+        # subnormal and types changed, ModelParams raises.
+        rng = np.random.default_rng(4305)
+        points = []
+        while len(points) < 200:
+            R = math.exp(rng.uniform(math.log(1 / 8), math.log(8)))
+            s2, depth = float(rng.uniform(0, 1)), 10.0 ** rng.uniform(-9, -2)
+
+            def excess(s1):
+                return discriminant_E(ModelParams(1.0, R, s1, s2)) / R + depth
+
+            if excess(0.0) > 0.0:
+                s1 = find_root_bisect(excess, 0.0, 0.5, 1e-16)
+                points.append(ModelParams(1.0, R, s1, s2))
+        for p in points:
+            kinds = [r.kind for r in classify_fixed_points(p)]
+            assert kinds[1] == "focus-focus", p
+            t = 2.0 ** (-511 - min(0, math.floor(math.log2(p.R))))
+            scaled = ModelParams(t, t * p.R, p.s1, p.s2)
+            assert [r.kind for r in classify_fixed_points(scaled)] == kinds
+            for t in (t / 2, 1e-158, 1e-160):
+                with pytest.raises(ValueError, match="are out of range"):
+                    ModelParams(t, t * p.R, p.s1, p.s2)
+
     def test_boundary_point_residual(self):
         f = lambda s2: discriminant_E(ModelParams(1, 2, 0.5, s2))
         # At s1 = 1/2 the discriminant stays negative: no root to find.

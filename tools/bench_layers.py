@@ -21,7 +21,7 @@ three, one per quantity).
   The ``_envelope_candidates`` row is the envelope's critical-point solve
   on the arguments that ``image_boundary(64)`` passes it, recorded outside
   the timed call, so each checkout times its own solve's signature.  The
-  ``reduced.dh_function`` row builds and checks a profile, past the memo
+  ``reduced.dh_function`` row builds a profile, past the memo
   where the package has one (``dh_function.__wrapped__``); the ``(cached)``
   row looks up the last point's R, which the representatives row leaves
   in the memo, so it times a hit (a build where there is no memo).
