@@ -241,9 +241,11 @@ def dh_function(R: float) -> DHFunction:
                          f"{R!r} (below 2^53; apply the sphere-swap symmetry "
                          f"for R < 1)")
     ls = (-2.0, *ff_levels(R), 2.0 * R)
-    rho = tuple(hi - lo for lo, hi in
-                (physical_interval("NS", l, R) for l in ls))
-    return DHFunction((ls, rho))
+    rho = []
+    for l in ls:
+        lo, hi = physical_interval("NS", l, R)
+        rho.append(hi - lo)
+    return DHFunction((ls, tuple(rho)))
 
 
 def ff_levels(R: float):
