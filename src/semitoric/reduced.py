@@ -215,7 +215,8 @@ class DHFunction:
     def rho(self, l):
         """The profile at ``l``, a float or an array (NaN is outside), by
         ``np.interp`` over the knots: its slopes are exactly 1, 0 and -1 (the
-        last by Sterbenz), so every value is the slope sum's, bit for bit."""
+        last by Sterbenz), so every value is the sum along those slopes from
+        l = -2, bit for bit."""
         lo, hi = self.domain
         x = np.asarray(l, dtype=float)
         inside = (lo <= x) & (x <= hi)
@@ -238,8 +239,8 @@ def dh_function(R: float) -> DHFunction:
     per R and its type; a rejected R raises on every call."""
     if not (1.0 < R < R_LIMIT):  # NaN knots would pass width checks
         raise ValueError(f"dh_function requires a finite R > 1, got R = "
-                         f"{R!r} (below 2^53; apply the sphere-swap symmetry "
-                         f"for R < 1)")
+                         f"{R!r} (it must be below 2^53; apply the "
+                         f"sphere-swap symmetry for R < 1)")
     ls = (-2.0, *ff_levels(R), 2.0 * R)
     rho = []
     for l in ls:
